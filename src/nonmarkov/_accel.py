@@ -1,16 +1,10 @@
-"""Hot numeric kernels with two interchangeable implementations.
+"""Hot numeric kernels of the multistart searches.
 
-The multistart searches behind k-positivity certificates and input-optimized
-trace-norm ascents run thousands of tiny eigendecompositions per grid; Python
-overhead dominates there. Each kernel therefore exists twice:
-
-* a numba ``@njit`` version (default when numba imports), and
-* a pure-numpy version, selected by setting ``NONMARKOV_PURE_NUMPY=1`` in the
-  environment before import.
-
-Both paths implement the identical algorithm; ``benchmarks/bench_kernels.py``
-times them against each other. All kernels are deterministic: start points
-are generated by the caller from explicit seeds.
+The searches behind k-positivity certificates and input-optimized trace-norm
+ascents run thousands of tiny eigendecompositions per grid.  Each kernel
+here is one numpy implementation that loops over the restarts and returns
+the best one.  All kernels are deterministic: start points are generated by
+the caller from explicit seeds.
 
 Conventions: a bipartite vector on A (x) B is indexed a*dB + b; a Choi-like
 matrix J enters reshaped as J4[a, b, a2, b2]; a superoperator enters as the
@@ -19,31 +13,22 @@ matrix J enters reshaped as J4[a, b, a2, b2]; a superoperator enters as the
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("NONMARKOV_PURE_NUMPY", "").strip() in {"1", "true", "yes"}
-
-try:  # pragma: no cover - exercised via the dispatch table
-    if _FORCE_NUMPY:
-        raise ImportError("pure-numpy path forced by NONMARKOV_PURE_NUMPY")
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _HAVE_NUMBA = False
+ACCEL = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# k-positivity seesaw: minimize <psi|J|psi> over unit vectors of Schmidt rank
-# <= k, parameterized psi = sum_i L[:, i] (x) U[:, i].  Alternates exact
-# minimum-eigenvector solves in the L and U factors; monotone per iteration.
-# ---------------------------------------------------------------------------
+def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
+    """k-positivity seesaw: minimize <psi|J|psi> over unit vectors of Schmidt
+    rank <= k, parameterized psi = sum_i L[:, i] (x) U[:, i].
 
-
-def _kpos_scan_numpy(J4, dA, dB, k, starts_L, starts_U, iters, tol):
+    Alternates exact minimum-eigenvector solves in the L and U factors
+    (monotone per iteration) from each start pair; returns the best
+    (value, L, U) over all restarts.
+    """
+    J4 = np.ascontiguousarray(J4)
+    starts_L = np.ascontiguousarray(starts_L)
+    starts_U = np.ascontiguousarray(starts_U)
     best_val = np.inf
     best_L = starts_L[0].copy()
     best_U = starts_U[0].copy()
@@ -79,63 +64,18 @@ def _kpos_scan_numpy(J4, dA, dB, k, starts_L, starts_U, iters, tol):
     return best_val, best_L, best_U
 
 
-def _kpos_scan_jit_impl(J4, dA, dB, k, starts_L, starts_U, iters, tol):
-    best_val = np.inf
-    best_L = starts_L[0].copy()
-    best_U = starts_U[0].copy()
-    for r in range(starts_L.shape[0]):
-        L = starts_L[r].copy()
-        U = starts_U[r].copy()
-        val = np.inf
-        for _ in range(iters):
-            U, _ = np.linalg.qr(U)
-            hL = np.zeros((dA * k, dA * k), dtype=np.complex128)
-            for a in range(dA):
-                for i in range(k):
-                    for c in range(dA):
-                        for j in range(k):
-                            acc = 0.0 + 0.0j
-                            for b in range(dB):
-                                for d in range(dB):
-                                    acc += np.conj(U[b, i]) * J4[a, b, c, d] * U[d, j]
-                            hL[a * k + i, c * k + j] = acc
-            hL = (hL + hL.conj().T) / 2
-            w, v = np.linalg.eigh(hL)
-            L = v[:, 0].copy().reshape(dA, k)
-            L, _ = np.linalg.qr(L)
-            hU = np.zeros((dB * k, dB * k), dtype=np.complex128)
-            for b in range(dB):
-                for i in range(k):
-                    for d in range(dB):
-                        for j in range(k):
-                            acc = 0.0 + 0.0j
-                            for a in range(dA):
-                                for c in range(dA):
-                                    acc += np.conj(L[a, i]) * J4[a, b, c, d] * L[c, j]
-                            hU[b * k + i, d * k + j] = acc
-            hU = (hU + hU.conj().T) / 2
-            w, v = np.linalg.eigh(hU)
-            new_val = w[0]
-            U = v[:, 0].copy().reshape(dB, k)
-            if abs(new_val - val) <= tol * max(1.0, abs(new_val)):
-                val = new_val
-                break
-            val = new_val
-        if val < best_val:
-            best_val = val
-            best_L = L.copy()
-            best_U = U.copy()
-    return best_val, best_L, best_U
+def tracenorm_scan(T4, starts, iters=80, tol=1e-13):
+    """Trace-norm ascent: maximize ||W(psi psi^dag)||_1 over unit psi for a
+    Hermiticity-preserving superoperator W given as T4.
 
-
-# ---------------------------------------------------------------------------
-# Trace-norm ascent: maximize ||W(psi psi^dag)||_1 over unit psi for a
-# Hermiticity-preserving superoperator W given as T4.  Fixed-point iteration:
-# psi <- top eigenvector of W^#(sign(W(psi psi^dag))); monotone ascent.
-# ---------------------------------------------------------------------------
-
-
-def _tracenorm_scan_numpy(T4, starts, iters, tol):
+    Fixed-point iteration psi <- top eigenvector of W^#(sign(W(psi psi^dag)))
+    (monotone ascent) from each start; returns the best (value, psi) over
+    all restarts.
+    """
+    # einsum on a transposed (non-contiguous) view rounds differently, so the
+    # tensor is always made contiguous first.
+    T4 = np.ascontiguousarray(T4)
+    starts = np.ascontiguousarray(starts)
     best_val = -np.inf
     best_psi = starts[0].copy()
     for r in range(starts.shape[0]):
@@ -161,89 +101,3 @@ def _tracenorm_scan_numpy(T4, starts, iters, tol):
             best_val = val
             best_psi = psi
     return best_val, best_psi
-
-
-def _tracenorm_scan_jit_impl(T4, starts, iters, tol):
-    n_out = T4.shape[0]
-    n_in = T4.shape[2]
-    best_val = -np.inf
-    best_psi = starts[0].copy()
-    for r in range(starts.shape[0]):
-        psi = starts[r].copy()
-        psi = psi / np.linalg.norm(psi)
-        val = -np.inf
-        for _ in range(iters):
-            x = np.outer(psi, np.conj(psi))
-            y = np.zeros((n_out, n_out), dtype=np.complex128)
-            for o1 in range(n_out):
-                for o2 in range(n_out):
-                    acc = 0.0 + 0.0j
-                    for i1 in range(n_in):
-                        for i2 in range(n_in):
-                            acc += T4[o1, o2, i1, i2] * x[i1, i2]
-                    y[o1, o2] = acc
-            y = (y + y.conj().T) / 2
-            w, v = np.linalg.eigh(y)
-            new_val = 0.0
-            for idx in range(w.shape[0]):
-                new_val += abs(w[idx])
-            p = np.zeros((n_out, n_out), dtype=np.complex128)
-            for idx in range(w.shape[0]):
-                s = 1.0 if w[idx] >= 0.0 else -1.0
-                for o1 in range(n_out):
-                    for o2 in range(n_out):
-                        p[o1, o2] += s * v[o1, idx] * np.conj(v[o2, idx])
-            g = np.zeros((n_in, n_in), dtype=np.complex128)
-            for i1 in range(n_in):
-                for i2 in range(n_in):
-                    acc = 0.0 + 0.0j
-                    for o1 in range(n_out):
-                        for o2 in range(n_out):
-                            acc += np.conj(T4[o1, o2, i1, i2]) * p[o1, o2]
-                    g[i1, i2] = acc
-            g = (g + g.conj().T) / 2
-            wg, vg = np.linalg.eigh(g)
-            psi = vg[:, -1].copy()
-            if abs(new_val - val) <= tol * max(1.0, abs(new_val)):
-                val = new_val
-                break
-            val = new_val
-        if val > best_val:
-            best_val = val
-            best_psi = psi.copy()
-    return best_val, best_psi
-
-
-if _HAVE_NUMBA:  # pragma: no branch
-    _kpos_scan_numba = numba.njit(cache=True)(_kpos_scan_jit_impl)
-    _tracenorm_scan_numba = numba.njit(cache=True)(_tracenorm_scan_jit_impl)
-else:
-    _kpos_scan_numba = None
-    _tracenorm_scan_numba = None
-
-ACCEL = "numba" if _HAVE_NUMBA else "numpy"
-
-
-def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
-    """Best (value, L, U) over all seesaw restarts; dispatches per ACCEL."""
-    args = (
-        np.ascontiguousarray(J4),
-        dA,
-        dB,
-        k,
-        np.ascontiguousarray(starts_L),
-        np.ascontiguousarray(starts_U),
-        iters,
-        tol,
-    )
-    if _HAVE_NUMBA:
-        return _kpos_scan_numba(*args)
-    return _kpos_scan_numpy(*args)
-
-
-def tracenorm_scan(T4, starts, iters=80, tol=1e-13):
-    """Best (value, psi) over all ascent restarts; dispatches per ACCEL."""
-    args = (np.ascontiguousarray(T4), np.ascontiguousarray(starts), iters, tol)
-    if _HAVE_NUMBA:
-        return _tracenorm_scan_numba(*args)
-    return _tracenorm_scan_numpy(*args)

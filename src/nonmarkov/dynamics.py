@@ -261,11 +261,11 @@ def _integrate_interval(gen, phi, t0, t1, tol):
 def propagate(gen: GkslGenerator, grid, tol: float = 1e-10) -> DynamicalMap:
     """Integrate the superoperator equation of motion along the grid.
 
-    Constant-rate generators use exact spectral exponentiation; otherwise a
-    classical 4th-order integrator with Richardson step halving keeps the
-    local error below ``tol`` per unit time.  Every output map must pass the
-    CPTP residual budget (1e-7), which also catches rate functions that do
-    not generate a legitimate dynamical family.
+    Constant-rate generators call scipy's ``expm(L t)`` once per grid
+    point; otherwise a classical 4th-order integrator with Richardson step
+    halving keeps the local error below ``tol`` per unit time.  Every output
+    map must pass the CPTP residual budget (1e-7), which also catches rate
+    functions that do not generate a legitimate dynamical family.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -7,12 +7,27 @@ Standard form (sense "min"):
     subject to <A_i, X> = b_i   (i = 1..m),   X >= 0 (block diagonal)
 
 with Hermitian C, A_i and <A, B> = Tr(A B).  "max" negates the objective
-internally.  The solver embeds every Hermitian block into a real symmetric
-block of doubled dimension and runs a primal-dual path-following iteration
-(HKM direction, Mehrotra predictor-corrector, fraction-to-boundary 0.98).
-Identity-scaled start; Cholesky failures retry with escalating
-regularization.  Everything is deterministic: identical problems produce
-identical iterate sequences.
+internally.
+
+Constraint data is stacked: ``SdpProblem`` keeps block k of all m
+constraints as one (m, n_k, n_k) array ``A[k]`` and the right-hand sides as
+the vector ``b``.  ``solve`` embeds each Hermitian stack once into real
+symmetric blocks of doubled dimension, so the Gram independence check,
+A(X), A^T(y), the Schur complement and the Newton right-hand side are one
+matrix product per block.  The iteration is primal-dual path-following (HKM
+direction, Mehrotra predictor-corrector, fraction-to-boundary 0.98) from an
+identity-scaled start; Cholesky failures of the Schur complement retry with
+escalating regularization.
+
+An "optimal" solution meets feasibility 1e-8 * max(1, |b_i|), normalised
+dual residual 1e-8 and gap 1e-8 * (1 + |primal|); the exit tests aim below
+these guarantees.  The solver remembers the latest iterate that meets them
+and returns it as "optimal", with its own residuals and gap, if the
+iteration then ends in "numerical-failure": near the boundary the last bits
+of a step decide whether the gap settles above the exit tests' -1e-10 floor
+before a step breaks down.  The guarantees are the same for every "optimal"
+solution, fallback or not.  Everything is deterministic: identical problems
+produce identical iterate sequences.
 """
 
 from __future__ import annotations
@@ -22,13 +37,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-
 DEFAULT_MAX_ITER = 200
 FRACTION_TO_BOUNDARY = 0.98
 
-# Exit thresholds aimed below the advertised solution guarantees
-# (feasibility 1e-8 * max(1, |b_i|), gap 1e-8 * (1 + |primal|)).
+# Advertised solution guarantees: feasibility GUARANTEE * max(1, |b_i|),
+# normalised dual residual GUARANTEE, gap GUARANTEE * (1 + |primal|).
+GUARANTEE = 1e-8
+
+# Exit thresholds aimed below the guarantees.
 TOL_GAP = 1e-9
 TOL_FEAS = 1e-10
 
@@ -42,12 +58,20 @@ class SdpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Hermitian block-diagonal SDP in standard form."""
+    """Hermitian block-diagonal SDP in standard form.
+
+    ``constraints`` is given as [(list_of_blocks, b_i), ...].  Validation
+    stacks it: ``A[k]`` holds block k of every constraint as an
+    (m, n_k, n_k) array and ``b`` the right-hand sides; ``constraints`` then
+    lists views into those stacks.
+    """
 
     blocks: list
     C: list
-    constraints: list  # [(list_of_blocks, b_i), ...]
+    constraints: list
     sense: str = "min"
+    A: list = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -56,23 +80,21 @@ class SdpProblem:
             raise ValueError("block dimensions must be positive")
         if len(self.C) != len(self.blocks):
             raise ValueError("objective must provide one block per block dimension")
-        cs = [_check_herm_block(c, n) for c, n in zip(self.C, self.blocks)]
-        object.__setattr__(self, "C", cs)
-        checked = []
-        for a_blocks, b in self.constraints:
-            if len(a_blocks) != len(self.blocks):
-                raise ValueError("constraint must provide one block per block dimension")
-            checked.append(
-                (
-                    [_check_herm_block(a, n) for a, n in zip(a_blocks, self.blocks)],
-                    float(b),
-                )
-            )
-        object.__setattr__(self, "constraints", checked)
+        if not self.constraints:
+            raise ValueError("the solver requires at least one constraint")
+        if any(len(ab) != len(self.blocks) for ab, _ in self.constraints):
+            raise ValueError("constraint must provide one block per block dimension")
+        per_block = zip(*(ab for ab, _ in self.constraints))
+        a = [_herm_stack(s, n) for s, n in zip(per_block, self.blocks)]
+        b = np.array([float(bi) for _, bi in self.constraints])
+        object.__setattr__(self, "C", [_herm_stack([c], n)[0] for c, n in zip(self.C, self.blocks)])
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "constraints", list(zip(map(list, zip(*a)), b.tolist())))
 
     @property
     def m(self) -> int:
-        return len(self.constraints)
+        return self.b.size
 
     def to_json(self) -> str:
         def enc(mat):
@@ -83,7 +105,7 @@ class SdpProblem:
                 "blocks": [int(n) for n in self.blocks],
                 "C": [enc(c) for c in self.C],
                 "A": [[enc(a) for a in ab] for ab, _ in self.constraints],
-                "b": [b for _, b in self.constraints],
+                "b": self.b.tolist(),
                 "sense": self.sense,
             }
         )
@@ -107,14 +129,20 @@ class SdpProblem:
         )
 
 
-def _check_herm_block(mat, n: int) -> np.ndarray:
-    a = linalg.as_matrix(mat)
-    if a.shape != (n, n):
-        raise ValueError(f"block shape {a.shape} does not match declared dim {n}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a - a.conj().T).max(initial=0.0)) > 1e-12 * scale:
+def _herm_stack(mats, n: int) -> np.ndarray:
+    """Check a sequence of n x n blocks for finiteness and Hermiticity within
+    1e-12 (relative to each block's largest entry); return it symmetrized as
+    one (len(mats), n, n) array."""
+    a = np.asarray(mats, dtype=np.complex128)
+    if a.shape[1:] != (n, n):
+        raise ValueError(f"block shape {a.shape[1:]} does not match declared dim {n}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("SDP data contains NaN or Inf entries")
+    ah = a.conj().transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+    if np.any(np.abs(a - ah).max(axis=(1, 2), initial=0.0) > 1e-12 * scale):
         raise ValueError("SDP data blocks must be Hermitian within 1e-12")
-    return (a + a.conj().T) / 2
+    return (a + ah) / 2
 
 
 @dataclass(frozen=True)
@@ -160,13 +188,14 @@ def hermitian_basis(dim: int) -> list:
 
 
 def embed_hermitian(h) -> np.ndarray:
-    """[[Re h, -Im h], [Im h, Re h]]: eigenvalues duplicate, inner products
-    of embedded pairs scale by exactly 2 (accounted for during assembly)."""
-    a = linalg.as_matrix(h)
+    """[[Re h, -Im h], [Im h, Re h]] over the last two axes (one matrix or a
+    stack): eigenvalues duplicate, inner products of embedded pairs scale by
+    exactly 2 (accounted for during assembly)."""
+    a = np.asarray(h, dtype=np.complex128)
     re, im = a.real, a.imag
-    top = np.hstack([re, -im])
-    bot = np.hstack([im, re])
-    return np.vstack([top, bot])
+    top = np.concatenate([re, -im], axis=-1)
+    bot = np.concatenate([im, re], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 def _unembed(y: np.ndarray) -> np.ndarray:
@@ -177,32 +206,20 @@ def _unembed(y: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def _inner(xs, ys) -> float:
-    return float(sum(np.tensordot(a, b, axes=2) for a, b in zip(xs, ys)))
-
-
-def _frob(xs) -> float:
-    return float(np.sqrt(sum(np.sum(a * a) for a in xs)))
-
-
 def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
           tol_gap: float = TOL_GAP, tol_feas: float = TOL_FEAS) -> SdpSolution:
     """Run the interior-point iteration; see the module docstring."""
     sign = 1.0 if problem.sense == "min" else -1.0
     dims = [2 * n for n in problem.blocks]
     n_total = sum(dims)
+    m = problem.m
     c_blocks = [sign * embed_hermitian(c) for c in problem.C]
-    a_rows = [[embed_hermitian(a) for a in ab] for ab, _ in problem.constraints]
-    b = np.array([2.0 * bi for _, bi in problem.constraints])
-    m = len(a_rows)
-    if m == 0:
-        raise ValueError("the solver requires at least one constraint")
+    # rows[bi]: embedded block bi of every constraint, one row per constraint.
+    rows = [embed_hermitian(a).reshape(m, -1) for a in problem.A]
+    b = 2.0 * problem.b
 
     # Constraint independence check (rank-deficiency is an input error).
-    gram = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            gram[i, j] = gram[j, i] = _inner(a_rows[i], a_rows[j])
+    gram = sum(r @ r.T for r in rows)
     gw = np.linalg.eigvalsh(gram)
     if gw[0] <= 1e-12 * max(1.0, gw[-1]):
         raise ValueError(
@@ -210,54 +227,51 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
         )
 
     def a_op(xs):
-        return np.array([_inner(row, xs) for row in a_rows])
+        return sum(r @ xb.ravel() for r, xb in zip(rows, xs))
 
     def at_op(y):
-        return [
-            sum(y[i] * a_rows[i][bi] for i in range(m))
-            for bi in range(len(dims))
-        ]
+        return [(y @ r).reshape(d, d) for r, d in zip(rows, dims)]
 
     # Identity-scaled start from problem norms.
-    a_norms = [max(_frob(row), 1e-12) for row in a_rows]
-    xi = max(10.0, np.sqrt(n_total), float(np.max(np.abs(b) / (1.0 + np.array(a_norms)))) * n_total)
-    eta = max(10.0, np.sqrt(n_total), _frob(c_blocks), max(a_norms))
+    a_norms = np.maximum(np.sqrt(np.diag(gram)), 1e-12)
+    c_norm = float(np.sqrt(sum(np.vdot(c, c) for c in c_blocks)))
+    xi = max(10.0, np.sqrt(n_total), float(np.max(np.abs(b) / (1.0 + a_norms))) * n_total)
+    eta = max(10.0, np.sqrt(n_total), c_norm, float(a_norms.max()))
     x = [xi * np.eye(d) for d in dims]
     z = [eta * np.eye(d) for d in dims]
     y = np.zeros(m)
 
     def values():
-        pv = sign * _inner(c_blocks, x) / 2.0
+        pv = sign * float(sum(np.vdot(cb, xb) for cb, xb in zip(c_blocks, x))) / 2.0
         dv = sign * float(b @ y) / 2.0
         return pv, dv
 
     def residuals():
         rp = b - a_op(x)
         aty = at_op(y)
-        rd = [c_blocks[i] - z[i] - aty[i] for i in range(len(dims))]
+        rd = [cb - zb - ab for cb, zb, ab in zip(c_blocks, z, aty)]
         return rp, rd
 
     def herm_feas(rp):
         # per-constraint residual on the Hermitian (non-doubled) scale
-        return max(
-            abs(rp[i]) / 2.0 / max(1.0, abs(b[i]) / 2.0) for i in range(m)
-        )
+        return float(np.max(np.abs(rp) / 2.0 / np.maximum(1.0, np.abs(b) / 2.0)))
 
     status = "max_iter"
     it = 0
     res_history = []
+    certified = None
     for it in range(1, max_iter + 1):
         rp, rd = residuals()
-        mu = _inner(x, z) / n_total
+        mu = float(sum(np.vdot(xb, zb) for xb, zb in zip(x, z))) / n_total
         pv, dv = values()
         gap = (pv - dv) if problem.sense == "min" else (dv - pv)
         p_res = herm_feas(rp)
-        d_res = max(float(np.abs(r).max(initial=0.0)) for r in rd) / max(1.0, _frob(c_blocks))
+        d_res = max(float(np.abs(r).max(initial=0.0)) for r in rd) / max(1.0, c_norm)
         res_history.append(p_res + d_res)
 
         if (
-            p_res <= 1e-8 * 0.1
-            and d_res <= 1e-8 * 0.1
+            p_res <= GUARANTEE * 0.1
+            and d_res <= GUARANTEE * 0.1
             and abs(gap) <= tol_gap * (1.0 + abs(pv))
             and gap >= -1e-10
         ) or (
@@ -265,6 +279,8 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
         ):
             status = "optimal"
             break
+        if p_res <= GUARANTEE and d_res <= GUARANTEE and abs(gap) <= GUARANTEE * (1.0 + abs(pv)):
+            certified = (x, y, z)
 
         # Infeasibility reporting.  Primary signal: the dual variables run
         # off along a ray with positive objective and (approximately)
@@ -307,13 +323,10 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
             break
 
         # Schur complement M[i, j] = <A_i, X A_j Z^{-1}>
-        schur = np.empty((m, m))
-        t_cache = []
-        for j in range(m):
-            t_cache.append([x[bi] @ a_rows[j][bi] @ zinv[bi] for bi in range(len(dims))])
-        for i in range(m):
-            for j in range(m):
-                schur[i, j] = _inner(a_rows[i], t_cache[j])
+        schur = sum(
+            r @ (xb @ r.reshape(m, d, d) @ zi).reshape(m, -1).T
+            for r, d, xb, zi in zip(rows, dims, x, zinv)
+        )
         schur = (schur + schur.T) / 2
 
         chol = None
@@ -334,15 +347,14 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
 
         def newton(sigma_mu, corr):
             """Solve for (dx, dy, dz) given centering target and corrector."""
-            rhs = rp.copy()
+            targ = []
             for bi in range(len(dims)):
-                targ = sigma_mu * zinv[bi] - x[bi]
+                t = sigma_mu * zinv[bi] - x[bi]
                 if corr is not None:
-                    targ = targ - corr[bi] @ zinv[bi]
-                targ = targ - x[bi] @ rd[bi] @ zinv[bi]
-                rhs -= np.array([np.tensordot(a_rows[i][bi], targ, axes=2) for i in range(m)])
-            dy = schur_solve(rhs)
-            dz = [rd[bi] - sum(dy[i] * a_rows[i][bi] for i in range(m)) for bi in range(len(dims))]
+                    t = t - corr[bi] @ zinv[bi]
+                targ.append(t - x[bi] @ rd[bi] @ zinv[bi])
+            dy = schur_solve(rp - a_op(targ))
+            dz = [r - s for r, s in zip(rd, at_op(dy))]
             dx = []
             for bi in range(len(dims)):
                 t = sigma_mu * zinv[bi] - x[bi] - x[bi] @ dz[bi] @ zinv[bi]
@@ -370,7 +382,7 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
             ad = max_step(z, dza, lz_chols)
             xa = [x[bi] + min(1.0, ap) * dxa[bi] for bi in range(len(dims))]
             za = [z[bi] + min(1.0, ad) * dza[bi] for bi in range(len(dims))]
-            mu_aff = _inner(xa, za) / n_total
+            mu_aff = float(sum(np.vdot(xb, zb) for xb, zb in zip(xa, za))) / n_total
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
             # Corrector
@@ -387,6 +399,11 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
         y = y + ad * dy
         x = [(xb + xb.T) / 2 for xb in x]
         z = [(zb + zb.T) / 2 for zb in z]
+
+    if status == "numerical-failure" and certified is not None:
+        # The step broke down after an iterate already met the guarantees.
+        x, y, z = certified
+        status = "optimal"
 
     rp, rd = residuals()
     pv, dv = values()

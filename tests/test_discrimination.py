@@ -10,6 +10,17 @@ KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
 PLUS = pure_state(np.array([1.0, 1.0]))
 
+# Seeds of random_cptp(3, 2) pairs whose diamond-norm iteration can break
+# down after it meets the solver's guarantees; whether it does depends on the
+# last bits of the arithmetic.
+QUTRIT_BREAKDOWN_PAIRS = [
+    (916926068, 1448099613),
+    (2077510140, 314059661),
+    (979858944, 828550811),
+    (1333199765, 2106274943),
+    (970959677, 1097537907),
+]
+
 
 def trine_ensemble():
     vecs = []
@@ -165,6 +176,13 @@ class TestDiamondNorm:
         m = maps.subtract(identity_map(3), depolarizing(q, 3))
         expect = q * (1 - 1 / 9) + 8 * q / 9
         assert disc.diamond_norm(m) == pytest.approx(expect, abs=1e-5)
+
+    @pytest.mark.parametrize("seed_a, seed_b", QUTRIT_BREAKDOWN_PAIRS)
+    def test_qutrit_cptp_difference_within_bounds(self, seed_a, seed_b):
+        m = maps.subtract(maps.random_cptp(3, 2, seed_a), maps.random_cptp(3, 2, seed_b))
+        phi = states.max_entangled(3).matrix
+        lower = linalg.trace_norm(maps.amplify(m, 3).apply(phi))
+        assert lower - 1e-7 <= disc.diamond_norm(m) <= 2.0 + 1e-7
 
 
 class TestCbNorm:

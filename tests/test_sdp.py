@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nonmarkov import linalg
+from nonmarkov import linalg, maps
+from nonmarkov.discrimination import diamond_norm_program
 from nonmarkov.sdp import (
     SdpProblem,
     SdpSolution,
@@ -188,6 +189,10 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="dependent"):
             solve(p)
 
+    def test_empty_constraints_rejected(self):
+        with pytest.raises(ValueError, match="at least one constraint"):
+            SdpProblem(blocks=[2], C=[np.eye(2, dtype=complex)], constraints=[])
+
     def test_infeasible_detected(self):
         eye = np.eye(2, dtype=complex)
         p = SdpProblem(blocks=[2], C=[eye], constraints=[([eye], -1.0)], sense="min")
@@ -206,3 +211,31 @@ class TestEdgeCases:
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             SdpProblem(blocks=[2], C=[bad], constraints=[([np.eye(2, dtype=complex)], 1.0)])
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            SdpProblem(blocks=[2], C=[eye], constraints=[([eye], 1.0), ([bad], 0.0)])
+
+
+# Seeds of random_cptp(3, 2) pairs whose diamond-norm iteration can break
+# down after it meets the solver's guarantees; whether it does depends on the
+# last bits of the arithmetic.
+QUTRIT_BREAKDOWN_PAIRS = [
+    (916926068, 1448099613),
+    (2077510140, 314059661),
+    (979858944, 828550811),
+    (1333199765, 2106274943),
+    (970959677, 1097537907),
+]
+
+
+class TestEndGame:
+    @pytest.mark.parametrize("seed_a, seed_b", QUTRIT_BREAKDOWN_PAIRS)
+    def test_returns_certified_iterate(self, seed_a, seed_b):
+        delta = maps.subtract(maps.random_cptp(3, 2, seed_a), maps.random_cptp(3, 2, seed_b))
+        prob = diamond_norm_program(delta)
+        sol = solve(prob)
+        assert sol.optimal, f"status {sol.status}"
+        for (ab, b) in prob.constraints:
+            got = sum(np.trace(a @ x).real for a, x in zip(ab, sol.X))
+            assert abs(got - b) <= 1e-8 * max(1, abs(b))
+        assert abs(sol.gap) <= 1e-8 * (1 + abs(sol.primal_value))
