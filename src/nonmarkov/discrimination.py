@@ -90,6 +90,7 @@ def p_guess_channels(probs, channels, k: int, restarts: int = 64, seed: int = 0,
     Best found value; each step is an exact partial maximization, so every
     iterate is a valid lower bound.
     """
+    maps.check_restarts(restarts)
     probs = np.asarray(probs, dtype=np.float64)
     d_in = channels[0].dimIn
     if not 1 <= k <= d_in:
@@ -134,6 +135,7 @@ def channel_distance(e1: QuantumMap, e2: QuantumMap, p: float, k: int,
         raise ValueError("p must lie in [0, 1]")
     if not 1 <= k <= e1.dimIn:
         raise ValueError(f"ancilla dimension k must lie in [1, {e1.dimIn}]")
+    maps.check_restarts(restarts)
     delta = maps.weighted_difference(e1, e2, 1.0 - p, p)
     big = maps.amplify(delta, k)
     t4 = big.as_tensor()
@@ -187,6 +189,7 @@ def cb_norm_check(m: QuantumMap, restarts: int = 32, seed: int = 0,
     by alternating ascent over unit-operator-norm inputs and unit vectors;
     documented as a consistency residual (<= 1e-3 on qubit instances).
     """
+    maps.check_restarts(restarts)
     adj = maps.adjoint(m)
     big = maps.amplify(adj, adj.dimIn)
     dim_in = adj.dimIn * adj.dimIn
@@ -225,6 +228,7 @@ def square_norm(x, dB: int, restarts: int = 64, seed: int = 0,
     maximization, so iterates increase monotonically.  Best found over
     restarts (lower-bound semantics).
     """
+    maps.check_restarts(restarts)
     xm = linalg.as_matrix(x)
     d = xm.shape[0]
     if d % dB != 0:
@@ -273,6 +277,7 @@ def square_norm(x, dB: int, restarts: int = 64, seed: int = 0,
 def operational_fidelity(e1: QuantumMap, e2: QuantumMap, restarts: int = 16,
                          seed: int = 0) -> float:
     """inf over pure bipartite inputs of F((id (x) e1) psi, (id (x) e2) psi)."""
+    maps.check_restarts(restarts)
     rep1 = maps.is_cptp(e1)
     rep2 = maps.is_cptp(e2)
     if not (rep1["cp"] and rep1["tp"] and rep2["cp"] and rep2["tp"]):

@@ -222,9 +222,10 @@ def time_grid(t_max: float, steps: int) -> np.ndarray:
 
 
 def _rk4_step(gen: GkslGenerator, phi: np.ndarray, t: float, h: float) -> np.ndarray:
+    mid = gen.superop(t + h / 2)
     k1 = gen.superop(t) @ phi
-    k2 = gen.superop(t + h / 2) @ (phi + (h / 2) * k1)
-    k3 = gen.superop(t + h / 2) @ (phi + (h / 2) * k2)
+    k2 = mid @ (phi + (h / 2) * k1)
+    k3 = mid @ (phi + (h / 2) * k2)
     k4 = gen.superop(t + h) @ (phi + h * k3)
     return phi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
@@ -370,6 +371,8 @@ class DivisibilityReport:
                             "min_value": c.min_value,
                             "verdict": c.verdict,
                             "restarts_used": c.restarts_used,
+                            "restarts_converged": c.restarts_converged,
+                            "spread": c.spread,
                             "witness_re": c.witness.real.tolist(),
                             "witness_im": c.witness.imag.tolist(),
                         }
@@ -393,6 +396,7 @@ def divisibility_report(
     ks = sorted(set(int(k) for k in ks))
     if any(k < 1 or k > dm.dim for k in ks):
         raise ValueError(f"each k must lie in [1, {dm.dim}]")
+    maps.check_restarts(restarts)
     steps = []
     for j in range(len(dm) - 1):
         v = intermediate(dm, j + 1, j)

@@ -122,6 +122,10 @@ class PositivityCertificate:
     (a unit vector of Schmidt rank <= k across the out:in cut).  The verdict
     "certified-negative" means the witness is a genuine counterexample; the
     complementary label remains heuristic and is never upgraded to a proof.
+
+    restarts_converged counts the restarts whose stop test passed before the
+    sweep budget ran out, and spread is the median of the restarts' final
+    values minus the best one; both are 0 on the exact-eigenvalue path.
     """
 
     k: int
@@ -129,6 +133,8 @@ class PositivityCertificate:
     witness: np.ndarray
     restarts_used: int
     verdict: str
+    restarts_converged: int
+    spread: float
 
     @property
     def certified_negative(self) -> bool:
@@ -251,6 +257,12 @@ def is_unital(m: QuantumMap) -> dict:
     return {"unital": bool(residual <= UNITAL_TOL), "residual": float(residual)}
 
 
+def check_restarts(restarts: int) -> None:
+    """Multistart searches need at least one start point."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+
+
 def choi_quadratic_form(j: np.ndarray, psi: np.ndarray) -> float:
     return float((psi.conj() @ j @ psi).real / (psi.conj() @ psi).real)
 
@@ -261,12 +273,13 @@ def k_positivity(m: QuantumMap, k: int, restarts: int = 64, seed: int = 0) -> Po
     For k >= min(dimOut, dimIn) the Schmidt constraint is vacuous and the
     exact minimum Choi eigenvalue is returned.  Otherwise a multistart
     block-coordinate descent on the factor parameterization
-    psi = sum_i L[:, i] (x) U[:, i) runs; each half-step solves its factor's
+    psi = sum_i L[:, i] (x) U[:, i] runs; each half-step solves its factor's
     minimum-eigenvector problem exactly, so the objective is monotone.
     Deterministic for a fixed seed (all start points derive from it).
     """
     if not 1 <= k <= m.dimIn:
         raise ValueError(f"k must be in [1, {m.dimIn}], got {k}")
+    check_restarts(restarts)
     j = choi(m)
     j = (j + j.conj().T) / 2
     dA, dB = m.dimOut, m.dimIn
@@ -275,19 +288,20 @@ def k_positivity(m: QuantumMap, k: int, restarts: int = 64, seed: int = 0) -> Po
         psi = dec.eigenvectors[:, 0]
         val = choi_quadratic_form(j, psi)
         verdict = "certified-negative" if val < CERT_NEG_TOL else "heuristically-nonnegative"
-        return PositivityCertificate(k, val, psi, 0, verdict)
+        return PositivityCertificate(k, val, psi, 0, verdict, 0, 0.0)
     rng = np.random.default_rng(seed)
     shape_l = (restarts, dA, k)
     shape_u = (restarts, dB, k)
     starts_l = rng.standard_normal(shape_l) + 1j * rng.standard_normal(shape_l)
     starts_u = rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u)
     j4 = np.ascontiguousarray(j.reshape(dA, dB, dA, dB))
-    _, best_l, best_u = _accel.kpos_scan(j4, dA, dB, k, starts_l, starts_u)
+    best, best_l, best_u, vals, converged = _accel.kpos_scan(j4, dA, dB, k, starts_l, starts_u)
     psi = np.einsum("ai,bi->ab", best_l, best_u).reshape(dA * dB)
     psi = psi / np.linalg.norm(psi)
     val = choi_quadratic_form(j, psi)
     verdict = "certified-negative" if val < CERT_NEG_TOL else "heuristically-nonnegative"
-    return PositivityCertificate(k, val, psi, restarts, verdict)
+    spread = float(np.median(vals) - best)
+    return PositivityCertificate(k, val, psi, restarts, verdict, int(converged.sum()), spread)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import discrimination as disc
-from nonmarkov import linalg, maps, states
+from nonmarkov import _accel, dynamics, linalg, maps, states
 from nonmarkov.maps import depolarizing, identity_map, replacer, transposition_map, unitary_map
 from nonmarkov.states import StateEnsemble, basis_state, pure_state, random_density
 
@@ -144,6 +144,43 @@ class TestChannelDistance:
         val = disc.channel_distance(e1, e2, 0.5, k=2, restarts=16, seed=8)
         dia = disc.diamond_norm(maps.weighted_difference(e1, e2, 0.5, 0.5))
         assert val == pytest.approx(dia, abs=1e-4)
+
+
+class TestTracenormScan:
+    @pytest.mark.parametrize("dim, k, seed", [(2, 1, 40), (2, 2, 41), (3, 2, 42)])
+    def test_best_of_single_restart_runs(self, dim, k, seed):
+        delta = maps.weighted_difference(
+            maps.random_cptp(dim, 2, seed), maps.random_cptp(dim, 2, seed + 100), 0.6, 0.4)
+        t4 = maps.amplify(delta, k).as_tensor()
+        rng = np.random.default_rng(seed)
+        starts = rng.standard_normal((16, k * dim)) + 1j * rng.standard_normal((16, k * dim))
+        val, psi = _accel.tracenorm_scan(t4, starts)
+        single = [_accel.tracenorm_scan(t4, starts[r:r + 1]) for r in range(16)]
+        r = int(np.argmax([s[0] for s in single]))
+        assert abs(val - single[r][0]) <= 1e-12
+        assert np.abs(psi - single[r][1]).max() <= 1e-12
+
+
+QUBIT = maps.random_cptp(2, 2, 50)
+MULTISTART = {
+    "k_positivity": lambda r: maps.k_positivity(transposition_map(2), 1, restarts=r),
+    "divisibility_report": lambda r: dynamics.divisibility_report(
+        dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(1, 3)), [1],
+        restarts=r),
+    "channel_distance": lambda r: disc.channel_distance(QUBIT, QUBIT, 0.5, 1, restarts=r),
+    "p_guess_channels": lambda r: disc.p_guess_channels(
+        [0.5, 0.5], [QUBIT, QUBIT], 1, restarts=r),
+    "cb_norm_check": lambda r: disc.cb_norm_check(QUBIT, restarts=r),
+    "square_norm": lambda r: disc.square_norm(np.eye(4), 2, restarts=r),
+    "operational_fidelity": lambda r: disc.operational_fidelity(QUBIT, QUBIT, restarts=r),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTISTART))
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_multistart_rejects_no_restarts(name, restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        MULTISTART[name](restarts)
 
 
 class TestDiamondNorm:

@@ -251,6 +251,14 @@ class TestDivisibilityReport:
         assert doc["verdicts"]["2"] == "not k-divisible on grid"
         assert len(doc["steps"]) == 3
 
+    def test_jsonable_search_statistics(self):
+        dm = propagate(model("eternal"), time_grid(1.0, 3))
+        rep = divisibility_report(dm, ks=[1], restarts=4, seed=6)
+        cert = rep.steps[0].certificates[1]
+        doc = rep.to_jsonable()["steps"][0]["certificates"]["1"]
+        assert doc["restarts_converged"] == cert.restarts_converged
+        assert doc["spread"] == cert.spread
+
 
 class TestModelLibrary:
     def test_unknown_model(self):

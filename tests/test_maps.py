@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonmarkov import linalg, maps, states
+from nonmarkov import _accel, dynamics, linalg, maps, states
 from nonmarkov.maps import (
     NonInvertibleMapError,
     QuantumMap,
@@ -270,6 +270,72 @@ class TestKPositivity:
         b = k_positivity(transposition_map(2), 1, restarts=8, seed=7)
         assert a.min_value == b.min_value
         assert np.array_equal(a.witness, b.witness)
+
+    def test_search_statistics(self):
+        cert = k_positivity(transposition_map(2), 1, restarts=16, seed=8)
+        assert 0 <= cert.restarts_converged <= cert.restarts_used
+        assert cert.spread >= 0.0
+
+    def test_exact_path_statistics_are_zero(self):
+        cert = k_positivity(transposition_map(2), 2, restarts=4, seed=0)
+        assert (cert.restarts_used, cert.restarts_converged, cert.spread) == (0, 0, 0.0)
+
+    def test_seeded_values_pinned(self):
+        # Outputs of the per-restart loop kernel; the batched kernel must
+        # reproduce them bit for bit.
+        cert = k_positivity(transposition_map(3), 2)
+        assert float(cert.min_value).hex() == "-0x1.0000000000000p+0"
+        assert [float(x).hex() for x in cert.witness.real] == [
+            "0x1.7fffffffffffep-53", "-0x1.855d53cc5a1d4p-3", "-0x1.c3078d8957b4cp-3",
+            "0x1.855d53cc5a1d5p-3", "0x0.0p+0", "0x1.3b1d877d42c94p-2",
+            "0x1.c3078d8957b4ep-3", "-0x1.3b1d877d42c96p-2", "0x1.7fffffffffffep-54",
+        ]
+        assert [float(x).hex() for x in cert.witness.imag] == [
+            "0x1.ffffffffffffep-54", "-0x1.4ee2501830d05p-3", "0x1.0217c09f4014dp-1",
+            "0x1.4ee2501830cffp-3", "-0x1.3ffffffffffffp-55", "0x1.98a555ebe2930p-3",
+            "-0x1.0217c09f4014bp-1", "-0x1.98a555ebe2931p-3", "0x1.ffffffffffffep-54",
+        ]
+
+    def test_seeded_divisibility_report_pinned(self):
+        dm = dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(2, 7))
+        rep = dynamics.divisibility_report(dm, ks=[1, 2], restarts=40, seed=0)
+        pinned = {
+            1: ["0x1.f242c862329e2p-4", "0x1.52104b9cd2b35p-4", "0x1.9fc40fc06fef5p-5",
+                "0x1.db2738fa7a980p-6", "0x1.02f906a9cbd56p-6", "0x1.129a64259c158p-7"],
+            2: ["-0x1.6abf75ad93db6p-43", "-0x1.4064f98ac1863p-4", "-0x1.2260c081fb4c7p-3",
+                "-0x1.7b78fa2394880p-3", "-0x1.b18486b7ebc1dp-3", "-0x1.cfef7bddab2dap-3"],
+        }
+        for k, values in pinned.items():
+            assert [float(s.certificates[k].min_value).hex() for s in rep.steps] == values
+
+
+class TestKposScan:
+    """The batched seesaw against one call per restart."""
+
+    @pytest.mark.parametrize("d, k", [(4, 1), (4, 2)])
+    def test_best_of_single_restart_runs(self, d, k):
+        # A random Hermitian J has several local minima; its restarts stop on
+        # different sweeps and some exhaust the sweep budget.
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        j4 = np.ascontiguousarray(((g + g.conj().T) / 2).reshape(d, d, d, d))
+        shape = (12, d, k)
+        starts_l = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        starts_u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        val, best_l, best_u, vals, converged = _accel.kpos_scan(
+            j4, d, d, k, starts_l, starts_u)
+        single = [
+            _accel.kpos_scan(j4, d, d, k, starts_l[r:r + 1], starts_u[r:r + 1])
+            for r in range(shape[0])
+        ]
+        assert len(np.unique(np.round(vals, 6))) > 1
+        assert 0 < converged.sum() < shape[0]
+        assert np.array_equal(vals, [s[0] for s in single])
+        assert np.array_equal(converged, [s[4][0] for s in single])
+        r = int(np.argmin([s[0] for s in single]))
+        assert val == single[r][0]
+        assert np.array_equal(best_l, single[r][1])
+        assert np.array_equal(best_u, single[r][2])
 
 
 class TestCompositionAssociativity:
