@@ -42,11 +42,11 @@ class GuessResult:
 def guessing_program(ens: StateEnsemble) -> sdp.SdpProblem:
     """max sum_i p_i <rho_i, E_i>  s.t.  sum_i E_i = I, E_i >= 0."""
     n, d = ens.size, ens.dim
-    constraints = []
-    for h in sdp.hermitian_basis(d):
-        constraints.append(([h] * n, float(np.trace(h).real)))
+    h = sdp.hermitian_basis(d)
     c = [p * s.matrix for p, s in zip(ens.probs, ens.states)]
-    return sdp.SdpProblem(blocks=[d] * n, C=c, constraints=constraints, sense="max")
+    return sdp.SdpProblem(
+        blocks=[d] * n, C=c, A=[h] * n, b=np.trace(h, axis1=1, axis2=2).real, sense="max"
+    )
 
 
 def p_guess(ens: StateEnsemble) -> GuessResult:
@@ -157,16 +157,18 @@ def diamond_norm_program(m: QuantumMap) -> sdp.SdpProblem:
     d_out, d_in = m.dimOut, m.dimIn
     d = d_out * d_in
     zero_in = np.zeros((d_in, d_in), dtype=complex)
-    constraints = []
-    for h in sdp.hermitian_basis(d):
-        tr_out = np.einsum("aiaj->ij", h.reshape(d_out, d_in, d_out, d_in))
-        constraints.append(([h, h, -2.0 * tr_out], 0.0))
-    zd = np.zeros((d, d), dtype=complex)
-    constraints.append(([zd, zd, np.eye(d_in, dtype=complex)], 1.0))
+    # one row per basis element h: <h, S+ + S-> = <h, 2 I (x) rho>; last row Tr rho = 1
+    h = sdp.hermitian_basis(d)
+    tr_out = np.einsum("kaiaj->kij", h.reshape(-1, d_out, d_in, d_out, d_in))
+    a_omega = np.concatenate([h, np.zeros((1, d, d), dtype=complex)])
+    a_rho = np.concatenate([-2.0 * tr_out, np.eye(d_in, dtype=complex)[None]])
+    b = np.zeros(d * d + 1)
+    b[-1] = 1.0
     return sdp.SdpProblem(
         blocks=[d, d, d_in],
         C=[-j / 2, j / 2, zero_in],
-        constraints=constraints,
+        A=[a_omega, a_omega, a_rho],
+        b=b,
         sense="max",
     )
 
@@ -231,8 +233,8 @@ def square_norm(x, dB: int, restarts: int = 64, seed: int = 0,
     maps.check_restarts(restarts)
     xm = linalg.as_matrix(x)
     d = xm.shape[0]
-    if d % dB != 0:
-        raise ValueError("dB must divide the operator dimension")
+    if dB < 1 or d % dB != 0:
+        raise ValueError("dB must be a positive divisor of the operator dimension")
     dA = d // dB
     rng = np.random.default_rng(seed)
     eye = np.eye(dA)

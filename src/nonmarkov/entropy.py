@@ -127,10 +127,11 @@ def _pseudo_spectral_log2(dec: linalg.HermEig) -> np.ndarray:
 def renyi_divergence(rho, sigma, alpha: float) -> DivergenceValue:
     """Petz-Renyi divergence log2 Tr[rho^a sigma^(1-a)] / (a - 1).
 
-    alpha = 0 and alpha = 1 use their closed limit formulas.
+    alpha = 0 and alpha = 1 use their closed limit formulas; alpha must be
+    finite (the Petz family has no closed form at infinity).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     r = _as_psd(rho)
     s = _as_psd(sigma)
     if r.shape != s.shape:
@@ -158,7 +159,7 @@ def renyi_divergence(rho, sigma, alpha: float) -> DivergenceValue:
 
 def renyi_entropy(rho, alpha: float) -> float:
     """S_a(rho) = log2 Tr[rho^a] / (1 - a), with limits at 0, 1, inf."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
     w = np.linalg.eigvalsh(_as_psd(rho))
     cut = linalg.support_cut(w)
@@ -181,7 +182,7 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> DivergenceValue:
     non-orthogonal pair).  a = 1 is the relative entropy, a = inf the
     spectral max-divergence.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     r = _as_psd(rho)
     s = _as_psd(sigma)
@@ -367,7 +368,7 @@ def conditional_renyi(rho: BipartiteState, alpha: float, restarts: int = OPT_RES
     by multistart projected gradient descent; for alpha > 1 the problem is
     convex in sigma and the first converged start is accepted.
     """
-    if alpha < 0.5:
+    if not alpha >= 0.5:
         raise ValueError("alpha must be >= 1/2 for the conditional family")
     if math.isinf(alpha):
         return h_min(rho)
@@ -399,12 +400,11 @@ def min_entropy_program(rho: BipartiteState) -> sdp.SdpProblem:
     dA, dB = rho.dimA, rho.dimB
     d = dA * dB
     zero_d = np.zeros((d, d), dtype=complex)
-    constraints = []
-    for h in sdp.hermitian_basis(d):
-        tr_a = np.einsum("aiaj->ij", h.reshape(dA, dB, dA, dB))
-        constraints.append(([h, -tr_a], -float(np.trace(h @ rho.matrix).real)))
+    h = sdp.hermitian_basis(d)
+    tr_a = np.einsum("kaiaj->kij", h.reshape(-1, dA, dB, dA, dB))
+    b = -np.einsum("kij,ji->k", h, rho.matrix).real
     c = [zero_d, np.eye(dB, dtype=complex)]
-    return sdp.SdpProblem(blocks=[d, dB], C=c, constraints=constraints, sense="min")
+    return sdp.SdpProblem(blocks=[d, dB], C=c, A=[h, -tr_a], b=b, sense="min")
 
 
 def h_min(rho: BipartiteState) -> float:
@@ -466,31 +466,28 @@ def _fidelity_program(rho_mat: np.ndarray, dA: int, dB: int, scale: float) -> sd
     big = r + d
     zero_b = np.zeros((dB, dB), dtype=complex)
     zero_s = np.zeros((1, 1), dtype=complex)
-    constraints = []
-    # top-left block pinned to the support-restricted rho
-    for h in sdp.hermitian_basis(r):
-        a_big = np.zeros((big, big), dtype=complex)
-        a_big[:r, :r] = h
-        constraints.append(
-            ([a_big, zero_b, zero_s], float(np.trace(h @ rho_r).real))
-        )
-    # bottom-right block equals scale * I_A (x) sigma
-    for h in sdp.hermitian_basis(d):
-        a_big = np.zeros((big, big), dtype=complex)
-        a_big[r:, r:] = h
-        tr_a = np.einsum("aiaj->ij", h.reshape(dA, dB, dA, dB))
-        constraints.append(([a_big, -scale * tr_a, zero_s], 0.0))
-    # subnormalization: Tr sigma + slack = 1
-    a_big = np.zeros((big, big), dtype=complex)
-    constraints.append(
-        ([a_big, np.eye(dB, dtype=complex), np.eye(1, dtype=complex)], 1.0)
-    )
+    h_r, h_d = sdp.hermitian_basis(r), sdp.hermitian_basis(d)
+    m = r * r + d * d + 1
+    a_big = np.zeros((m, big, big), dtype=complex)
+    a_b = np.zeros((m, dB, dB), dtype=complex)
+    a_s = np.zeros((m, 1, 1), dtype=complex)
+    b = np.zeros(m)
+    # rows [0, r^2): top-left block pinned to the support-restricted rho
+    a_big[: r * r, :r, :r] = h_r
+    b[: r * r] = np.einsum("kij,ji->k", h_r, rho_r).real
+    # rows [r^2, m - 1): bottom-right block equals scale * I_A (x) sigma
+    a_big[r * r : -1, r:, r:] = h_d
+    a_b[r * r : -1] = -scale * np.einsum("kaiaj->kij", h_d.reshape(-1, dA, dB, dA, dB))
+    # last row, subnormalization: Tr sigma + slack = 1
+    a_b[-1] = np.eye(dB)
+    a_s[-1] = 1.0
+    b[-1] = 1.0
     # objective Re Tr(V X~) where X~ is the (support x full) off-diagonal block
     c_big = np.zeros((big, big), dtype=complex)
     c_big[:r, r:] = v_iso.conj().T / 2
     c_big[r:, :r] = v_iso / 2
     return sdp.SdpProblem(
-        blocks=[big, dB, 1], C=[c_big, zero_b, zero_s], constraints=constraints, sense="max"
+        blocks=[big, dB, 1], C=[c_big, zero_b, zero_s], A=[a_big, a_b, a_s], b=b, sense="max"
     )
 
 
@@ -503,37 +500,27 @@ def h_max(rho: BipartiteState) -> float:
     return float(2.0 * math.log2(max(f, TINY_TRACE)))
 
 
-def q_corr(rho: BipartiteState, check_gap: bool = False) -> float:
+def q_corr(rho: BipartiteState) -> float:
     """Largest overlap with the maximally entangled state reachable by a
     channel on B, times dim A; evaluates 2^(-Hmin).
 
-    With ``check_gap`` the independent channel-optimization program is also
-    solved and the routes must agree within 1e-3 (the overlap is linear in
-    the channel's Choi matrix, so a single semidefinite solve is exact).
+    ``q_corr_channel_route`` solves the channel optimization directly.
     """
     if rho.dimA > rho.dimB:
         raise ValueError("q_corr needs dimA <= dimB")
-    value = float(2.0 ** (-h_min(rho)))
-    if check_gap:
-        other = q_corr_channel_route(rho)
-        if not (other <= value + 1e-3 and abs(other - value) <= 1e-3 * max(1.0, value)):
-            raise ArithmeticError(
-                f"channel-optimization route {other} disagrees with 2^-Hmin {value}"
-            )
-    return value
+    return float(2.0 ** (-h_min(rho)))
 
 
 def q_corr_channel_route(rho: BipartiteState) -> float:
     """max Tr[J conj(rho)] over Choi matrices of channels B -> A."""
     dA, dB = rho.dimA, rho.dimB
     d = dA * dB
-    constraints = []
-    for h in sdp.hermitian_basis(dB):
-        constraints.append(
-            ([np.kron(np.eye(dA, dtype=complex), h)], float(np.trace(h).real))
-        )
+    h = sdp.hermitian_basis(dB)
+    a = np.kron(np.eye(dA, dtype=complex), h)  # I_A (x) h for every h
     c = rho.matrix.conj()
-    prob = sdp.SdpProblem(blocks=[d], C=[c], constraints=constraints, sense="max")
+    prob = sdp.SdpProblem(
+        blocks=[d], C=[c], A=[a], b=np.trace(h, axis1=1, axis2=2).real, sense="max"
+    )
     sol = _solve_or_raise(prob)
     return float(sol.primal_value)
 

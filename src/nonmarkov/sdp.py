@@ -9,44 +9,48 @@ Standard form (sense "min"):
 with Hermitian C, A_i and <A, B> = Tr(A B).  "max" negates the objective
 internally.
 
-Constraint data is stacked: ``SdpProblem`` keeps block k of all m
-constraints as one (m, n_k, n_k) array ``A[k]`` and the right-hand sides as
-the vector ``b``.  ``solve`` embeds each Hermitian stack once into real
-symmetric blocks of doubled dimension, so the Gram independence check,
-A(X), A^T(y), the Schur complement and the Newton right-hand side are one
-matrix product per block.  The iteration is primal-dual path-following (HKM
-direction, Mehrotra predictor-corrector, fraction-to-boundary 0.98) from an
-identity-scaled start; Cholesky failures of the Schur complement retry with
-escalating regularization.
+Constraint data is stacked from the builders on: a program passes block k
+of all m constraints as one (m, n_k, n_k) array ``A[k]`` and the right-hand
+sides as the vector ``b``, and ``SdpProblem`` keeps them in that layout.
+``solve`` embeds each Hermitian stack once into real symmetric blocks of
+doubled dimension, so the Gram independence check, A(X), A^T(y), the Schur
+complement and the Newton right-hand side are one matrix product per block.
+The iteration is primal-dual path-following (HKM direction, Mehrotra
+predictor-corrector, fraction-to-boundary 0.98) from an identity-scaled
+start; Cholesky failures of the Schur complement retry with escalating
+regularization.
 
 An "optimal" solution meets feasibility 1e-8 * max(1, |b_i|), normalised
-dual residual 1e-8 and gap 1e-8 * (1 + |primal|); the exit tests aim below
-these guarantees.  The solver remembers the latest iterate that meets them
-and returns it as "optimal", with its own residuals and gap, if the
-iteration then ends in "numerical-failure": near the boundary the last bits
-of a step decide whether the gap settles above the exit tests' -1e-10 floor
-before a step breaks down.  The guarantees are the same for every "optimal"
-solution, fallback or not.  Everything is deterministic: identical problems
-produce identical iterate sequences.
+dual residual 1e-8 and gap 1e-8 * (1 + |primal|); the returned
+``primal_residual`` and ``dual_residual`` are these normalised residuals.
+The one exit test aims below the guarantees: residuals 1e-9 and
+-1e-10 <= gap <= 1e-9 * (1 + |primal|).  The solver remembers the latest
+iterate that meets the guarantees and returns it as "optimal", with its own
+residuals and gap, if the iteration then ends in "numerical-failure": near
+the boundary the last bits of a step decide whether the gap settles above
+the exit test's -1e-10 floor before a step breaks down.  The guarantees are
+the same for every "optimal" solution, fallback or not.  Everything is
+deterministic for a given BLAS build and thread count: identical problems
+produce identical iterate sequences.  A threaded GEMM sums in another order,
+so the last bits of larger programs can change with the thread count.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_MAX_ITER = 200
+MAX_ITER = 200
 FRACTION_TO_BOUNDARY = 0.98
 
 # Advertised solution guarantees: feasibility GUARANTEE * max(1, |b_i|),
 # normalised dual residual GUARANTEE, gap GUARANTEE * (1 + |primal|).
 GUARANTEE = 1e-8
 
-# Exit thresholds aimed below the guarantees.
+# Exit threshold on the relative gap, aimed below the guarantee.
 TOL_GAP = 1e-9
-TOL_FEAS = 1e-10
 
 # Residual stagnation/divergence window for infeasibility reporting.
 DIVERGE_WINDOW = 30
@@ -60,18 +64,16 @@ class SdpError(RuntimeError):
 class SdpProblem:
     """Hermitian block-diagonal SDP in standard form.
 
-    ``constraints`` is given as [(list_of_blocks, b_i), ...].  Validation
-    stacks it: ``A[k]`` holds block k of every constraint as an
-    (m, n_k, n_k) array and ``b`` the right-hand sides; ``constraints`` then
-    lists views into those stacks.
+    ``A[k]`` is block k of all m constraints as one (m, n_k, n_k) stack and
+    ``b`` the m right-hand sides.  Validation keeps this layout: each stack
+    is checked and symmetrized as a whole.
     """
 
     blocks: list
     C: list
-    constraints: list
+    A: list
+    b: np.ndarray
     sense: str = "min"
-    A: list = field(init=False, repr=False, compare=False)
-    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -80,17 +82,19 @@ class SdpProblem:
             raise ValueError("block dimensions must be positive")
         if len(self.C) != len(self.blocks):
             raise ValueError("objective must provide one block per block dimension")
-        if not self.constraints:
+        b = np.asarray(self.b, dtype=np.float64)
+        if b.ndim != 1:
+            raise ValueError("right-hand sides must be a vector")
+        if b.size == 0:
             raise ValueError("the solver requires at least one constraint")
-        if any(len(ab) != len(self.blocks) for ab, _ in self.constraints):
+        if len(self.A) != len(self.blocks):
             raise ValueError("constraint must provide one block per block dimension")
-        per_block = zip(*(ab for ab, _ in self.constraints))
-        a = [_herm_stack(s, n) for s, n in zip(per_block, self.blocks)]
-        b = np.array([float(bi) for _, bi in self.constraints])
+        a = [_herm_stack(s, n) for s, n in zip(self.A, self.blocks)]
+        if any(s.shape[0] != b.size for s in a):
+            raise ValueError("every constraint stack must have one row per right-hand side")
         object.__setattr__(self, "C", [_herm_stack([c], n)[0] for c, n in zip(self.C, self.blocks)])
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "constraints", list(zip(map(list, zip(*a)), b.tolist())))
 
     @property
     def m(self) -> int:
@@ -104,7 +108,7 @@ class SdpProblem:
             {
                 "blocks": [int(n) for n in self.blocks],
                 "C": [enc(c) for c in self.C],
-                "A": [[enc(a) for a in ab] for ab, _ in self.constraints],
+                "A": [enc(a) for a in self.A],
                 "b": self.b.tolist(),
                 "sense": self.sense,
             }
@@ -122,15 +126,14 @@ class SdpProblem:
         return SdpProblem(
             blocks=[int(n) for n in doc["blocks"]],
             C=[dec(c) for c in doc["C"]],
-            constraints=[
-                (list(map(dec, ab)), b) for ab, b in zip(doc["A"], doc["b"])
-            ],
+            A=[dec(a) for a in doc["A"]],
+            b=doc["b"],
             sense=doc.get("sense", "min"),
         )
 
 
 def _herm_stack(mats, n: int) -> np.ndarray:
-    """Check a sequence of n x n blocks for finiteness and Hermiticity within
+    """Check a stack of n x n blocks for finiteness and Hermiticity within
     1e-12 (relative to each block's largest entry); return it symmetrized as
     one (len(mats), n, n) array."""
     a = np.asarray(mats, dtype=np.complex128)
@@ -163,27 +166,23 @@ class SdpSolution:
         return self.status == "optimal"
 
 
-def hermitian_basis(dim: int) -> list:
-    """Orthogonal (unnormalized) basis of dim x dim Hermitian matrices.
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Orthogonal (unnormalized) basis of dim x dim Hermitian matrices as one
+    (dim^2, dim, dim) stack.
 
-    dim^2 elements: diagonal units, symmetric pairs, antisymmetric pairs.
-    Used to turn a Hermitian operator equality into real scalar constraints.
+    Diagonal units first, then for each i < j the symmetric element
+    (1 at (i, j) and (j, i)) followed by the antisymmetric one (i at (i, j),
+    -i at (j, i)).  Used to turn a Hermitian operator equality into real
+    scalar constraints.
     """
-    out = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=np.complex128)
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=np.complex128)
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            out.append(e)
-            f = np.zeros((dim, dim), dtype=np.complex128)
-            f[i, j] = 1j
-            f[j, i] = -1j
-            out.append(f)
+    out = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    diag = np.arange(dim)
+    out[diag, diag, diag] = 1.0
+    i, j = np.triu_indices(dim, 1)
+    sym = dim + 2 * np.arange(i.size)
+    out[sym, i, j] = out[sym, j, i] = 1.0
+    out[sym + 1, i, j] = 1j
+    out[sym + 1, j, i] = -1j
     return out
 
 
@@ -206,8 +205,7 @@ def _unembed(y: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
-          tol_gap: float = TOL_GAP, tol_feas: float = TOL_FEAS) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration; see the module docstring."""
     sign = 1.0 if problem.sense == "min" else -1.0
     dims = [2 * n for n in problem.blocks]
@@ -244,7 +242,8 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
     def values():
         pv = sign * float(sum(np.vdot(cb, xb) for cb, xb in zip(c_blocks, x))) / 2.0
         dv = sign * float(b @ y) / 2.0
-        return pv, dv
+        gap = (pv - dv) if problem.sense == "min" else (dv - pv)
+        return pv, dv, gap
 
     def residuals():
         rp = b - a_op(x)
@@ -252,30 +251,29 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
         rd = [cb - zb - ab for cb, zb, ab in zip(c_blocks, z, aty)]
         return rp, rd
 
-    def herm_feas(rp):
-        # per-constraint residual on the Hermitian (non-doubled) scale
-        return float(np.max(np.abs(rp) / 2.0 / np.maximum(1.0, np.abs(b) / 2.0)))
+    def residual_norms(rp, rd):
+        # primal: per constraint on the Hermitian (non-doubled) scale,
+        # relative to max(1, |b_i|); dual: relative to max(1, ||C||)
+        p_res = float(np.max(np.abs(rp) / 2.0 / np.maximum(1.0, np.abs(b) / 2.0)))
+        d_res = max(float(np.abs(r).max(initial=0.0)) for r in rd) / max(1.0, c_norm)
+        return p_res, d_res
 
     status = "max_iter"
     it = 0
     res_history = []
     certified = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rp, rd = residuals()
         mu = float(sum(np.vdot(xb, zb) for xb, zb in zip(x, z))) / n_total
-        pv, dv = values()
-        gap = (pv - dv) if problem.sense == "min" else (dv - pv)
-        p_res = herm_feas(rp)
-        d_res = max(float(np.abs(r).max(initial=0.0)) for r in rd) / max(1.0, c_norm)
+        pv, dv, gap = values()
+        p_res, d_res = residual_norms(rp, rd)
         res_history.append(p_res + d_res)
 
         if (
             p_res <= GUARANTEE * 0.1
             and d_res <= GUARANTEE * 0.1
-            and abs(gap) <= tol_gap * (1.0 + abs(pv))
+            and abs(gap) <= TOL_GAP * (1.0 + abs(pv))
             and gap >= -1e-10
-        ) or (
-            p_res <= tol_feas and d_res <= tol_feas and gap <= tol_gap * (1.0 + abs(pv)) and gap >= -1e-10
         ):
             status = "optimal"
             break
@@ -305,22 +303,11 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
 
         try:
             lx = [np.linalg.cholesky(xb) for xb in x]
+            lz = [np.linalg.cholesky(zb) for zb in z]
         except np.linalg.LinAlgError:
             status = "numerical-failure"
             break
-        zinv = []
-        ok = True
-        for zb in z:
-            try:
-                lz = np.linalg.cholesky(zb)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            inv_l = np.linalg.inv(lz)
-            zinv.append(inv_l.T @ inv_l)
-        if not ok:
-            status = "numerical-failure"
-            break
+        zinv = [inv_l.T @ inv_l for inv_l in map(np.linalg.inv, lz)]
 
         # Schur complement M[i, j] = <A_i, X A_j Z^{-1}>
         schur = sum(
@@ -363,7 +350,7 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
                 dx.append((t + t.T) / 2)
             return dx, dy, dz
 
-        def max_step(mats, dmats, chols):
+        def max_step(dmats, chols):
             alpha = 1.0
             for bi in range(len(dims)):
                 w = np.linalg.solve(chols[bi], dmats[bi])
@@ -374,12 +361,10 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
             return alpha
 
         try:
-            lz_chols = [np.linalg.cholesky(zb) for zb in z]
-
             # Predictor
             dxa, dya, dza = newton(0.0, None)
-            ap = max_step(x, dxa, lx)
-            ad = max_step(z, dza, lz_chols)
+            ap = max_step(dxa, lx)
+            ad = max_step(dza, lz)
             xa = [x[bi] + min(1.0, ap) * dxa[bi] for bi in range(len(dims))]
             za = [z[bi] + min(1.0, ad) * dza[bi] for bi in range(len(dims))]
             mu_aff = float(sum(np.vdot(xb, zb) for xb, zb in zip(xa, za))) / n_total
@@ -388,8 +373,8 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
             # Corrector
             corr = [dxa[bi] @ dza[bi] for bi in range(len(dims))]
             dx, dy, dz = newton(sigma * mu, corr)
-            ap = min(1.0, FRACTION_TO_BOUNDARY * max_step(x, dx, lx))
-            ad = min(1.0, FRACTION_TO_BOUNDARY * max_step(z, dz, lz_chols))
+            ap = min(1.0, FRACTION_TO_BOUNDARY * max_step(dx, lx))
+            ad = min(1.0, FRACTION_TO_BOUNDARY * max_step(dz, lz))
         except np.linalg.LinAlgError:
             status = "numerical-failure"
             break
@@ -405,9 +390,8 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
         x, y, z = certified
         status = "optimal"
 
-    rp, rd = residuals()
-    pv, dv = values()
-    gap = (pv - dv) if problem.sense == "min" else (dv - pv)
+    pv, dv, gap = values()
+    p_res, d_res = residual_norms(*residuals())
     x_h = [_unembed(xb) for xb in x]
     z_h = [_unembed(zb) for zb in z]
     return SdpSolution(
@@ -419,6 +403,6 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER,
         gap=gap,
         status=status,
         iterations=it,
-        primal_residual=herm_feas(rp),
-        dual_residual=max(float(np.abs(r).max(initial=0.0)) for r in rd),
+        primal_residual=p_res,
+        dual_residual=d_res,
     )

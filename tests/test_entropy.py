@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nonmarkov import entropy, linalg, maps, states
+from nonmarkov import discrimination, entropy, linalg, maps, states
 from nonmarkov.entropy import (
     conditional_entropy,
     conditional_renyi,
@@ -110,6 +110,25 @@ class TestRenyiDivergence:
     def test_support_rule_alpha_above_one(self):
         d = renyi_divergence(PLUS, KET0, 2.0)
         assert d.support_violated
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r, s: renyi_divergence(r, s, math.inf),
+        lambda r, s: renyi_divergence(r, s, math.nan),
+        lambda r, s: renyi_entropy(r, math.nan),
+        lambda r, s: sandwiched_divergence(r, s, math.nan),
+        lambda r, s: conditional_renyi(max_entangled(2), math.nan),
+        lambda r, s: discrimination.square_norm(np.eye(4), dB=0),
+    ],
+    ids=["petz-inf", "petz-nan", "renyi-entropy-nan", "sandwiched-nan",
+         "conditional-nan", "square-norm-dB0"],
+)
+def test_bad_parameter_rejected(call):
+    r, s = full_rank_pair(3)
+    with pytest.raises(ValueError, match="alpha|dB"):
+        call(r, s)
 
 
 class TestRenyiEntropy:

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
-from nonmarkov import linalg, maps
-from nonmarkov.discrimination import diamond_norm_program
+from nonmarkov import dynamics, entropy, linalg, maps
+from nonmarkov.discrimination import diamond_norm_program, guessing_program
 from nonmarkov.sdp import (
+    GUARANTEE,
     SdpProblem,
     SdpSolution,
     embed_hermitian,
     hermitian_basis,
     solve,
+)
+from nonmarkov.states import (
+    BipartiteState,
+    DensityOperator,
+    StateEnsemble,
+    max_entangled,
+    random_density,
 )
 
 
@@ -19,17 +27,16 @@ def zeros(n):
 def trace_norm_problem(a):
     """max <A, P - Q> s.t. P + Q = I, P, Q >= 0; optimum is ||A||_1."""
     d = a.shape[0]
-    constraints = []
-    for h in hermitian_basis(d):
-        constraints.append(([h, h], float(np.trace(h @ np.eye(d)).real)))
-    return SdpProblem(blocks=[d, d], C=[a, -a], constraints=constraints, sense="max")
+    h = hermitian_basis(d)
+    b = np.trace(h @ np.eye(d), axis1=1, axis2=2).real
+    return SdpProblem(blocks=[d, d], C=[a, -a], A=[h, h], b=b, sense="max")
 
 
 def lambda_max_problem(a):
     """max <A, X> s.t. Tr X = 1, X >= 0; optimum is the top eigenvalue."""
     d = a.shape[0]
     return SdpProblem(
-        blocks=[d], C=[a], constraints=[([np.eye(d, dtype=complex)], 1.0)], sense="max"
+        blocks=[d], C=[a], A=[np.eye(d, dtype=complex)[None]], b=[1.0], sense="max"
     )
 
 
@@ -37,17 +44,40 @@ def p_guess_problem(probs, rhos):
     """max sum p_i <rho_i, E_i> s.t. sum E_i = I, E_i >= 0."""
     n = len(rhos)
     d = rhos[0].shape[0]
-    constraints = []
-    for h in hermitian_basis(d):
-        constraints.append(([h] * n, float(np.trace(h).real)))
+    h = hermitian_basis(d)
     c = [p * r for p, r in zip(probs, rhos)]
-    return SdpProblem(blocks=[d] * n, C=c, constraints=constraints, sense="max")
+    return SdpProblem(
+        blocks=[d] * n, C=c, A=[h] * n, b=np.trace(h, axis1=1, axis2=2).real, sense="max"
+    )
 
 
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hermitian_basis_layout(d):
+    h = hermitian_basis(d)
+    assert h.shape == (d * d, d, d)
+    expected = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1
+        expected.append(e)
+    for i in range(d):
+        for j in range(i + 1, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = e[j, i] = 1
+            f = np.zeros((d, d), dtype=complex)
+            f[i, j], f[j, i] = 1j, -1j
+            expected += [e, f]
+    assert np.array_equal(h, np.array(expected))
+    assert np.array_equal(h, h.conj().transpose(0, 2, 1))
+    gram = np.einsum("kij,lji->kl", h, h)
+    assert np.array_equal(gram, np.diag(np.diag(gram)))
+    assert set(np.diag(gram).real.tolist()) <= {1.0, 2.0}
 
 
 class TestEmbedHermitian:
@@ -86,7 +116,8 @@ class TestBasicPrograms:
         p = SdpProblem(
             blocks=[2],
             C=[np.eye(2, dtype=complex)],
-            constraints=[([np.eye(2, dtype=complex)], 1.0)],
+            A=[np.eye(2, dtype=complex)[None]],
+            b=[1.0],
             sense="min",
         )
         sol = solve(p)
@@ -161,11 +192,18 @@ class TestSolutionQuality:
         for zb in sol.Z:
             assert np.linalg.eigvalsh(zb)[0] >= -1e-9
 
+    def test_reported_residuals_within_guarantee(self):
+        for prob, _ in self.battery():
+            sol = solve(prob)
+            if sol.optimal:
+                assert sol.primal_residual <= GUARANTEE
+                assert sol.dual_residual <= GUARANTEE
+
     def test_constraint_feasibility(self):
         for prob, _ in self.battery()[:5]:
             sol = solve(prob)
-            for (ab, b) in prob.constraints:
-                got = sum(np.trace(a @ x).real for a, x in zip(ab, sol.X))
+            for i, b in enumerate(prob.b):
+                got = sum(np.trace(a[i] @ x).real for a, x in zip(prob.A, sol.X))
                 assert abs(got - b) <= 1e-8 * max(1, abs(b))
 
     def test_determinism(self):
@@ -183,7 +221,8 @@ class TestEdgeCases:
         p = SdpProblem(
             blocks=[2],
             C=[eye],
-            constraints=[([eye], 1.0), ([2 * eye], 2.0)],
+            A=[np.stack([eye, 2 * eye])],
+            b=[1.0, 2.0],
             sense="min",
         )
         with pytest.raises(ValueError, match="dependent"):
@@ -191,11 +230,21 @@ class TestEdgeCases:
 
     def test_empty_constraints_rejected(self):
         with pytest.raises(ValueError, match="at least one constraint"):
-            SdpProblem(blocks=[2], C=[np.eye(2, dtype=complex)], constraints=[])
+            SdpProblem(
+                blocks=[2],
+                C=[np.eye(2, dtype=complex)],
+                A=[np.zeros((0, 2, 2), dtype=complex)],
+                b=[],
+            )
+
+    def test_stack_rows_must_match_rhs(self):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="one row per right-hand side"):
+            SdpProblem(blocks=[2, 2], C=[eye, eye], A=[eye[None], np.stack([eye, eye])], b=[1.0])
 
     def test_infeasible_detected(self):
         eye = np.eye(2, dtype=complex)
-        p = SdpProblem(blocks=[2], C=[eye], constraints=[([eye], -1.0)], sense="min")
+        p = SdpProblem(blocks=[2], C=[eye], A=[eye[None]], b=[-1.0], sense="min")
         sol = solve(p)
         assert sol.status in ("infeasible-detected", "max_iter")
         assert sol.status == "infeasible-detected"
@@ -210,10 +259,10 @@ class TestEdgeCases:
     def test_non_hermitian_data_rejected(self):
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
-            SdpProblem(blocks=[2], C=[bad], constraints=[([np.eye(2, dtype=complex)], 1.0)])
+            SdpProblem(blocks=[2], C=[bad], A=[np.eye(2, dtype=complex)[None]], b=[1.0])
         eye = np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            SdpProblem(blocks=[2], C=[eye], constraints=[([eye], 1.0), ([bad], 0.0)])
+            SdpProblem(blocks=[2], C=[eye], A=[np.stack([eye, bad])], b=[1.0, 0.0])
 
 
 # Seeds of random_cptp(3, 2) pairs whose diamond-norm iteration can break
@@ -235,7 +284,85 @@ class TestEndGame:
         prob = diamond_norm_program(delta)
         sol = solve(prob)
         assert sol.optimal, f"status {sol.status}"
-        for (ab, b) in prob.constraints:
-            got = sum(np.trace(a @ x).real for a, x in zip(ab, sol.X))
+        for i, b in enumerate(prob.b):
+            got = sum(np.trace(a[i] @ x).real for a, x in zip(prob.A, sol.X))
             assert abs(got - b) <= 1e-8 * max(1, abs(b))
         assert abs(sol.gap) <= 1e-8 * (1 + abs(sol.primal_value))
+
+    @pytest.mark.parametrize("seed_a, seed_b", QUTRIT_BREAKDOWN_PAIRS)
+    def test_reported_residuals_within_guarantee(self, seed_a, seed_b):
+        delta = maps.subtract(maps.random_cptp(3, 2, seed_a), maps.random_cptp(3, 2, seed_b))
+        sol = solve(diamond_norm_program(delta))
+        assert sol.optimal, f"status {sol.status}"
+        assert sol.primal_residual <= GUARANTEE
+        assert sol.dual_residual <= GUARANTEE
+
+
+def _witness_t1():
+    """Eternal-model inputs at the first step of time_grid(2, 11), built as
+    the witness workload of benchmarks/workloads.py builds them at seed 0:
+    the Choi state, a three-state ensemble and the step difference."""
+    rng = np.random.default_rng(0)
+    ens_seeds = [int(s) for s in rng.integers(0, 2**31 - 1, size=3)]
+    probs = rng.dirichlet(np.ones(3))
+    dm = dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(2.0, 11))
+    big = maps.amplify(dm.maps[1], 2)
+    rho = BipartiteState(2, 2, DensityOperator(big.apply(max_entangled(2).matrix)))
+    ens = StateEnsemble(
+        probs, [DensityOperator(big.apply(random_density(4, 2, s).matrix)) for s in ens_seeds]
+    )
+    return rho, ens, maps.subtract(dm.maps[1], dm.maps[0])
+
+
+def _pinned_program(name):
+    rho, ens, delta = _witness_t1()
+    if name == "min_entropy[t1]":
+        return entropy.min_entropy_program(rho)
+    if name == "fidelity[t1]":
+        return entropy._fidelity_program(rho.matrix, 2, 2, 1.0)
+    if name == "guessing[t1]":
+        return guessing_program(ens)
+    if name == "diamond[t1]":
+        return diamond_norm_program(delta)
+    if name == "diamond[qutrit]":
+        seed_a, seed_b = QUTRIT_BREAKDOWN_PAIRS[0]
+        return diamond_norm_program(
+            maps.subtract(maps.random_cptp(3, 2, seed_a), maps.random_cptp(3, 2, seed_b))
+        )
+    iso = maps.amplify(maps.depolarizing(0.3, 3), 3).apply(max_entangled(3).matrix)
+    return entropy.min_entropy_program(BipartiteState(3, 3, DensityOperator(iso)))
+
+
+# primal_value.hex() and iterations of each builder's program, recorded
+# before the builders emitted stacked constraint data; a change of layout
+# must leave every solve's arithmetic as it was.
+PINNED = {
+    "min_entropy[t1]": ("0x1.ab9a183401158p+0", 10),
+    "fidelity[t1]": ("0x1.0d5d952b450dap+0", 11),
+    "guessing[t1]": ("0x1.ec410ee15dcf2p-1", 11),
+    "diamond[t1]": ("0x1.51979f307f385p-2", 10),
+    "diamond[qutrit]": ("0x1.f2e27655ee02cp+0", 20),
+    "min_entropy[isotropic3]": ("0x1.1999999e7feb2p+1", 10),
+}
+
+# The m = 82 qutrit program's GEMMs are large enough for OpenBLAS to split
+# over threads, which changes its last bits (0x1.f2e27655f6ca2p+0 with one
+# thread); it is pinned to 1e-10 instead of bit for bit.
+THREAD_SENSITIVE = {"diamond[qutrit]"}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_builder_outputs_pinned(name):
+    value_hex, iterations = PINNED[name]
+    sol = solve(_pinned_program(name))
+    assert sol.optimal
+    assert sol.iterations == iterations
+    if name in THREAD_SENSITIVE:
+        pinned = float.fromhex(value_hex)
+        assert abs(sol.primal_value - pinned) <= 1e-10 * abs(pinned)
+    else:
+        assert sol.primal_value.hex() == value_hex
+
+
+def test_channel_route_pinned():
+    assert entropy.q_corr_channel_route(max_entangled(2)).hex() == "0x1.ffffffff8a12bp+0"
