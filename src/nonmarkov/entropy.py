@@ -29,7 +29,8 @@ SUPPORT_LEAK_TOL = 1e-9
 # Trace values below this count as vanishing (orthogonal supports).
 TINY_TRACE = 1e-30
 
-# sigma_B optimizations: multistart projected gradient descent.
+# sigma_B optimization of conditional_renyi: multistart projected gradient
+# descent (the min- and max-entropies are SDPs).
 OPT_RESTARTS = 16
 OPT_TOL = 1e-7
 OPT_MAX_ITER = 2000
@@ -413,55 +414,24 @@ def h_min(rho: BipartiteState) -> float:
     return float(-math.log2(sol.primal_value))
 
 
-def h_min_direct(rho: BipartiteState, restarts: int = OPT_RESTARTS, seed: int = 0) -> float:
-    """Cross-check: -log2 min_sigma ||(I (x) s^-1/2) rho (I (x) s^-1/2)||_inf.
-
-    Minimizing the sandwiched operator norm over sigma_B reproduces the
-    operator-bound program's value.
-    """
-    dA, dB = rho.dimA, rho.dimB
-    eye_a = np.eye(dA)
-    rho_mat = rho.matrix
-
-    def objective(sigma):
-        w, u = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-        cut = linalg.support_cut(w)
-        wf = np.maximum(w, cut)
-        p_small = (u * np.power(wf, -0.5)) @ u.conj().T
-        big = np.kron(eye_a, p_small)
-        m = big @ rho_mat @ big
-        m = (m + m.conj().T) / 2
-        mw, mu = np.linalg.eigh(m)
-        lam = float(mw[-1])
-        v = mu[:, -1]
-        vv = np.outer(v, v.conj())
-        g1 = rho_mat @ big @ vv
-        gsum = g1 + g1.conj().T
-        n_small = np.einsum("aiaj->ij", gsum.reshape(dA, dB, dA, dB))
-        n_tilde = u.conj().T @ n_small @ u
-        phi = _dk_multipliers(w, -0.5)
-        grad = u @ (phi * n_tilde) @ u.conj().T
-        return lam, (grad + grad.conj().T) / 2
-
-    warm = [states.partial_trace(rho, "A").matrix]
-    best, _ = _pgd_minimize(objective, dB, restarts, seed, 1e-9, OPT_MAX_ITER,
-                            first_converged=False, warm_starts=warm)
-    return float(-math.log2(best))
+def _on_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, V+ mat V) with V the d x r isometry onto the support of a PSD
+    matrix: pinning a block to the restriction keeps the primal strictly
+    feasible when mat is rank-deficient."""
+    dec = linalg.eigh(mat)
+    v_iso = dec.eigenvectors[:, dec.eigenvalues > linalg.support_cut(dec.eigenvalues)]
+    return v_iso, v_iso.conj().T @ mat @ v_iso
 
 
 def _fidelity_program(rho_mat: np.ndarray, dA: int, dB: int, scale: float) -> sdp.SdpProblem:
     """max Re Tr X s.t. [[rho, X], [X+, scale * I_A (x) sigma]] >= 0,
     sigma >= 0 subnormalized; value = max_sigma F(rho, scale I (x) sigma).
 
-    The pinned rho block is restricted to its support (through the support
-    isometry), which keeps the primal strictly feasible when rho is
-    rank-deficient without changing the optimum.
+    The pinned rho block is restricted to its support (``_on_support``),
+    which does not change the optimum.
     """
     d = dA * dB
-    dec = linalg.eigh(rho_mat)
-    cut = linalg.support_cut(dec.eigenvalues)
-    v_iso = dec.eigenvectors[:, dec.eigenvalues > cut]  # d x r
-    rho_r = v_iso.conj().T @ rho_mat @ v_iso
+    v_iso, rho_r = _on_support(rho_mat)
     r = rho_r.shape[0]
     big = r + d
     zero_b = np.zeros((dB, dB), dtype=complex)

@@ -10,7 +10,6 @@ from nonmarkov.entropy import (
     fidelity,
     h_max,
     h_min,
-    h_min_direct,
     pinched_approximation,
     q_corr,
     q_corr_channel_route,
@@ -337,10 +336,6 @@ class TestHMin:
         cq = make_cq([p, 1 - p], [r1, r2])
         helstrom = 0.5 * (1 + linalg.trace_norm(p * r1.matrix - (1 - p) * r2.matrix))
         assert h_min(cq) == pytest.approx(-np.log2(helstrom), abs=1e-5)
-
-    def test_direct_route_agrees(self):
-        rho = BipartiteState(2, 2, random_density(4, 4, 41))
-        assert h_min_direct(rho, restarts=8, seed=6) == pytest.approx(h_min(rho), abs=1e-4)
 
 
 class TestHMax:

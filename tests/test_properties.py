@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonmarkov import discrimination as disc
-from nonmarkov import entropy, maps
-from nonmarkov.states import BipartiteState, DensityOperator, StateEnsemble, random_density
+from nonmarkov import dynamics, entropy, maps
+from nonmarkov.states import (
+    BipartiteState,
+    DensityOperator,
+    StateEnsemble,
+    purify,
+    random_density,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 PROPERTY = settings(max_examples=15, derandomize=True, deadline=None)
@@ -19,6 +25,11 @@ PROPERTY = settings(max_examples=15, derandomize=True, deadline=None)
 
 def _apply(channel, rho):
     return DensityOperator(channel.apply(rho.matrix))
+
+
+# Consecutive-step maps of the eternal model: positive and trace-preserving,
+# certified not completely positive from step 1 on.
+ETERNAL = dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(2, 11))
 
 
 @PROPERTY
@@ -53,3 +64,34 @@ def test_diamond_norm_bounds_channel_distance(s1, s2, p):
     e1, e2 = maps.random_cptp(2, 2, s1), maps.random_cptp(2, 2, s2)
     dist = disc.channel_distance(e1, e2, p, k=2, restarts=8, seed=s1)
     assert disc.diamond_norm(maps.weighted_difference(e1, e2, 1.0 - p, p)) >= dist - 1e-7
+
+
+@PROPERTY
+@given(case=st.sampled_from([(da, db, r) for da, db in [(2, 2), (2, 3), (3, 2)]
+                             for r in (1, 2, da * db)]),
+       seed=SEEDS)
+def test_min_max_entropy_duality(case, seed):
+    # H_min(A|B) = -H_max(A|C) and H_max(A|B) = -H_min(A|C) on a pure ABC
+    d_a, d_b, rank = case
+    psi = purify(BipartiteState(d_a, d_b, random_density(d_a * d_b, rank, seed)))
+    ab, ac = psi.marginal_ab(), psi.marginal_ac()
+    assert abs(entropy.h_min(ab) + entropy.h_max(ac)) <= 1e-7
+    assert abs(entropy.h_max(ab) + entropy.h_min(ac)) <= 1e-7
+
+
+@PROPERTY
+@given(step=st.integers(1, 9), s1=SEEDS, s2=SEEDS)
+def test_divergences_contract_under_positive_non_cp_maps(step, s1, s2):
+    # Relative entropy and the sandwiched divergences of order alpha >= 1
+    # contract under positive trace-preserving maps (Mueller-Hermes & Reeb,
+    # Ann. Henri Poincare 18, 1777, 2017), completely positive or not.
+    v = dynamics.intermediate(ETERNAL, step + 1, step)
+    assert maps.k_positivity(v, 2).certified_negative
+    rho, sigma = random_density(2, 2, s1), random_density(2, 2, s2)
+
+    def divergences(a, b):
+        return np.array([float(entropy.relative_entropy(a, b))] + [
+            float(entropy.sandwiched_divergence(a, b, alpha)) for alpha in (1.5, 2.0, np.inf)])
+
+    before = divergences(rho, sigma)
+    assert np.all(divergences(_apply(v, rho), _apply(v, sigma)) <= before + 1e-9)
