@@ -57,7 +57,11 @@ def p_guess(ens: StateEnsemble) -> GuessResult:
     """
     if ens.size < 2:
         raise ValueError("need at least two states to discriminate")
-    sol = sdp.solve(guessing_program(ens))
+    return _projected_guess(ens, sdp.solve(guessing_program(ens)))
+
+
+def _projected_guess(ens: StateEnsemble, sol: sdp.SdpSolution) -> GuessResult:
+    """The guess of ``p_guess`` from a solution of ``guessing_program(ens)``."""
     if not sol.optimal:
         raise SdpError(f"guessing SDP returned status {sol.status!r}")
     elems = []
@@ -75,10 +79,6 @@ def p_guess(ens: StateEnsemble) -> GuessResult:
     return GuessResult(value=value, povm=povm, sdp_value=float(sol.primal_value))
 
 
-def _apply_on_system(channel: QuantumMap, k: int, rho: np.ndarray) -> np.ndarray:
-    return maps.amplify(channel, k).apply(rho)
-
-
 def p_guess_channels(probs, channels, k: int, restarts: int = 64, seed: int = 0,
                      iters: int = 40, tol: float = 1e-9) -> float:
     """Channel guessing with a k-dimensional ancilla.
@@ -86,40 +86,49 @@ def p_guess_channels(probs, channels, k: int, restarts: int = 64, seed: int = 0,
     Alternates the exact inner measurement step (guessing SDP on the output
     ensemble) with the exact input step (top eigenvector of the adjoint
     functional), from ``restarts`` seeded pure inputs on ancilla (x) system.
-    Best found value; each step is an exact partial maximization, so every
-    iterate is a valid lower bound.
+    The restarts run in lockstep: each step solves the guessing programs of
+    every restart that has not yet converged with one ``sdp.solve_many``
+    call, and each restart stops on its own.  Best found value; each step is
+    an exact partial maximization, so every iterate is a valid lower bound.
     """
     maps.check_restarts(restarts)
     probs = np.asarray(probs, dtype=np.float64)
     d_in = channels[0].dimIn
     if not 1 <= k <= d_in:
         raise ValueError(f"ancilla dimension k must lie in [1, {d_in}]")
+    if len(channels) < 2:
+        raise ValueError("need at least two channels to discriminate")
     big = [maps.amplify(e, k) for e in channels]
+    adj = [maps.adjoint(b) for b in big]
     dim = k * d_in
     rng = np.random.default_rng(seed)
-    best = -math.inf
+    psis = []
     for _ in range(restarts):
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi /= np.linalg.norm(psi)
-        val = -math.inf
-        for _ in range(iters):
-            rho = np.outer(psi, psi.conj())
+        psis.append(psi / np.linalg.norm(psi))
+    vals = [-math.inf] * restarts
+    active = list(range(restarts))
+    for _ in range(iters):
+        ensembles = []
+        for r in active:
+            rho = np.outer(psis[r], psis[r].conj())
             outs = [states.DensityOperator(b.apply(rho)) for b in big]
-            res = p_guess(StateEnsemble(probs, outs))
-            new_val = res.value
-            g = sum(
-                p * maps.adjoint(b).apply(e)
-                for p, b, e in zip(probs, big, res.povm.elements)
-            )
+            ensembles.append(StateEnsemble(probs, outs))
+        sols = sdp.solve_many([guessing_program(ens) for ens in ensembles])
+        running = []
+        for r, ens, sol in zip(active, ensembles, sols):
+            res = _projected_guess(ens, sol)
+            g = sum(p * a.apply(e) for p, a, e in zip(probs, adj, res.povm.elements))
             g = (g + g.conj().T) / 2
-            w, v = np.linalg.eigh(g)
-            psi = v[:, -1]
-            if abs(new_val - val) <= tol * max(1.0, abs(new_val)):
-                val = new_val
-                break
-            val = new_val
-        best = max(best, val)
-    return float(best)
+            psis[r] = np.linalg.eigh(g)[1][:, -1]
+            converged = abs(res.value - vals[r]) <= tol * max(1.0, abs(res.value))
+            vals[r] = res.value
+            if not converged:
+                running.append(r)
+        active = running
+        if not active:
+            break
+    return float(max(vals))
 
 
 def channel_distance(e1: QuantumMap, e2: QuantumMap, p: float, k: int,

@@ -344,10 +344,12 @@ def _sandwich_conditional_objective(rho_mat, dA, dB, alpha):
         mw, mu = np.linalg.eigh(m)
         mcut = linalg.support_cut(mw)
         sup = mw > mcut
-        q = float(np.power(mw[sup], alpha).sum())
-        f = math.log2(q) / (alpha - 1.0)
-        # W = M^(alpha-1) on the support
-        pw = np.where(sup, np.power(np.maximum(mw, mcut), alpha - 1.0), 0.0)
+        # Powers of M / top stay within [0, 1] for any alpha: q = Tr (M/top)^a.
+        top = float(mw[sup].max())
+        q = float(np.power(mw[sup] / top, alpha).sum())
+        f = (math.log2(q) + alpha * math.log2(top)) / (alpha - 1.0)
+        # W = (M/top)^(alpha-1) on the support
+        pw = np.where(sup, np.power(np.maximum(mw, mcut) / top, alpha - 1.0), 0.0)
         wmat = (mu * pw) @ mu.conj().T
         g1 = rho_mat @ big @ wmat
         gsum = g1 + g1.conj().T
@@ -355,7 +357,7 @@ def _sandwich_conditional_objective(rho_mat, dA, dB, alpha):
         n_tilde = u.conj().T @ n_small @ u
         phi = _dk_multipliers(w, c)
         grad_q = alpha * (u @ (phi * n_tilde) @ u.conj().T)
-        grad = grad_q / (q * LN2 * (alpha - 1.0))
+        grad = grad_q / (q * top * LN2 * (alpha - 1.0))
         return f, (grad + grad.conj().T) / 2
 
     return objective

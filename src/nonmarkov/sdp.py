@@ -12,13 +12,28 @@ internally.
 Constraint data is stacked from the builders on: a program passes block k
 of all m constraints as one (m, n_k, n_k) array ``A[k]`` and the right-hand
 sides as the vector ``b``, and ``SdpProblem`` keeps them in that layout.
-``solve`` embeds each Hermitian stack once into real symmetric blocks of
+The solver embeds each Hermitian stack once into real symmetric blocks of
 doubled dimension, so the Gram independence check, A(X), A^T(y), the Schur
 complement and the Newton right-hand side are one matrix product per block.
 The iteration is primal-dual path-following (HKM direction, Mehrotra
 predictor-corrector, fraction-to-boundary 0.98) from an identity-scaled
 start; Cholesky failures of the Schur complement retry with escalating
 regularization.
+
+``solve_many(problems)`` runs programs that share ``blocks``, ``sense`` and
+every ``A`` stack (``C`` and ``b`` may differ) in one iteration, and
+``solve(p)`` is ``solve_many([p])[0]``.  The state is one stack per
+distinct block size, with a leading axis over (problem, block), and X and Z
+share it: per iteration each block size costs one Cholesky call for X and
+Z, one ``inv`` of the Z factors and, for each of the two step-length tests,
+one pair of ``solve`` calls against the Cholesky factors and one
+``eigvalsh``; the Schur factorization and its solves are one stacked call
+each, whatever the number of blocks or problems.  Each problem keeps its
+own iteration count, exit test, infeasibility tests and certified iterate,
+and leaves the stack when it stops.  A failed Schur factorization is
+redone problem by problem with each problem's own regularization, and any
+other breakdown of a stacked step redoes that step problem by problem, so
+one failing problem ends only itself.
 
 An "optimal" solution meets feasibility 1e-8 * max(1, |b_i|), normalised
 dual residual 1e-8 and gap 1e-8 * (1 + |primal|); the returned
@@ -29,15 +44,29 @@ iterate that meets the guarantees and returns it as "optimal", with its own
 residuals and gap, if the iteration then ends in "numerical-failure": near
 the boundary the last bits of a step decide whether the gap settles above
 the exit test's -1e-10 floor before a step breaks down.  The guarantees are
-the same for every "optimal" solution, fallback or not.  Everything is
-deterministic for a given BLAS build and thread count: identical problems
-produce identical iterate sequences.  A threaded GEMM sums in another order,
-so the last bits of larger programs can change with the thread count.
+the same for every "optimal" solution, fallback or not.
+
+Everything is deterministic for a given BLAS build and thread count:
+identical problems produce identical iterate sequences, and a problem
+solved in a batch gets bit for bit the solution it gets alone.  That rests
+on three choices.  Stacked LAPACK calls (``cholesky``, ``inv``, ``solve``,
+``eigvalsh``) and matrix products repeat the two-dimensional call on each
+slice, and the products keep their matrix-vector shapes ((m, d^2) times
+(q, d^2, 1), and (q, 1, m) times (m, d^2)).  Inner products are
+(q, 1, n) times (q, n, 1) products, which repeat ``np.vdot``, and sums over
+blocks run in block order.  Scalar recurrences such as the centering
+parameter (mu_aff / mu)^3 are evaluated on Python floats per problem: the
+vectorized power can differ from the scalar one in the last bit.  Triangular
+solvers (``scipy.linalg.solve_triangular``, ``cho_solve``) would round
+differently from the general ``solve`` used here.  A threaded GEMM sums in
+another order, so the last bits of larger programs can change with the
+thread count.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,15 +235,40 @@ def _unembed(y: np.ndarray) -> np.ndarray:
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
-    """Run the interior-point iteration; see the module docstring."""
-    sign = 1.0 if problem.sense == "min" else -1.0
-    dims = [2 * n for n in problem.blocks]
+    """Run the interior-point iteration on one program; see the module
+    docstring."""
+    return solve_many([problem])[0]
+
+
+def solve_many(problems) -> list[SdpSolution]:
+    """Run the interior-point iteration on programs that share ``blocks``,
+    ``sense`` and every constraint stack ``A`` (``C`` and ``b`` may differ),
+    all in one stacked iteration; see the module docstring.
+
+    Returns one solution per problem, in order, each identical to what
+    ``solve`` returns for that problem alone.
+    """
+    problems = list(problems)
+    if not problems:
+        raise ValueError("solve_many needs at least one problem")
+    first = problems[0]
+    for p in problems[1:]:
+        if list(p.blocks) != list(first.blocks) or p.sense != first.sense:
+            raise ValueError("batched problems must share blocks and sense")
+        if not all(a is f or np.array_equal(a, f) for a, f in zip(p.A, first.A)):
+            raise ValueError("batched problems must share every constraint stack")
+    sign = 1.0 if first.sense == "min" else -1.0
+    dims = [2 * n for n in first.blocks]
     n_total = sum(dims)
-    m = problem.m
-    c_blocks = [sign * embed_hermitian(c) for c in problem.C]
-    # rows[bi]: embedded block bi of every constraint, one row per constraint.
-    rows = [embed_hermitian(a).reshape(m, -1) for a in problem.A]
-    b = 2.0 * problem.b
+    m = first.m
+    # Blocks of equal size form one class; block k is entry pos[k] of class
+    # cls[k].  Stacks put the class members on axis -3.
+    sizes = list(dict.fromkeys(dims))
+    cls = [sizes.index(d) for d in dims]
+    pos = [dims[:k].count(d) for k, d in enumerate(dims)]
+    members = [[k for k in range(len(dims)) if cls[k] == c] for c in range(len(sizes))]
+    # rows[k]: embedded block k of every constraint, one row per constraint.
+    rows = [embed_hermitian(a).reshape(m, -1) for a in first.A]
 
     # Constraint independence check (rank-deficiency is an input error).
     gram = sum(r @ r.T for r in rows)
@@ -223,186 +277,240 @@ def solve(problem: SdpProblem) -> SdpSolution:
         raise ValueError(
             f"constraints are linearly dependent (Gram eigenvalue {gw[0]:.3e})"
         )
+    rows_c = [np.stack([rows[k] for k in ks]) for ks in members]
 
     def a_op(xs):
-        return sum(r @ xb.ravel() for r, xb in zip(rows, xs))
+        # Block products added in block order: (q, m).
+        per_class = [r @ xc.reshape(xc.shape[:-2] + (-1, 1)) for r, xc in zip(rows_c, xs)]
+        return sum(per_class[c][:, j] for c, j in zip(cls, pos))[..., 0]
 
     def at_op(y):
-        return [(y @ r).reshape(d, d) for r, d in zip(rows, dims)]
+        return [(y[:, None, None, :] @ r).reshape(len(y), len(ks), d, d)
+                for r, ks, d in zip(rows_c, members, sizes)]
+
+    def block_sums(pairs):
+        # Per problem, the inner products <a, b> of its blocks added in block
+        # order, as Python floats.
+        per_class = [(a.reshape(a.shape[:-2] + (1, -1)) @ b.reshape(b.shape[:-2] + (-1, 1)))
+                     .reshape(len(a), -1).tolist() for a, b in pairs]
+        return [sum(per_class[c][i][j] for c, j in zip(cls, pos))
+                for i in range(len(per_class[0]))]
+
+    def measure(w, y, cm, b, b_scale, c_scale):
+        """Residuals of a stack and, per problem, the scalars the exit and
+        divergence tests read."""
+        rp = b - a_op([wc[0] for wc in w])
+        rd = [cc - wc[1] - ac for cc, wc, ac in zip(cm, w, at_op(y))]
+        # primal: per constraint on the Hermitian (non-doubled) scale,
+        # relative to max(1, |b_i|); dual: relative to max(1, ||C||)
+        p_res = (np.abs(rp) / 2.0 / b_scale).max(axis=1).tolist()
+        d_max = zip(*[np.abs(r).max(axis=(1, 2, 3)).tolist() for r in rd])
+        d_res = [max(dm) / cs for dm, cs in zip(d_max, c_scale)]
+        pv = [sign * v / 2.0 for v in block_sums([(cc, wc[0]) for cc, wc in zip(cm, w)])]
+        dv = [sign * v / 2.0 for v in (b[:, None, :] @ y[:, :, None]).ravel().tolist()]
+        gap = [(p - d) if first.sense == "min" else (d - p) for p, d in zip(pv, dv)]
+        return rp, rd, p_res, d_res, pv, dv, gap
+
+    # Per-problem data, indexed by problem; the iteration works on the rows
+    # of the problems still active.
+    q = len(problems)
+    cm_all = [sign * embed_hermitian(np.array([[p.C[k] for k in ks] for p in problems]))
+              for ks in members]
+    b_all = 2.0 * np.array([p.b for p in problems])
+    b_scale_all = np.maximum(1.0, np.abs(b_all) / 2.0)
+    c_norm = [math.sqrt(v) for v in block_sums([(cc, cc) for cc in cm_all])]
+    c_scale_all = [max(1.0, cn) for cn in c_norm]
+
+    def problem_rows(idx):
+        return ([c[idx] for c in cm_all], b_all[idx], b_scale_all[idx],
+                [c_scale_all[i] for i in idx])
 
     # Identity-scaled start from problem norms.
     a_norms = np.maximum(np.sqrt(np.diag(gram)), 1e-12)
-    c_norm = float(np.sqrt(sum(np.vdot(c, c) for c in c_blocks)))
-    xi = max(10.0, np.sqrt(n_total), float(np.max(np.abs(b) / (1.0 + a_norms))) * n_total)
-    eta = max(10.0, np.sqrt(n_total), c_norm, float(a_norms.max()))
-    x = [xi * np.eye(d) for d in dims]
-    z = [eta * np.eye(d) for d in dims]
-    y = np.zeros(m)
+    start = np.array([
+        [max(10.0, np.sqrt(n_total), float(np.max(np.abs(bb) / (1.0 + a_norms))) * n_total)
+         for bb in b_all],
+        [max(10.0, np.sqrt(n_total), cn, float(a_norms.max())) for cn in c_norm],
+    ])
+    # w[c]: X and Z of size class c as one (2, q, nb, d, d) stack.
+    w = [np.repeat(start[:, :, None, None, None] * np.eye(d), len(ks), axis=2)
+         for d, ks in zip(sizes, members)]
+    y = np.zeros((q, m))
 
-    def values():
-        pv = sign * float(sum(np.vdot(cb, xb) for cb, xb in zip(c_blocks, x))) / 2.0
-        dv = sign * float(b @ y) / 2.0
-        gap = (pv - dv) if problem.sense == "min" else (dv - pv)
-        return pv, dv, gap
-
-    def residuals():
-        rp = b - a_op(x)
-        aty = at_op(y)
-        rd = [cb - zb - ab for cb, zb, ab in zip(c_blocks, z, aty)]
-        return rp, rd
-
-    def residual_norms(rp, rd):
-        # primal: per constraint on the Hermitian (non-doubled) scale,
-        # relative to max(1, |b_i|); dual: relative to max(1, ||C||)
-        p_res = float(np.max(np.abs(rp) / 2.0 / np.maximum(1.0, np.abs(b) / 2.0)))
-        d_res = max(float(np.abs(r).max(initial=0.0)) for r in rd) / max(1.0, c_norm)
-        return p_res, d_res
-
-    status = "max_iter"
-    it = 0
-    res_history = []
-    certified = None
-    for it in range(1, MAX_ITER + 1):
-        rp, rd = residuals()
-        mu = float(sum(np.vdot(xb, zb) for xb, zb in zip(x, z))) / n_total
-        pv, dv, gap = values()
-        p_res, d_res = residual_norms(rp, rd)
-        res_history.append(p_res + d_res)
-
-        if (
-            p_res <= GUARANTEE * 0.1
-            and d_res <= GUARANTEE * 0.1
-            and abs(gap) <= TOL_GAP * (1.0 + abs(pv))
-            and gap >= -1e-10
-        ):
-            status = "optimal"
-            break
-        if p_res <= GUARANTEE and d_res <= GUARANTEE and abs(gap) <= GUARANTEE * (1.0 + abs(pv)):
-            certified = (x, y, z)
-
-        # Infeasibility reporting.  Primary signal: the dual variables run
-        # off along a ray with positive objective and (approximately)
-        # negative-semidefinite AT(y) -- a Farkas certificate.  Fallback:
-        # the normalized residuals diverged over a full window.
-        ynorm = float(np.linalg.norm(y))
-        if ynorm > 1e6 and float(b @ y) > 1e-8 * ynorm:
-            ray = at_op(y / ynorm)
-            ray_max = max(float(np.linalg.eigvalsh(r).max()) for r in ray)
-            if ray_max <= 1e-7:
-                status = "infeasible-detected"
-                break
-        if it > DIVERGE_WINDOW:
-            recent = min(res_history[-DIVERGE_WINDOW:])
-            earlier = min(res_history[:-DIVERGE_WINDOW])
-            if recent > 10.0 * earlier + 1e-12 and recent > 1e-6:
-                status = "infeasible-detected"
-                break
-        if not (np.isfinite(mu) and np.isfinite(ynorm)):
-            status = "numerical-failure"
-            break
-
-        try:
-            lx = [np.linalg.cholesky(xb) for xb in x]
-            lz = [np.linalg.cholesky(zb) for zb in z]
-        except np.linalg.LinAlgError:
-            status = "numerical-failure"
-            break
-        zinv = [inv_l.T @ inv_l for inv_l in map(np.linalg.inv, lz)]
-
-        # Schur complement M[i, j] = <A_i, X A_j Z^{-1}>
-        schur = sum(
-            r @ (xb @ r.reshape(m, d, d) @ zi).reshape(m, -1).T
-            for r, d, xb, zi in zip(rows, dims, x, zinv)
-        )
-        schur = (schur + schur.T) / 2
-
-        chol = None
-        base = max(float(np.trace(schur)) / m, 1.0)
+    def schur_factor(schur):
+        """Cholesky factors of a (q, m, m) stack.  A failed factorization is
+        redone problem by problem, each escalating its own regularization."""
         reg = 0.0
         for _ in range(4):
             try:
-                chol = np.linalg.cholesky(schur + reg * np.eye(m))
-                break
+                return np.linalg.cholesky(schur + reg * np.eye(m))
             except np.linalg.LinAlgError:
+                if len(schur) > 1:
+                    return np.concatenate([schur_factor(s) for s in schur[:, None]])
+                base = max(float(np.trace(schur[0])) / m, 1.0)
                 reg = base * 1e-14 if reg == 0.0 else reg * 1e4
-        if chol is None:
-            status = "numerical-failure"
-            break
+        raise np.linalg.LinAlgError("Schur complement is not positive definite")
 
-        def schur_solve(rhs):
-            return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    def step(w, y, rp, rd, mu):
+        """One predictor-corrector step of a stack; raises LinAlgError on a
+        breakdown anywhere in it."""
+        x = [wc[0] for wc in w]
+        lw = [np.linalg.cholesky(wc) for wc in w]
+        zinv = [li.swapaxes(-1, -2) @ li for li in (np.linalg.inv(lc[1]) for lc in lw)]
+
+        # Schur complement M[i, j] = <A_i, X A_j Z^{-1}>, one block at a time
+        # so that the (q, m, d, d) temporaries stay small.
+        schur = sum(
+            r @ (x[c][:, j, None] @ r.reshape(m, d, d) @ zinv[c][:, j, None])
+            .reshape(len(y), m, -1).swapaxes(-1, -2)
+            for r, d, c, j in zip(rows, dims, cls, pos)
+        )
+        schur = (schur + schur.swapaxes(-1, -2)) / 2
+        chol = schur_factor(schur)
+        chol_t = chol.swapaxes(-1, -2)
+        xrz = [xc @ rc @ zi for xc, rc, zi in zip(x, rd, zinv)]
 
         def newton(sigma_mu, corr):
-            """Solve for (dx, dy, dz) given centering target and corrector."""
-            targ = []
-            for bi in range(len(dims)):
-                t = sigma_mu * zinv[bi] - x[bi]
+            """Solve for (dx, dy, dz) given centering target and corrector;
+            dX and dZ of each class come as one (2, q, nb, d, d) stack."""
+            base = [sigma_mu * zi - xc for zi, xc in zip(zinv, x)]
+            if corr is not None:
+                corr = [cc @ zi for cc, zi in zip(corr, zinv)]
+                targ = [t - c - xr for t, c, xr in zip(base, corr, xrz)]
+            else:
+                targ = [t - xr for t, xr in zip(base, xrz)]
+            dy = np.linalg.solve(chol_t, np.linalg.solve(chol, (rp - a_op(targ))[..., None]))
+            dy = dy[..., 0]
+            dw = []
+            for k, (t, xc, rc, ac, zi) in enumerate(zip(base, x, rd, at_op(dy), zinv)):
+                dc = np.empty((2,) + t.shape)
+                dz = np.subtract(rc, ac, out=dc[1])
+                t = t - xc @ dz @ zi
                 if corr is not None:
-                    t = t - corr[bi] @ zinv[bi]
-                targ.append(t - x[bi] @ rd[bi] @ zinv[bi])
-            dy = schur_solve(rp - a_op(targ))
-            dz = [r - s for r, s in zip(rd, at_op(dy))]
-            dx = []
-            for bi in range(len(dims)):
-                t = sigma_mu * zinv[bi] - x[bi] - x[bi] @ dz[bi] @ zinv[bi]
-                if corr is not None:
-                    t = t - corr[bi] @ zinv[bi]
-                dx.append((t + t.T) / 2)
-            return dx, dy, dz
+                    t = t - corr[k]
+                np.add(t, t.swapaxes(-1, -2), out=dc[0])
+                dc[0] /= 2
+                dw.append(dc)
+            return dw, dy
 
-        def max_step(dmats, chols):
-            alpha = 1.0
-            for bi in range(len(dims)):
-                w = np.linalg.solve(chols[bi], dmats[bi])
-                w = np.linalg.solve(chols[bi], w.T).T
-                lam = float(np.linalg.eigvalsh((w + w.T) / 2)[0])
-                if lam < -1e-14:
-                    alpha = min(alpha, -1.0 / lam)
-            return alpha
+        def max_steps(dw):
+            # Largest steps (<= 1) keeping X + a dX and Z + a dZ PSD: (2, q).
+            lam = None
+            for lc, dc in zip(lw, dw):
+                t = np.linalg.solve(lc, dc)
+                t = np.linalg.solve(lc, t.swapaxes(-1, -2)).swapaxes(-1, -2)
+                low = np.linalg.eigvalsh((t + t.swapaxes(-1, -2)) / 2)[..., 0]
+                low = np.fmin.reduce(low, axis=-1)  # over the blocks of the class
+                lam = low if lam is None else np.fmin(lam, low)
+            return np.minimum(1.0, -1.0 / np.fmin(lam, -1e-14))
 
-        try:
-            # Predictor
-            dxa, dya, dza = newton(0.0, None)
-            ap = max_step(dxa, lx)
-            ad = max_step(dza, lz)
-            xa = [x[bi] + min(1.0, ap) * dxa[bi] for bi in range(len(dims))]
-            za = [z[bi] + min(1.0, ad) * dza[bi] for bi in range(len(dims))]
-            mu_aff = float(sum(np.vdot(xb, zb) for xb, zb in zip(xa, za))) / n_total
-            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+        # Predictor
+        dwa, _ = newton(0.0, None)
+        alpha = max_steps(dwa)[:, :, None, None, None]
+        mu_aff = block_sums([wc + alpha * dc for wc, dc in zip(w, dwa)])
+        sigma_mu = [min(1.0, max(0.0, (ma / n_total / mo) ** 3)) * mo for ma, mo in zip(mu_aff, mu)]
 
-            # Corrector
-            corr = [dxa[bi] @ dza[bi] for bi in range(len(dims))]
-            dx, dy, dz = newton(sigma * mu, corr)
-            ap = min(1.0, FRACTION_TO_BOUNDARY * max_step(dx, lx))
-            ad = min(1.0, FRACTION_TO_BOUNDARY * max_step(dz, lz))
-        except np.linalg.LinAlgError:
-            status = "numerical-failure"
+        # Corrector
+        dw, dy = newton(np.array(sigma_mu)[:, None, None, None], [dc[0] @ dc[1] for dc in dwa])
+        alpha = FRACTION_TO_BOUNDARY * max_steps(dw)
+        w = [wc + alpha[:, :, None, None, None] * dc for wc, dc in zip(w, dw)]
+        return [(wc + wc.swapaxes(-1, -2)) / 2 for wc in w], y + alpha[1][:, None] * dy
+
+    sols = [None] * q
+    certified = [None] * q
+    res_history = [[] for _ in range(q)]
+
+    def finish(i, status, it, state):
+        if status == "numerical-failure" and certified[i] is not None:
+            # The step broke down after an iterate already met the guarantees.
+            state, status = certified[i], "optimal"
+        ws, ys, r = state
+        w1, y1 = [wc[:, r:r + 1] for wc in ws], ys[r:r + 1]
+        _, _, p_res, d_res, pv, dv, gap = measure(w1, y1, *problem_rows([i]))
+        return SdpSolution(
+            X=[_unembed(w1[c][0, 0, j]) for c, j in zip(cls, pos)],
+            y=y1[0].copy(),
+            Z=[_unembed(w1[c][1, 0, j]) for c, j in zip(cls, pos)],
+            primal_value=pv[0],
+            dual_value=dv[0],
+            gap=gap[0],
+            status=status,
+            iterations=it,
+            primal_residual=p_res[0],
+            dual_residual=d_res[0],
+        )
+
+    idx = list(range(q))  # the problem of each row of the stacks
+    cm, b, b_scale, c_scale = problem_rows(idx)
+    for it in range(1, MAX_ITER + 1):
+        rp, rd, p_res, d_res, pv, _, gap = measure(w, y, cm, b, b_scale, c_scale)
+        mu = [v / n_total for v in block_sums([(wc[0], wc[1]) for wc in w])]
+        ynorm = [math.sqrt(v) for v in (y[:, None, :] @ y[:, :, None]).ravel().tolist()]
+
+        keep = []
+        for r, i in enumerate(idx):
+            pr, dr, pvr, gr, yn = p_res[r], d_res[r], pv[r], gap[r], ynorm[r]
+            hist = res_history[i]
+            hist.append(pr + dr)
+            status = None
+            if (
+                pr <= GUARANTEE * 0.1
+                and dr <= GUARANTEE * 0.1
+                and abs(gr) <= TOL_GAP * (1.0 + abs(pvr))
+                and gr >= -1e-10
+            ):
+                status = "optimal"
+            else:
+                if pr <= GUARANTEE and dr <= GUARANTEE and abs(gr) <= GUARANTEE * (1.0 + abs(pvr)):
+                    certified[i] = (w, y, r)
+                # Infeasibility reporting.  Primary signal: the dual
+                # variables run off along a ray with positive objective and
+                # (approximately) negative-semidefinite AT(y) -- a Farkas
+                # certificate.  Fallback: the normalized residuals diverged
+                # over a full window.
+                if (yn > 1e6 and float(b[r] @ y[r]) > 1e-8 * yn and max(
+                        float(np.linalg.eigvalsh(ray).max()) for ray in at_op(y[r:r + 1] / yn)
+                ) <= 1e-7):
+                    status = "infeasible-detected"
+                elif it > DIVERGE_WINDOW and (
+                    min(hist[-DIVERGE_WINDOW:]) > 10.0 * min(hist[:-DIVERGE_WINDOW]) + 1e-12
+                    and min(hist[-DIVERGE_WINDOW:]) > 1e-6
+                ):
+                    status = "infeasible-detected"
+                elif not (math.isfinite(mu[r]) and math.isfinite(yn)):
+                    status = "numerical-failure"
+            if status is None:
+                keep.append(r)
+            else:
+                sols[i] = finish(i, status, it, (w, y, r))
+
+        if not keep:
             break
-
-        x = [x[bi] + ap * dx[bi] for bi in range(len(dims))]
-        z = [z[bi] + ad * dz[bi] for bi in range(len(dims))]
-        y = y + ad * dy
-        x = [(xb + xb.T) / 2 for xb in x]
-        z = [(zb + zb.T) / 2 for zb in z]
-
-    if status == "numerical-failure" and certified is not None:
-        # The step broke down after an iterate already met the guarantees.
-        x, y, z = certified
-        status = "optimal"
-
-    pv, dv, gap = values()
-    p_res, d_res = residual_norms(*residuals())
-    x_h = [_unembed(xb) for xb in x]
-    z_h = [_unembed(zb) for zb in z]
-    return SdpSolution(
-        X=x_h,
-        y=y.copy(),
-        Z=z_h,
-        primal_value=pv,
-        dual_value=dv,
-        gap=gap,
-        status=status,
-        iterations=it,
-        primal_residual=p_res,
-        dual_residual=d_res,
-    )
+        if len(keep) < len(idx):
+            idx = [idx[r] for r in keep]
+            cm, b, b_scale, c_scale = problem_rows(idx)
+            w, y = [wc[:, keep] for wc in w], y[keep]
+            rp, rd, mu = rp[keep], [r[keep] for r in rd], [mu[r] for r in keep]
+        try:
+            w, y = step(w, y, rp, rd, mu)
+        except np.linalg.LinAlgError:
+            # One problem's breakdown must not end the others: redo the step
+            # problem by problem.
+            keep, parts = [], []
+            for r, i in enumerate(idx):
+                try:
+                    parts.append(step([wc[:, r:r + 1] for wc in w], y[r:r + 1], rp[r:r + 1],
+                                      [c[r:r + 1] for c in rd], mu[r:r + 1]))
+                    keep.append(r)
+                except np.linalg.LinAlgError:
+                    sols[i] = finish(i, "numerical-failure", it, (w, y, r))
+            if not keep:
+                break
+            idx = [idx[r] for r in keep]
+            cm, b, b_scale, c_scale = problem_rows(idx)
+            w = [np.concatenate([p[0][c] for p in parts], axis=1) for c in range(len(sizes))]
+            y = np.concatenate([p[1] for p in parts])
+    else:
+        for r, i in enumerate(idx):
+            sols[i] = finish(i, "max_iter", MAX_ITER, (w, y, r))
+    return sols

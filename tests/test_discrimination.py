@@ -122,6 +122,33 @@ class TestPGuessChannels:
         ]
         assert vals[0] <= vals[1] + 1e-6
 
+    # float.hex of seeded calls with the default tol, recorded when each
+    # restart still ran its own seesaw; the restarts stop at different steps.
+    PINNED = {
+        ("pair", 1): "0x1.d7dc1df288b8ep-1",
+        ("pair", 2): "0x1.d7dc1dfb34610p-1",
+        ("triple", 2): "0x1.974e0fd56acc3p-1",
+    }
+
+    @staticmethod
+    def pinned_call(kind, k):
+        e1, e2, e3 = depolarizing(0.3), maps.random_cptp(2, 2, 11), maps.random_cptp(2, 2, 12)
+        if kind == "pair":
+            return disc.p_guess_channels([0.4, 0.6], [e1, e2], k, restarts=8, seed=5)
+        return disc.p_guess_channels([0.2, 0.3, 0.5], [e1, e2, e3], k, restarts=4, seed=5)
+
+    @pytest.mark.parametrize("kind, k", list(PINNED))
+    def test_seeded_values_pinned(self, kind, k):
+        assert self.pinned_call(kind, k).hex() == self.PINNED[kind, k]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pair_reaches_helstrom(self, k):
+        # Two-channel guessing is Helstrom: (1 + channel_distance) / 2.
+        e1, e2 = depolarizing(0.3), maps.random_cptp(2, 2, 11)
+        helstrom = (1.0 + disc.channel_distance(e1, e2, 0.6, k)) / 2.0
+        val = disc.p_guess_channels([0.4, 0.6], [e1, e2], k, restarts=8, seed=6)
+        assert helstrom - 5e-4 <= val <= helstrom + 1e-6
+
 
 class TestChannelDistance:
     def test_identical_channels_scalar(self):

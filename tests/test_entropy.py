@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,18 @@ class TestConditionalRenyi:
     def test_max_entangled_large_alpha(self):
         val = conditional_renyi(max_entangled(2), 200.0, restarts=4, seed=3)
         assert val == pytest.approx(-1.0, abs=2e-2)
+
+    def test_large_alpha_stays_finite(self):
+        # The objective raises M / max eig(M) to the power alpha, so its
+        # powers stay in [0, 1]; M^50 itself overflows on this pure state.
+        rho = BipartiteState(2, 3, random_density(6, 1, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = conditional_renyi(rho, 50.0)
+        assert math.isfinite(val)
+        # best found, so never above the pure-state value -H_{a/(2a-1)}(rho_A)
+        rho_a = states.partial_trace(rho, "B")
+        assert val <= -renyi_entropy(rho_a, 50.0 / 99.0) + 1e-9
 
     def test_alpha_infinity_is_h_min(self):
         rho = BipartiteState(2, 2, random_density(4, 4, 31))

@@ -10,6 +10,7 @@ from nonmarkov.sdp import (
     embed_hermitian,
     hermitian_basis,
     solve,
+    solve_many,
 )
 from nonmarkov.states import (
     BipartiteState,
@@ -366,3 +367,98 @@ def test_builder_outputs_pinned(name):
 
 def test_channel_route_pinned():
     assert entropy.q_corr_channel_route(max_entangled(2)).hex() == "0x1.ffffffff8a12bp+0"
+
+
+def assert_same_solution(a, b):
+    assert a.status == b.status
+    assert a.iterations == b.iterations
+    for field in ("primal_value", "dual_value", "gap", "primal_residual", "dual_residual"):
+        assert getattr(a, field).hex() == getattr(b, field).hex(), field
+    assert np.array_equal(a.y, b.y)
+    assert all(np.array_equal(u, v) for u, v in zip(a.X + a.Z, b.X + b.Z))
+
+
+def random_guessing_batch(d, n, count, seed):
+    rng = np.random.default_rng(seed)
+    batch = []
+    for _ in range(count):
+        probs = rng.dirichlet(np.ones(n))
+        seeds = rng.integers(0, 2**31 - 1, size=n)
+        rhos = [random_density(d, int(rng.integers(1, d + 1)), int(s)).matrix for s in seeds]
+        batch.append(p_guess_problem(probs, rhos))
+    return batch
+
+
+class TestSolveMany:
+    # seeds whose batches stop at more than one iteration count
+    @pytest.mark.parametrize("d, n, seed", [
+        (2, 2, 22), (2, 3, 23), (3, 2, 132), (3, 3, 33), (4, 2, 242), (4, 3, 43)])
+    def test_batch_matches_one_at_a_time(self, d, n, seed):
+        batch = random_guessing_batch(d, n, 8, seed)
+        sols = solve_many(batch)
+        assert len(sols) == len(batch)
+        for prob, sol in zip(batch, sols):
+            assert_same_solution(sol, solve(prob))
+        # the problems leave the stack at different iterations
+        assert len({sol.iterations for sol in sols}) > 1
+
+    def test_breakdown_pairs_in_one_batch(self):
+        batch = [
+            diamond_norm_program(
+                maps.subtract(maps.random_cptp(3, 2, a), maps.random_cptp(3, 2, b)))
+            for a, b in QUTRIT_BREAKDOWN_PAIRS
+        ]
+        for prob, sol in zip(batch, solve_many(batch)):
+            assert sol.optimal
+            assert_same_solution(sol, solve(prob))
+
+    def test_infeasible_problem_leaves_the_others(self):
+        feasible = [lambda_max_problem(random_hermitian(3, s)) for s in (40, 41)]
+        p = feasible[0]
+        infeasible = SdpProblem(blocks=p.blocks, C=p.C, A=p.A, b=[-1.0], sense="max")
+        batch = [feasible[0], infeasible, feasible[1]]
+        sols = solve_many(batch)
+        assert [s.status for s in sols] == ["optimal", "infeasible-detected", "optimal"]
+        for prob, sol in zip(batch, sols):
+            assert_same_solution(sol, solve(prob))
+
+    def test_rejects_mismatched_batches(self):
+        a = random_hermitian(3, 42)
+        base = lambda_max_problem(a)
+        with pytest.raises(ValueError):
+            solve_many([])
+        with pytest.raises(ValueError, match="blocks"):
+            solve_many([base, lambda_max_problem(random_hermitian(2, 43))])
+        with pytest.raises(ValueError, match="sense"):
+            solve_many([base, SdpProblem(blocks=[3], C=[a], A=base.A, b=[1.0], sense="min")])
+        with pytest.raises(ValueError, match="constraint"):
+            solve_many([base, SdpProblem(blocks=[3], C=[a], A=[2 * base.A[0]], b=[1.0],
+                                         sense="max")])
+
+
+def count_linalg_calls(monkeypatch, problems):
+    """Solve the batch and return np.linalg calls per iteration of the
+    longest-running problem."""
+    calls = [0]
+    for name in ("cholesky", "inv", "solve", "eigvalsh", "eigh", "eig", "norm", "svd",
+                 "qr", "det", "lstsq", "pinv"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[0] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    sols = solve_many(problems)
+    assert all(sol.optimal for sol in sols)
+    return calls[0] / max(sol.iterations for sol in sols)
+
+
+def test_linalg_calls_scale_with_block_sizes(monkeypatch):
+    """Per iteration the solver makes a fixed number of LAPACK calls for each
+    distinct block size, whatever the number of blocks or problems."""
+    batch = random_guessing_batch(4, 3, 16, seed=7)
+    one = count_linalg_calls(monkeypatch, batch[:1])
+    many = count_linalg_calls(monkeypatch, batch)
+    assert one <= 13
+    assert many <= one + 1
