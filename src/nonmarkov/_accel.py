@@ -90,8 +90,10 @@ def tracenorm_scan(T4, starts, iters=80, tol=1e-13):
     Hermiticity-preserving superoperator W given as T4.
 
     Fixed-point iteration psi <- top eigenvector of W^#(sign(W(psi psi^dag)))
-    (monotone ascent) from every start at once; returns the best
-    (value, psi), the first restart reaching the maximum.
+    (monotone ascent) from every start at once.  Returns
+    ``(value, psi, values, converged)``: the best restart (the first one
+    reaching the maximum), then every restart's final value and whether its
+    tolerance test passed within ``iters`` sweeps.
     """
     # einsum on a transposed (non-contiguous) view rounds differently, so the
     # tensor is always made contiguous first.
@@ -103,6 +105,7 @@ def tracenorm_scan(T4, starts, iters=80, tol=1e-13):
     norms = np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))
     psi /= norms[:, None]
     val = np.full(psi.shape[0], -np.inf)
+    converged = np.zeros(psi.shape[0], dtype=bool)
     active = np.arange(psi.shape[0])
     for _ in range(iters):
         if active.size == 0:
@@ -118,6 +121,7 @@ def tracenorm_scan(T4, starts, iters=80, tol=1e-13):
         psi[active] = vg[:, :, -1]
         done = _stopped(new_val, val[active], tol)
         val[active] = new_val
+        converged[active[done]] = True
         active = active[~done]
     best = int(np.argmax(val))
-    return float(val[best]), psi[best]
+    return float(val[best]), psi[best], val, converged

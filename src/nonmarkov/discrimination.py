@@ -3,14 +3,21 @@ probability as a semidefinite program, ancilla-assisted channel guessing,
 ancilla-graded channel distances, the diamond norm, the completely-bounded
 norm consistency check, the bipartite square norm, and operational fidelity.
 
+Ancilla-assisted guessing between two channels is Helstrom's closed form
+over the best input, (1 + channel distance) / 2, found by the same
+trace-norm ascent as ``channel_distance``; three or more channels go
+through a seesaw of guessing SDPs and input updates.
+
 Outer nonconvex maximizations (input states, square-norm sandwich factors)
 are multistart local ascents reporting best-found lower bounds; the
 semidefinite programs (guessing, diamond norm, channel fidelity) carry
-matching dual certificates.
+matching dual certificates.  The trace-norm ascent logs its restart
+statistics at DEBUG on the ``nonmarkov.discrimination`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -20,6 +27,8 @@ from . import _accel, entropy, linalg, maps, sdp, states
 from .maps import QuantumMap
 from .sdp import SdpError
 from .states import Povm, StateEnsemble
+
+_log = logging.getLogger(__name__)
 
 
 def helstrom_guess(p1: float, rho1, rho2) -> float:
@@ -83,24 +92,42 @@ def p_guess_channels(probs, channels, k: int, restarts: int = 64, seed: int = 0,
                      iters: int = 40, tol: float = 1e-9) -> float:
     """Channel guessing with a k-dimensional ancilla.
 
-    Alternates the exact inner measurement step (guessing SDP on the output
-    ensemble) with the exact input step (top eigenvector of the adjoint
-    functional), from ``restarts`` seeded pure inputs on ancilla (x) system.
-    The restarts run in lockstep: each step solves the guessing programs of
-    every restart that has not yet converged with one ``sdp.solve_many``
-    call, and each restart stops on its own.  Best found value; each step is
-    an exact partial maximization, so every iterate is a valid lower bound.
+    For two channels this is Helstrom's closed form
+    (1 + max ||id_k (x) (p0 e0 - p1 e1)(psi)||_1) / 2: one multistart
+    trace-norm ascent from ``restarts`` inputs drawn from ``seed``, the same
+    best-found lower bound as ``channel_distance``; ``iters`` and ``tol`` do
+    not apply.  For three or more channels, a seesaw: it alternates the
+    exact inner measurement step (guessing SDP on the output ensemble) with
+    the exact input step (top eigenvector of the adjoint functional), from
+    ``restarts`` seeded pure inputs on ancilla (x) system, for at most
+    ``iters`` steps with stop tolerance ``tol``.  Best found value; each step
+    is an exact partial maximization, so every iterate is a valid lower
+    bound.
     """
+    probs = states.check_probs(probs, len(channels))
     maps.check_restarts(restarts)
-    probs = np.asarray(probs, dtype=np.float64)
     d_in = channels[0].dimIn
     if not 1 <= k <= d_in:
         raise ValueError(f"ancilla dimension k must lie in [1, {d_in}]")
     if len(channels) < 2:
         raise ValueError("need at least two channels to discriminate")
+    if len(channels) == 2:
+        delta = maps.weighted_difference(*channels, *probs)
+        return (1.0 + _tracenorm_ascent(delta, k, restarts, seed)) / 2.0
+    return _seesaw_guess(probs, channels, k, restarts, seed, iters, tol)
+
+
+def _seesaw_guess(probs, channels, k: int, restarts: int, seed: int,
+                  iters: int, tol: float) -> float:
+    """The seesaw of ``p_guess_channels`` on validated arguments.
+
+    The restarts run in lockstep: each step solves the guessing programs of
+    every restart that has not yet converged with one ``sdp.solve_many``
+    call, and each restart stops on its own.
+    """
     big = [maps.amplify(e, k) for e in channels]
     adj = [maps.adjoint(b) for b in big]
-    dim = k * d_in
+    dim = k * channels[0].dimIn
     rng = np.random.default_rng(seed)
     psis = []
     for _ in range(restarts):
@@ -144,13 +171,23 @@ def channel_distance(e1: QuantumMap, e2: QuantumMap, p: float, k: int,
     if not 1 <= k <= e1.dimIn:
         raise ValueError(f"ancilla dimension k must lie in [1, {e1.dimIn}]")
     maps.check_restarts(restarts)
-    delta = maps.weighted_difference(e1, e2, 1.0 - p, p)
-    big = maps.amplify(delta, k)
-    t4 = big.as_tensor()
-    dim = k * e1.dimIn
+    return _tracenorm_ascent(maps.weighted_difference(e1, e2, 1.0 - p, p), k, restarts, seed)
+
+
+def _tracenorm_ascent(delta: QuantumMap, k: int, restarts: int, seed: int) -> float:
+    """max ||(id_k (x) delta)(psi psi^dag)||_1 over unit psi, best found over
+    ``restarts`` ascents from inputs drawn from ``seed``.
+
+    Logs at DEBUG how many restarts passed their stop test within the sweep
+    budget and the spread, the median final value minus the best (<= 0).
+    """
+    dim = k * delta.dimIn
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((restarts, dim)) + 1j * rng.standard_normal((restarts, dim))
-    val, _ = _accel.tracenorm_scan(t4, starts)
+    val, _, vals, converged = _accel.tracenorm_scan(maps.amplify(delta, k).as_tensor(), starts)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("trace-norm ascent: restarts_converged=%d of %d, spread=%.3g",
+                   int(converged.sum()), restarts, float(np.median(vals) - val))
     return float(val)
 
 

@@ -151,6 +151,19 @@ class TripartiteState:
         return dumps_state(self.matrix, [self.dimA, self.dimB, self.dimC])
 
 
+def check_probs(probs, n: int) -> np.ndarray:
+    """``probs`` as a float64 vector of n finite, nonnegative weights summing
+    to 1 within ``ENSEMBLE_PROB_TOL``; ValueError otherwise."""
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1 or p.size < 1 or p.size != n:
+        raise ValueError("probs and states must be equal-length, nonempty")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probs must be finite")
+    if p.min(initial=0.0) < 0 or abs(p.sum() - 1.0) > ENSEMBLE_PROB_TOL:
+        raise ValueError("probs must be nonnegative and sum to 1 within 1e-12")
+    return p
+
+
 @dataclass(frozen=True)
 class StateEnsemble:
     """Preparation of states[i] with probability probs[i]."""
@@ -159,11 +172,7 @@ class StateEnsemble:
     states: list = field(default_factory=list)
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size < 1 or p.size != len(self.states):
-            raise ValueError("probs and states must be equal-length, nonempty")
-        if p.min(initial=0.0) < 0 or abs(p.sum() - 1.0) > ENSEMBLE_PROB_TOL:
-            raise ValueError("probs must be nonnegative and sum to 1 within 1e-12")
+        p = check_probs(self.probs, len(self.states))
         dims = {s.dim for s in self.states}
         if len(dims) != 1:
             raise ValueError(f"ensemble states have mixed dimensions {dims}")

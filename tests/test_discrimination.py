@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -122,8 +123,10 @@ class TestPGuessChannels:
         ]
         assert vals[0] <= vals[1] + 1e-6
 
-    # float.hex of seeded calls with the default tol, recorded when each
-    # restart still ran its own seesaw; the restarts stop at different steps.
+    # float.hex of seeded seesaw calls with the default iters and tol,
+    # recorded when each restart still ran its own seesaw; the restarts stop
+    # at different steps.  Public pair calls take the Helstrom route, so the
+    # pair entries run the seesaw directly.
     PINNED = {
         ("pair", 1): "0x1.d7dc1df288b8ep-1",
         ("pair", 2): "0x1.d7dc1dfb34610p-1",
@@ -134,7 +137,8 @@ class TestPGuessChannels:
     def pinned_call(kind, k):
         e1, e2, e3 = depolarizing(0.3), maps.random_cptp(2, 2, 11), maps.random_cptp(2, 2, 12)
         if kind == "pair":
-            return disc.p_guess_channels([0.4, 0.6], [e1, e2], k, restarts=8, seed=5)
+            return disc._seesaw_guess([0.4, 0.6], [e1, e2], k, restarts=8, seed=5,
+                                      iters=40, tol=1e-9)
         return disc.p_guess_channels([0.2, 0.3, 0.5], [e1, e2, e3], k, restarts=4, seed=5)
 
     @pytest.mark.parametrize("kind, k", list(PINNED))
@@ -143,11 +147,73 @@ class TestPGuessChannels:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_pair_reaches_helstrom(self, k):
-        # Two-channel guessing is Helstrom: (1 + channel_distance) / 2.
+        # The seesaw on a pair reaches Helstrom: (1 + channel_distance) / 2.
         e1, e2 = depolarizing(0.3), maps.random_cptp(2, 2, 11)
         helstrom = (1.0 + disc.channel_distance(e1, e2, 0.6, k)) / 2.0
-        val = disc.p_guess_channels([0.4, 0.6], [e1, e2], k, restarts=8, seed=6)
+        val = disc._seesaw_guess([0.4, 0.6], [e1, e2], k, restarts=8, seed=6, iters=40, tol=1e-9)
         assert helstrom - 5e-4 <= val <= helstrom + 1e-6
+
+
+def _no_sdp(*args, **kwargs):
+    raise AssertionError("the pair route solved an SDP")
+
+
+class TestPairRoute:
+    E0, E1, E2 = depolarizing(0.3), maps.random_cptp(2, 2, 11), maps.random_cptp(2, 2, 12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_no_sdp_solve(self, monkeypatch, k):
+        monkeypatch.setattr(sdp, "solve_many", _no_sdp)
+        monkeypatch.setattr(sdp, "solve", _no_sdp)
+        disc.p_guess_channels([0.4, 0.6], [self.E0, self.E1], k, restarts=4, seed=1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_equals_channel_distance(self, k):
+        p = 0.6180339887
+        val = disc.p_guess_channels([1.0 - p, p], [self.E0, self.E1], k, restarts=16, seed=3)
+        cd = disc.channel_distance(self.E0, self.E1, p, k, restarts=16, seed=3)
+        assert val.hex() == ((1.0 + cd) / 2.0).hex()
+
+    def test_triple_runs_the_seesaw(self, monkeypatch):
+        calls = []
+
+        def counting(problems):
+            calls.append(len(problems))
+            return solve_many(problems)
+
+        solve_many = sdp.solve_many
+        monkeypatch.setattr(sdp, "solve_many", counting)
+        disc.p_guess_channels([0.2, 0.3, 0.5], [self.E0, self.E1, self.E2], 1,
+                              restarts=2, seed=5, iters=3)
+        assert calls and calls[0] == 2
+
+    # float.hex of two seeded public pair calls (the trace-norm ascent).
+    PINNED = {1: "0x1.d7dc1dfbc8234p-1", 2: "0x1.d7dc1dfbc8235p-1"}
+
+    @pytest.mark.parametrize("k", list(PINNED))
+    def test_seeded_values_pinned(self, k):
+        val = disc.p_guess_channels([0.4, 0.6], [self.E0, self.E1], k, restarts=8, seed=5)
+        assert val.hex() == self.PINNED[k]
+
+    @pytest.mark.parametrize("probs, chans, k, restarts", [
+        ([0.2, 0.3, 0.5], "pair", 1, 4),     # more weights than channels
+        ([1.0], "pair", 1, 4),              # fewer weights than channels
+        ([0.5, 0.6], "pair", 1, 4),         # sum other than 1
+        ([-0.1, 1.1], "pair", 1, 4),        # negative weight
+        ([np.nan, 0.5], "pair", 1, 4),      # NaN weight
+        ([0.5, 0.5], "qubit-qutrit", 1, 4),  # mismatched input dimensions
+        ([0.5, 0.5], "qubit-to-qutrit", 1, 4),  # mismatched output dimensions
+        ([0.5, 0.5], "pair", 1, 0),         # no restarts
+        ([0.5, 0.5], "pair", 0, 4),         # k below 1
+        ([0.5, 0.5], "pair", 3, 4),         # k above d_in
+    ])
+    def test_rejects_bad_input(self, probs, chans, k, restarts):
+        embed = maps.from_kraus([np.eye(3, 2)])
+        chans = {"pair": [self.E0, self.E1],
+                 "qubit-qutrit": [self.E0, maps.random_cptp(3, 2, 1)],
+                 "qubit-to-qutrit": [self.E0, embed]}[chans]
+        with pytest.raises(ValueError):
+            disc.p_guess_channels(probs, chans, k, restarts=restarts, seed=0)
 
 
 class TestChannelDistance:
@@ -188,11 +254,24 @@ class TestTracenormScan:
         t4 = maps.amplify(delta, k).as_tensor()
         rng = np.random.default_rng(seed)
         starts = rng.standard_normal((16, k * dim)) + 1j * rng.standard_normal((16, k * dim))
-        val, psi = _accel.tracenorm_scan(t4, starts)
+        val, psi, *_ = _accel.tracenorm_scan(t4, starts)
         single = [_accel.tracenorm_scan(t4, starts[r:r + 1]) for r in range(16)]
         r = int(np.argmax([s[0] for s in single]))
         assert abs(val - single[r][0]) <= 1e-12
         assert np.abs(psi - single[r][1]).max() <= 1e-12
+
+
+def test_channel_distance_logs_restart_statistics(caplog):
+    # The qutrit pair of the channels benchmark at seed 0: at k = 3 every
+    # restart is still climbing at the 80-sweep cap.
+    s3, s4 = np.random.default_rng(0).integers(0, 2**31 - 1, size=4)[2:]
+    q1, q2 = maps.random_cptp(3, 2, int(s3)), maps.random_cptp(3, 2, int(s4))
+    with caplog.at_level(logging.DEBUG, logger="nonmarkov.discrimination"):
+        disc.channel_distance(q1, q2, 0.5, 3, seed=0)
+    (record,) = caplog.records
+    assert "restarts_converged=0 of 64" in record.getMessage()
+    spread = float(record.getMessage().rpartition("spread=")[2])
+    assert spread < 0.0
 
 
 QUBIT = maps.random_cptp(2, 2, 50)

@@ -67,6 +67,16 @@ def test_diamond_norm_bounds_channel_distance(s1, s2, p):
 
 
 @PROPERTY
+@given(k=st.sampled_from([1, 2]), s1=SEEDS, s2=SEEDS, p=st.floats(0.05, 0.95))
+def test_channel_seesaw_at_most_helstrom(k, s1, s2, p):
+    # Two-channel guessing takes Helstrom's closed form; the seesaw that
+    # guesses among three or more channels is a lower bound on it.
+    e1, e2 = maps.random_cptp(2, 2, s1), maps.random_cptp(2, 2, s2)
+    val = disc._seesaw_guess([1.0 - p, p], [e1, e2], k, restarts=2, seed=s1, iters=10, tol=1e-9)
+    assert val <= (1.0 + disc.diamond_norm(maps.weighted_difference(e1, e2, 1.0 - p, p))) / 2.0 + 1e-7
+
+
+@PROPERTY
 @given(case=st.sampled_from([(da, db, r) for da, db in [(2, 2), (2, 3), (3, 2)]
                              for r in (1, 2, da * db)]),
        seed=SEEDS)

@@ -240,6 +240,12 @@ class TestEnsemblePovm:
         with pytest.raises(ValueError):
             StateEnsemble(np.array([1.0]), [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ensemble_rejects_non_finite_probs(self, bad):
+        # NaN compares false in both the sign and the sum test
+        with pytest.raises(ValueError, match="finite"):
+            StateEnsemble([bad, 0.5], [basis_state(2, 0), basis_state(2, 1)])
+
     def test_povm_sums_to_identity(self):
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         with pytest.raises(ValueError):
