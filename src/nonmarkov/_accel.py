@@ -12,11 +12,19 @@ each matrix of a stack on its own and the batched contractions sum in the
 same order as unbatched ones, so every restart follows bit for bit the
 iterates it would follow alone.
 
-Memory scales as restarts x one quadratic-form matrix: a ``kpos_scan``
-sweep holds one stack of ``restarts`` Hessians of size (d*k)^2.  At d=16,
-k=15 and 64 restarts one stack is 64 x 240^2 complex128 = 59 MB, and up to
-four such stacks are alive at once (the Hessians, their Hermitian parts,
-LAPACK's working copy and the eigenvectors): about 0.24 GB.
+A ``kpos_scan`` call may also search several Choi matrices at once, one
+group of restarts each.  ``maps.k_positivity_many`` stacks every step of a
+divisibility report this way, so the rows of a call are steps x restarts
+and a sweep pays its fixed cost once per report instead of once per step.
+
+Memory scales as rows x one quadratic-form matrix: a ``kpos_scan`` sweep
+holds one stack of Hessians of size (d*k)^2, one per row, and up to four
+such stacks are alive at once (the Hessians, their Hermitian parts,
+LAPACK's working copy and the eigenvectors).  ``k_positivity_many`` puts
+whole steps into one call only while rows x (d*k)^2 stays within
+``KPOS_STACK_ENTRIES``, the size of one search of 64 restarts at d=16 and
+k=15: one stack is 64 x 240^2 complex128 = 59 MB, about 0.24 GB in all.
+A single step above the cap still runs, alone in its call.
 
 All kernels are deterministic: start points are generated by the caller
 from explicit seeds.
@@ -31,6 +39,9 @@ from __future__ import annotations
 import numpy as np
 
 ACCEL = "numpy"
+
+# Entries of one stack of kpos_scan Hessians: 64 restarts at d=16, k=15.
+KPOS_STACK_ENTRIES = 64 * (16 * 15) ** 2
 
 
 def _herm(h):
@@ -52,11 +63,37 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
     ``(value, L, U, values, converged)``: the best restart (the first one
     reaching the minimum), then every restart's final value and whether its
     tolerance test passed within ``iters`` sweeps.
+
+    ``J4`` may also be a ``(g, dA, dB, dA, dB)`` stack of Choi tensors.  The
+    rows of ``starts_L``/``starts_U`` then split evenly into g groups, in
+    order, and group i searches ``J4[i]``.  Each sweep makes one ``einsum``
+    per group over its contiguous span of active rows and runs the ``qr``
+    and ``eigh`` calls once over all of them.  The best value, L and U then
+    gain a leading group axis, and ``values`` and ``converged`` have shape
+    (g, restarts per group).
     """
     J4 = np.ascontiguousarray(J4)
+    stacked = J4.ndim == 5
+    if not stacked:
+        J4 = J4[None]
     L = np.array(starts_L, dtype=np.complex128)
     U = np.array(starts_U, dtype=np.complex128)
-    n_starts = L.shape[0]
+    n_groups, n_starts = J4.shape[0], L.shape[0]
+    if n_starts % n_groups:
+        raise ValueError(f"{n_starts} start rows do not split into {n_groups} groups")
+    bounds = np.arange(n_groups + 1) * (n_starts // n_groups)
+
+    def quadratic_forms(x, active, spec, n):
+        # One einsum per group over its span of the active rows (x holds one
+        # row per active restart); J4 is never copied per row.
+        cut = np.searchsorted(active, bounds)
+        parts = [
+            np.einsum(spec, x[cut[g]:cut[g + 1]].conj(), J4[g], x[cut[g]:cut[g + 1]])
+            for g in range(n_groups) if cut[g] < cut[g + 1]
+        ]
+        h = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return h.reshape(-1, n, n)
+
     val = np.full(n_starts, np.inf)
     converged = np.zeros(n_starts, dtype=bool)
     active = np.arange(n_starts)
@@ -67,12 +104,12 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
         # eigen-solve below searches a superset of the previous state.
         u, _ = np.linalg.qr(U[active])
         # L-step: quadratic form matrix over vec(L), U orthonormal
-        h = np.einsum("rbi,abcd,rdj->raicj", u.conj(), J4, u).reshape(-1, dA * k, dA * k)
+        h = quadratic_forms(u, active, "rbi,abcd,rdj->raicj", dA * k)
         _, v = np.linalg.eigh(_herm(h))
         l, _ = np.linalg.qr(v[:, :, 0].reshape(-1, dA, k))
         # U-step: quadratic form over vec(U), L orthonormal; afterwards
         # the pair (L, U) is exactly the state achieving new_val.
-        h = np.einsum("rai,abcd,rcj->rbidj", l.conj(), J4, l).reshape(-1, dB * k, dB * k)
+        h = quadratic_forms(l, active, "rai,abcd,rcj->rbidj", dB * k)
         w, v = np.linalg.eigh(_herm(h))
         new_val = w[:, 0]
         L[active] = l
@@ -81,8 +118,12 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
         val[active] = new_val
         converged[active[done]] = True
         active = active[~done]
-    best = int(np.argmin(val))
-    return val[best], L[best], U[best], val, converged
+    vals = val.reshape(n_groups, -1)
+    rows = bounds[:-1] + np.argmin(vals, axis=1)
+    out = val[rows], L[rows], U[rows], vals, converged.reshape(n_groups, -1)
+    if stacked:
+        return out
+    return out[0][0], out[1][0], out[2][0], val, converged
 
 
 def tracenorm_scan(T4, starts, iters=80, tol=1e-13):

@@ -13,6 +13,7 @@ changing it only rescales time.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,8 @@ CPTP_BUDGET = 1e-7
 REDUCE_BUDGET = 1e-9
 
 MAX_SUBDIVISIONS = 20  # per grid interval; beyond this the step underflowed
+
+_log = logging.getLogger(__name__)
 
 
 class PropagationError(RuntimeError):
@@ -221,33 +224,42 @@ def time_grid(t_max: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, float(t_max), int(steps))
 
 
-def _rk4_step(gen: GkslGenerator, phi: np.ndarray, t: float, h: float) -> np.ndarray:
+def _rk4_step(gen: GkslGenerator, phi: np.ndarray, t: float, h: float, l_start):
+    """One RK4 step from t, given the generator at t; returns the new phi and
+    the generator at t + h, which starts the next step."""
     mid = gen.superop(t + h / 2)
-    k1 = gen.superop(t) @ phi
+    l_end = gen.superop(t + h)
+    k1 = l_start @ phi
     k2 = mid @ (phi + (h / 2) * k1)
     k3 = mid @ (phi + (h / 2) * k2)
-    k4 = gen.superop(t + h) @ (phi + h * k3)
-    return phi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k4 = l_end @ (phi + h * k3)
+    return phi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4), l_end
+
+
+def _rk4_pass(gen, phi, t0, h, n, l0):
+    """n RK4 steps of size h from t0, where the generator at t0 is l0."""
+    t, l = t0, l0
+    for _ in range(n):
+        phi, l = _rk4_step(gen, phi, t, h, l)
+        t += h
+    return phi
 
 
 def _integrate_interval(gen, phi, t0, t1, tol):
-    """Advance phi over [t0, t1] with Richardson step halving to local tol."""
+    """Advance phi over [t0, t1] with Richardson step halving to local tol.
+
+    Every pass starts from the generator at t0, and each step hands the
+    generator at its end point to the next step, so each time point of a
+    pass costs one ``superop`` evaluation.
+    """
     h = t1 - t0
+    l0 = gen.superop(t0)
     n = 1
     coarse = None
     for _ in range(MAX_SUBDIVISIONS):
-        fine = phi
-        step = h / (2 * n)
-        t = t0
-        for _ in range(2 * n):
-            fine = _rk4_step(gen, fine, t, step)
-            t += step
+        fine = _rk4_pass(gen, phi, t0, h / (2 * n), 2 * n, l0)
         if coarse is None:
-            coarse = phi
-            tc = t0
-            for _ in range(n):
-                coarse = _rk4_step(gen, coarse, tc, h / n)
-                tc += h / n
+            coarse = _rk4_pass(gen, phi, t0, h, 1, l0)
         err = float(np.abs(fine - coarse).max()) / 15.0
         if err <= tol * h:
             return fine + (fine - coarse) / 15.0
@@ -392,33 +404,52 @@ def divisibility_report(
     The verdict is grid-level: "k-divisible on grid" iff no step is
     certified negative.  Refining the grid refines the claim; nothing is
     asserted between grid points.
+
+    Every intermediate map is built first; then each k runs one stacked
+    search over all steps (``maps.k_positivity_many``), step j drawing its
+    starts from ``SeedSequence(entropy=seed, spawn_key=(j, k))``.  Logs at
+    DEBUG, per k, the stacked ``kpos_scan`` calls and their rows, and each
+    step's restarts_converged and spread.
     """
     ks = sorted(set(int(k) for k in ks))
     if any(k < 1 or k > dm.dim for k in ks):
         raise ValueError(f"each k must lie in [1, {dm.dim}]")
     maps.check_restarts(restarts)
-    steps = []
-    for j in range(len(dm) - 1):
-        v = intermediate(dm, j + 1, j)
-        tp_residual = maps.is_cptp(v)["tp_residual"]
-        certs = {}
-        for k in ks:
-            sub_seed = np.random.SeedSequence(entropy=seed, spawn_key=(j, k))
-            certs[k] = maps.k_positivity(v, k, restarts=restarts, seed=sub_seed)
-        steps.append(
-            StepReport(
-                index=j,
-                t_from=float(dm.grid[j]),
-                t_to=float(dm.grid[j + 1]),
-                tp_residual=float(tp_residual),
-                certificates=certs,
-            )
+    n = len(dm) - 1
+    vs = [intermediate(dm, j + 1, j) for j in range(n)]
+    certs = {}
+    for k in ks:
+        seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(j, k)) for j in range(n)]
+        certs[k] = maps.k_positivity_many(vs, k, restarts, seeds) if n else []
+        if _log.isEnabledFor(logging.DEBUG):
+            _log_search(k, dm.dim, restarts, certs[k])
+    steps = [
+        StepReport(
+            index=j,
+            t_from=float(dm.grid[j]),
+            t_to=float(dm.grid[j + 1]),
+            tp_residual=float(maps.is_cptp(v)["tp_residual"]),
+            certificates={k: certs[k][j] for k in ks},
         )
+        for j, v in enumerate(vs)
+    ]
     verdicts = {}
     for k in ks:
         bad = [s for s in steps if s.certificates[k].certified_negative]
         verdicts[k] = "k-divisible on grid" if not bad else "not k-divisible on grid"
     return DivisibilityReport(grid=dm.grid, ks=ks, steps=steps, verdicts=verdicts)
+
+
+def _log_search(k, d, restarts, certs):
+    if k >= d:
+        _log.debug("k=%d: exact minimum eigenvalues, no kpos_scan call", k)
+    else:
+        per_call = maps.kpos_maps_per_call(d, d, k, restarts)
+        rows = [restarts * min(per_call, len(certs) - lo) for lo in range(0, len(certs), per_call)]
+        _log.debug("k=%d: %d stacked kpos_scan call(s), rows per call %s", k, len(rows), rows)
+    for j, c in enumerate(certs):
+        _log.debug("k=%d step %d: restarts_converged=%d of %d, spread=%.3g",
+                   k, j, c.restarts_converged, c.restarts_used, c.spread)
 
 
 # ---------------------------------------------------------------------------

@@ -276,32 +276,79 @@ def k_positivity(m: QuantumMap, k: int, restarts: int = 64, seed: int = 0) -> Po
     psi = sum_i L[:, i] (x) U[:, i] runs; each half-step solves its factor's
     minimum-eigenvector problem exactly, so the objective is monotone.
     Deterministic for a fixed seed (all start points derive from it).
+    Runs as ``k_positivity_many([m], k, restarts, [seed])[0]``.
     """
-    if not 1 <= k <= m.dimIn:
-        raise ValueError(f"k must be in [1, {m.dimIn}], got {k}")
+    return k_positivity_many([m], k, restarts, [seed])[0]
+
+
+def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertificate]:
+    """``k_positivity`` of every map in ``ms``, with ``restarts`` start points
+    drawn from each map's own entry of ``seeds``.
+
+    The maps must share dimensions.  On the exact-eigenvalue path each map
+    gets its own eigendecomposition.  Otherwise the searches of all maps run
+    as groups of one stacked ``_accel.kpos_scan`` call, split into several
+    calls only where a call would hold more than
+    ``_accel.KPOS_STACK_ENTRIES`` Hessian entries.  Every restart follows
+    the iterates it follows alone, so each certificate is bit for bit the
+    one ``k_positivity`` gives for that map and seed.
+    """
+    ms, seeds = list(ms), list(seeds)
+    if not ms:
+        raise ValueError("k_positivity_many needs at least one map")
+    if len(seeds) != len(ms):
+        raise ValueError(f"need one seed per map: {len(seeds)} seeds for {len(ms)} maps")
+    dA, dB = ms[0].dimOut, ms[0].dimIn
+    if any((m.dimOut, m.dimIn) != (dA, dB) for m in ms):
+        raise ValueError("maps must share dimensions")
+    if not 1 <= k <= dB:
+        raise ValueError(f"k must be in [1, {dB}], got {k}")
     check_restarts(restarts)
-    j = choi(m)
-    j = (j + j.conj().T) / 2
-    dA, dB = m.dimOut, m.dimIn
+    js = []
+    for m in ms:
+        j = choi(m)
+        js.append((j + j.conj().T) / 2)
     if k >= min(dA, dB):
-        dec = linalg.eigh(j)
-        psi = dec.eigenvectors[:, 0]
-        val = choi_quadratic_form(j, psi)
-        verdict = "certified-negative" if val < CERT_NEG_TOL else "heuristically-nonnegative"
-        return PositivityCertificate(k, val, psi, 0, verdict, 0, 0.0)
-    rng = np.random.default_rng(seed)
-    shape_l = (restarts, dA, k)
-    shape_u = (restarts, dB, k)
-    starts_l = rng.standard_normal(shape_l) + 1j * rng.standard_normal(shape_l)
-    starts_u = rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u)
-    j4 = np.ascontiguousarray(j.reshape(dA, dB, dA, dB))
-    best, best_l, best_u, vals, converged = _accel.kpos_scan(j4, dA, dB, k, starts_l, starts_u)
-    psi = np.einsum("ai,bi->ab", best_l, best_u).reshape(dA * dB)
-    psi = psi / np.linalg.norm(psi)
+        certs = []
+        for j in js:
+            psi = linalg.eigh(j).eigenvectors[:, 0]
+            certs.append(_certificate(k, j, psi, 0, 0, 0.0))
+        return certs
+    starts_l, starts_u = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        shape_l = (restarts, dA, k)
+        shape_u = (restarts, dB, k)
+        starts_l.append(rng.standard_normal(shape_l) + 1j * rng.standard_normal(shape_l))
+        starts_u.append(rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u))
+    j4 = np.stack([j.reshape(dA, dB, dA, dB) for j in js])
+    per_call = kpos_maps_per_call(dA, dB, k, restarts)
+    certs = []
+    for lo in range(0, len(ms), per_call):
+        hi = min(lo + per_call, len(ms))
+        bests, best_l, best_u, vals, converged = _accel.kpos_scan(
+            j4[lo:hi], dA, dB, k,
+            np.concatenate(starts_l[lo:hi]), np.concatenate(starts_u[lo:hi]))
+        for g in range(hi - lo):
+            psi = np.einsum("ai,bi->ab", best_l[g], best_u[g]).reshape(dA * dB)
+            psi = psi / np.linalg.norm(psi)
+            spread = float(np.median(vals[g]) - bests[g])
+            certs.append(_certificate(k, js[lo + g], psi, restarts,
+                                      int(converged[g].sum()), spread))
+    return certs
+
+
+def kpos_maps_per_call(dA: int, dB: int, k: int, restarts: int) -> int:
+    """How many maps' searches one ``kpos_scan`` call stacks: as many as keep
+    rows x (max(dA, dB) * k)^2 within ``_accel.KPOS_STACK_ENTRIES``, and at
+    least one."""
+    return max(1, _accel.KPOS_STACK_ENTRIES // (restarts * (max(dA, dB) * k) ** 2))
+
+
+def _certificate(k, j, psi, restarts, converged, spread) -> PositivityCertificate:
     val = choi_quadratic_form(j, psi)
     verdict = "certified-negative" if val < CERT_NEG_TOL else "heuristically-nonnegative"
-    spread = float(np.median(vals) - best)
-    return PositivityCertificate(k, val, psi, restarts, verdict, int(converged.sum()), spread)
+    return PositivityCertificate(k, val, psi, restarts, verdict, converged, spread)
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,8 @@ def test_channel_distance_logs_restart_statistics(caplog):
 QUBIT = maps.random_cptp(2, 2, 50)
 MULTISTART = {
     "k_positivity": lambda r: maps.k_positivity(transposition_map(2), 1, restarts=r),
+    "k_positivity_many": lambda r: maps.k_positivity_many(
+        [transposition_map(2), QUBIT], 1, r, [0, 1]),
     "divisibility_report": lambda r: dynamics.divisibility_report(
         dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(1, 3)), [1],
         restarts=r),

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,27 @@ class TestPropagate:
         out = dm.maps[-1].apply(rho)
         assert np.abs(out - np.diag([1.0, 0.0])).max() < 1e-6
 
+    def test_rk4_evaluates_generator_once_per_time_point(self, monkeypatch):
+        # Each step starts from the generator its predecessor ended with;
+        # re-evaluating it there took 1902 calls on this grid.
+        times = []
+        superop = GkslGenerator.superop
+
+        def counted(self, t):
+            times.append(t)
+            return superop(self, t)
+
+        monkeypatch.setattr(GkslGenerator, "superop", counted)
+        propagate(model("eternal"), time_grid(2, 7))
+        assert len(times) == 1274
+
+    def test_eternal_superoperator_pinned(self):
+        s = propagate(model("eternal"), time_grid(2, 7)).maps[-1].superop
+        a, b, c = (float.fromhex(x) for x in (
+            "0x1.04b0556e07755p-1", "0x1.04b0556e08538p-1", "0x1.f69f5523f1153p-2"))
+        expected = np.array([[a, 0, 0, c], [0, b, 0, 0], [0, 0, b, 0], [c, 0, 0, a]])
+        assert np.array_equal(s, expected)
+
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError):
             propagate(model("eternal"), np.array([0.5, 1.0]))
@@ -258,6 +281,22 @@ class TestDivisibilityReport:
         doc = rep.to_jsonable()["steps"][0]["certificates"]["1"]
         assert doc["restarts_converged"] == cert.restarts_converged
         assert doc["spread"] == cert.spread
+
+
+def test_report_logs_search_statistics(caplog):
+    dm = propagate(model("eternal"), time_grid(2, 7))
+    with caplog.at_level(logging.DEBUG, logger="nonmarkov.dynamics"):
+        rep = divisibility_report(dm, ks=[1, 2], restarts=40, seed=0)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[0] == "k=1: 1 stacked kpos_scan call(s), rows per call [240]"
+    assert messages[7] == "k=2: exact minimum eigenvalues, no kpos_scan call"
+    for k, first in ((1, 1), (2, 8)):
+        for j, s in enumerate(rep.steps):
+            c = s.certificates[k]
+            assert messages[first + j] == (
+                f"k={k} step {j}: restarts_converged={c.restarts_converged} of "
+                f"{c.restarts_used}, spread={c.spread:.3g}")
+    assert len(messages) == 14
 
 
 class TestModelLibrary:

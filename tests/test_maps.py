@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from nonmarkov.maps import (
     is_cptp,
     is_unital,
     k_positivity,
+    k_positivity_many,
     kraus_decomposition,
     replacer,
     transposition_map,
@@ -336,6 +339,84 @@ class TestKposScan:
         assert val == single[r][0]
         assert np.array_equal(best_l, single[r][1])
         assert np.array_equal(best_u, single[r][2])
+
+
+def certificate_bits(c):
+    return (float(c.min_value).hex(), c.witness.tobytes(), c.restarts_used,
+            c.restarts_converged, float(c.spread).hex(), c.verdict)
+
+
+def library_family(name):
+    m = dynamics.model(name)
+    if isinstance(m, dynamics.TotalSystemModel):
+        return dynamics.reduce(m, dynamics.time_grid(2, 7))
+    return dynamics.propagate(m, dynamics.time_grid(2, 7))
+
+
+def counting_kpos_scan(monkeypatch):
+    """Replace _accel.kpos_scan by a wrapper; returns the list of the row
+    counts of its calls."""
+    rows = []
+    scan = _accel.kpos_scan
+
+    def counted(*args, **kwargs):
+        rows.append(args[4].shape[0])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(_accel, "kpos_scan", counted)
+    return rows
+
+
+class TestKPositivityMany:
+    """One stacked search over several maps against one search per map."""
+
+    @pytest.mark.parametrize("name", sorted(dynamics.MODEL_DESCRIPTIONS))
+    def test_matches_one_map_at_a_time(self, name):
+        dm = library_family(name)
+        vs = [dynamics.intermediate(dm, j + 1, j) for j in range(len(dm) - 1)]
+        seeds = [np.random.SeedSequence(entropy=9, spawn_key=(j, 1)) for j in range(len(vs))]
+        batch = k_positivity_many(vs, 1, 16, seeds)
+        alone = [k_positivity(v, 1, 16, s) for v, s in zip(vs, seeds)]
+        assert [certificate_bits(c) for c in batch] == [certificate_bits(c) for c in alone]
+
+    def test_exact_path_per_map(self):
+        ms = [maps.random_cptp(2, 2, 40), transposition_map(2)]
+        batch = k_positivity_many(ms, 2, 4, [0, 1])
+        assert [certificate_bits(c) for c in batch] == [
+            certificate_bits(k_positivity(m, 2, 4, s)) for m, s in zip(ms, [0, 1])]
+
+    def test_empty_list(self):
+        with pytest.raises(ValueError, match="at least one map"):
+            k_positivity_many([], 1, 8, [])
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="share dimensions"):
+            k_positivity_many([identity_map(2), identity_map(3)], 1, 8, [0, 1])
+
+    def test_one_seed_per_map(self):
+        with pytest.raises(ValueError, match="one seed per map"):
+            k_positivity_many([identity_map(2), identity_map(2)], 1, 8, [0])
+
+    def test_k_out_of_range(self):
+        with pytest.raises(ValueError, match="k must be"):
+            k_positivity_many([identity_map(2)], 3, 8, [0])
+
+    def test_qubit_report_is_one_call_per_searched_k(self, monkeypatch):
+        # k = 2 takes the exact path on qubits, so only k = 1 searches.
+        rows = counting_kpos_scan(monkeypatch)
+        dm = library_family("eternal")
+        dynamics.divisibility_report(dm, ks=[1, 2], restarts=40, seed=0)
+        assert rows == [6 * 40]
+
+    def test_split_report_is_identical(self, monkeypatch):
+        dm = library_family("eternal")
+        whole = dynamics.divisibility_report(dm, ks=[1, 2], restarts=40, seed=0)
+        rows = counting_kpos_scan(monkeypatch)
+        # Two steps of 40 restarts of 2x2 Hessians fill one call.
+        monkeypatch.setattr(_accel, "KPOS_STACK_ENTRIES", 2 * 40 * 2**2)
+        split = dynamics.divisibility_report(dm, ks=[1, 2], restarts=40, seed=0)
+        assert rows == [80, 80, 80]
+        assert json.dumps(split.to_jsonable()) == json.dumps(whole.to_jsonable())
 
 
 class TestCompositionAssociativity:

@@ -105,3 +105,19 @@ def test_divergences_contract_under_positive_non_cp_maps(step, s1, s2):
 
     before = divergences(rho, sigma)
     assert np.all(divergences(_apply(v, rho), _apply(v, sigma)) <= before + 1e-9)
+
+
+@PROPERTY
+@given(k=st.sampled_from([1, 2]), seeds=st.lists(SEEDS, min_size=1, max_size=4),
+       rank=st.integers(1, 3))
+def test_k_positivity_many_matches_one_map_at_a_time(k, seeds, rank):
+    # The stacked search gives every map bit for bit its own certificate.
+    ms = [maps.random_cptp(3, rank, s) for s in seeds]
+
+    def bits(c):
+        return (float(c.min_value).hex(), c.witness.tobytes(), c.restarts_converged,
+                float(c.spread).hex(), c.verdict)
+
+    batch = maps.k_positivity_many(ms, k, 8, seeds)
+    assert [bits(c) for c in batch] == [bits(maps.k_positivity(m, k, 8, s))
+                                        for m, s in zip(ms, seeds)]
