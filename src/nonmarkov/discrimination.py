@@ -1,7 +1,7 @@
 """State and channel discrimination: the two-state closed form, guessing
 probability as a semidefinite program, ancilla-assisted channel guessing,
-ancilla-graded channel distances, the diamond norm, the completely-bounded
-norm consistency check, the bipartite square norm, and operational fidelity.
+ancilla-graded channel distances, the diamond norm, the bipartite square
+norm, and operational fidelity.
 
 Ancilla-assisted guessing between two channels is Helstrom's closed form
 over the best input, (1 + channel distance) / 2, found by the same
@@ -268,44 +268,6 @@ def channel_fidelity_program(e1: QuantumMap, e2: QuantumMap) -> sdp.SdpProblem:
         b=b,
         sense="max",
     )
-
-
-def cb_norm_check(m: QuantumMap, restarts: int = 32, seed: int = 0,
-                  iters: int = 60) -> dict:
-    """|value of ||id (x) adjoint(m)||_inf  -  diamond_norm(m)|.
-
-    The completely-bounded norm of the Heisenberg-picture dual is evaluated
-    by alternating ascent over unit-operator-norm inputs and unit vectors;
-    documented as a consistency residual (<= 1e-3 on qubit instances).
-    """
-    maps.check_restarts(restarts)
-    adj = maps.adjoint(m)
-    big = maps.amplify(adj, adj.dimIn)
-    dim_in = adj.dimIn * adj.dimIn
-    dim_out = adj.dimIn * adj.dimOut
-    big_fwd = maps.amplify(m, m.dimIn)
-    rng = np.random.default_rng(seed)
-    best = -math.inf
-    for _ in range(restarts):
-        x = rng.standard_normal((dim_in, dim_in)) + 1j * rng.standard_normal((dim_in, dim_in))
-        x /= linalg.operator_norm(x)
-        val = -math.inf
-        for _ in range(iters):
-            y = big.apply(x)
-            uu, sv, vh = np.linalg.svd(y)
-            new_val = float(sv[0])
-            u, v = uu[:, 0], vh[0, :].conj()
-            # linear functional Tr(G X) with G = (id (x) m)(|v><u|)
-            g = big_fwd.apply(np.outer(v, u.conj()))
-            gu, gs, gvh = np.linalg.svd(g)
-            x = (gu @ gvh).conj().T  # polar unitary maximizing Re Tr(G X)
-            if abs(new_val - val) <= 1e-12 * max(1.0, abs(new_val)):
-                val = new_val
-                break
-            val = new_val
-        best = max(best, val)
-    dia = diamond_norm(m)
-    return {"cb_value": float(best), "diamond": dia, "residual": float(abs(best - dia))}
 
 
 def square_norm(x, dB: int, restarts: int = 64, seed: int = 0,

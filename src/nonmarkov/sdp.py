@@ -24,16 +24,20 @@ regularization.
 every ``A`` stack (``C`` and ``b`` may differ) in one iteration, and
 ``solve(p)`` is ``solve_many([p])[0]``.  The state is one stack per
 distinct block size, with a leading axis over (problem, block), and X and Z
-share it: per iteration each block size costs one Cholesky call for X and
-Z, one ``inv`` of the Z factors and, for each of the two step-length tests,
-one pair of ``solve`` calls against the Cholesky factors and one
-``eigvalsh``; the Schur factorization and its solves are one stacked call
-each, whatever the number of blocks or problems.  Each problem keeps its
-own iteration count, exit test, infeasibility tests and certified iterate,
-and leaves the stack when it stops.  A failed Schur factorization is
-redone problem by problem with each problem's own regularization, and any
-other breakdown of a stacked step redoes that step problem by problem, so
-one failing problem ends only itself.
+share it.  Per iteration each block size costs one ``cholesky`` and one
+``inv`` call on the X-and-Z stack, whose inverse factors give Z^-1 and both
+step-length tests, and one ``eigvalsh`` call per step-length test, on
+L^-1 dW L^-T for W = L L^T.  The Schur complement costs one ``cholesky``,
+which tests it for positive definiteness, and each of the two Newton
+systems one ``solve`` against the matrix that factor represents.  These
+counts hold whatever the number of blocks or problems.  Each problem keeps
+its own iteration count, exit test, infeasibility tests and certified
+iterate, and leaves the stack when it stops.  A failed Schur factorization
+is redone problem by problem with each problem's own regularization, and
+any other breakdown of a stacked step redoes that step problem by problem,
+so one failing problem ends only itself.  Each finished problem logs its
+status, iterations, residuals and gap at DEBUG on the ``nonmarkov.sdp``
+logger.
 
 An "optimal" solution meets feasibility 1e-8 * max(1, |b_i|), normalised
 dual residual 1e-8 and gap 1e-8 * (1 + |primal|); the returned
@@ -56,20 +60,24 @@ slice, and the products keep their matrix-vector shapes ((m, d^2) times
 (q, 1, n) times (q, n, 1) products, which repeat ``np.vdot``, and sums over
 blocks run in block order.  Scalar recurrences such as the centering
 parameter (mu_aff / mu)^3 are evaluated on Python floats per problem: the
-vectorized power can differ from the scalar one in the last bit.  Triangular
-solvers (``scipy.linalg.solve_triangular``, ``cho_solve``) would round
-differently from the general ``solve`` used here.  A threaded GEMM sums in
-another order, so the last bits of larger programs can change with the
+vectorized power can differ from the scalar one in the last bit.  The last
+bits of the step still depend on how it is computed (the order of the
+products in L^-1 dW L^-T, solving against the Schur matrix or its factors),
+and an iterate close to the boundary can turn on them.  A threaded GEMM sums
+in another order, so the last bits of larger programs can change with the
 thread count.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_log = logging.getLogger(__name__)
 
 MAX_ITER = 200
 FRACTION_TO_BOUNDARY = 0.98
@@ -355,8 +363,10 @@ def solve_many(problems) -> list[SdpSolution]:
         """One predictor-corrector step of a stack; raises LinAlgError on a
         breakdown anywhere in it."""
         x = [wc[0] for wc in w]
-        lw = [np.linalg.cholesky(wc) for wc in w]
-        zinv = [li.swapaxes(-1, -2) @ li for li in (np.linalg.inv(lc[1]) for lc in lw)]
+        # Inverse Cholesky factors of X and Z, one (2, q, nb, d, d) stack.
+        linv = [np.linalg.inv(np.linalg.cholesky(wc)) for wc in w]
+        linv_t = [li.swapaxes(-1, -2) for li in linv]
+        zinv = [lt[1] @ li[1] for li, lt in zip(linv, linv_t)]
 
         # Schur complement M[i, j] = <A_i, X A_j Z^{-1}>, one block at a time
         # so that the (q, m, d, d) temporaries stay small.
@@ -365,9 +375,10 @@ def solve_many(problems) -> list[SdpSolution]:
             .reshape(len(y), m, -1).swapaxes(-1, -2)
             for r, d, c, j in zip(rows, dims, cls, pos)
         )
-        schur = (schur + schur.swapaxes(-1, -2)) / 2
-        chol = schur_factor(schur)
-        chol_t = chol.swapaxes(-1, -2)
+        # The Newton systems solve against the matrix the accepted factor
+        # represents, regularized or not.
+        chol = schur_factor((schur + schur.swapaxes(-1, -2)) / 2)
+        schur = chol @ chol.swapaxes(-1, -2)
         xrz = [xc @ rc @ zi for xc, rc, zi in zip(x, rd, zinv)]
 
         def newton(sigma_mu, corr):
@@ -379,8 +390,7 @@ def solve_many(problems) -> list[SdpSolution]:
                 targ = [t - c - xr for t, c, xr in zip(base, corr, xrz)]
             else:
                 targ = [t - xr for t, xr in zip(base, xrz)]
-            dy = np.linalg.solve(chol_t, np.linalg.solve(chol, (rp - a_op(targ))[..., None]))
-            dy = dy[..., 0]
+            dy = np.linalg.solve(schur, (rp - a_op(targ))[..., None])[..., 0]
             dw = []
             for k, (t, xc, rc, ac, zi) in enumerate(zip(base, x, rd, at_op(dy), zinv)):
                 dc = np.empty((2,) + t.shape)
@@ -394,11 +404,11 @@ def solve_many(problems) -> list[SdpSolution]:
             return dw, dy
 
         def max_steps(dw):
-            # Largest steps (<= 1) keeping X + a dX and Z + a dZ PSD: (2, q).
+            # Largest steps (<= 1) keeping X + a dX and Z + a dZ PSD: (2, q),
+            # from the spectrum of L^-1 dW L^-T with W = L L^T.
             lam = None
-            for lc, dc in zip(lw, dw):
-                t = np.linalg.solve(lc, dc)
-                t = np.linalg.solve(lc, t.swapaxes(-1, -2)).swapaxes(-1, -2)
+            for li, lt, dc in zip(linv, linv_t, dw):
+                t = li @ (dc @ lt)
                 low = np.linalg.eigvalsh((t + t.swapaxes(-1, -2)) / 2)[..., 0]
                 low = np.fmin.reduce(low, axis=-1)  # over the blocks of the class
                 lam = low if lam is None else np.fmin(lam, low)
@@ -427,6 +437,9 @@ def solve_many(problems) -> list[SdpSolution]:
         ws, ys, r = state
         w1, y1 = [wc[:, r:r + 1] for wc in ws], ys[r:r + 1]
         _, _, p_res, d_res, pv, dv, gap = measure(w1, y1, *problem_rows([i]))
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("%s after %d iterations: primal_residual=%.3g dual_residual=%.3g "
+                       "gap=%.3g", status, it, p_res[0], d_res[0], gap[0])
         return SdpSolution(
             X=[_unembed(w1[c][0, 0, j]) for c, j in zip(cls, pos)],
             y=y1[0].copy(),

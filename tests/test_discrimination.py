@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -124,13 +125,14 @@ class TestPGuessChannels:
         assert vals[0] <= vals[1] + 1e-6
 
     # float.hex of seeded seesaw calls with the default iters and tol,
-    # recorded when each restart still ran its own seesaw; the restarts stop
-    # at different steps.  Public pair calls take the Helstrom route, so the
+    # recorded when each restart still ran its own seesaw (the restarts stop
+    # at different steps) and re-recorded when the solver's step changed its
+    # last bits.  Public pair calls take the Helstrom route, so the
     # pair entries run the seesaw directly.
     PINNED = {
-        ("pair", 1): "0x1.d7dc1df288b8ep-1",
-        ("pair", 2): "0x1.d7dc1dfb34610p-1",
-        ("triple", 2): "0x1.974e0fd56acc3p-1",
+        ("pair", 1): "0x1.d7dc1df288b8ap-1",
+        ("pair", 2): "0x1.d7dc1dfb3460ep-1",
+        ("triple", 2): "0x1.974e0fd56abbep-1",
     }
 
     @staticmethod
@@ -285,7 +287,7 @@ MULTISTART = {
     "channel_distance": lambda r: disc.channel_distance(QUBIT, QUBIT, 0.5, 1, restarts=r),
     "p_guess_channels": lambda r: disc.p_guess_channels(
         [0.5, 0.5], [QUBIT, QUBIT], 1, restarts=r),
-    "cb_norm_check": lambda r: disc.cb_norm_check(QUBIT, restarts=r),
+    "cb_norm_check": lambda r: cb_norm_check(QUBIT, restarts=r),
     "square_norm": lambda r: disc.square_norm(np.eye(4), 2, restarts=r),
 }
 
@@ -336,21 +338,58 @@ class TestDiamondNorm:
         assert lower - 1e-7 <= disc.diamond_norm(m) <= 2.0 + 1e-7
 
 
+def cb_norm_check(m, restarts: int = 32, seed: int = 0, iters: int = 60) -> dict:
+    """|value of ||id (x) adjoint(m)||_inf  -  diamond_norm(m)|: an oracle
+    for ``diamond_norm`` by the duality of the two norms.
+
+    The completely-bounded norm of the Heisenberg-picture dual is evaluated
+    by alternating ascent over unit-operator-norm inputs and unit vectors;
+    the residual is within 1e-3 on qubit instances.
+    """
+    maps.check_restarts(restarts)
+    adj = maps.adjoint(m)
+    big = maps.amplify(adj, adj.dimIn)
+    dim_in = adj.dimIn * adj.dimIn
+    big_fwd = maps.amplify(m, m.dimIn)
+    rng = np.random.default_rng(seed)
+    best = -math.inf
+    for _ in range(restarts):
+        x = rng.standard_normal((dim_in, dim_in)) + 1j * rng.standard_normal((dim_in, dim_in))
+        x /= linalg.operator_norm(x)
+        val = -math.inf
+        for _ in range(iters):
+            y = big.apply(x)
+            uu, sv, vh = np.linalg.svd(y)
+            new_val = float(sv[0])
+            u, v = uu[:, 0], vh[0, :].conj()
+            # linear functional Tr(G X) with G = (id (x) m)(|v><u|)
+            g = big_fwd.apply(np.outer(v, u.conj()))
+            gu, gs, gvh = np.linalg.svd(g)
+            x = (gu @ gvh).conj().T  # polar unitary maximizing Re Tr(G X)
+            if abs(new_val - val) <= 1e-12 * max(1.0, abs(new_val)):
+                val = new_val
+                break
+            val = new_val
+        best = max(best, val)
+    dia = disc.diamond_norm(m)
+    return {"cb_value": float(best), "diamond": dia, "residual": float(abs(best - dia))}
+
+
 class TestCbNorm:
     def test_unitary(self):
         u = states.random_unitary(2, 23)
-        rep = disc.cb_norm_check(unitary_map(u), restarts=8, seed=9)
+        rep = cb_norm_check(unitary_map(u), restarts=8, seed=9)
         assert rep["cb_value"] == pytest.approx(1.0, abs=1e-6)
         assert rep["residual"] <= 1e-3
 
     def test_random_cptp(self):
         m = maps.random_cptp(2, 2, 24)
-        rep = disc.cb_norm_check(m, restarts=8, seed=10)
+        rep = cb_norm_check(m, restarts=8, seed=10)
         assert rep["residual"] <= 1e-3
 
     def test_scaled_homogeneity(self):
         m = maps.random_cptp(2, 2, 25)
-        rep = disc.cb_norm_check(maps.scale_map(m, 2.0), restarts=8, seed=11)
+        rep = cb_norm_check(maps.scale_map(m, 2.0), restarts=8, seed=11)
         assert rep["cb_value"] == pytest.approx(2.0, abs=1e-3)
         assert rep["diamond"] == pytest.approx(2.0, abs=1e-6)
 
