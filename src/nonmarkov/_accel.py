@@ -12,6 +12,13 @@ each matrix of a stack on its own and the batched contractions sum in the
 same order as unbatched ones, so every restart follows bit for bit the
 iterates it would follow alone.
 
+Two pieces of a ``kpos_scan`` sweep skip LAPACK where a closed form exists.
+At k = 1 a factor has one column, and its orthonormal basis is the column
+divided by its norm.  A 2x2 Hessian (a qubit factor at k = 1) takes its
+lowest eigenpair from the 2x2 formula instead of a stacked ``eigh``, whose
+cost at that size is almost all per-matrix overhead.  Both work row by row
+with elementwise operations, so the bit-for-bit guarantee above still holds.
+
 A ``kpos_scan`` call may also search several Choi matrices at once, one
 group of restarts each.  ``maps.k_positivity_many`` stacks every step of a
 divisibility report this way, so the rows of a call are steps x restarts
@@ -20,8 +27,9 @@ and a sweep pays its fixed cost once per report instead of once per step.
 Memory scales as rows x one quadratic-form matrix: a ``kpos_scan`` sweep
 holds one stack of Hessians of size (d*k)^2, one per row, and up to four
 such stacks are alive at once (the Hessians, their Hermitian parts,
-LAPACK's working copy and the eigenvectors).  ``k_positivity_many`` puts
-whole steps into one call only while rows x (d*k)^2 stays within
+LAPACK's working copy and the eigenvectors; the 2x2 closed form needs only
+the Hessians).  ``k_positivity_many`` puts whole steps into one call only
+while rows x (d*k)^2 stays within
 ``KPOS_STACK_ENTRIES``, the size of one search of 64 restarts at d=16 and
 k=15: one stack is 64 x 240^2 complex128 = 59 MB, about 0.24 GB in all.
 A single step above the cap still runs, alone in its call.
@@ -49,6 +57,53 @@ def _herm(h):
     return (h + h.conj().swapaxes(-1, -2)) / 2
 
 
+def _row_norms(x):
+    """2-norm of each row of a (rows, n) stack, from the real dot products
+    np.linalg.norm takes on one vector, so a row gets the same bits in any
+    stack."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _orthonormalize(x):
+    """Orthonormal basis of the column span of each (n, k) matrix in a stack.
+
+    One column is divided by its norm; the phase QR would give it changes
+    no quadratic form.  Wider factors take the Q of ``np.linalg.qr``.
+    """
+    if x.shape[-1] > 1:
+        return np.linalg.qr(x)[0]
+    return x / _row_norms(x[:, :, 0])[:, None, None]
+
+
+def _lowest_eigpair(h):
+    """Lowest eigenvalue and a unit eigenvector of the Hermitian part of
+    each matrix in a (rows, n, n) stack.
+
+    A 2x2 stack takes the closed form, row by row: with a, c the real
+    diagonal, b the mean of h01 and conj(h10), delta = (a - c) / 2 and
+    r = hypot(delta, |b|), the eigenvalue is (a + c) / 2 - r with the
+    eigenvector (-b, r + delta) if delta >= 0, else (r - delta, -conj b),
+    so that no component is a difference of near-equal terms; a multiple
+    of the identity (r = 0) gives e1.  Any other size takes
+    ``np.linalg.eigh``.
+    """
+    if h.shape[-1] != 2:
+        w, v = np.linalg.eigh(_herm(h))
+        return w[:, 0], v[:, :, 0]
+    a = h[:, 0, 0].real
+    c = h[:, 1, 1].real
+    b = (h[:, 0, 1] + h[:, 1, 0].conj()) / 2
+    delta = (a - c) / 2
+    r = np.hypot(delta, np.abs(b))
+    upper = delta >= 0
+    v = np.empty((h.shape[0], 2), dtype=np.complex128)
+    v[:, 0] = np.where(upper, -b, r - delta)
+    v[:, 1] = np.where(upper, r + delta, -b.conj())
+    v[r == 0] = (1.0, 0.0)
+    v /= np.hypot(np.abs(v[:, 0]), np.abs(v[:, 1]))[:, None]
+    return (a + c) / 2 - r, v
+
+
 def _stopped(new_val, val, tol):
     """Per-restart stop test |new - old| <= tol * max(1, |new|)."""
     return np.abs(new_val - val) <= tol * np.maximum(1.0, np.abs(new_val))
@@ -59,7 +114,11 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
     rank <= k, parameterized psi = sum_i L[:, i] (x) U[:, i].
 
     Alternates exact minimum-eigenvector solves in the L and U factors
-    (monotone per iteration) from every start pair at once.  Returns
+    (monotone per iteration) from every start pair at once.  Each half-step
+    orthonormalizes a factor (a division by its norm at k = 1, else the Q
+    of ``qr``) and takes the lowest eigenpair of a (d*k)^2 Hessian (the
+    closed form at size 2, else ``eigh``); see ``_orthonormalize`` and
+    ``_lowest_eigpair``.  Returns
     ``(value, L, U, values, converged)``: the best restart (the first one
     reaching the minimum), then every restart's final value and whether its
     tolerance test passed within ``iters`` sweeps.
@@ -67,10 +126,11 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
     ``J4`` may also be a ``(g, dA, dB, dA, dB)`` stack of Choi tensors.  The
     rows of ``starts_L``/``starts_U`` then split evenly into g groups, in
     order, and group i searches ``J4[i]``.  Each sweep makes one ``einsum``
-    per group over its contiguous span of active rows and runs the ``qr``
-    and ``eigh`` calls once over all of them.  The best value, L and U then
-    gain a leading group axis, and ``values`` and ``converged`` have shape
-    (g, restarts per group).
+    per group over its contiguous span of active rows and runs the
+    orthonormalizations and eigenpairs once over all of them; these work
+    per row, so a batched call is bit-identical to each group run alone.
+    The best value, L and U then gain a leading group axis, and ``values``
+    and ``converged`` have shape (g, restarts per group).
     """
     J4 = np.ascontiguousarray(J4)
     stacked = J4.ndim == 5
@@ -100,20 +160,20 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
     for _ in range(iters):
         if active.size == 0:
             break
-        # Re-parameterize: QR preserves the factor's span, so each exact
-        # eigen-solve below searches a superset of the previous state.
-        u, _ = np.linalg.qr(U[active])
+        # Re-parameterize: an orthonormal basis preserves the factor's span,
+        # so each exact eigen-solve below searches a superset of the
+        # previous state.
+        u = _orthonormalize(U[active])
         # L-step: quadratic form matrix over vec(L), U orthonormal
         h = quadratic_forms(u, active, "rbi,abcd,rdj->raicj", dA * k)
-        _, v = np.linalg.eigh(_herm(h))
-        l, _ = np.linalg.qr(v[:, :, 0].reshape(-1, dA, k))
+        _, v = _lowest_eigpair(h)
+        l = _orthonormalize(v.reshape(-1, dA, k))
         # U-step: quadratic form over vec(U), L orthonormal; afterwards
         # the pair (L, U) is exactly the state achieving new_val.
         h = quadratic_forms(l, active, "rai,abcd,rcj->rbidj", dB * k)
-        w, v = np.linalg.eigh(_herm(h))
-        new_val = w[:, 0]
+        new_val, v = _lowest_eigpair(h)
         L[active] = l
-        U[active] = v[:, :, 0].reshape(-1, dB, k)
+        U[active] = v.reshape(-1, dB, k)
         done = _stopped(new_val, val[active], tol)
         val[active] = new_val
         converged[active[done]] = True
@@ -141,10 +201,7 @@ def tracenorm_scan(T4, starts, iters=80, tol=1e-13):
     T4 = np.ascontiguousarray(T4)
     T4c = T4.conj()
     psi = np.array(starts, dtype=np.complex128)
-    # The real dot products np.linalg.norm takes on one vector, per row, so a
-    # restart starts from the same bits as it would alone.
-    norms = np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))
-    psi /= norms[:, None]
+    psi /= _row_norms(psi)[:, None]
     val = np.full(psi.shape[0], -np.inf)
     converged = np.zeros(psi.shape[0], dtype=bool)
     active = np.arange(psi.shape[0])

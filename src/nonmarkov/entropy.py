@@ -475,26 +475,10 @@ def h_max(rho: BipartiteState) -> float:
 def q_corr(rho: BipartiteState) -> float:
     """Largest overlap with the maximally entangled state reachable by a
     channel on B, times dim A; evaluates 2^(-Hmin).
-
-    ``q_corr_channel_route`` solves the channel optimization directly.
     """
     if rho.dimA > rho.dimB:
         raise ValueError("q_corr needs dimA <= dimB")
     return float(2.0 ** (-h_min(rho)))
-
-
-def q_corr_channel_route(rho: BipartiteState) -> float:
-    """max Tr[J conj(rho)] over Choi matrices of channels B -> A."""
-    dA, dB = rho.dimA, rho.dimB
-    d = dA * dB
-    h = sdp.hermitian_basis(dB)
-    a = np.kron(np.eye(dA, dtype=complex), h)  # I_A (x) h for every h
-    c = rho.matrix.conj()
-    prob = sdp.SdpProblem(
-        blocks=[d], C=[c], A=[a], b=np.trace(h, axis1=1, axis2=2).real, sense="max"
-    )
-    sol = _solve_or_raise(prob)
-    return float(sol.primal_value)
 
 
 def q_decpl(rho: BipartiteState) -> float:

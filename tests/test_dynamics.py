@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nonmarkov import dynamics, linalg, maps, states
 from nonmarkov.dynamics import (
@@ -144,6 +145,20 @@ class TestPropagate:
         rho = states.maximally_mixed(2).matrix
         out = dm.maps[-1].apply(rho)
         assert np.abs(out - np.diag([1.0, 0.0])).max() < 1e-6
+
+    @pytest.mark.parametrize("steps", [7, 21, 201])
+    def test_constant_rate_uniform_grid_matches_expm(self, steps):
+        # Every map of a constant-rate generator is expm(L t), on uniform
+        # and on non-uniform grids alike.
+        gen = model("pauli", {"gamma1": 0.3, "gamma2": 0.7, "gamma3": 0.1})
+        l = gen.superop(0.0)
+        uniform = time_grid(2.0, steps)
+        jittered = uniform.copy()
+        jittered[1::2] += 1e-3
+        for grid in (uniform, jittered):
+            dm = propagate(gen, grid)
+            err = max(np.abs(m.superop - expm(l * t)).max() for m, t in zip(dm.maps, grid))
+            assert err <= 1e-12
 
     def test_rk4_evaluates_generator_once_per_time_point(self, monkeypatch):
         # Each step starts from the generator its predecessor ended with;

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nonmarkov import discrimination, entropy, linalg, maps, states
+from nonmarkov import discrimination, entropy, linalg, maps, sdp, states
 from nonmarkov.entropy import (
     conditional_entropy,
     conditional_renyi,
@@ -13,7 +13,6 @@ from nonmarkov.entropy import (
     h_min,
     pinched_approximation,
     q_corr,
-    q_corr_channel_route,
     q_decpl,
     relative_entropy,
     renyi_divergence,
@@ -374,6 +373,23 @@ class TestHMax:
             hmin = h_min(tri.marginal_ab())
             hmax = h_max(tri.marginal_ac())
             assert hmin + hmax == pytest.approx(0.0, abs=1e-5)
+
+
+def q_corr_channel_route(rho: BipartiteState) -> float:
+    """max Tr[J conj(rho)] over Choi matrices of channels B -> A: the channel
+    optimization behind 2^(-Hmin), solved directly as an oracle for
+    ``q_corr``."""
+    dA, dB = rho.dimA, rho.dimB
+    d = dA * dB
+    h = sdp.hermitian_basis(dB)
+    a = np.kron(np.eye(dA, dtype=complex), h)  # I_A (x) h for every h
+    c = rho.matrix.conj()
+    prob = sdp.SdpProblem(
+        blocks=[d], C=[c], A=[a], b=np.trace(h, axis1=1, axis2=2).real, sense="max"
+    )
+    sol = sdp.solve(prob)
+    assert sol.optimal, sol.status
+    return float(sol.primal_value)
 
 
 class TestOperationalQuantities:

@@ -303,22 +303,26 @@ class TestKPositivity:
         dm = dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(2, 7))
         rep = dynamics.divisibility_report(dm, ks=[1, 2], restarts=40, seed=0)
         pinned = {
-            1: ["0x1.f242c862329e2p-4", "0x1.52104b9cd2b35p-4", "0x1.9fc40fc06fef5p-5",
-                "0x1.db2738fa7a980p-6", "0x1.02f906a9cbd56p-6", "0x1.129a64259c158p-7"],
+            1: ["0x1.f242c862329e5p-4", "0x1.52104b9cd2b34p-4", "0x1.9fc40fc06fec4p-5",
+                "0x1.db2738fa7a97ep-6", "0x1.02f906a9cbd54p-6", "0x1.129a64259c143p-7"],
             2: ["-0x1.6abf75ad93db6p-43", "-0x1.4064f98ac1863p-4", "-0x1.2260c081fb4c7p-3",
                 "-0x1.7b78fa2394880p-3", "-0x1.b18486b7ebc1dp-3", "-0x1.cfef7bddab2dap-3"],
         }
         for k, values in pinned.items():
             assert [float(s.certificates[k].min_value).hex() for s in rep.steps] == values
+        # The k = 1 values that the QR and stacked-eigh sweeps gave: the
+        # closed-form 2x2 sweeps round differently but reach the same minima.
+        lapack_k1 = ["0x1.f242c862329e2p-4", "0x1.52104b9cd2b35p-4", "0x1.9fc40fc06fef5p-5",
+                     "0x1.db2738fa7a980p-6", "0x1.02f906a9cbd56p-6", "0x1.129a64259c158p-7"]
+        assert [s.certificates[1].min_value for s in rep.steps] == pytest.approx(
+            [float.fromhex(x) for x in lapack_k1], rel=1e-14)
 
 
 class TestKposScan:
     """The batched seesaw against one call per restart."""
 
-    @pytest.mark.parametrize("d, k", [(4, 1), (4, 2)])
-    def test_best_of_single_restart_runs(self, d, k):
-        # A random Hermitian J has several local minima; its restarts stop on
-        # different sweeps and some exhaust the sweep budget.
+    @staticmethod
+    def assert_best_of_single_restart_runs(d, k, iters=60):
         rng = np.random.default_rng(3)
         g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         j4 = np.ascontiguousarray(((g + g.conj().T) / 2).reshape(d, d, d, d))
@@ -326,19 +330,86 @@ class TestKposScan:
         starts_l = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         starts_u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         val, best_l, best_u, vals, converged = _accel.kpos_scan(
-            j4, d, d, k, starts_l, starts_u)
+            j4, d, d, k, starts_l, starts_u, iters)
         single = [
-            _accel.kpos_scan(j4, d, d, k, starts_l[r:r + 1], starts_u[r:r + 1])
+            _accel.kpos_scan(j4, d, d, k, starts_l[r:r + 1], starts_u[r:r + 1], iters)
             for r in range(shape[0])
         ]
-        assert len(np.unique(np.round(vals, 6))) > 1
-        assert 0 < converged.sum() < shape[0]
         assert np.array_equal(vals, [s[0] for s in single])
         assert np.array_equal(converged, [s[4][0] for s in single])
         r = int(np.argmin([s[0] for s in single]))
         assert val == single[r][0]
         assert np.array_equal(best_l, single[r][1])
         assert np.array_equal(best_u, single[r][2])
+        return vals, converged
+
+    @pytest.mark.parametrize("d, k", [(4, 1), (4, 2)])
+    def test_best_of_single_restart_runs(self, d, k):
+        # A random Hermitian J has several local minima; its restarts stop on
+        # different sweeps and some exhaust the sweep budget.
+        vals, converged = self.assert_best_of_single_restart_runs(d, k)
+        assert len(np.unique(np.round(vals, 6))) > 1
+        assert 0 < converged.sum() < len(vals)
+
+    def test_closed_form_sweeps_best_of_single_restart_runs(self):
+        # On 2 (x) 2 at k = 1 every sweep takes the closed-form 2x2 eigenpair
+        # and every restart of this J reaches one minimum; a budget of 8
+        # sweeps still makes restarts stop on different sweeps.
+        _, converged = self.assert_best_of_single_restart_runs(2, 1, iters=8)
+        assert 0 < converged.sum() < len(converged)
+
+
+def hermitian_2x2_edge_cases():
+    """2x2 Hermitian stacks on which the closed form must match eigh."""
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
+    edges = [
+        np.diag([3.0, -1.0]), np.diag([-1.0, 3.0]), np.diag([2.0, 2.0]),
+        np.zeros((2, 2)), np.array([[1.0, 2j], [-2j, 1.0]]),
+        np.array([[0.5, -3j], [3j, -0.25]]), np.array([[1.0, 1 + 1j], [1 - 1j, -1.0]]),
+    ]
+    cases = list((g + g.conj().swapaxes(1, 2)) / 2) + edges
+    # Squares of entries at these scales overflow or lose bits as subnormals.
+    for scale in (1e160, 1e-160):
+        cases += [scale * c for c in cases[:8] + edges]
+    return np.array(cases, dtype=np.complex128)
+
+
+class TestLowestEigpair:
+    """The closed-form 2x2 eigenpair against np.linalg.eigh."""
+
+    def test_matches_eigh(self):
+        h = hermitian_2x2_edge_cases()
+        lam, v = _accel._lowest_eigpair(h)
+        eps = np.finfo(float).eps
+        scale = np.linalg.norm(h, ord=2, axis=(1, 2))
+        assert np.all(np.abs(lam - np.linalg.eigvalsh(h)[:, 0]) <= 4 * eps * scale)
+        residual = np.einsum("rij,rj->ri", h, v) - lam[:, None] * v
+        assert np.all(np.linalg.norm(residual, axis=1) <= 8 * eps * scale)
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1) <= 4 * eps)
+
+    def test_multiple_of_identity_gives_e1(self):
+        h = np.array([np.zeros((2, 2)), 2 * np.eye(2)], dtype=np.complex128)
+        lam, v = _accel._lowest_eigpair(h)
+        assert np.array_equal(lam, [0.0, 2.0])
+        assert np.array_equal(v, [[1, 0], [1, 0]])
+
+    def test_reads_the_hermitian_part(self):
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
+        herm = (h + h.conj().swapaxes(1, 2)) / 2
+        lam, v = _accel._lowest_eigpair(h)
+        lam_h, v_h = _accel._lowest_eigpair(herm)
+        assert np.array_equal(lam, lam_h)
+        assert np.array_equal(v, v_h)
+
+    def test_other_sizes_take_eigh(self):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        w, u = np.linalg.eigh((g + g.conj().swapaxes(1, 2)) / 2)
+        lam, v = _accel._lowest_eigpair(g)
+        assert np.array_equal(lam, w[:, 0])
+        assert np.array_equal(v, u[:, :, 0])
 
 
 def certificate_bits(c):

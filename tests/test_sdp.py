@@ -23,6 +23,7 @@ from nonmarkov.states import (
     max_entangled,
     random_density,
 )
+from test_entropy import q_corr_channel_route
 
 
 def zeros(n):
@@ -381,7 +382,7 @@ def test_finished_solve_logged(caplog):
 
 
 def test_channel_route_pinned():
-    assert entropy.q_corr_channel_route(max_entangled(2)).hex() == "0x1.ffffffff8a12bp+0"
+    assert q_corr_channel_route(max_entangled(2)).hex() == "0x1.ffffffff8a12bp+0"
 
 
 def assert_same_solution(a, b):
