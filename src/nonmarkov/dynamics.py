@@ -2,6 +2,16 @@
 total Hamiltonian, intermediate maps, divisibility certification, and the
 named model library.
 
+``propagate`` writes a generator as L_t = L_c + sum_{k in V} r_k(t) D_k,
+with L_c the Hamiltonian part plus every constant-rate dissipator and V the
+time-varying rates.  When every r_k in V is a ``RateForm`` and L_c and the
+D_k in V commute pairwise (||[A, B]||_F <= 1e-12 ||A||_F ||B||_F), L_t
+commutes with itself at all times and the map is exactly
+expm(L_c t + sum_k R_k(t) D_k), with R_k(t) = ``r_k.integral(t)``; every
+library GKSL model is of this kind.  Any other generator (a plain-callable
+rate, or a Hamiltonian that does not commute with a time-varying
+dissipator) is integrated with RK4 and Richardson step halving.
+
 Multi-rate qubit models use the dissipator normalization
 
     L(rho) = -i [H, rho] + (1/2) sum_k gamma_k(t) (s_k rho s_k - rho)
@@ -13,7 +23,9 @@ changing it only rescales time.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +45,11 @@ CPTP_BUDGET = 1e-7
 REDUCE_BUDGET = 1e-9
 
 MAX_SUBDIVISIONS = 20  # per grid interval; beyond this the step underflowed
+
+# Generator parts A, B count as commuting when ||[A, B]||_F is at most this
+# times ||A||_F ||B||_F; on the library models no commutator entry exceeds
+# 2.5e-32, and H = sigma_x with dephasing gives a ratio of order 1.
+COMMUTE_RTOL = 1e-12
 
 _log = logging.getLogger(__name__)
 
@@ -61,6 +78,38 @@ class RateForm:
             ts = np.array([k[0] for k in knots])
             vs = np.array([k[1] for k in knots])
             return float(np.interp(t, ts, vs))
+        raise ValueError(f"unknown rate form {self.form!r}")
+
+    def integral(self, t: float) -> float:
+        """R(t) = integral of the rate over [0, t], in closed form.
+
+        sinusoid: (2a/omega) sin(phi + omega t/2) sin(omega t/2), evaluated
+        as a t sin(phi + h) sin(h)/h with h = omega t/2, which needs no
+        division by omega and is a t sin(phi) at omega = 0.  neg_tanh:
+        -log cosh t = -(|t| + log1p(exp(-2|t|)) - log 2), which cannot
+        overflow.  piecewise_linear: the trapezoid rule over 0, t and the
+        knots between them, exact for ``np.interp``'s linear pieces and
+        constant extrapolation.
+        """
+        t = float(t)
+        if self.form == "constant":
+            return self.params[0] * t
+        if self.form == "sinusoid":
+            a, omega, phi = self.params
+            h = omega * t / 2
+            sinc = math.sin(h) / h if h != 0 else 1.0
+            return a * t * math.sin(phi + h) * sinc
+        if self.form == "neg_tanh":
+            u = abs(t)
+            return -(u + math.log1p(math.exp(-2 * u)) - math.log(2))
+        if self.form == "piecewise_linear":
+            knots = self.params[0]
+            ts = np.array([k[0] for k in knots])
+            vs = np.array([k[1] for k in knots])
+            pts = np.concatenate(([0.0], ts[(ts > 0) & (ts < t)], [t]))
+            # Overflow shows as a non-finite integral, which propagate rejects.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(np.trapezoid(np.interp(pts, ts, vs), pts))
         raise ValueError(f"unknown rate form {self.form!r}")
 
     @property
@@ -92,6 +141,10 @@ def rate_neg_tanh() -> RateForm:
 
 def rate_piecewise_linear(knots) -> RateForm:
     ks = tuple((float(t), float(v)) for t, v in knots)
+    if not ks:
+        raise ValueError("piecewise_linear needs at least one knot")
+    if not all(math.isfinite(t) and math.isfinite(v) for t, v in ks):
+        raise ValueError("piecewise_linear knots must be finite")
     if any(ks[i + 1][0] <= ks[i][0] for i in range(len(ks) - 1)):
         raise ValueError("piecewise_linear knots must have increasing times")
     return RateForm("piecewise_linear", (ks,))
@@ -103,15 +156,21 @@ def rate_from_spec(spec) -> RateForm:
         return spec
     if isinstance(spec, (int, float)):
         return rate_constant(spec)
-    form = spec["form"]
+
+    def need(key):
+        if key not in spec:
+            raise ValueError(f"rate spec {spec!r} lacks the key {key!r}")
+        return spec[key]
+
+    form = need("form")
     if form == "constant":
-        return rate_constant(spec["c"])
+        return rate_constant(need("c"))
     if form == "sinusoid":
-        return rate_sinusoid(spec["a"], spec["omega"], spec.get("phi", 0.0))
+        return rate_sinusoid(need("a"), need("omega"), spec.get("phi", 0.0))
     if form == "neg_tanh":
         return rate_neg_tanh()
     if form == "piecewise_linear":
-        return rate_piecewise_linear(spec["knots"])
+        return rate_piecewise_linear(need("knots"))
     raise ValueError(f"unknown rate form {form!r}")
 
 
@@ -154,13 +213,41 @@ class GkslGenerator:
         return all(getattr(r, "constant", False) for r in self.rates)
 
     def superop(self, t: float) -> np.ndarray:
+        return self._sum(zip(self.rates, self._diss_parts), t)
+
+    def _sum(self, pairs, t):
+        """Hamiltonian part plus rate(t) * D over the (rate, D) pairs."""
         l = self._ham_part.copy()
-        for rate, d in zip(self.rates, self._diss_parts):
+        for rate, d in pairs:
             g = float(rate(t))
             if not np.isfinite(g):
                 raise PropagationError(f"rate evaluated non-finite at t={t}")
             l += g * d
         return l
+
+    def _commuting_split(self):
+        """(L_c, [(r_k, D_k) for time-varying k]) when the map is exactly
+        the exponential of the integrated generator, else None.
+
+        L_c is the Hamiltonian part plus every constant-rate dissipator,
+        summed as ``superop`` sums them, so that it is ``superop(0.0)``
+        bit for bit when no rate varies.
+        """
+        const, varying = [], []
+        for rate, d in zip(self.rates, self._diss_parts):
+            if isinstance(rate, RateForm) and rate.constant:
+                const.append((rate, d))
+            elif isinstance(rate, RateForm):
+                varying.append((rate, d))
+            else:
+                return None
+        l_c = self._sum(const, 0.0)
+        mats = [l_c] + [d for _, d in varying]
+        for a, b in itertools.combinations(mats, 2):
+            comm = np.linalg.norm(a @ b - b @ a)
+            if comm > COMMUTE_RTOL * np.linalg.norm(a) * np.linalg.norm(b):
+                return None
+        return l_c, varying
 
 
 @dataclass(frozen=True)
@@ -272,30 +359,47 @@ def _integrate_interval(gen, phi, t0, t1, tol):
 
 
 def propagate(gen: GkslGenerator, grid, tol: float = 1e-10) -> DynamicalMap:
-    """Integrate the superoperator equation of motion along the grid.
+    """Propagate the superoperator equation of motion along the grid.
 
-    Constant-rate generators call scipy's ``expm(L t)`` once per grid
-    point; otherwise a classical 4th-order integrator with Richardson step
-    halving keeps the local error below ``tol`` per unit time.  Every output
-    map must pass the CPTP residual budget (1e-7), which also catches rate
-    functions that do not generate a legitimate dynamical family.
+    When every time-varying rate is a ``RateForm`` and the constant part
+    L_c of the generator and the time-varying dissipators D_k commute
+    pairwise (see the module docstring), each grid point costs one scipy
+    ``expm(L_c t + sum_k R_k(t) D_k)``, exact up to rounding; a constant-rate
+    generator gives ``expm(superop(0.0) * t)`` bit for bit.  Any other
+    generator is integrated with a classical 4th-order method and
+    Richardson step halving, which keeps the local error below ``tol`` per
+    unit time.  ``provenance["integrator"]`` names the path taken ("expm" or
+    "rk4"), which is also logged at DEBUG.  A non-finite rate or rate
+    integral raises ``PropagationError``.  Every output map must pass the
+    CPTP residual budget (1e-7), which also catches rate functions that do
+    not generate a legitimate dynamical family.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = _check_grid(grid)
     d = gen.dim
     out = [maps.identity_map(d)]
-    if gen.constant:
-        l = gen.superop(0.0)
+    split = gen._commuting_split()
+    if split is not None:
+        l_c, varying = split
         for t in g[1:]:
-            out.append(QuantumMap(d, d, expm(l * t)))
+            a = l_c * t
+            for rate, dk in varying:
+                r = rate.integral(t)
+                if not np.isfinite(r):
+                    raise PropagationError(f"rate integral non-finite at t={t}")
+                a += r * dk
+            out.append(QuantumMap(d, d, expm(a)))
     else:
         phi = np.eye(d * d, dtype=np.complex128)
         for j in range(1, g.size):
             phi = _integrate_interval(gen, phi, g[j - 1], g[j], tol)
             out.append(QuantumMap(d, d, phi))
+    integrator = "rk4" if split is None else "expm"
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("propagate: %s on %d grid points, dim %d", integrator, g.size, d)
     _enforce_cptp(out, g, CPTP_BUDGET)
-    prov = {"kind": "gksl", "dim": d, "constant": gen.constant}
+    prov = {"kind": "gksl", "dim": d, "constant": gen.constant, "integrator": integrator}
     return DynamicalMap(grid=g, maps=out, provenance=prov)
 
 

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from nonmarkov import dynamics, linalg, maps, states
@@ -23,6 +24,55 @@ from nonmarkov.dynamics import (
 )
 
 SX, SY, SZ = dynamics.SIGMA_X, dynamics.SIGMA_Y, dynamics.SIGMA_Z
+SIGMA_MINUS = dynamics.SIGMA_MINUS
+
+
+def rk4_family(gen: GkslGenerator, grid, tol: float = 1e-10) -> DynamicalMap:
+    """The family propagate's RK4/Richardson integrator gives, for any
+    generator, looping the interval integrator as propagate does: the
+    reference for the exact path, and the input of the pins recorded
+    before commuting generators took it."""
+    g = np.asarray(grid, dtype=np.float64)
+    d = gen.dim
+    phi = np.eye(d * d, dtype=np.complex128)
+    out = [maps.identity_map(d)]
+    for j in range(1, g.size):
+        phi = dynamics._integrate_interval(gen, phi, g[j - 1], g[j], tol)
+        out.append(maps.QuantumMap(d, d, phi))
+    return DynamicalMap(grid=g, maps=out, provenance={"kind": "gksl", "integrator": "rk4"})
+
+
+def counting_superop(monkeypatch) -> list:
+    """Record the time of every GkslGenerator.superop call."""
+    times = []
+    superop = GkslGenerator.superop
+
+    def counted(self, t):
+        times.append(t)
+        return superop(self, t)
+
+    monkeypatch.setattr(GkslGenerator, "superop", counted)
+    return times
+
+
+# Time-varying generators whose parts commute, so that propagate takes the
+# exact path; every one is CPTP on [0, 2].
+PIECEWISE = [(0.5, 1.0), (1.0, -0.5), (1.5, 0.3)]
+COMMUTING = {
+    "eternal": ("eternal", {}),
+    "pauli-sinusoid": ("pauli", {"gamma1": {"form": "sinusoid", "a": 0.5, "omega": 2.0,
+                                            "phi": 1.0}}),
+    "pauli-neg_tanh": ("pauli", {"gamma1": 1.5, "gamma2": 1.5, "gamma3": {"form": "neg_tanh"}}),
+    "pauli-piecewise": ("pauli", {"gamma2": {"form": "piecewise_linear", "knots": PIECEWISE}}),
+    "dephasing-sinusoid": ("dephasing", {"gamma": {"form": "sinusoid", "a": 1.0, "omega": 1.0}}),
+    "dephasing-piecewise": ("dephasing", {"gamma": {"form": "piecewise_linear",
+                                                    "knots": PIECEWISE}}),
+}
+
+
+def driven_dephasing():
+    """H = sigma_x with time-varying dephasing: [L_c, D] != 0."""
+    return GkslGenerator(2, SX, [SZ / np.sqrt(2)], [rate_sinusoid(1.0, 1.0)])
 
 
 def pauli_eigenvalue(m: maps.QuantumMap, sigma) -> float:
@@ -53,6 +103,43 @@ class TestRateForms:
         assert rate_from_spec(1.5)(0.0) == 1.5
         r = rate_from_spec({"form": "sinusoid", "a": 1.0, "omega": 1.0})
         assert r(np.pi / 2) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"form": "sinusoid", "a": 1}, "omega"),
+        ({"a": 1}, "form"),
+        ({"form": "constant"}, "c"),
+        ({"form": "piecewise_linear"}, "knots"),
+    ])
+    def test_from_spec_missing_key(self, spec, key):
+        with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
+            rate_from_spec(spec)
+
+    @pytest.mark.parametrize("knots", [[], [(0.0, np.nan)], [(0.0, 1.0), (np.inf, 2.0)],
+                                       [(0.0, 1.0), (1.0, -np.inf)]])
+    def test_piecewise_rejects_empty_and_nonfinite_knots(self, knots):
+        with pytest.raises(ValueError):
+            rate_piecewise_linear(knots)
+
+    @pytest.mark.parametrize("rate, ts", [
+        (rate_constant(-0.7), [0.0, 0.3, 5.0]),
+        (rate_sinusoid(1.3, 2.0, 0.4), [0.0, 0.1, 1.7, 9.0]),
+        (rate_sinusoid(1.3, 0.0, 0.4), [0.5, 3.0]),
+        (rate_sinusoid(-0.9, 1e-9, 1.1), [1e-3, 2.0]),
+        (rate_sinusoid(0.6, 1e-300, 0.5), [2.0]),
+        (rate_neg_tanh(), [0.0, 0.2, 3.0, 30.0, 800.0]),
+        (rate_piecewise_linear(PIECEWISE), [0.0, 0.3, 0.5, 0.75, 1.0, 1.2, 2.0]),
+        (rate_piecewise_linear([(-1.0, 2.0), (0.5, -1.0), (3.0, 0.5)]), [0.25, 1.0, 4.0]),
+        (rate_piecewise_linear([(0.7, 1.5)]), [0.3, 2.0]),
+    ], ids=["constant", "sinusoid", "sinusoid-omega0", "sinusoid-small-omega-t",
+            "sinusoid-subnormal-omega", "neg_tanh", "piecewise-inside", "piecewise-across-0",
+            "piecewise-one-knot"])
+    def test_integral_matches_quad(self, rate, ts):
+        knots = [k[0] for k in rate.params[0]] if rate.form == "piecewise_linear" else []
+        for t in ts:
+            inside = [k for k in knots if 0 < k < t]
+            ref, _ = quad(rate, 0.0, t, points=inside or None, limit=200,
+                          epsabs=1e-13, epsrel=1e-13)
+            assert rate.integral(t) == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
 
 class TestGenerator:
@@ -121,7 +208,7 @@ class TestPropagate:
         assert np.abs(lhs - dm.maps[3].superop).max() < 1e-7
 
     def test_eternal_closed_form_eigenvalues(self):
-        dm = propagate(model("eternal"), time_grid(3.0, 25))
+        dm = rk4_family(model("eternal"), time_grid(3.0, 25))
         for t, m in zip(dm.grid, dm.maps):
             l1 = pauli_eigenvalue(m, SX)
             l2 = pauli_eigenvalue(m, SY)
@@ -163,23 +250,82 @@ class TestPropagate:
     def test_rk4_evaluates_generator_once_per_time_point(self, monkeypatch):
         # Each step starts from the generator its predecessor ended with;
         # re-evaluating it there took 1902 calls on this grid.
-        times = []
-        superop = GkslGenerator.superop
-
-        def counted(self, t):
-            times.append(t)
-            return superop(self, t)
-
-        monkeypatch.setattr(GkslGenerator, "superop", counted)
-        propagate(model("eternal"), time_grid(2, 7))
+        times = counting_superop(monkeypatch)
+        rk4_family(model("eternal"), time_grid(2, 7))
         assert len(times) == 1274
 
     def test_eternal_superoperator_pinned(self):
-        s = propagate(model("eternal"), time_grid(2, 7)).maps[-1].superop
+        # The RK4 map; the exact path's differs from it in the last bits.
+        s = rk4_family(model("eternal"), time_grid(2, 7)).maps[-1].superop
         a, b, c = (float.fromhex(x) for x in (
             "0x1.04b0556e07755p-1", "0x1.04b0556e08538p-1", "0x1.f69f5523f1153p-2"))
         expected = np.array([[a, 0, 0, c], [0, b, 0, 0], [0, 0, b, 0], [c, 0, 0, a]])
         assert np.array_equal(s, expected)
+
+    def test_eternal_exact_eigenvalues(self):
+        dm = propagate(model("eternal"), time_grid(3.0, 25))
+        assert dm.provenance["integrator"] == "expm"
+        for t, m in zip(dm.grid, dm.maps):
+            assert abs(pauli_eigenvalue(m, SX) - np.exp(-t) * np.cosh(t)) < 1e-13
+            assert abs(pauli_eigenvalue(m, SY) - np.exp(-t) * np.cosh(t)) < 1e-13
+            assert abs(pauli_eigenvalue(m, SZ) - np.exp(-2 * t)) < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(COMMUTING))
+    def test_exact_path_matches_rk4(self, name, monkeypatch):
+        gen = model(*COMMUTING[name])
+        grid = time_grid(2.0, 9)
+        ref = rk4_family(gen, grid)
+        times = counting_superop(monkeypatch)
+        dm = propagate(gen, grid)
+        assert dm.provenance["integrator"] == "expm"
+        assert times == []
+        err = max(np.abs(m.superop - r.superop).max() for m, r in zip(dm.maps, ref.maps))
+        assert err <= 1e-9
+
+    @pytest.mark.parametrize("gen", [
+        driven_dephasing(),
+        GkslGenerator(2, np.zeros((2, 2)), [SZ / np.sqrt(2)], [lambda t: 1 - np.cos(t)]),
+    ], ids=["driven-dephasing", "plain-callable"])
+    def test_other_generators_take_rk4(self, gen, monkeypatch):
+        grid = time_grid(1.0, 4)
+        ref = rk4_family(gen, grid)
+        times = counting_superop(monkeypatch)
+        dm = propagate(gen, grid)
+        assert dm.provenance["integrator"] == "rk4"
+        assert len(times) > 0
+        assert all(np.array_equal(m.superop, r.superop) for m, r in zip(dm.maps, ref.maps))
+
+    @pytest.mark.parametrize("gen", [
+        model("amplitude_damping", {"gamma": 1.3}),
+        model("pauli", {"gamma1": 0.3, "gamma2": 0.7, "gamma3": 0.1}),
+        GkslGenerator(2, SX, [SZ / np.sqrt(2), SIGMA_MINUS],
+                      [rate_constant(0.4), rate_constant(0.9)]),
+    ], ids=["amplitude_damping", "pauli", "driven"])
+    def test_constant_rate_maps_are_expm_bit_for_bit(self, gen):
+        grid = np.array([0.0, 0.1, 0.35, 1.0, 2.5])
+        dm = propagate(gen, grid)
+        assert dm.provenance["integrator"] == "expm"
+        l = gen.superop(0.0)
+        for m, t in zip(dm.maps[1:], grid[1:]):
+            assert np.array_equal(m.superop, expm(l * t))
+
+    @pytest.mark.parametrize("rate", [
+        rate_sinusoid(1e308, 1.0, 0.5),
+        rate_piecewise_linear([(0.0, 1e308), (1.0, 1e308)]),
+    ], ids=["sinusoid", "piecewise_linear"])
+    def test_nonfinite_rate_integral_raises(self, rate):
+        gen = GkslGenerator(2, np.zeros((2, 2)), [SZ / np.sqrt(2)], [rate])
+        with pytest.raises(PropagationError, match="non-finite"):
+            propagate(gen, time_grid(2.0, 3))
+
+    def test_integrator_logged_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="nonmarkov.dynamics"):
+            propagate(model("eternal"), time_grid(2, 7))
+            propagate(driven_dephasing(), time_grid(1.0, 3))
+        assert [r.getMessage() for r in caplog.records] == [
+            "propagate: expm on 7 grid points, dim 2",
+            "propagate: rk4 on 3 grid points, dim 2",
+        ]
 
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from nonmarkov.maps import (
     transposition_map,
     unitary_map,
 )
+from test_dynamics import rk4_family
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -300,7 +301,8 @@ class TestKPositivity:
         ]
 
     def test_seeded_divisibility_report_pinned(self):
-        dm = dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(2, 7))
+        # Pinned on the RK4 family; propagate's exact path differs in the last bits.
+        dm = rk4_family(dynamics.model("eternal"), dynamics.time_grid(2, 7))
         rep = dynamics.divisibility_report(dm, ks=[1, 2], restarts=40, seed=0)
         pinned = {
             1: ["0x1.f242c862329e5p-4", "0x1.52104b9cd2b34p-4", "0x1.9fc40fc06fec4p-5",
