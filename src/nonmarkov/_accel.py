@@ -19,8 +19,8 @@ lowest eigenpair from the 2x2 formula instead of a stacked ``eigh``, whose
 cost at that size is almost all per-matrix overhead.  Both work row by row
 with elementwise operations, so the bit-for-bit guarantee above still holds.
 
-A ``kpos_scan`` call may also search several Choi matrices at once, one
-group of restarts each.  ``maps.k_positivity_many`` stacks every step of a
+A ``kpos_scan`` call searches a stack of Choi matrices at once, one group
+of restarts each.  ``maps.k_positivity_many`` stacks every step of a
 divisibility report this way, so the rows of a call are steps x restarts
 and a sweep pays its fixed cost once per report instead of once per step.
 
@@ -38,8 +38,9 @@ All kernels are deterministic: start points are generated by the caller
 from explicit seeds.
 
 Conventions: a bipartite vector on A (x) B is indexed a*dB + b; a Choi-like
-matrix J enters reshaped as J4[a, b, a2, b2]; a superoperator enters as the
-4-tensor T4[or, oc, ir, ic] with Y[or, oc] = sum T4[or, oc, ir, ic] X[ir, ic].
+matrix J enters reshaped as J4[a, b, a2, b2] (``kpos_scan`` takes a stack
+J4[g, a, b, a2, b2]); a superoperator enters as the 4-tensor
+T4[or, oc, ir, ic] with Y[or, oc] = sum T4[or, oc, ir, ic] X[ir, ic].
 """
 
 from __future__ import annotations
@@ -119,23 +120,20 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
     of ``qr``) and takes the lowest eigenpair of a (d*k)^2 Hessian (the
     closed form at size 2, else ``eigh``); see ``_orthonormalize`` and
     ``_lowest_eigpair``.  Returns
-    ``(value, L, U, values, converged)``: the best restart (the first one
-    reaching the minimum), then every restart's final value and whether its
-    tolerance test passed within ``iters`` sweeps.
+    ``(value, L, U, values, converged)``: per group, the best restart (the
+    first one reaching the minimum), then every restart's final value and
+    whether its tolerance test passed within ``iters`` sweeps.
 
-    ``J4`` may also be a ``(g, dA, dB, dA, dB)`` stack of Choi tensors.  The
-    rows of ``starts_L``/``starts_U`` then split evenly into g groups, in
-    order, and group i searches ``J4[i]``.  Each sweep makes one ``einsum``
-    per group over its contiguous span of active rows and runs the
-    orthonormalizations and eigenpairs once over all of them; these work
-    per row, so a batched call is bit-identical to each group run alone.
-    The best value, L and U then gain a leading group axis, and ``values``
-    and ``converged`` have shape (g, restarts per group).
+    ``J4`` is a ``(g, dA, dB, dA, dB)`` stack of Choi tensors.  The rows of
+    ``starts_L``/``starts_U`` split evenly into g groups, in order, and group
+    i searches ``J4[i]``.  Each sweep makes one ``einsum`` per group over its
+    contiguous span of active rows and runs the orthonormalizations and
+    eigenpairs once over all of them; these work per row, so a batched call
+    is bit-identical to each group run alone.  The best value, L and U have
+    a leading group axis, and ``values`` and ``converged`` have shape
+    (g, restarts per group).
     """
     J4 = np.ascontiguousarray(J4)
-    stacked = J4.ndim == 5
-    if not stacked:
-        J4 = J4[None]
     L = np.array(starts_L, dtype=np.complex128)
     U = np.array(starts_U, dtype=np.complex128)
     n_groups, n_starts = J4.shape[0], L.shape[0]
@@ -180,10 +178,7 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
         active = active[~done]
     vals = val.reshape(n_groups, -1)
     rows = bounds[:-1] + np.argmin(vals, axis=1)
-    out = val[rows], L[rows], U[rows], vals, converged.reshape(n_groups, -1)
-    if stacked:
-        return out
-    return out[0][0], out[1][0], out[2][0], val, converged
+    return val[rows], L[rows], U[rows], vals, converged.reshape(n_groups, -1)
 
 
 def tracenorm_scan(T4, starts, iters=80, tol=1e-13):

@@ -1,17 +1,17 @@
 """State and channel discrimination: the two-state closed form, guessing
 probability as a semidefinite program, ancilla-assisted channel guessing,
-ancilla-graded channel distances, the diamond norm, the bipartite square
-norm, and operational fidelity.
+ancilla-graded channel distances, the diamond norm, and operational
+fidelity.
 
 Ancilla-assisted guessing between two channels is Helstrom's closed form
 over the best input, (1 + channel distance) / 2, found by the same
 trace-norm ascent as ``channel_distance``; three or more channels go
 through a seesaw of guessing SDPs and input updates.
 
-Outer nonconvex maximizations (input states, square-norm sandwich factors)
-are multistart local ascents reporting best-found lower bounds; the
-semidefinite programs (guessing, diamond norm, channel fidelity) carry
-matching dual certificates.  The trace-norm ascent logs its restart
+Outer nonconvex maximizations over input states are multistart local
+ascents reporting best-found lower bounds; the semidefinite programs
+(guessing, diamond norm, channel fidelity) carry matching dual
+certificates.  The trace-norm ascent logs its restart
 statistics at DEBUG on the ``nonmarkov.discrimination`` logger.
 """
 
@@ -268,61 +268,6 @@ def channel_fidelity_program(e1: QuantumMap, e2: QuantumMap) -> sdp.SdpProblem:
         b=b,
         sense="max",
     )
-
-
-def square_norm(x, dB: int, restarts: int = 64, seed: int = 0,
-                iters: int = 80, tol: float = 1e-12) -> float:
-    """sup ||(I (x) B1) X (I (x) B2)||_1 over ||B1||_2 = ||B2||_2 = sqrt(dB).
-
-    Seesaw between the polar factor of the sandwiched operator and the two
-    Frobenius-constrained factors; each partial step is an exact
-    maximization, so iterates increase monotonically.  Best found over
-    restarts (lower-bound semantics).
-    """
-    maps.check_restarts(restarts)
-    xm = linalg.as_matrix(x)
-    d = xm.shape[0]
-    if dB < 1 or d % dB != 0:
-        raise ValueError("dB must be a positive divisor of the operator dimension")
-    dA = d // dB
-    rng = np.random.default_rng(seed)
-    eye = np.eye(dA)
-    norm_b = math.sqrt(dB)
-
-    def tr_a(mat):
-        return np.einsum("aiaj->ij", mat.reshape(dA, dB, dA, dB))
-
-    best = -math.inf
-    for _ in range(restarts):
-        b1 = rng.standard_normal((dB, dB)) + 1j * rng.standard_normal((dB, dB))
-        b2 = rng.standard_normal((dB, dB)) + 1j * rng.standard_normal((dB, dB))
-        b1 *= norm_b / np.linalg.norm(b1)
-        b2 *= norm_b / np.linalg.norm(b2)
-        val = -math.inf
-        for _ in range(iters):
-            y = np.kron(eye, b1) @ xm @ np.kron(eye, b2)
-            uu, sv, vh = np.linalg.svd(y)
-            new_val = float(sv.sum())
-            u_pol = (uu @ vh).conj().T  # maximizes Re Tr(U Y)
-            k1 = tr_a(xm @ np.kron(eye, b2) @ u_pol)
-            if np.linalg.norm(k1) < 1e-300:
-                val = new_val
-                break
-            b1 = norm_b * k1.conj().T / np.linalg.norm(k1)
-            y = np.kron(eye, b1) @ xm @ np.kron(eye, b2)
-            uu, sv, vh = np.linalg.svd(y)
-            u_pol = (uu @ vh).conj().T
-            k2 = tr_a(u_pol @ np.kron(eye, b1) @ xm)
-            if np.linalg.norm(k2) < 1e-300:
-                val = new_val
-                break
-            b2 = norm_b * k2.conj().T / np.linalg.norm(k2)
-            if abs(new_val - val) <= tol * max(1.0, abs(new_val)):
-                val = new_val
-                break
-            val = new_val
-        best = max(best, val)
-    return float(best)
 
 
 def operational_fidelity(e1: QuantumMap, e2: QuantumMap) -> float:

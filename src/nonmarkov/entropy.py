@@ -7,10 +7,16 @@ accepts plain positive-semidefinite matrices as well as state objects, and
 the second argument may be subnormalized or unnormalized (e.g. I_A (x)
 sigma_B).  Limits at alpha in {0, 1, inf} use closed formulas, never
 numerical extrapolation.
+
+The conditional min- and max-entropies are SDPs; the sandwiched conditional
+Renyi entropies between them come from one convex descent that certifies
+its own bracket (``conditional_renyi``) and logs at DEBUG on the
+``nonmarkov.entropy`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -22,6 +28,8 @@ from .states import BipartiteState, DensityOperator
 
 LN2 = math.log(2.0)
 
+_log = logging.getLogger(__name__)
+
 # Mass of the first argument outside the second argument's support beyond
 # which the divergence is +inf.
 SUPPORT_LEAK_TOL = 1e-9
@@ -29,9 +37,9 @@ SUPPORT_LEAK_TOL = 1e-9
 # Trace values below this count as vanishing (orthogonal supports).
 TINY_TRACE = 1e-30
 
-# sigma_B optimization of conditional_renyi: multistart projected gradient
-# descent (the min- and max-entropies are SDPs).
-OPT_RESTARTS = 16
+# sigma_B descent of conditional_renyi at alpha > 1: it stops once the
+# Frank-Wolfe bound is within OPT_TOL bits of the value, when no descent step
+# is left, or after OPT_MAX_ITER trial steps.
 OPT_TOL = 1e-7
 OPT_MAX_ITER = 2000
 
@@ -49,6 +57,18 @@ class DivergenceValue:
 
     def __float__(self) -> float:
         return self.value
+
+
+@dataclass(frozen=True)
+class EntropyBracket:
+    """Certified interval lower <= H <= upper around an entropy; ``float``
+    gives ``lower``.  Closed forms and SDP values have lower == upper."""
+
+    lower: float
+    upper: float
+
+    def __float__(self) -> float:
+        return self.lower
 
 
 def _finite(v: float) -> DivergenceValue:
@@ -290,44 +310,6 @@ def _dk_multipliers(s: np.ndarray, power: float) -> np.ndarray:
     return phi
 
 
-def _pgd_minimize(objective, dim_b: int, restarts: int, seed, tol: float,
-                  max_iter: int, first_converged: bool, warm_starts=()):
-    """Multistart projected gradient descent over dB x dB density matrices.
-
-    objective(sigma) -> (f, grad) with grad a Hermitian matrix.  Returns the
-    best (f, sigma) found.
-    """
-    rng = np.random.default_rng(seed)
-    starts = list(warm_starts)
-    while len(starts) < max(restarts, len(warm_starts)):
-        g = rng.standard_normal((dim_b, dim_b)) + 1j * rng.standard_normal((dim_b, dim_b))
-        m = g @ g.conj().T
-        starts.append(m / np.trace(m).real)
-    best_f, best_sigma = math.inf, None
-    for start in starts:
-        sigma = _project_density(np.asarray(start, dtype=np.complex128))
-        f, grad = objective(sigma)
-        step = 1.0
-        for _ in range(max_iter):
-            trial = _project_density(sigma - step * grad)
-            f_trial, grad_trial = objective(trial)
-            if f_trial < f - 1e-14:
-                converged = abs(f - f_trial) <= tol * max(1.0, abs(f_trial))
-                sigma, f, grad = trial, f_trial, grad_trial
-                step = min(step * 1.6, 1e3)
-                if converged:
-                    break
-            else:
-                step *= 0.4
-                if step < 1e-14:
-                    break
-        if f < best_f:
-            best_f, best_sigma = f, sigma
-        if first_converged and best_f < math.inf:
-            break
-    return best_f, best_sigma
-
-
 def _sandwich_conditional_objective(rho_mat, dA, dB, alpha):
     """Objective sigma -> D~_a(rho_AB || I_A (x) sigma) with its gradient."""
     c = (1.0 - alpha) / (2.0 * alpha)
@@ -363,27 +345,86 @@ def _sandwich_conditional_objective(rho_mat, dA, dB, alpha):
     return objective
 
 
-def conditional_renyi(rho: BipartiteState, alpha: float, restarts: int = OPT_RESTARTS,
-                      seed: int = 0, tol: float = OPT_TOL) -> float:
-    """H~_a(A|B) = -inf_sigma D~_a(rho_AB || I_A (x) sigma_B), alpha >= 1/2.
+def _frank_wolfe_bound(f, sigma, grad, alpha):
+    """Lower bound on min D~_a (alpha > 1) from the value f and gradient at
+    sigma: Q = 2^((a-1) f) is convex, so Q* >= Q (1 + ln2 (a-1) g) with the
+    Frank-Wolfe gap g = lambda_min(grad) - <grad, sigma>.  -inf when that
+    factor is not positive, or while lambda_min(sigma) sits at the clamp of
+    ``_dk_multipliers``, below which the gradient is inexact."""
+    w = np.linalg.eigvalsh(sigma)
+    if w[0] <= linalg.support_cut(np.abs(w)):
+        return -math.inf
+    g = min(float(np.linalg.eigvalsh(grad)[0] - np.vdot(grad, sigma).real), 0.0)
+    arg = 1.0 + LN2 * (alpha - 1.0) * g
+    return f + math.log2(arg) / (alpha - 1.0) if arg > 0.0 else -math.inf
 
-    alpha = inf delegates to the min-entropy program.  The infimum is taken
-    by multistart projected gradient descent; for alpha > 1 the problem is
-    convex in sigma and the first converged start is accepted.
+
+def _descent_direction(sigma, grad):
+    """sigma^(1/2) (grad - <grad, sigma>) sigma^(1/2): traceless, a descent
+    direction, and damped toward small eigenvalues of sigma, where the
+    objective is steepest."""
+    w, u = np.linalg.eigh(sigma)
+    root = (u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T
+    return root @ (grad - np.vdot(sigma, grad).real * np.eye(len(w))) @ root
+
+
+def _conditional_descent(rho: BipartiteState, alpha: float):
+    """(f, bound, trial steps) with bound <= min_sigma D~_a(rho_AB || I (x)
+    sigma_B) <= f, alpha > 1.  The optimal sigma_B lives on supp rho_B, so one
+    projected descent from rho_B runs on rho_AB conjugated by I (x) V, V the
+    isometry onto that support; bound is the best Frank-Wolfe bound seen."""
+    v_iso, sigma = _on_support(states.partial_trace(rho, "A").matrix)
+    big_v = np.kron(np.eye(rho.dimA), v_iso)
+    rho_r = big_v.conj().T @ rho.matrix @ big_v
+    objective = _sandwich_conditional_objective(rho_r, rho.dimA, v_iso.shape[1], alpha)
+    sigma = _project_density(sigma)
+    f, grad = objective(sigma)
+    bound = _frank_wolfe_bound(f, sigma, grad, alpha)
+    direction = _descent_direction(sigma, grad)
+    step, steps = 1.0, 0
+    while f - bound > OPT_TOL and step >= 1e-14 and steps < OPT_MAX_ITER:
+        steps += 1
+        trial = _project_density(sigma - step * direction)
+        f_trial, grad_trial = objective(trial)
+        if f_trial < f:
+            sigma, f, grad = trial, f_trial, grad_trial
+            bound = max(bound, _frank_wolfe_bound(f, sigma, grad, alpha))
+            direction = _descent_direction(sigma, grad)
+            step = min(step * 1.6, 1e3)
+        else:
+            step *= 0.4
+    return f, bound, steps
+
+
+def conditional_renyi(rho: BipartiteState, alpha: float) -> EntropyBracket:
+    """H~_a(A|B) = -inf_sigma D~_a(rho_AB || I_A (x) sigma_B), alpha >= 1/2,
+    as a certified bracket lower <= H~_a <= upper; ``float`` gives lower.
+
+    alpha = 1/2, 1 and inf are ``h_max``, ``conditional_entropy`` and
+    ``h_min``, with lower == upper.  For alpha > 1 the objective is convex in
+    sigma_B (Frank & Lieb 2013): one descent gives [-f, -bound].  For alpha
+    in (1/2, 1), H~_a(A|B) = -H~_b(A|C) on a purification with
+    b = a / (2a - 1) > 1 (Muller-Lennert et al. 2013), so the b-descent on
+    the A:C marginal gives [bound, f].  upper - lower is the final gap: at
+    most ``OPT_TOL`` unless the step underflows first (up to about 1e-6).
     """
     if not alpha >= 0.5:
         raise ValueError("alpha must be >= 1/2 for the conditional family")
-    if math.isinf(alpha):
-        return h_min(rho)
-    if alpha == 1.0:
-        return conditional_entropy(rho)
-    objective = _sandwich_conditional_objective(rho.matrix, rho.dimA, rho.dimB, alpha)
-    warm = [states.partial_trace(rho, "A").matrix]
-    best_f, _ = _pgd_minimize(
-        objective, rho.dimB, restarts, seed, tol, OPT_MAX_ITER,
-        first_converged=alpha > 1.0, warm_starts=warm,
-    )
-    return -best_f
+    exact = {0.5: h_max, 1.0: conditional_entropy, math.inf: h_min}.get(alpha)
+    if exact is not None:
+        value = exact(rho)
+        route, bracket, steps = exact.__name__, EntropyBracket(value, value), 0
+    elif alpha > 1.0:
+        f, bound, steps = _conditional_descent(rho, alpha)
+        route, bracket = "descent", EntropyBracket(-f, -bound)
+    else:
+        beta = alpha / (2.0 * alpha - 1.0)
+        f, bound, steps = _conditional_descent(states.purify(rho).marginal_ac(), beta)
+        route, bracket = f"duality, descent at beta={beta:.6g}", EntropyBracket(bound, f)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("conditional_renyi alpha=%.6g: %s, steps=%d, gap=%.3g",
+                   alpha, route, steps, bracket.upper - bracket.lower)
+    return bracket
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,6 @@ MULTISTART = {
     "p_guess_channels": lambda r: disc.p_guess_channels(
         [0.5, 0.5], [QUBIT, QUBIT], 1, restarts=r),
     "cb_norm_check": lambda r: cb_norm_check(QUBIT, restarts=r),
-    "square_norm": lambda r: disc.square_norm(np.eye(4), 2, restarts=r),
 }
 
 
@@ -392,36 +391,6 @@ class TestCbNorm:
         rep = cb_norm_check(maps.scale_map(m, 2.0), restarts=8, seed=11)
         assert rep["cb_value"] == pytest.approx(2.0, abs=1e-3)
         assert rep["diamond"] == pytest.approx(2.0, abs=1e-6)
-
-
-class TestSquareNorm:
-    def test_identity_operator(self):
-        val = disc.square_norm(np.eye(4), dB=2, restarts=8, seed=12)
-        assert val == pytest.approx(4.0, abs=1e-6)
-
-    def test_zero(self):
-        assert disc.square_norm(np.zeros((4, 4)), dB=2, restarts=2, seed=13) == 0.0
-
-    def test_choi_identity_depolarizing(self):
-        q = 0.7
-        j = maps.choi(maps.subtract(identity_map(2), depolarizing(q, 2)))
-        val = disc.square_norm(j, dB=2, restarts=50, seed=14)
-        assert val == pytest.approx(3 * q, rel=1e-2)
-
-    def test_choi_identity_for_random_maps(self):
-        for seed in (26, 27):
-            m = maps.subtract(maps.random_cptp(2, 2, seed), maps.random_cptp(2, 2, seed + 30))
-            j = maps.choi(m)
-            val = disc.square_norm(j, dB=2, restarts=50, seed=15)
-            dia = disc.diamond_norm(m)
-            assert val == pytest.approx(2 * dia, rel=1e-2)
-
-    def test_monotone_iterates_are_lower_bounds(self):
-        # few restarts never exceed many restarts beyond tolerance
-        j = maps.choi(maps.subtract(identity_map(2), depolarizing(0.5, 2)))
-        lo = disc.square_norm(j, dB=2, restarts=2, seed=16)
-        hi = disc.square_norm(j, dB=2, restarts=40, seed=16)
-        assert lo <= hi + 1e-9
 
 
 class TestOperationalFidelity:

@@ -331,18 +331,19 @@ class TestKposScan:
         shape = (12, d, k)
         starts_l = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         starts_u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        val, best_l, best_u, vals, converged = _accel.kpos_scan(
-            j4, d, d, k, starts_l, starts_u, iters)
+        # One group: read group 0 of every output.
+        val, best_l, best_u, vals, converged = (
+            x[0] for x in _accel.kpos_scan(j4[None], d, d, k, starts_l, starts_u, iters))
         single = [
-            _accel.kpos_scan(j4, d, d, k, starts_l[r:r + 1], starts_u[r:r + 1], iters)
+            _accel.kpos_scan(j4[None], d, d, k, starts_l[r:r + 1], starts_u[r:r + 1], iters)
             for r in range(shape[0])
         ]
-        assert np.array_equal(vals, [s[0] for s in single])
-        assert np.array_equal(converged, [s[4][0] for s in single])
-        r = int(np.argmin([s[0] for s in single]))
-        assert val == single[r][0]
-        assert np.array_equal(best_l, single[r][1])
-        assert np.array_equal(best_u, single[r][2])
+        assert np.array_equal(vals, [s[0][0] for s in single])
+        assert np.array_equal(converged, [s[4][0, 0] for s in single])
+        r = int(np.argmin([s[0][0] for s in single]))
+        assert val == single[r][0][0]
+        assert np.array_equal(best_l, single[r][1][0])
+        assert np.array_equal(best_u, single[r][2][0])
         return vals, converged
 
     @pytest.mark.parametrize("d, k", [(4, 1), (4, 2)])

@@ -15,6 +15,7 @@ from nonmarkov.states import (
     BipartiteState,
     DensityOperator,
     StateEnsemble,
+    partial_trace,
     purify,
     random_density,
 )
@@ -121,3 +122,20 @@ def test_k_positivity_many_matches_one_map_at_a_time(k, seeds, rank):
     batch = maps.k_positivity_many(ms, k, 8, seeds)
     assert [bits(c) for c in batch] == [bits(maps.k_positivity(m, k, 8, s))
                                         for m, s in zip(ms, seeds)]
+
+
+@PROPERTY
+@given(case=st.sampled_from([(d_b, r) for d_b in (2, 3) for r in range(1, 2 * d_b + 1)]),
+       alpha=st.sampled_from([0.6, 0.75, 1.5, 3.0]), seed=SEEDS)
+def test_conditional_renyi_bracket_holds(case, alpha, seed):
+    # H~_a(A|B) = sup over sigma_B of -D~_a(rho_AB || I_A (x) sigma_B), so no
+    # sigma_B, evaluated by the divergence itself, beats the bracket's upper end.
+    d_b, rank = case
+    rho = BipartiteState(2, d_b, random_density(2 * d_b, rank, seed))
+    bracket = entropy.conditional_renyi(rho, alpha)
+    assert bracket.lower <= bracket.upper <= bracket.lower + 1e-5
+    sigmas = [partial_trace(rho, "A").matrix] + [
+        random_density(d_b, d_b, seed + i).matrix for i in range(1, 4)]
+    for sigma in sigmas:
+        d = float(entropy.sandwiched_divergence(rho, np.kron(np.eye(2), sigma), alpha))
+        assert -d <= bracket.upper + 1e-10
