@@ -52,6 +52,14 @@ ACCEL = "numpy"
 # Entries of one stack of kpos_scan Hessians: 64 restarts at d=16, k=15.
 KPOS_STACK_ENTRIES = 64 * (16 * 15) ** 2
 
+# A restart stops once its value changes by at most this, relative to
+# max(1, |value|), over one sweep (see ``_stopped``).
+KPOS_TOL = 1e-12
+TRACENORM_TOL = 1e-13
+
+# Sweeps of one tracenorm_scan restart at most.
+TRACENORM_ITERS = 80
+
 
 def _herm(h):
     """Hermitian part of each matrix in a stack."""
@@ -110,7 +118,7 @@ def _stopped(new_val, val, tol):
     return np.abs(new_val - val) <= tol * np.maximum(1.0, np.abs(new_val))
 
 
-def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
+def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60):
     """k-positivity seesaw: minimize <psi|J|psi> over unit vectors of Schmidt
     rank <= k, parameterized psi = sum_i L[:, i] (x) U[:, i].
 
@@ -172,7 +180,7 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
         new_val, v = _lowest_eigpair(h)
         L[active] = l
         U[active] = v.reshape(-1, dB, k)
-        done = _stopped(new_val, val[active], tol)
+        done = _stopped(new_val, val[active], KPOS_TOL)
         val[active] = new_val
         converged[active[done]] = True
         active = active[~done]
@@ -181,7 +189,7 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60, tol=1e-12):
     return val[rows], L[rows], U[rows], vals, converged.reshape(n_groups, -1)
 
 
-def tracenorm_scan(T4, starts, iters=80, tol=1e-13):
+def tracenorm_scan(T4, starts):
     """Trace-norm ascent: maximize ||W(psi psi^dag)||_1 over unit psi for a
     Hermiticity-preserving superoperator W given as T4.
 
@@ -189,7 +197,7 @@ def tracenorm_scan(T4, starts, iters=80, tol=1e-13):
     (monotone ascent) from every start at once.  Returns
     ``(value, psi, values, converged)``: the best restart (the first one
     reaching the maximum), then every restart's final value and whether its
-    tolerance test passed within ``iters`` sweeps.
+    tolerance test passed within ``TRACENORM_ITERS`` sweeps.
     """
     # einsum on a transposed (non-contiguous) view rounds differently, so the
     # tensor is always made contiguous first.
@@ -200,7 +208,7 @@ def tracenorm_scan(T4, starts, iters=80, tol=1e-13):
     val = np.full(psi.shape[0], -np.inf)
     converged = np.zeros(psi.shape[0], dtype=bool)
     active = np.arange(psi.shape[0])
-    for _ in range(iters):
+    for _ in range(TRACENORM_ITERS):
         if active.size == 0:
             break
         p_act = psi[active]
@@ -212,7 +220,7 @@ def tracenorm_scan(T4, starts, iters=80, tol=1e-13):
         g = np.einsum("opiq,rop->riq", T4c, p)
         _, vg = np.linalg.eigh(_herm(g))
         psi[active] = vg[:, :, -1]
-        done = _stopped(new_val, val[active], tol)
+        done = _stopped(new_val, val[active], TRACENORM_TOL)
         val[active] = new_val
         converged[active[done]] = True
         active = active[~done]

@@ -46,6 +46,9 @@ REDUCE_BUDGET = 1e-9
 
 MAX_SUBDIVISIONS = 20  # per grid interval; beyond this the step underflowed
 
+# Local error per unit time that RK4 step halving must reach.
+RK4_TOL = 1e-10
+
 # Generator parts A, B count as commuting when ||[A, B]||_F is at most this
 # times ||A||_F ||B||_F; on the library models no commutator entry exceeds
 # 2.5e-32, and H = sigma_x with dephasing gives a ratio of order 1.
@@ -115,16 +118,6 @@ class RateForm:
     @property
     def constant(self) -> bool:
         return self.form == "constant"
-
-    def describe(self) -> dict:
-        if self.form == "constant":
-            return {"form": "constant", "c": self.params[0]}
-        if self.form == "sinusoid":
-            a, omega, phi = self.params
-            return {"form": "sinusoid", "a": a, "omega": omega, "phi": phi}
-        if self.form == "neg_tanh":
-            return {"form": "neg_tanh"}
-        return {"form": "piecewise_linear", "knots": [list(k) for k in self.params[0]]}
 
 
 def rate_constant(c: float) -> RateForm:
@@ -358,7 +351,7 @@ def _integrate_interval(gen, phi, t0, t1, tol):
     )
 
 
-def propagate(gen: GkslGenerator, grid, tol: float = 1e-10) -> DynamicalMap:
+def propagate(gen: GkslGenerator, grid) -> DynamicalMap:
     """Propagate the superoperator equation of motion along the grid.
 
     When every time-varying rate is a ``RateForm`` and the constant part
@@ -367,15 +360,13 @@ def propagate(gen: GkslGenerator, grid, tol: float = 1e-10) -> DynamicalMap:
     ``expm(L_c t + sum_k R_k(t) D_k)``, exact up to rounding; a constant-rate
     generator gives ``expm(superop(0.0) * t)`` bit for bit.  Any other
     generator is integrated with a classical 4th-order method and
-    Richardson step halving, which keeps the local error below ``tol`` per
-    unit time.  ``provenance["integrator"]`` names the path taken ("expm" or
-    "rk4"), which is also logged at DEBUG.  A non-finite rate or rate
+    Richardson step halving, which keeps the local error below ``RK4_TOL``
+    per unit time.  ``provenance["integrator"]`` names the path taken
+    ("expm" or "rk4"), which is also logged at DEBUG.  A non-finite rate or rate
     integral raises ``PropagationError``.  Every output map must pass the
     CPTP residual budget (1e-7), which also catches rate functions that do
     not generate a legitimate dynamical family.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     g = _check_grid(grid)
     d = gen.dim
     out = [maps.identity_map(d)]
@@ -393,7 +384,7 @@ def propagate(gen: GkslGenerator, grid, tol: float = 1e-10) -> DynamicalMap:
     else:
         phi = np.eye(d * d, dtype=np.complex128)
         for j in range(1, g.size):
-            phi = _integrate_interval(gen, phi, g[j - 1], g[j], tol)
+            phi = _integrate_interval(gen, phi, g[j - 1], g[j], RK4_TOL)
             out.append(QuantumMap(d, d, phi))
     integrator = "rk4" if split is None else "expm"
     if _log.isEnabledFor(logging.DEBUG):
@@ -467,9 +458,6 @@ class DivisibilityReport:
     steps: list
     verdicts: dict  # k -> "k-divisible on grid" | "not k-divisible on grid"
 
-    def certified_negative_steps(self, k: int) -> list:
-        return [s.index for s in self.steps if s.certificates[k].certified_negative]
-
     def to_jsonable(self) -> dict:
         return {
             "ks": [int(k) for k in self.ks],
@@ -512,8 +500,8 @@ def divisibility_report(
     Every intermediate map is built first; then each k runs one stacked
     search over all steps (``maps.k_positivity_many``), step j drawing its
     starts from ``SeedSequence(entropy=seed, spawn_key=(j, k))``.  Logs at
-    DEBUG, per k, the stacked ``kpos_scan`` calls and their rows, and each
-    step's restarts_converged and spread.
+    DEBUG, per k, each step's restarts_converged and spread, after the call
+    plan that ``k_positivity_many`` logs on ``nonmarkov.maps``.
     """
     ks = sorted(set(int(k) for k in ks))
     if any(k < 1 or k > dm.dim for k in ks):
@@ -526,7 +514,9 @@ def divisibility_report(
         seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(j, k)) for j in range(n)]
         certs[k] = maps.k_positivity_many(vs, k, restarts, seeds) if n else []
         if _log.isEnabledFor(logging.DEBUG):
-            _log_search(k, dm.dim, restarts, certs[k])
+            for j, c in enumerate(certs[k]):
+                _log.debug("k=%d step %d: restarts_converged=%d of %d, spread=%.3g",
+                           k, j, c.restarts_converged, c.restarts_used, c.spread)
     steps = [
         StepReport(
             index=j,
@@ -542,18 +532,6 @@ def divisibility_report(
         bad = [s for s in steps if s.certificates[k].certified_negative]
         verdicts[k] = "k-divisible on grid" if not bad else "not k-divisible on grid"
     return DivisibilityReport(grid=dm.grid, ks=ks, steps=steps, verdicts=verdicts)
-
-
-def _log_search(k, d, restarts, certs):
-    if k >= d:
-        _log.debug("k=%d: exact minimum eigenvalues, no kpos_scan call", k)
-    else:
-        per_call = maps.kpos_maps_per_call(d, d, k, restarts)
-        rows = [restarts * min(per_call, len(certs) - lo) for lo in range(0, len(certs), per_call)]
-        _log.debug("k=%d: %d stacked kpos_scan call(s), rows per call %s", k, len(rows), rows)
-    for j, c in enumerate(certs):
-        _log.debug("k=%d step %d: restarts_converged=%d of %d, spread=%.3g",
-                   k, j, c.restarts_converged, c.restarts_used, c.spread)
 
 
 # ---------------------------------------------------------------------------

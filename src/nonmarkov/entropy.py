@@ -6,7 +6,10 @@ All logarithms are base 2; entropies are reported in bits.  Every divergence
 accepts plain positive-semidefinite matrices as well as state objects, and
 the second argument may be subnormalized or unnormalized (e.g. I_A (x)
 sigma_B).  Limits at alpha in {0, 1, inf} use closed formulas, never
-numerical extrapolation.
+numerical extrapolation.  A divergence is a ``float``, ``math.inf`` exactly
+when its support rule fails: for alpha >= 1, when more than
+``SUPPORT_LEAK_TOL`` of the first argument lies outside the second's
+support; for alpha < 1, when the arguments are orthogonal.
 
 The conditional min- and max-entropies are SDPs; the sandwiched conditional
 Renyi entropies between them come from one convex descent that certifies
@@ -37,32 +40,24 @@ SUPPORT_LEAK_TOL = 1e-9
 # Trace values below this count as vanishing (orthogonal supports).
 TINY_TRACE = 1e-30
 
+# Eigenvalues below -PSD_TOL * max(1, lambda_max) make a matrix non-PSD.
+PSD_TOL = 1e-9
+
 # sigma_B descent of conditional_renyi at alpha > 1: it stops once the
 # Frank-Wolfe bound is within OPT_TOL bits of the value, when no descent step
 # is left, or after OPT_MAX_ITER trial steps.
 OPT_TOL = 1e-7
 OPT_MAX_ITER = 2000
 
-
-@dataclass(frozen=True)
-class DivergenceValue:
-    """Scalar divergence; +inf if and only if the support rule was violated."""
-
-    value: float
-    support_violated: bool
-
-    def __post_init__(self):
-        if math.isinf(self.value) != self.support_violated:
-            raise ValueError("value is +inf exactly when the support rule fails")
-
-    def __float__(self) -> float:
-        return self.value
+# Weight of the identity mixed into every iterate of that descent, which keeps
+# it full rank.
+DENSITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class EntropyBracket:
     """Certified interval lower <= H <= upper around an entropy; ``float``
-    gives ``lower``.  Closed forms and SDP values have lower == upper."""
+    gives ``lower``.  Closed forms have lower == upper."""
 
     lower: float
     upper: float
@@ -71,81 +66,60 @@ class EntropyBracket:
         return self.lower
 
 
-def _finite(v: float) -> DivergenceValue:
-    return DivergenceValue(float(v), False)
-
-
-_INFINITE = DivergenceValue(math.inf, True)
-
-
-def _as_psd(m, tol: float = 1e-9) -> np.ndarray:
+def _as_psd(m) -> np.ndarray:
     """Coerce a state object or matrix to a Hermitian PSD matrix."""
-    if isinstance(m, DensityOperator):
-        return m.matrix
-    if isinstance(m, BipartiteState):
+    if isinstance(m, (DensityOperator, BipartiteState)):
         return m.matrix
     a = linalg.hermitize(m)
     w = np.linalg.eigvalsh(a)
-    if w[0] < -tol * max(1.0, float(w[-1])):
+    if w[0] < -PSD_TOL * max(1.0, float(w[-1])):
         raise ValueError(f"matrix is not positive semidefinite (min eig {w[0]:.3e})")
     return a
 
 
-def _support_leak(rho: np.ndarray, sigma_dec: linalg.HermEig) -> float:
-    """Mass of rho outside the support of sigma."""
-    cut = linalg.support_cut(sigma_dec.eigenvalues)
-    kernel_cols = sigma_dec.eigenvectors[:, sigma_dec.eigenvalues <= cut]
-    if kernel_cols.shape[1] == 0:
-        return 0.0
-    return float(np.einsum("ij,ik,kj->", kernel_cols.conj(), rho, kernel_cols).real)
+def _psd_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments of a divergence as PSD matrices of one shape."""
+    r, s = _as_psd(rho), _as_psd(sigma)
+    if r.shape != s.shape:
+        raise ValueError("arguments must share dimensions")
+    return r, s
 
 
-def _pseudo_power(dec: linalg.HermEig, p: float) -> np.ndarray:
-    """Spectral power on the support; kernel maps to zero."""
-    w = dec.eigenvalues
-    cut = linalg.support_cut(w)
-    fw = np.where(w > cut, np.power(np.maximum(w, cut), p), 0.0)
-    u = dec.eigenvectors
-    out = (u * fw) @ u.conj().T
-    return (out + out.conj().T) / 2
+def _leaks(r: np.ndarray, v: np.ndarray) -> bool:
+    """Whether more than SUPPORT_LEAK_TOL * max(1, Tr r) of r lies outside
+    the range of the isometry v."""
+    tr = float(np.trace(r).real)
+    inside = float(np.einsum("ij,ik,kj->", v.conj(), r, v).real)
+    return tr - inside > SUPPORT_LEAK_TOL * max(1.0, tr)
+
+
+def _power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """V diag(w)^p V+ for a support (w, V) of ``linalg.support``: the power
+    on the support, zero on the kernel."""
+    return (v * w**p) @ v.conj().T
+
+
+def _log2_over(q: float, alpha: float) -> float:
+    """log2(q) / (alpha - 1), or +inf when q vanishes (orthogonal supports)."""
+    return math.log2(q) / (alpha - 1.0) if q >= TINY_TRACE else math.inf
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr rho log2 rho."""
-    w = np.linalg.eigvalsh(_as_psd(rho))
-    cut = linalg.support_cut(w)
-    w = w[w > cut]
-    return float(-(w * np.log2(w)).sum())
+    return renyi_entropy(rho, 1.0)
 
 
-def relative_entropy(rho, sigma) -> DivergenceValue:
+def relative_entropy(rho, sigma) -> float:
     """Tr[rho (log rho - log sigma)] in bits; +inf outside sigma's support."""
-    r = _as_psd(rho)
-    s = _as_psd(sigma)
-    if r.shape != s.shape:
-        raise ValueError("arguments must share dimensions")
-    sdec = linalg.eigh(s)
-    if _support_leak(r, sdec) > SUPPORT_LEAK_TOL * max(1.0, float(np.trace(r).real)):
-        return _INFINITE
-    rw = np.linalg.eigvalsh(r)
-    cut = linalg.support_cut(rw)
-    rw = rw[rw > cut]
-    term1 = float((rw * np.log2(rw)).sum())
-    log_s = _pseudo_spectral_log2(sdec)
-    term2 = float(np.trace(r @ log_s).real)
-    return _finite(term1 - term2)
+    r, s = _psd_pair(rho, sigma)
+    ws, vs = linalg.support(s)
+    if _leaks(r, vs):
+        return math.inf
+    log_s = (vs * np.log2(ws)) @ vs.conj().T
+    return -von_neumann_entropy(r) - float(np.trace(r @ log_s).real)
 
 
-def _pseudo_spectral_log2(dec: linalg.HermEig) -> np.ndarray:
-    w = dec.eigenvalues
-    cut = linalg.support_cut(w)
-    fw = np.where(w > cut, np.log2(np.maximum(w, cut)), 0.0)
-    u = dec.eigenvectors
-    out = (u * fw) @ u.conj().T
-    return (out + out.conj().T) / 2
-
-
-def renyi_divergence(rho, sigma, alpha: float) -> DivergenceValue:
+def renyi_divergence(rho, sigma, alpha: float) -> float:
     """Petz-Renyi divergence log2 Tr[rho^a sigma^(1-a)] / (a - 1).
 
     alpha = 0 and alpha = 1 use their closed limit formulas; alpha must be
@@ -153,38 +127,24 @@ def renyi_divergence(rho, sigma, alpha: float) -> DivergenceValue:
     """
     if not 0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    r = _as_psd(rho)
-    s = _as_psd(sigma)
-    if r.shape != s.shape:
-        raise ValueError("arguments must share dimensions")
+    r, s = _psd_pair(rho, sigma)
     if alpha == 1.0:
         return relative_entropy(r, s)
-    rdec = linalg.eigh(r)
-    sdec = linalg.eigh(s)
     if alpha == 0.0:
-        proj = _pseudo_power(rdec, 0.0)  # support projector
-        q = float(np.trace(proj @ s).real)
-        if q < TINY_TRACE:
-            return _INFINITE
-        return _finite(-math.log2(q))
-    if alpha > 1.0:
-        if _support_leak(r, sdec) > SUPPORT_LEAK_TOL * max(1.0, float(np.trace(r).real)):
-            return _INFINITE
-    ra = _pseudo_power(rdec, alpha)
-    s1a = _pseudo_power(sdec, 1.0 - alpha)
-    q = float(np.trace(ra @ s1a).real)
-    if q < TINY_TRACE:
-        return _INFINITE
-    return _finite(math.log2(q) / (alpha - 1.0))
+        _, vr = linalg.support(r)
+        return _log2_over(float(np.einsum("ij,ik,kj->", vr.conj(), s, vr).real), 0.0)
+    ws, vs = linalg.support(s)
+    if alpha > 1.0 and _leaks(r, vs):
+        return math.inf
+    q = float(np.trace(_power(*linalg.support(r), alpha) @ _power(ws, vs, 1.0 - alpha)).real)
+    return _log2_over(q, alpha)
 
 
 def renyi_entropy(rho, alpha: float) -> float:
     """S_a(rho) = log2 Tr[rho^a] / (1 - a), with limits at 0, 1, inf."""
     if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
-    w = np.linalg.eigvalsh(_as_psd(rho))
-    cut = linalg.support_cut(w)
-    w = w[w > cut]
+    w, _ = linalg.support(_as_psd(rho))
     if alpha == 1.0:
         return float(-(w * np.log2(w)).sum())
     if alpha == 0.0:
@@ -194,7 +154,7 @@ def renyi_entropy(rho, alpha: float) -> float:
     return float(math.log2(np.power(w, alpha).sum()) / (1.0 - alpha))
 
 
-def sandwiched_divergence(rho, sigma, alpha: float) -> DivergenceValue:
+def sandwiched_divergence(rho, sigma, alpha: float) -> float:
     """log2 Tr[(sigma^c rho sigma^c)^a] / (a-1) with c = (1-a)/(2a).
 
     For a > 1 the first argument must live inside sigma's support; for
@@ -205,33 +165,19 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> DivergenceValue:
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    r = _as_psd(rho)
-    s = _as_psd(sigma)
-    if r.shape != s.shape:
-        raise ValueError("arguments must share dimensions")
+    r, s = _psd_pair(rho, sigma)
     if alpha == 1.0:
         return relative_entropy(r, s)
-    sdec = linalg.eigh(s)
-    if alpha > 1.0 and _support_leak(r, sdec) > SUPPORT_LEAK_TOL * max(
-        1.0, float(np.trace(r).real)
-    ):
-        return _INFINITE
+    ws, vs = linalg.support(s)
+    if alpha > 1.0 and _leaks(r, vs):
+        return math.inf
     if math.isinf(alpha):
-        inv_sqrt = _pseudo_power(sdec, -0.5)
+        inv_sqrt = _power(ws, vs, -0.5)
         val = linalg.operator_norm(inv_sqrt @ r @ inv_sqrt)
-        if val < TINY_TRACE:
-            return _INFINITE
-        return _finite(math.log2(val))
-    c = (1.0 - alpha) / (2.0 * alpha)
-    sc = _pseudo_power(sdec, c)
-    m = sc @ r @ sc
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    cut = linalg.support_cut(w)
-    w = w[w > cut]
-    q = float(np.power(w, alpha).sum()) if w.size else 0.0
-    if q < TINY_TRACE:
-        return _INFINITE
-    return _finite(math.log2(q) / (alpha - 1.0))
+        return math.log2(val) if val >= TINY_TRACE else math.inf
+    sc = _power(ws, vs, (1.0 - alpha) / (2.0 * alpha))
+    w, _ = linalg.support(sc @ r @ sc)
+    return _log2_over(float(np.power(w, alpha).sum()), alpha)
 
 
 def pinched_approximation(rho, sigma, alpha: float, n: int) -> float:
@@ -246,18 +192,14 @@ def pinched_approximation(rho, sigma, alpha: float, n: int) -> float:
         rn = np.kron(rn, r)
         sn = np.kron(sn, s)
     pinched = states.pinch(DensityOperator(sn / np.trace(sn).real), rn)
-    return float(renyi_divergence(pinched, sn, alpha)) / n
+    return renyi_divergence(pinched, sn, alpha) / n
 
 
 def fidelity(rho, sigma) -> float:
     """F = || sqrt(rho) sqrt(sigma) ||_1 (in [0, 1] for two states)."""
-    r = _as_psd(rho)
-    s = _as_psd(sigma)
-    if r.shape != s.shape:
-        raise ValueError("arguments must share dimensions")
-    sr = _pseudo_power(linalg.eigh(r), 0.5)
-    ss = _pseudo_power(linalg.eigh(s), 0.5)
-    return float(np.linalg.svd(sr @ ss, compute_uv=False).sum())
+    r, s = _psd_pair(rho, sigma)
+    root_r, root_s = _power(*linalg.support(r), 0.5), _power(*linalg.support(s), 0.5)
+    return float(np.linalg.svd(root_r @ root_s, compute_uv=False).sum())
 
 
 def conditional_entropy(rho: BipartiteState) -> float:
@@ -283,14 +225,14 @@ def _project_simplex(w: np.ndarray) -> np.ndarray:
     return np.maximum(w - tau, 0.0)
 
 
-def _project_density(h: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def _project_density(h: np.ndarray) -> np.ndarray:
     """Project a Hermitian matrix onto full-rank density matrices."""
     h = (h + h.conj().T) / 2
     w, u = np.linalg.eigh(h)
     p = _project_simplex(w)
     out = (u * p) @ u.conj().T
     d = h.shape[0]
-    out = (1.0 - d * floor) * out + floor * np.eye(d)
+    out = (1.0 - d * DENSITY_FLOOR) * out + DENSITY_FLOOR * np.eye(d)
     return (out + out.conj().T) / 2
 
 
@@ -321,18 +263,13 @@ def _sandwich_conditional_objective(rho_mat, dA, dB, alpha):
         wf = np.maximum(w, cut)
         sc_small = (u * np.power(wf, c)) @ u.conj().T
         big = np.kron(eye_a, sc_small)
-        m = big @ rho_mat @ big
-        m = (m + m.conj().T) / 2
-        mw, mu = np.linalg.eigh(m)
-        mcut = linalg.support_cut(mw)
-        sup = mw > mcut
+        mw, mu = linalg.support(big @ rho_mat @ big)
         # Powers of M / top stay within [0, 1] for any alpha: q = Tr (M/top)^a.
-        top = float(mw[sup].max())
-        q = float(np.power(mw[sup] / top, alpha).sum())
+        top = float(mw[-1])
+        q = float(np.power(mw / top, alpha).sum())
         f = (math.log2(q) + alpha * math.log2(top)) / (alpha - 1.0)
         # W = (M/top)^(alpha-1) on the support
-        pw = np.where(sup, np.power(np.maximum(mw, mcut) / top, alpha - 1.0), 0.0)
-        wmat = (mu * pw) @ mu.conj().T
+        wmat = (mu * np.power(mw / top, alpha - 1.0)) @ mu.conj().T
         g1 = rho_mat @ big @ wmat
         gsum = g1 + g1.conj().T
         n_small = np.einsum("aiaj->ij", gsum.reshape(dA, dB, dA, dB))
@@ -400,20 +337,28 @@ def conditional_renyi(rho: BipartiteState, alpha: float) -> EntropyBracket:
     """H~_a(A|B) = -inf_sigma D~_a(rho_AB || I_A (x) sigma_B), alpha >= 1/2,
     as a certified bracket lower <= H~_a <= upper; ``float`` gives lower.
 
-    alpha = 1/2, 1 and inf are ``h_max``, ``conditional_entropy`` and
-    ``h_min``, with lower == upper.  For alpha > 1 the objective is convex in
-    sigma_B (Frank & Lieb 2013): one descent gives [-f, -bound].  For alpha
-    in (1/2, 1), H~_a(A|B) = -H~_b(A|C) on a purification with
-    b = a / (2a - 1) > 1 (Muller-Lennert et al. 2013), so the b-descent on
-    the A:C marginal gives [bound, f].  upper - lower is the final gap: at
-    most ``OPT_TOL`` unless the step underflows first (up to about 1e-6).
+    alpha = 1/2 and inf solve the SDPs of ``h_max`` and ``h_min``: lower is
+    -D~_a(rho || I (x) sigma) at the program's own sigma, scaled to a
+    feasible trace (at most 1 for h_max, exactly 1 for h_min), and upper
+    comes from the dual value.  The primal values that ``h_max`` and
+    ``h_min`` return lie within about 3e-9 of lower.  alpha = 1 is
+    ``conditional_entropy``, with lower == upper.  For alpha > 1 the
+    objective is convex in sigma_B (Frank & Lieb 2013): one descent gives
+    [-f, -bound].  For alpha in (1/2, 1), H~_a(A|B) = -H~_b(A|C) on a
+    purification with b = a / (2a - 1) > 1 (Muller-Lennert et al. 2013), so
+    the b-descent on the A:C marginal gives [bound, f].  For the descents
+    upper - lower is the final gap: at most ``OPT_TOL`` unless the step
+    underflows first (up to about 1e-6).
     """
     if not alpha >= 0.5:
         raise ValueError("alpha must be >= 1/2 for the conditional family")
-    exact = {0.5: h_max, 1.0: conditional_entropy, math.inf: h_min}.get(alpha)
-    if exact is not None:
-        value = exact(rho)
-        route, bracket, steps = exact.__name__, EntropyBracket(value, value), 0
+    programs = {0.5: ("h_max", _h_max_bracket), math.inf: ("h_min", _h_min_bracket)}
+    if alpha in programs:
+        route, bracket_of = programs[alpha]
+        bracket, steps = bracket_of(rho), 0
+    elif alpha == 1.0:
+        value = conditional_entropy(rho)
+        route, bracket, steps = "conditional_entropy", EntropyBracket(value, value), 0
     elif alpha > 1.0:
         f, bound, steps = _conditional_descent(rho, alpha)
         route, bracket = "descent", EntropyBracket(-f, -bound)
@@ -452,17 +397,27 @@ def min_entropy_program(rho: BipartiteState) -> sdp.SdpProblem:
 
 
 def h_min(rho: BipartiteState) -> float:
-    """Conditional min-entropy via the operator-bound program."""
+    """Conditional min-entropy via the operator-bound program (its primal
+    value)."""
     sol = _solve_or_raise(min_entropy_program(rho))
     return float(-math.log2(sol.primal_value))
+
+
+def _h_min_bracket(rho: BipartiteState) -> EntropyBracket:
+    """H_min = max_sigma -D_max(rho || I (x) sigma) between the value at the
+    program's sigma block, normalized, and -log2 of its dual value, which
+    bounds 2^-Hmin from below."""
+    sol = _solve_or_raise(min_entropy_program(rho))
+    sigma = sol.X[1] / float(np.trace(sol.X[1]).real)
+    lower = -sandwiched_divergence(rho, np.kron(np.eye(rho.dimA), sigma), math.inf)
+    return EntropyBracket(lower, -math.log2(sol.dual_value))
 
 
 def _on_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(V, V+ mat V) with V the d x r isometry onto the support of a PSD
     matrix: pinning a block to the restriction keeps the primal strictly
     feasible when mat is rank-deficient."""
-    dec = linalg.eigh(mat)
-    v_iso = dec.eigenvectors[:, dec.eigenvalues > linalg.support_cut(dec.eigenvalues)]
+    _, v_iso = linalg.support(mat)
     return v_iso, v_iso.conj().T @ mat @ v_iso
 
 
@@ -507,10 +462,20 @@ def _fidelity_program(rho_mat: np.ndarray, dA: int, dB: int, scale: float) -> sd
 def h_max(rho: BipartiteState) -> float:
     """Conditional max-entropy log2 max_sigma F(rho_AB, I_A (x) sigma_B)^2
     over subnormalized sigma_B (the exponent convention making the
-    min/max duality and the decoupling identity hold)."""
+    min/max duality and the decoupling identity hold), from the primal value
+    of the fidelity program."""
     sol = _solve_or_raise(_fidelity_program(rho.matrix, rho.dimA, rho.dimB, 1.0))
-    f = sol.primal_value
-    return float(2.0 * math.log2(max(f, TINY_TRACE)))
+    return float(2.0 * math.log2(max(sol.primal_value, TINY_TRACE)))
+
+
+def _h_max_bracket(rho: BipartiteState) -> EntropyBracket:
+    """H_max = max_sigma -D~_1/2(rho || I (x) sigma) between the value at the
+    fidelity program's sigma block, scaled to trace at most 1, and 2 log2 of
+    its dual value, which bounds max F from above."""
+    sol = _solve_or_raise(_fidelity_program(rho.matrix, rho.dimA, rho.dimB, 1.0))
+    sigma = sol.X[1] / max(1.0, float(np.trace(sol.X[1]).real))
+    lower = -sandwiched_divergence(rho, np.kron(np.eye(rho.dimA), sigma), 0.5)
+    return EntropyBracket(lower, 2.0 * math.log2(max(sol.dual_value, TINY_TRACE)))
 
 
 def q_corr(rho: BipartiteState) -> float:

@@ -5,11 +5,16 @@ All functions take plain ``numpy.ndarray`` (complex128) and are pure. Inputs
 declared Hermitian are symmetrized as ``(m + m.conj().T) / 2`` before any
 decomposition; asymmetry beyond ``HERM_TOL`` is rejected rather than silently
 repaired.
+
+``support`` is the one place the support of a PSD matrix is chosen: the
+divergences' pseudo-powers, logarithms and support rules, purifications and
+the supports pinned in SDPs all take it.  Besides it, ``support_cut`` is read
+only where a spectrum is clamped (the ``entropy.conditional_renyi`` descent),
+counted (``states.schmidt_rank``) or first checked for negative eigenvalues
+(``maps.kraus_decomposition``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,27 +55,11 @@ def hermitize(m) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-@dataclass(frozen=True)
-class HermEig:
-    """Spectral decomposition of a Hermitian matrix.
-
-    eigenvalues are ascending; eigenvectors holds the matching unitary of
-    column eigenvectors, so ``U @ diag(w) @ U†`` reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
-
-def eigh(m) -> HermEig:
-    """Spectral decomposition of a Hermitian matrix (symmetrized internally)."""
-    h = hermitize(m)
-    w, u = np.linalg.eigh(h)
-    return HermEig(eigenvalues=w, eigenvectors=u)
+def eigh(m):
+    """Spectral decomposition of a Hermitian matrix (symmetrized internally):
+    numpy's ``EighResult``, ascending ``eigenvalues`` and the unitary of
+    column ``eigenvectors``."""
+    return np.linalg.eigh(hermitize(m))
 
 
 def support_cut(eigenvalues: np.ndarray) -> float:
@@ -79,27 +68,30 @@ def support_cut(eigenvalues: np.ndarray) -> float:
     return SUPPORT_RTOL * max(1.0, lam_max)
 
 
+def support(m) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V): the eigenvalues of a Hermitian matrix above ``support_cut``,
+    ascending, and the isometry whose columns are their eigenvectors, so
+    that V diag(w) V† is the matrix restricted to its support."""
+    w, u = eigh(m)
+    keep = w > support_cut(w)
+    return w[keep], u[:, keep]
+
+
 def spectral_fn(m, f, support_only: bool = False) -> np.ndarray:
     """Apply a real scalar function to a Hermitian matrix through its spectrum.
 
-    With ``support_only`` the function acts only on eigenvalues above the
-    support cut; the kernel directions map to zero (pseudo-function
-    convention, e.g. log/inverse powers on singular states).
+    With ``support_only`` the function acts only on ``support(m)``; the
+    kernel directions map to zero (pseudo-function convention, e.g.
+    log/inverse powers on singular states).
     """
-    dec = eigh(m)
-    w = dec.eigenvalues
+    w, u = support(m) if support_only else eigh(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if support_only:
-            cut = support_cut(w)
-            fw = np.array([f(x) if x > cut else 0.0 for x in w], dtype=np.float64)
-        else:
-            fw = np.array([f(x) for x in w], dtype=np.float64)
+        fw = np.array([f(x) for x in w], dtype=np.float64)
     if not np.all(np.isfinite(fw)):
         raise ValueError(
             "scalar function produced a non-finite value on the spectrum; "
             "use support_only for functions undefined at zero"
         )
-    u = dec.eigenvectors
     out = (u * fw) @ u.conj().T
     return (out + out.conj().T) / 2
 

@@ -15,6 +15,7 @@ trace-preserving map gives the identity on H_in.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ CERT_NEG_TOL = -1e-8
 
 CPTP_TOL = 1e-9
 UNITAL_TOL = 1e-9
+
+_log = logging.getLogger(__name__)
 
 
 class NonInvertibleMapError(ValueError):
@@ -184,19 +187,15 @@ def from_choi(j, dimIn: int, dimOut: int) -> QuantumMap:
     return QuantumMap(dimIn, dimOut, np.ascontiguousarray(s))
 
 
-def kraus_decomposition(m: QuantumMap, tol_scale: float = 1.0) -> list:
+def kraus_decomposition(m: QuantumMap) -> list:
     """Kraus operators of a CP map via the spectral form of its Choi matrix."""
-    j = choi(m)
-    dec = linalg.eigh(j)
-    cut = linalg.support_cut(dec.eigenvalues)
-    if dec.eigenvalues[0] < -1e-9 * tol_scale * max(1.0, abs(dec.eigenvalues[-1])):
+    w, u = linalg.eigh(choi(m))
+    if w[0] < -CPTP_TOL * max(1.0, abs(w[-1])):
         raise ValueError("map is not CP; no Kraus decomposition exists")
-    ops = []
-    for lam, col in zip(dec.eigenvalues, dec.eigenvectors.T):
-        if lam > cut:
-            # column vector on out (x) in reshapes to the Kraus matrix
-            ops.append(np.sqrt(lam) * col.reshape(m.dimOut, m.dimIn))
-    return ops
+    cut = linalg.support_cut(w)
+    # a column vector on out (x) in reshapes to the Kraus matrix
+    return [np.sqrt(lam) * col.reshape(m.dimOut, m.dimIn)
+            for lam, col in zip(w, u.T) if lam > cut]
 
 
 def compose(f: QuantumMap, g: QuantumMap) -> QuantumMap:
@@ -291,7 +290,9 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
     calls only where a call would hold more than
     ``_accel.KPOS_STACK_ENTRIES`` Hessian entries.  Every restart follows
     the iterates it follows alone, so each certificate is bit for bit the
-    one ``k_positivity`` gives for that map and seed.
+    one ``k_positivity`` gives for that map and seed.  Logs this call plan
+    at DEBUG on the ``nonmarkov.maps`` logger: the exact path, or the number
+    of ``kpos_scan`` calls and the rows of each.
     """
     ms, seeds = list(ms), list(seeds)
     if not ms:
@@ -309,11 +310,9 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
         j = choi(m)
         js.append((j + j.conj().T) / 2)
     if k >= min(dA, dB):
-        certs = []
-        for j in js:
-            psi = linalg.eigh(j).eigenvectors[:, 0]
-            certs.append(_certificate(k, j, psi, 0, 0, 0.0))
-        return certs
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("k=%d: exact minimum eigenvalues, no kpos_scan call", k)
+        return [_certificate(k, j, linalg.eigh(j).eigenvectors[:, 0], 0, 0, 0.0) for j in js]
     starts_l, starts_u = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -322,10 +321,13 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
         starts_l.append(rng.standard_normal(shape_l) + 1j * rng.standard_normal(shape_l))
         starts_u.append(rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u))
     j4 = np.stack([j.reshape(dA, dB, dA, dB) for j in js])
-    per_call = kpos_maps_per_call(dA, dB, k, restarts)
+    per_call = _kpos_maps_per_call(dA, dB, k, restarts)
+    calls = [(lo, min(lo + per_call, len(ms))) for lo in range(0, len(ms), per_call)]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("k=%d: %d stacked kpos_scan call(s), rows per call %s",
+                   k, len(calls), [restarts * (hi - lo) for lo, hi in calls])
     certs = []
-    for lo in range(0, len(ms), per_call):
-        hi = min(lo + per_call, len(ms))
+    for lo, hi in calls:
         bests, best_l, best_u, vals, converged = _accel.kpos_scan(
             j4[lo:hi], dA, dB, k,
             np.concatenate(starts_l[lo:hi]), np.concatenate(starts_u[lo:hi]))
@@ -338,7 +340,7 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
     return certs
 
 
-def kpos_maps_per_call(dA: int, dB: int, k: int, restarts: int) -> int:
+def _kpos_maps_per_call(dA: int, dB: int, k: int, restarts: int) -> int:
     """How many maps' searches one ``kpos_scan`` call stacks: as many as keep
     rows x (max(dA, dB) * k)^2 within ``_accel.KPOS_STACK_ENTRIES``, and at
     least one."""

@@ -23,6 +23,9 @@ STATE_TRACE_TOL = 1e-9
 POVM_TOL = 1e-9
 ENSEMBLE_PROB_TOL = 1e-12
 
+# A state whose purity is below 1 - PURITY_TOL has no dominant vector.
+PURITY_TOL = 1e-9
+
 # Eigenvalues of a pinching reference closer than this (absolute, on a
 # max(1, scale) footing) share one spectral projector, so that nearly
 # degenerate spectra. e.g. of tensor powers, pinch stably.
@@ -142,11 +145,6 @@ class TripartiteState:
         m = m.reshape(self.dimA * self.dimC, self.dimA * self.dimC)
         return BipartiteState(self.dimA, self.dimC, DensityOperator(m))
 
-    def marginal_bc(self) -> BipartiteState:
-        m = np.einsum("abcayz->bcyz", self._tensor6())
-        m = m.reshape(self.dimB * self.dimC, self.dimB * self.dimC)
-        return BipartiteState(self.dimB, self.dimC, DensityOperator(m))
-
     def to_json(self) -> str:
         return dumps_state(self.matrix, [self.dimA, self.dimB, self.dimC])
 
@@ -186,10 +184,6 @@ class StateEnsemble:
     @property
     def dim(self) -> int:
         return self.states[0].dim
-
-    def average(self) -> DensityOperator:
-        m = sum(p * s.matrix for p, s in zip(self.probs, self.states))
-        return DensityOperator(m)
 
 
 @dataclass(frozen=True)
@@ -275,36 +269,17 @@ def max_entangled(dA: int) -> BipartiteState:
     return BipartiteState(dA, dA, DensityOperator(np.outer(v, v.conj())))
 
 
-def purity(m: np.ndarray) -> float:
-    return float(np.trace(m @ m).real)
-
-
 def purify(s: BipartiteState) -> TripartiteState:
     """Append a reference system C of dimension rank(s) so A:B:C is pure."""
-    dec = linalg.eigh(s.matrix)
-    cut = linalg.support_cut(dec.eigenvalues)
-    keep = [k for k, lam in enumerate(dec.eigenvalues) if lam > cut]
-    dC = len(keep)
-    d = s.dim
-    psi = np.zeros(d * dC, dtype=np.complex128)
-    # |psi> = sum_k sqrt(lam_k) |v_k>_AB |k>_C  (C-major-last per A-major rule)
-    for c, k in enumerate(keep):
-        lam = dec.eigenvalues[k]
-        vk = dec.eigenvectors[:, k]
-        psi += np.sqrt(lam) * np.kron(vk, _unit(dC, c))
-    psi /= np.linalg.norm(psi)
-    return TripartiteState(s.dimA, s.dimB, dC, pure_state(psi))
+    w, v = linalg.support(s.matrix)
+    # |psi> = sum_k sqrt(w_k) |v_k>_AB |k>_C, C last per the A-major rule
+    psi = (v * np.sqrt(w)).reshape(-1)
+    return TripartiteState(s.dimA, s.dimB, len(w), pure_state(psi))
 
 
-def _unit(dim: int, i: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[i] = 1.0
-    return v
-
-
-def dominant_vector(state: DensityOperator, purity_tol: float = 1e-9) -> np.ndarray:
+def dominant_vector(state: DensityOperator) -> np.ndarray:
     """Extract the state vector of a (numerically) pure density operator."""
-    if state.purity() < 1.0 - purity_tol:
+    if state.purity() < 1.0 - PURITY_TOL:
         raise ValueError(f"state is not pure: purity {state.purity()!r}")
     dec = linalg.eigh(state.matrix)
     return dec.eigenvectors[:, -1]
@@ -327,13 +302,13 @@ def schmidt_rank(psi: BipartiteState) -> int:
     return int(np.sum(s2 > cut))
 
 
-def eigenvalue_clusters(eigenvalues: np.ndarray, tol: float = PINCH_CLUSTER_TOL):
+def eigenvalue_clusters(eigenvalues: np.ndarray):
     """Group ascending eigenvalues into clusters of near-degenerate values."""
     scale = max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
     clusters = []
     current = [0]
     for i in range(1, len(eigenvalues)):
-        if eigenvalues[i] - eigenvalues[current[-1]] <= tol * scale:
+        if eigenvalues[i] - eigenvalues[current[-1]] <= PINCH_CLUSTER_TOL * scale:
             current.append(i)
         else:
             clusters.append(current)

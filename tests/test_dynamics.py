@@ -446,7 +446,7 @@ class TestDivisibilityReport:
 
 def test_report_logs_search_statistics(caplog):
     dm = propagate(model("eternal"), time_grid(2, 7))
-    with caplog.at_level(logging.DEBUG, logger="nonmarkov.dynamics"):
+    with caplog.at_level(logging.DEBUG, logger="nonmarkov"):
         rep = divisibility_report(dm, ks=[1, 2], restarts=40, seed=0)
     messages = [r.getMessage() for r in caplog.records]
     assert messages[0] == "k=1: 1 stacked kpos_scan call(s), rows per call [240]"
