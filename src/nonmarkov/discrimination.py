@@ -11,8 +11,10 @@ through a seesaw of guessing SDPs and input updates.
 Outer nonconvex maximizations over input states are multistart local
 ascents reporting best-found lower bounds; the semidefinite programs
 (guessing, diamond norm, channel fidelity) carry matching dual
-certificates.  The trace-norm ascent logs its restart
-statistics at DEBUG on the ``nonmarkov.discrimination`` logger.
+certificates.  The diamond-norm program is Watrous's with the input state
+eliminated: two blocks of one size, S+ and S-, whose sum fixes the input.
+The trace-norm ascent logs its restart statistics at DEBUG on the
+``nonmarkov.discrimination`` logger.
 """
 
 from __future__ import annotations
@@ -192,30 +194,29 @@ def _tracenorm_ascent(delta: QuantumMap, k: int, restarts: int, seed: int) -> fl
 
 
 def diamond_norm_program(m: QuantumMap) -> sdp.SdpProblem:
-    """max <J, Omega> s.t. -I (x) rho <= Omega <= I (x) rho, Tr rho = 1.
+    """max <J, Omega> s.t. -I (x) rho <= Omega <= I (x) rho, Tr rho = 1
+    (Watrous 2012), written in the slack blocks S+- = I (x) rho -+ Omega >= 0
+    alone; the identity factor acts on the output side of the Choi matrix.
 
-    Encoded with slack blocks S+- = I (x) rho -+ Omega >= 0; the identity
-    factor acts on the output side of the Choi matrix.
+    S+ + S- = 2 I_out (x) rho says that S+ + S- is orthogonal to T (x) h for
+    every traceless Hermitian T on the output and h in
+    ``hermitian_basis(d_in)``, and Tr rho = 1 that Tr(S+ + S-) = 2 d_out.
+    So m = (d_out^2 - 1) d_in^2 + 1, and the optimal input is
+    Tr_out(S+ + S-) / (2 d_out).
     """
     j = maps.choi(m)
     j = (j + j.conj().T) / 2
     d_out, d_in = m.dimOut, m.dimIn
     d = d_out * d_in
-    zero_in = np.zeros((d_in, d_in), dtype=complex)
-    # one row per basis element h: <h, S+ + S-> = <h, 2 I (x) rho>; last row Tr rho = 1
-    h = sdp.hermitian_basis(d)
-    tr_out = np.einsum("kaiaj->kij", h.reshape(-1, d_out, d_in, d_out, d_in))
-    a_omega = np.concatenate([h, np.zeros((1, d, d), dtype=complex)])
-    a_rho = np.concatenate([-2.0 * tr_out, np.eye(d_in, dtype=complex)[None]])
-    b = np.zeros(d * d + 1)
-    b[-1] = 1.0
-    return sdp.SdpProblem(
-        blocks=[d, d, d_in],
-        C=[-j / 2, j / 2, zero_in],
-        A=[a_omega, a_omega, a_rho],
-        b=b,
-        sense="max",
-    )
+    # traceless output basis: e_ii - e_00 for i > 0, then the off-diagonal elements
+    h_out = sdp.hermitian_basis(d_out)
+    traceless = h_out[1:].copy()
+    traceless[: d_out - 1] -= h_out[0]
+    a = np.kron(traceless[:, None], sdp.hermitian_basis(d_in)[None]).reshape(-1, d, d)
+    a = np.concatenate([a, np.eye(d)[None]])
+    b = np.zeros(len(a))
+    b[-1] = 2.0 * d_out
+    return sdp.SdpProblem(blocks=[d, d], C=[-j / 2, j / 2], A=[a, a], b=b, sense="max")
 
 
 def diamond_norm(m: QuantumMap) -> float:
@@ -226,6 +227,14 @@ def diamond_norm(m: QuantumMap) -> float:
     if abs(sol.gap) > 1e-6 * (1.0 + abs(sol.primal_value)):
         raise SdpError(f"diamond-norm primal/dual gap too large: {sol.gap}")
     return float(sol.primal_value)
+
+
+def _on_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, V+ mat V) with V the d x r isometry onto the support of a PSD
+    matrix: pinning a block to the restriction keeps the primal strictly
+    feasible when mat is rank-deficient."""
+    _, v_iso = linalg.support(mat)
+    return v_iso, v_iso.conj().T @ mat @ v_iso
 
 
 def channel_fidelity_program(e1: QuantumMap, e2: QuantumMap) -> sdp.SdpProblem:
@@ -240,8 +249,8 @@ def channel_fidelity_program(e1: QuantumMap, e2: QuantumMap) -> sdp.SdpProblem:
     if (e1.dimIn, e1.dimOut) != (e2.dimIn, e2.dimOut):
         raise ValueError("channels must share input and output dimensions")
     d_out, d_in = e1.dimOut, e1.dimIn
-    v1, j1 = entropy._on_support(maps.choi(e1))
-    v2, j2 = entropy._on_support(maps.choi(e2))
+    v1, j1 = _on_support(maps.choi(e1))
+    v2, j2 = _on_support(maps.choi(e2))
     r1, r2 = j1.shape[0], j2.shape[0]
     h1, h2, h_in = sdp.hermitian_basis(r1), sdp.hermitian_basis(r2), sdp.hermitian_basis(d_in)
     p1, p2 = r1 * r1, r1 * r1 + r2 * r2

@@ -11,10 +11,12 @@ when its support rule fails: for alpha >= 1, when more than
 ``SUPPORT_LEAK_TOL`` of the first argument lies outside the second's
 support; for alpha < 1, when the arguments are orthogonal.
 
-The conditional min- and max-entropies are SDPs; the sandwiched conditional
-Renyi entropies between them come from one convex descent that certifies
-its own bracket (``conditional_renyi``) and logs at DEBUG on the
-``nonmarkov.entropy`` logger.
+The conditional min-entropy is one SDP with a single block,
+max <rho_AB, X> over X >= 0 with Tr_A X = I_B (``min_entropy_program``), and
+the max-entropy is -H_min(A|C) of the same program on a purification.  The
+sandwiched conditional Renyi entropies between them come from one convex
+descent that certifies its own bracket (``conditional_renyi``) and logs at
+DEBUG on the ``nonmarkov.entropy`` logger.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, maps, sdp, states
+from . import linalg, sdp, states
 from .sdp import SdpError
 from .states import BipartiteState, DensityOperator
 
@@ -180,21 +182,6 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> float:
     return _log2_over(float(np.power(w, alpha).sum()), alpha)
 
 
-def pinched_approximation(rho, sigma, alpha: float, n: int) -> float:
-    """(1/n) D_a(pinch(sigma^n, rho^n) || sigma^n) on n-fold tensor powers."""
-    r = _as_psd(rho)
-    s = _as_psd(sigma)
-    d = r.shape[0]
-    if n < 1 or d**n > 64:
-        raise ValueError("tensor power out of desk scale (need dim^n <= 64)")
-    rn, sn = r.copy(), s.copy()
-    for _ in range(n - 1):
-        rn = np.kron(rn, r)
-        sn = np.kron(sn, s)
-    pinched = states.pinch(DensityOperator(sn / np.trace(sn).real), rn)
-    return renyi_divergence(pinched, sn, alpha) / n
-
-
 def fidelity(rho, sigma) -> float:
     """F = || sqrt(rho) sqrt(sigma) ||_1 (in [0, 1] for two states)."""
     r, s = _psd_pair(rho, sigma)
@@ -310,7 +297,9 @@ def _conditional_descent(rho: BipartiteState, alpha: float):
     sigma_B) <= f, alpha > 1.  The optimal sigma_B lives on supp rho_B, so one
     projected descent from rho_B runs on rho_AB conjugated by I (x) V, V the
     isometry onto that support; bound is the best Frank-Wolfe bound seen."""
-    v_iso, sigma = _on_support(states.partial_trace(rho, "A").matrix)
+    rho_b = states.partial_trace(rho, "A").matrix
+    _, v_iso = linalg.support(rho_b)
+    sigma = v_iso.conj().T @ rho_b @ v_iso
     big_v = np.kron(np.eye(rho.dimA), v_iso)
     rho_r = big_v.conj().T @ rho.matrix @ big_v
     objective = _sandwich_conditional_objective(rho_r, rho.dimA, v_iso.shape[1], alpha)
@@ -337,12 +326,13 @@ def conditional_renyi(rho: BipartiteState, alpha: float) -> EntropyBracket:
     """H~_a(A|B) = -inf_sigma D~_a(rho_AB || I_A (x) sigma_B), alpha >= 1/2,
     as a certified bracket lower <= H~_a <= upper; ``float`` gives lower.
 
-    alpha = 1/2 and inf solve the SDPs of ``h_max`` and ``h_min``: lower is
-    -D~_a(rho || I (x) sigma) at the program's own sigma, scaled to a
-    feasible trace (at most 1 for h_max, exactly 1 for h_min), and upper
-    comes from the dual value.  The primal values that ``h_max`` and
-    ``h_min`` return lie within about 3e-9 of lower.  alpha = 1 is
-    ``conditional_entropy``, with lower == upper.  For alpha > 1 the
+    alpha = inf solves ``min_entropy_program``: lower is -D_max(rho || I (x)
+    sigma) at the dual's sigma_B, normalized, and upper is -log2 <rho, X'> at
+    the primal's X made feasible (clipped to PSD, divided by
+    lambda_max(Tr_A X)).  alpha = 1/2 is -H_min(A|C) on a purification, so
+    its bracket is the one of rho_AC, negated and swapped.  The primal
+    values that ``h_min`` and ``h_max`` return lie within about 3e-9 of the
+    X end.  alpha = 1 is ``conditional_entropy``, with lower == upper.  For alpha > 1 the
     objective is convex in sigma_B (Frank & Lieb 2013): one descent gives
     [-f, -bound].  For alpha in (1/2, 1), H~_a(A|B) = -H~_b(A|C) on a
     purification with b = a / (2a - 1) > 1 (Muller-Lennert et al. 2013), so
@@ -377,105 +367,71 @@ def conditional_renyi(rho: BipartiteState, alpha: float) -> EntropyBracket:
 # ---------------------------------------------------------------------------
 
 
-def _solve_or_raise(problem: sdp.SdpProblem) -> sdp.SdpSolution:
-    sol = sdp.solve(problem)
+def min_entropy_program(rho: BipartiteState) -> sdp.SdpProblem:
+    """max <rho_AB, X>  s.t.  Tr_A X = I_B, X >= 0  (value = 2^-Hmin).
+
+    One block of size d_A d_B and one row <I_A (x) h, X> = Tr h for each h
+    in ``hermitian_basis(d_B)``, so m = d_B^2.  X = I / d_A and the dual
+    slack I_A (x) c I_B - rho, c > lambda_max(rho), are strictly feasible at
+    any rank, so nothing is pinned to a support.
+    """
+    h = sdp.hermitian_basis(rho.dimB)
+    a = np.kron(np.eye(rho.dimA), h)
+    return sdp.SdpProblem(blocks=[rho.dimA * rho.dimB], C=[rho.matrix], A=[a],
+                          b=np.trace(h, axis1=1, axis2=2).real, sense="max")
+
+
+def _min_entropy_solution(rho: BipartiteState) -> sdp.SdpSolution:
+    """The optimal solution of ``min_entropy_program(rho)``: the one solve
+    behind ``h_min``, ``h_max`` and their brackets."""
+    sol = sdp.solve(min_entropy_program(rho))
     if not sol.optimal:
         raise SdpError(f"SDP solver returned status {sol.status!r}")
     return sol
 
 
-def min_entropy_program(rho: BipartiteState) -> sdp.SdpProblem:
-    """min Tr sigma_B  s.t.  I_A (x) sigma_B >= rho_AB  (value = 2^-Hmin)."""
-    dA, dB = rho.dimA, rho.dimB
-    d = dA * dB
-    zero_d = np.zeros((d, d), dtype=complex)
-    h = sdp.hermitian_basis(d)
-    tr_a = np.einsum("kaiaj->kij", h.reshape(-1, dA, dB, dA, dB))
-    b = -np.einsum("kij,ji->k", h, rho.matrix).real
-    c = [zero_d, np.eye(dB, dtype=complex)]
-    return sdp.SdpProblem(blocks=[d, dB], C=c, A=[h, -tr_a], b=b, sense="min")
-
-
 def h_min(rho: BipartiteState) -> float:
-    """Conditional min-entropy via the operator-bound program (its primal
-    value)."""
-    sol = _solve_or_raise(min_entropy_program(rho))
-    return float(-math.log2(sol.primal_value))
-
-
-def _h_min_bracket(rho: BipartiteState) -> EntropyBracket:
-    """H_min = max_sigma -D_max(rho || I (x) sigma) between the value at the
-    program's sigma block, normalized, and -log2 of its dual value, which
-    bounds 2^-Hmin from below."""
-    sol = _solve_or_raise(min_entropy_program(rho))
-    sigma = sol.X[1] / float(np.trace(sol.X[1]).real)
-    lower = -sandwiched_divergence(rho, np.kron(np.eye(rho.dimA), sigma), math.inf)
-    return EntropyBracket(lower, -math.log2(sol.dual_value))
-
-
-def _on_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, V+ mat V) with V the d x r isometry onto the support of a PSD
-    matrix: pinning a block to the restriction keeps the primal strictly
-    feasible when mat is rank-deficient."""
-    _, v_iso = linalg.support(mat)
-    return v_iso, v_iso.conj().T @ mat @ v_iso
-
-
-def _fidelity_program(rho_mat: np.ndarray, dA: int, dB: int, scale: float) -> sdp.SdpProblem:
-    """max Re Tr X s.t. [[rho, X], [X+, scale * I_A (x) sigma]] >= 0,
-    sigma >= 0 subnormalized; value = max_sigma F(rho, scale I (x) sigma).
-
-    The pinned rho block is restricted to its support (``_on_support``),
-    which does not change the optimum.
-    """
-    d = dA * dB
-    v_iso, rho_r = _on_support(rho_mat)
-    r = rho_r.shape[0]
-    big = r + d
-    zero_b = np.zeros((dB, dB), dtype=complex)
-    zero_s = np.zeros((1, 1), dtype=complex)
-    h_r, h_d = sdp.hermitian_basis(r), sdp.hermitian_basis(d)
-    m = r * r + d * d + 1
-    a_big = np.zeros((m, big, big), dtype=complex)
-    a_b = np.zeros((m, dB, dB), dtype=complex)
-    a_s = np.zeros((m, 1, 1), dtype=complex)
-    b = np.zeros(m)
-    # rows [0, r^2): top-left block pinned to the support-restricted rho
-    a_big[: r * r, :r, :r] = h_r
-    b[: r * r] = np.einsum("kij,ji->k", h_r, rho_r).real
-    # rows [r^2, m - 1): bottom-right block equals scale * I_A (x) sigma
-    a_big[r * r : -1, r:, r:] = h_d
-    a_b[r * r : -1] = -scale * np.einsum("kaiaj->kij", h_d.reshape(-1, dA, dB, dA, dB))
-    # last row, subnormalization: Tr sigma + slack = 1
-    a_b[-1] = np.eye(dB)
-    a_s[-1] = 1.0
-    b[-1] = 1.0
-    # objective Re Tr(V X~) where X~ is the (support x full) off-diagonal block
-    c_big = np.zeros((big, big), dtype=complex)
-    c_big[:r, r:] = v_iso.conj().T / 2
-    c_big[r:, :r] = v_iso / 2
-    return sdp.SdpProblem(
-        blocks=[big, dB, 1], C=[c_big, zero_b, zero_s], A=[a_big, a_b, a_s], b=b, sense="max"
-    )
+    """Conditional min-entropy -log2 of the primal value of
+    ``min_entropy_program``."""
+    return float(-math.log2(_min_entropy_solution(rho).primal_value))
 
 
 def h_max(rho: BipartiteState) -> float:
     """Conditional max-entropy log2 max_sigma F(rho_AB, I_A (x) sigma_B)^2
     over subnormalized sigma_B (the exponent convention making the
-    min/max duality and the decoupling identity hold), from the primal value
-    of the fidelity program."""
-    sol = _solve_or_raise(_fidelity_program(rho.matrix, rho.dimA, rho.dimB, 1.0))
-    return float(2.0 * math.log2(max(sol.primal_value, TINY_TRACE)))
+    min/max duality and the decoupling identity hold), as -H_min(A|C) on a
+    purification (Konig, Renner & Schaffner 2009): log2 of the primal value
+    of the min-entropy program of rho_AC, with d_C = rank rho."""
+    ac = states.purify(rho).marginal_ac()
+    return float(math.log2(_min_entropy_solution(ac).primal_value))
+
+
+def _h_min_bracket(rho: BipartiteState) -> EntropyBracket:
+    """H_min = max_sigma -D_max(rho || I (x) sigma) between the value at the
+    dual's sigma_B = Tr_A(Z + rho), normalized, and -log2 <rho, X'> at the
+    primal's X clipped to PSD and divided by lambda_max(Tr_A X), which is
+    feasible for Tr_A X' <= I_B and so bounds 2^-Hmin from below."""
+    sol = _min_entropy_solution(rho)
+    dA, dB = rho.dimA, rho.dimB
+
+    def tr_a(m):
+        return np.einsum("aiaj->ij", m.reshape(dA, dB, dA, dB))
+
+    w, u = np.linalg.eigh(sol.X[0])
+    x = (u * np.maximum(w, 0.0)) @ u.conj().T
+    scale = float(np.linalg.eigvalsh(tr_a(x))[-1])
+    upper = -math.log2(float(np.vdot(x, rho.matrix).real) / scale)
+    sigma = tr_a(sol.Z[0] + rho.matrix)
+    sigma /= float(np.trace(sigma).real)
+    lower = -sandwiched_divergence(rho, np.kron(np.eye(dA), sigma), math.inf)
+    return EntropyBracket(lower, upper)
 
 
 def _h_max_bracket(rho: BipartiteState) -> EntropyBracket:
-    """H_max = max_sigma -D~_1/2(rho || I (x) sigma) between the value at the
-    fidelity program's sigma block, scaled to trace at most 1, and 2 log2 of
-    its dual value, which bounds max F from above."""
-    sol = _solve_or_raise(_fidelity_program(rho.matrix, rho.dimA, rho.dimB, 1.0))
-    sigma = sol.X[1] / max(1.0, float(np.trace(sol.X[1]).real))
-    lower = -sandwiched_divergence(rho, np.kron(np.eye(rho.dimA), sigma), 0.5)
-    return EntropyBracket(lower, 2.0 * math.log2(max(sol.dual_value, TINY_TRACE)))
+    """H_max(A|B) = -H_min(A|C): the negated, swapped bracket of the A:C
+    marginal of a purification."""
+    bracket = _h_min_bracket(states.purify(rho).marginal_ac())
+    return EntropyBracket(-bracket.upper, -bracket.lower)
 
 
 def q_corr(rho: BipartiteState) -> float:
@@ -489,7 +445,4 @@ def q_corr(rho: BipartiteState) -> float:
 
 def q_decpl(rho: BipartiteState) -> float:
     """Decoupling accuracy d_A max_sigma F(rho, I/d_A (x) sigma)^2 = 2^Hmax."""
-    sol = _solve_or_raise(
-        _fidelity_program(rho.matrix, rho.dimA, rho.dimB, 1.0 / rho.dimA)
-    )
-    return float(rho.dimA * sol.primal_value**2)
+    return float(2.0 ** h_max(rho))

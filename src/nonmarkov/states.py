@@ -1,6 +1,5 @@
 """Quantum-state data model: density operators, multipartite structure,
-canonical states, ensembles, POVMs, pinching, Schmidt analysis and seeded
-sampling.
+canonical states, ensembles, POVMs, Schmidt analysis and seeded sampling.
 
 Tensor ordering is A-major everywhere: the composite index of a product
 A (x) B is ``a * dimB + b``, which is exactly ``numpy.kron`` ordering. Every
@@ -25,11 +24,6 @@ ENSEMBLE_PROB_TOL = 1e-12
 
 # A state whose purity is below 1 - PURITY_TOL has no dominant vector.
 PURITY_TOL = 1e-9
-
-# Eigenvalues of a pinching reference closer than this (absolute, on a
-# max(1, scale) footing) share one spectral projector, so that nearly
-# degenerate spectra. e.g. of tensor powers, pinch stably.
-PINCH_CLUSTER_TOL = 1e-8
 
 
 def _check_density_matrix(m: np.ndarray) -> np.ndarray:
@@ -300,40 +294,6 @@ def schmidt_rank(psi: BipartiteState) -> int:
     s2 = schmidt_coefficients(psi) ** 2
     cut = linalg.support_cut(s2)
     return int(np.sum(s2 > cut))
-
-
-def eigenvalue_clusters(eigenvalues: np.ndarray):
-    """Group ascending eigenvalues into clusters of near-degenerate values."""
-    scale = max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
-    clusters = []
-    current = [0]
-    for i in range(1, len(eigenvalues)):
-        if eigenvalues[i] - eigenvalues[current[-1]] <= PINCH_CLUSTER_TOL * scale:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    clusters.append(current)
-    return clusters
-
-
-def pinch(sigma: DensityOperator, x) -> np.ndarray:
-    """Remove off-diagonal blocks of x relative to sigma's eigenprojectors.
-
-    Near-degenerate eigenvalues of sigma (within PINCH_CLUSTER_TOL on a
-    max(1, scale) footing) share a single projector, so tensor powers with
-    exactly repeated spectra pinch stably.
-    """
-    a = linalg.as_matrix(x)
-    if a.shape != sigma.matrix.shape:
-        raise ValueError("pinch requires sigma and x of equal dimension")
-    dec = linalg.eigh(sigma.matrix)
-    out = np.zeros_like(a)
-    for cluster in eigenvalue_clusters(dec.eigenvalues):
-        u = dec.eigenvectors[:, cluster]
-        p = u @ u.conj().T
-        out += p @ a @ p
-    return out
 
 
 def make_cq(probs, states) -> BipartiteState:

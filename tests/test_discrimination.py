@@ -21,7 +21,10 @@ PLUS = pure_state(np.array([1.0, 1.0]))
 
 # Seeds of random_cptp(3, 2) pairs whose diamond-norm iteration can break
 # down after it meets the solver's guarantees; whether it does depends on the
-# last bits of the arithmetic.
+# last bits of the arithmetic.  They were found on the program with a rho
+# block, where the second pair ended through the certified iterate; on the
+# program without it, the fifth pair does (at iteration 21) and the others
+# meet the exit test.
 QUTRIT_BREAKDOWN_PAIRS = [
     (916926068, 1448099613),
     (2077510140, 314059661),

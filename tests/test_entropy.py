@@ -12,7 +12,6 @@ from nonmarkov.entropy import (
     fidelity,
     h_max,
     h_min,
-    pinched_approximation,
     q_corr,
     q_decpl,
     relative_entropy,
@@ -198,32 +197,6 @@ class TestSandwiched:
             sandwiched_divergence(KET0, KET1, 0.0)
 
 
-class TestPinching:
-    def test_commuting_exact_every_n(self):
-        p = DensityOperator(np.diag([0.6, 0.4]))
-        q = DensityOperator(np.diag([0.2, 0.8]))
-        target = float(sandwiched_divergence(p, q, 2.0))
-        for n in (1, 2, 3):
-            assert pinched_approximation(p, q, 2.0, n) == pytest.approx(target, abs=1e-10)
-
-    def test_self_zero(self):
-        rho = random_density(2, 2, 17)
-        for n in (1, 2, 3):
-            assert abs(pinched_approximation(rho, rho, 2.0, n)) < 1e-9
-
-    def test_error_decreases(self):
-        rho = basis_state(2, 0)
-        sigma = DensityOperator(0.5 * PLUS.matrix + 0.5 * np.eye(2) / 2)
-        target = float(sandwiched_divergence(rho, sigma, 2.0))
-        errs = [abs(pinched_approximation(rho, sigma, 2.0, n) - target) for n in (1, 2, 3)]
-        assert errs[0] >= errs[1] >= errs[2]
-
-    def test_dimension_overflow(self):
-        rho = random_density(5, 5, 19)
-        with pytest.raises(ValueError):
-            pinched_approximation(rho, rho, 2.0, 3)
-
-
 class TestFidelity:
     def test_self(self):
         rho = random_density(3, 3, 21)
@@ -322,27 +295,34 @@ class TestConditionalRenyi:
 
     @pytest.mark.parametrize("dims,rank,seed", [((3, 2), 3, 1), ((2, 2), 2, 0), ((2, 3), 6, 2)])
     def test_sdp_brackets_hold_the_solver_points(self, dims, rank, seed):
-        # H~ = max_sigma -D~(rho || I (x) sigma), so the value at any feasible
-        # sigma is a lower bound that the bracket's upper end must not miss.
-        # Here sigma is the program's own: the fidelity program's sigma block
-        # scaled to trace at most 1 at alpha = 1/2, the min-entropy program's
-        # normalized at alpha = inf.  On the first state the primal value of
-        # h_max sits 1.1e-9 below its point.
+        # H~ = max_sigma -D~(rho || I (x) sigma), so the value at any state
+        # sigma_B is a lower bound that the bracket's upper end must not miss;
+        # the points are rho_B and random states.
         dA, dB = dims
         rho = BipartiteState(dA, dB, random_density(dA * dB, rank, seed))
-        eye_a = np.eye(dA)
-        sol = sdp.solve(entropy._fidelity_program(rho.matrix, dA, dB, 1.0))
-        sigma = sol.X[1] / max(1.0, np.trace(sol.X[1]).real)
-        point = -float(sandwiched_divergence(rho, np.kron(eye_a, sigma), 0.5))
-        bracket = conditional_renyi(rho, 0.5)
-        assert bracket.lower <= bracket.upper
-        assert point <= bracket.upper + 1e-12
-        sol = sdp.solve(entropy.min_entropy_program(rho))
-        sigma = sol.X[1] / np.trace(sol.X[1]).real
-        point = -float(sandwiched_divergence(rho, np.kron(eye_a, sigma), math.inf))
-        bracket = conditional_renyi(rho, math.inf)
-        assert bracket.lower <= bracket.upper
-        assert point <= bracket.upper + 1e-12
+        sigmas = [states.partial_trace(rho, "A").matrix] + [
+            random_density(dB, dB, seed + i).matrix for i in (1, 2, 3)]
+        for alpha in (0.5, math.inf):
+            bracket = conditional_renyi(rho, alpha)
+            assert bracket.lower <= bracket.upper
+            for sigma in sigmas:
+                point = -float(sandwiched_divergence(rho, np.kron(np.eye(dA), sigma), alpha))
+                assert point <= bracket.upper + 1e-12
+
+    @pytest.mark.parametrize("rho", [
+        max_entangled(2),
+        max_entangled(3),
+        BipartiteState(2, 2, random_density(4, 2, 1)),
+        BipartiteState(3, 3, random_density(9, 5, 2)),
+    ], ids=["phi2", "phi3", "2x2-rank2", "3x3-rank5"])
+    def test_sdp_brackets_not_inverted(self, rho):
+        # The X end is the value at an explicitly feasible X, so the bracket
+        # holds even where the primal value sits on the wrong side of the
+        # dual one; unscaled, the alpha = 1/2 bracket inverts on both
+        # maximally entangled states by about 1e-12.
+        for alpha in (0.5, math.inf):
+            bracket = conditional_renyi(rho, alpha)
+            assert bracket.lower <= bracket.upper <= bracket.lower + 1e-7
 
     def test_rejects_small_alpha(self):
         with pytest.raises(ValueError):
@@ -376,6 +356,14 @@ class TestHMin:
         cq = make_cq([p, 1 - p], [r1, r2])
         helstrom = 0.5 * (1 + linalg.trace_norm(p * r1.matrix - (1 - p) * r2.matrix))
         assert h_min(cq) == pytest.approx(-np.log2(helstrom), abs=1e-5)
+
+
+def test_values_are_program_primal_values():
+    rho = BipartiteState(2, 3, random_density(6, 4, 5))
+    program = entropy.min_entropy_program
+    assert h_min(rho) == -math.log2(sdp.solve(program(rho)).primal_value)
+    ac = states.purify(rho).marginal_ac()
+    assert h_max(rho) == math.log2(sdp.solve(program(ac)).primal_value)
 
 
 class TestHMax:

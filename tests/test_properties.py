@@ -15,6 +15,7 @@ from nonmarkov.states import (
     BipartiteState,
     DensityOperator,
     StateEnsemble,
+    max_entangled_vector,
     partial_trace,
     purify,
     random_density,
@@ -88,6 +89,47 @@ def test_min_max_entropy_duality(case, seed):
     ab, ac = psi.marginal_ab(), psi.marginal_ac()
     assert abs(entropy.h_min(ab) + entropy.h_max(ac)) <= 1e-7
     assert abs(entropy.h_max(ab) + entropy.h_min(ac)) <= 1e-7
+
+
+@PROPERTY
+@given(rank=st.integers(1, 4), seed=SEEDS)
+def test_h_max_bell_diagonal_closed_form(rank, seed):
+    # sum_i lam_i |Phi_i><Phi_i| over the Bell basis (I (x) P)|Phi+>, P a
+    # Pauli matrix: H_max(A|B) = log2((sum_i sqrt(lam_i))^2 / 2)
+    lam = np.zeros(4)
+    lam[:rank] = np.random.default_rng(seed).dirichlet(np.ones(rank))
+    phi = max_entangled_vector(2)
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0])]
+    bell = [np.kron(np.eye(2), p) @ phi for p in paulis]
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(lam, bell))
+    exact = np.log2(np.sqrt(lam).sum() ** 2 / 2.0)
+    assert abs(entropy.h_max(BipartiteState(2, 2, DensityOperator(rho))) - exact) <= 1e-7
+
+
+@PROPERTY
+@given(case=st.sampled_from([(2, 2), (2, 3), (3, 2)]), rank=st.integers(1, 6), seed=SEEDS)
+def test_h_max_at_least_fidelity_at_any_sigma(case, rank, seed):
+    # H_max(A|B) = max_sigma 2 log2 F(rho_AB, I_A (x) sigma_B): the closed-form
+    # fidelity at any state sigma_B lies below it
+    d_a, d_b = case
+    rho = BipartiteState(d_a, d_b, random_density(d_a * d_b, min(rank, d_a * d_b), seed))
+    h = entropy.h_max(rho)
+    for sigma in [partial_trace(rho, "A")] + [random_density(d_b, d_b, seed + i) for i in (1, 2)]:
+        f = entropy.fidelity(rho.matrix, np.kron(np.eye(d_a), sigma.matrix))
+        assert 2.0 * np.log2(f) <= h + 1e-9
+
+
+@PROPERTY
+@given(case=st.sampled_from([(2, 2), (2, 3), (3, 2)]), rank=st.integers(1, 6),
+       alpha=st.sampled_from([0.5, np.inf]), seed=SEEDS)
+def test_sdp_entropy_brackets_not_inverted(case, alpha, rank, seed):
+    # The X end of these brackets is the value at an explicitly feasible X,
+    # so it never crosses the dual end, whatever the solver's last bits.
+    d_a, d_b = case
+    rho = BipartiteState(d_a, d_b, random_density(d_a * d_b, min(rank, d_a * d_b), seed))
+    bracket = entropy.conditional_renyi(rho, alpha)
+    assert bracket.lower <= bracket.upper <= bracket.lower + 1e-7
 
 
 @PROPERTY

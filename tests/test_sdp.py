@@ -21,6 +21,7 @@ from nonmarkov.states import (
     DensityOperator,
     StateEnsemble,
     max_entangled,
+    purify,
     random_density,
 )
 from test_dynamics import rk4_family
@@ -274,7 +275,10 @@ class TestEdgeCases:
 
 # Seeds of random_cptp(3, 2) pairs whose diamond-norm iteration can break
 # down after it meets the solver's guarantees; whether it does depends on the
-# last bits of the arithmetic.
+# last bits of the arithmetic.  They were found on the program with a rho
+# block, where the second pair ended through the certified iterate; on the
+# program without it, the fifth pair does (at iteration 21) and the others
+# meet the exit test.
 QUTRIT_BREAKDOWN_PAIRS = [
     (916926068, 1448099613),
     (2077510140, 314059661),
@@ -328,7 +332,8 @@ def _pinned_program(name):
     if name == "min_entropy[t1]":
         return entropy.min_entropy_program(rho)
     if name == "fidelity[t1]":
-        return entropy._fidelity_program(rho.matrix, 2, 2, 1.0)
+        # the program of h_max: its value is max_sigma F(rho, I (x) sigma)^2
+        return entropy.min_entropy_program(purify(rho).marginal_ac())
     if name == "guessing[t1]":
         return guessing_program(ens)
     if name == "diamond[t1]":
@@ -345,16 +350,16 @@ def _pinned_program(name):
 # primal_value.hex() and iterations of each builder's program at one BLAS
 # thread; a change of layout must leave every solve's arithmetic as it was.
 PINNED = {
-    "min_entropy[t1]": ("0x1.ab9a183401156p+0", 10),
-    "fidelity[t1]": ("0x1.0d5d952b6b18cp+0", 11),
+    "min_entropy[t1]": ("0x1.ab9a1830b4fa0p+0", 9),
+    "fidelity[t1]": ("0x1.1b6dcdb3beee0p+0", 10),
     "guessing[t1]": ("0x1.ec410ee15dcf2p-1", 11),
-    "diamond[t1]": ("0x1.51979f307f387p-2", 10),
-    "diamond[qutrit]": ("0x1.f2e27655faa82p+0", 20),
-    "min_entropy[isotropic3]": ("0x1.1999999e7feb5p+1", 10),
+    "diamond[t1]": ("0x1.51979f2f30331p-2", 10),
+    "diamond[qutrit]": ("0x1.f2e2765488f10p+0", 17),
+    "min_entropy[isotropic3]": ("0x1.1999999955e17p+1", 10),
 }
 
-# The m = 82 qutrit program's GEMMs are large enough for OpenBLAS to split
-# over threads, which changes its last bits (0x1.f2e27655ca854p+0 with two
+# The m = 73 qutrit program's GEMMs are large enough for OpenBLAS to split
+# over threads, which changes its last bits (0x1.f2e27654b3d90p+0 with two
 # threads); it is pinned to 1e-10 instead of bit for bit.
 THREAD_SENSITIVE = {"diamond[qutrit]"}
 
@@ -378,7 +383,7 @@ def test_finished_solve_logged(caplog):
         entropy.h_min(rho)
     (record,) = caplog.records
     head, _, tail = record.getMessage().partition(": ")
-    assert head == "optimal after 10 iterations"
+    assert head == "optimal after 9 iterations"
     fields = {k: float(v) for k, v in (f.split("=") for f in tail.split())}
     assert set(fields) == {"primal_residual", "dual_residual", "gap"}
     assert max(fields["primal_residual"], fields["dual_residual"]) <= GUARANTEE
@@ -510,7 +515,34 @@ def test_linalg_calls_scale_with_block_sizes(monkeypatch):
 
 
 def test_linalg_calls_with_distinct_block_sizes(monkeypatch):
-    """Blocks of sizes [7, 2, 1] form three size classes, each paying its own
+    """Blocks of sizes [4, 2, 1] form three size classes, each paying its own
     calls per iteration; the Schur system is shared."""
-    rho, _, _ = _witness_t1()
-    assert count_linalg_calls(monkeypatch, [entropy._fidelity_program(rho.matrix, 2, 2, 1.0)]) <= 14
+    a, b = random_hermitian(4, 44), random_hermitian(2, 45)
+    # lambda_max of the direct sum a (+) b (+) 1/2: one trace row over all blocks
+    prob = SdpProblem(blocks=[4, 2, 1], C=[a, b, np.full((1, 1), 0.5)],
+                      A=[np.eye(4)[None], np.eye(2)[None], np.ones((1, 1, 1))], b=[1.0],
+                      sense="max")
+    assert count_linalg_calls(monkeypatch, [prob]) <= 14
+    top = max(np.linalg.eigvalsh(a)[-1], np.linalg.eigvalsh(b)[-1], 0.5)
+    assert solve(prob).primal_value == pytest.approx(top, abs=1e-7)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2)])
+def test_min_entropy_program_shape(d_a, d_b):
+    rho = BipartiteState(d_a, d_b, random_density(d_a * d_b, 2, 3))
+    prob = entropy.min_entropy_program(rho)
+    assert prob.blocks == [d_a * d_b]
+    assert prob.m == d_b**2
+
+
+@pytest.mark.parametrize("d_out, d_in", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_diamond_norm_program_shape(d_out, d_in):
+    # X -> Tr(X) (s1 - s2), whose diamond norm is ||s1 - s2||_1
+    diff = random_density(d_out, 2, 6).matrix - random_density(d_out, 1, 7).matrix
+    m = maps.map_from_action(d_in, d_out, lambda x: np.trace(x) * diff)
+    prob = diamond_norm_program(m)
+    assert len(set(prob.blocks)) == 1
+    assert prob.m == (d_out**2 - 1) * d_in**2 + 1
+    sol = solve(prob)
+    assert sol.optimal
+    assert sol.primal_value == pytest.approx(linalg.trace_norm(diff), abs=1e-7)

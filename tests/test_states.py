@@ -12,7 +12,6 @@ from nonmarkov.states import (
     max_entangled,
     maximally_mixed,
     partial_trace,
-    pinch,
     pure_state,
     purify,
     random_density,
@@ -151,40 +150,6 @@ class TestSchmidt:
             w = np.linalg.eigvalsh(red)
             rank = int((w > linalg.support_cut(w)).sum())
             assert schmidt_rank(s) == rank
-
-
-class TestPinch:
-    def test_maximally_mixed_reference_single_cluster(self, rng):
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        out = pinch(maximally_mixed(3), x)
-        assert np.abs(out - x).max() < 1e-12
-
-    def test_nondegenerate_diagonal_reference(self, rng):
-        sigma = DensityOperator(np.diag([0.5, 0.3, 0.2]))
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        out = pinch(sigma, x)
-        assert np.abs(out - np.diag(np.diag(x))).max() < 1e-12
-
-    def test_trace_preserved(self, rng):
-        for seed in range(10):
-            sigma = random_density(4, 4, seed)
-            x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            out = pinch(sigma, x)
-            assert abs(np.trace(out) - np.trace(x)) < 1e-12
-
-    def test_idempotent(self, rng):
-        sigma = random_density(4, 4, 3)
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        once = pinch(sigma, x)
-        twice = pinch(sigma, once)
-        assert np.abs(twice - once).max() < 1e-10
-
-    def test_commutes_with_reference(self, rng):
-        sigma = random_density(4, 2, 9)
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        out = pinch(sigma, x)
-        comm = out @ sigma.matrix - sigma.matrix @ out
-        assert np.abs(comm).max() < 1e-8
 
 
 class TestCq:
