@@ -33,6 +33,12 @@ while rows x (d*k)^2 stays within
 ``KPOS_STACK_ENTRIES``, the size of one search of 64 restarts at d=16 and
 k=15: one stack is 64 x 240^2 complex128 = 59 MB, about 0.24 GB in all.
 A single step above the cap still runs, alone in its call.
+A ``tracenorm_scan`` call holds the un-amplified tensor of W, d_out^2 d_in^2
+entries, and per restart a few iterates of size k^2 d^2 (the input and
+output operators on the ancilla-extended space, their eigenvectors and
+their block layouts); at k = d_in = 6 with 2 restarts it peaks at about
+0.5 MB, where the amplified tensor of id_k (x) W alone is k^4 d_out^2 d_in^2
+entries (27 MB there, and 69 GB at d = k = 16).
 
 All kernels are deterministic: start points are generated by the caller
 from explicit seeds.
@@ -41,6 +47,10 @@ Conventions: a bipartite vector on A (x) B is indexed a*dB + b; a Choi-like
 matrix J enters reshaped as J4[a, b, a2, b2] (``kpos_scan`` takes a stack
 J4[g, a, b, a2, b2]); a superoperator enters as the 4-tensor
 T4[or, oc, ir, ic] with Y[or, oc] = sum T4[or, oc, ir, ic] X[ir, ic].
+``tracenorm_scan`` takes the T4 of W itself and applies id_k (x) W, with
+the ancilla as the first factor: an operator X on C^k (x) C^d is held in
+blocks X[a, b, i, q] = X[a*d + i, b*d + q], and (id_k (x) W) maps block
+(a, b) to W(X[a, b]).
 """
 
 from __future__ import annotations
@@ -190,20 +200,32 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60):
 
 
 def tracenorm_scan(T4, starts):
-    """Trace-norm ascent: maximize ||W(psi psi^dag)||_1 over unit psi for a
-    Hermiticity-preserving superoperator W given as T4.
+    """Trace-norm ascent: maximize ||(id_k (x) W)(psi psi^dag)||_1 over unit
+    psi on C^k (x) C^d_in for a Hermiticity-preserving superoperator W given
+    as its un-amplified T4 of shape (d_out, d_out, d_in, d_in).
 
-    Fixed-point iteration psi <- top eigenvector of W^#(sign(W(psi psi^dag)))
-    (monotone ascent) from every start at once.  Returns
-    ``(value, psi, values, converged)``: the best restart (the first one
-    reaching the maximum), then every restart's final value and whether its
-    tolerance test passed within ``TRACENORM_ITERS`` sweeps.
+    k is read from the starts, ``starts.shape[1] // d_in``; a width that is
+    not a multiple of d_in raises ``ValueError``.  Fixed-point iteration
+    psi <- top eigenvector of (id_k (x) W)^#(sign((id_k (x) W)(psi psi^dag)))
+    (monotone ascent) from every start at once.  id_k (x) W acts block by
+    block: the ancilla indices pass through both contractions, so T4 is never
+    amplified and a sweep costs k^2 d_out^2 d_in^2 per restart instead of
+    k^4 of that.  Returns ``(value, psi, values, converged)``: the best
+    restart (the first one reaching the maximum), then every restart's final
+    value and whether its tolerance test passed within ``TRACENORM_ITERS``
+    sweeps.
     """
     # einsum on a transposed (non-contiguous) view rounds differently, so the
-    # tensor is always made contiguous first.
+    # tensor and both contracted iterates are always contiguous.  Then the
+    # blockwise sums over (i, q) and (o, p) run in the order of the dense
+    # contraction over the amplified tensor and give the same bits.
     T4 = np.ascontiguousarray(T4)
     T4c = T4.conj()
+    d_out, d_in = T4.shape[0], T4.shape[2]
     psi = np.array(starts, dtype=np.complex128)
+    if psi.shape[1] % d_in:
+        raise ValueError(f"start width {psi.shape[1]} is not a multiple of d_in = {d_in}")
+    k = psi.shape[1] // d_in
     psi /= _row_norms(psi)[:, None]
     val = np.full(psi.shape[0], -np.inf)
     converged = np.zeros(psi.shape[0], dtype=bool)
@@ -211,13 +233,16 @@ def tracenorm_scan(T4, starts):
     for _ in range(TRACENORM_ITERS):
         if active.size == 0:
             break
-        p_act = psi[active]
-        x = p_act[:, :, None] * p_act.conj()[:, None, :]
-        y = np.einsum("opiq,riq->rop", T4, x)
+        n = active.size
+        p3 = psi[active].reshape(n, k, d_in)
+        # x[r, a, b, i, q] = psi[r, a, i] conj(psi[r, b, q])
+        x = p3[:, :, None, :, None] * p3.conj()[:, None, :, None, :]
+        y = np.einsum("opiq,rabiq->raobp", T4, x).reshape(n, k * d_out, k * d_out)
         w, v = np.linalg.eigh(_herm(y))
         new_val = np.abs(w).sum(axis=1)
         p = (v * np.sign(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-        g = np.einsum("opiq,rop->riq", T4c, p)
+        pt = np.ascontiguousarray(p.reshape(n, k, d_out, k, d_out).transpose(0, 1, 3, 2, 4))
+        g = np.einsum("opiq,rabop->raibq", T4c, pt).reshape(n, k * d_in, k * d_in)
         _, vg = np.linalg.eigh(_herm(g))
         psi[active] = vg[:, :, -1]
         done = _stopped(new_val, val[active], TRACENORM_TOL)

@@ -166,7 +166,10 @@ def channel_distance(e1: QuantumMap, e2: QuantumMap, p: float, k: int,
 
     The weights (1-p, p) are exposed exactly as stated; pure inputs on the
     ancilla-extended space suffice.  Best found over multistart trace-norm
-    ascents (a lower bound, exact in practice at these dimensions).
+    ascents: a lower bound on the optimum, not a certified value.  At
+    k = d_in the optimum is the diamond norm, which ``diamond_norm``
+    certifies; on the seed-0 qutrit pair of the channels benchmark at
+    k = 3 the 64 ascents end 2.96e-5 below it, all at the sweep cap.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -186,7 +189,7 @@ def _tracenorm_ascent(delta: QuantumMap, k: int, restarts: int, seed: int) -> fl
     dim = k * delta.dimIn
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((restarts, dim)) + 1j * rng.standard_normal((restarts, dim))
-    val, _, vals, converged = _accel.tracenorm_scan(maps.amplify(delta, k).as_tensor(), starts)
+    val, _, vals, converged = _accel.tracenorm_scan(delta.as_tensor(), starts)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("trace-norm ascent: restarts_converged=%d of %d, spread=%.3g",
                    int(converged.sum()), restarts, float(np.median(vals) - val))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -289,7 +290,7 @@ class TestTracenormScan:
     def test_best_of_single_restart_runs(self, dim, k, seed):
         delta = maps.weighted_difference(
             maps.random_cptp(dim, 2, seed), maps.random_cptp(dim, 2, seed + 100), 0.6, 0.4)
-        t4 = maps.amplify(delta, k).as_tensor()
+        t4 = delta.as_tensor()
         rng = np.random.default_rng(seed)
         starts = rng.standard_normal((16, k * dim)) + 1j * rng.standard_normal((16, k * dim))
         val, psi, *_ = _accel.tracenorm_scan(t4, starts)
@@ -297,6 +298,38 @@ class TestTracenormScan:
         r = int(np.argmax([s[0] for s in single]))
         assert abs(val - single[r][0]) <= 1e-12
         assert np.abs(psi - single[r][1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 2), (3, 3), (2, 3), (3, 2), (4, 2)])
+    def test_blockwise_equals_amplified(self, d_in, d_out):
+        # The amplified tensor of id_k (x) delta read at k = 1 is the dense
+        # contraction: the blockwise one must give the same bits.
+        delta = maps.weighted_difference(random_channel(d_in, d_out, 2, d_in),
+                                         random_channel(d_in, d_out, 2, 10 + d_out), 0.45, 0.55)
+        for k in range(1, d_in + 1):
+            rng = np.random.default_rng(k)
+            starts = rng.standard_normal((6, k * d_in)) + 1j * rng.standard_normal((6, k * d_in))
+            blockwise = _accel.tracenorm_scan(delta.as_tensor(), starts)
+            dense = _accel.tracenorm_scan(maps.amplify(delta, k).as_tensor(), starts)
+            assert blockwise[0].hex() == dense[0].hex()
+            for a, b in zip(blockwise[1:], dense[1:]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_rejects_start_width_off_d_in(self):
+        t4 = random_channel(3, 2, 2, 0).as_tensor()
+        with pytest.raises(ValueError, match="multiple of d_in"):
+            _accel.tracenorm_scan(t4, np.ones((2, 4), dtype=complex))
+
+    def test_full_ancilla_memory_stays_small(self):
+        # At k = d_in = 6 the amplified tensor alone is 36^4 complex128 entries
+        # (27 MB), and the dense ascent peaked at 161 MB.
+        e1, e2 = maps.random_cptp(6, 2, 1), maps.random_cptp(6, 2, 2)
+        tracemalloc.start()
+        try:
+            disc.channel_distance(e1, e2, 0.5, 6, restarts=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 def test_channel_distance_logs_restart_statistics(caplog):
