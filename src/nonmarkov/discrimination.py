@@ -1,26 +1,24 @@
 """State and channel discrimination: the two-state closed form, guessing
 probability as a semidefinite program, ancilla-assisted channel guessing,
-ancilla-graded channel distances, the diamond norm, and operational
-fidelity.
+ancilla-graded channel distances and the diamond norm.
 
 Ancilla-assisted guessing between two channels is Helstrom's closed form
 over the best input, (1 + channel distance) / 2, found by the same
-trace-norm ascent as ``channel_distance``; three or more channels go
-through a seesaw of guessing SDPs and input updates.
+trace-norm ascent as ``channel_distance``; three or more channels are
+guessed with an ancilla as large as the input, by one tester program.
 
-Outer nonconvex maximizations over input states are multistart local
-ascents reporting best-found lower bounds; the semidefinite programs
-(guessing, diamond norm, channel fidelity) carry matching dual
-certificates.  The diamond-norm program is Watrous's with the input state
-eliminated: two blocks of one size, S+ and S-, whose sum fixes the input.
-The trace-norm ascent logs its restart statistics at DEBUG on the
-``nonmarkov.discrimination`` logger.
+The trace-norm ascent over input states is a multistart local search
+reporting a best-found lower bound; the semidefinite programs (state
+guessing, channel guessing, diamond norm) carry matching dual
+certificates.  The diamond-norm and channel-guessing programs share one
+constraint stack: the rows that fix a block sum to I_out (x) rho with
+Tr rho = 1.  The trace-norm ascent logs its restart statistics at DEBUG on
+the ``nonmarkov.discrimination`` logger.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +66,7 @@ def p_guess(ens: StateEnsemble) -> GuessResult:
     """
     if ens.size < 2:
         raise ValueError("need at least two states to discriminate")
-    return _projected_guess(ens, sdp.solve(guessing_program(ens)))
-
-
-def _projected_guess(ens: StateEnsemble, sol: sdp.SdpSolution) -> GuessResult:
-    """The guess of ``p_guess`` from a solution of ``guessing_program(ens)``."""
+    sol = sdp.solve(guessing_program(ens))
     if not sol.optimal:
         raise SdpError(f"guessing SDP returned status {sol.status!r}")
     elems = []
@@ -94,70 +88,37 @@ def p_guess_channels(probs, channels, k: int, restarts: int = 64, seed: int = 0,
                      iters: int = 40, tol: float = 1e-9) -> float:
     """Channel guessing with a k-dimensional ancilla.
 
-    For two channels this is Helstrom's closed form
-    (1 + max ||id_k (x) (p0 e0 - p1 e1)(psi)||_1) / 2: one multistart
-    trace-norm ascent from ``restarts`` inputs drawn from ``seed``, the same
-    best-found lower bound as ``channel_distance``; ``iters`` and ``tol`` do
-    not apply.  For three or more channels, a seesaw: it alternates the
-    exact inner measurement step (guessing SDP on the output ensemble) with
-    the exact input step (top eigenvector of the adjoint functional), from
-    ``restarts`` seeded pure inputs on ancilla (x) system, for at most
-    ``iters`` steps with stop tolerance ``tol``.  Best found value; each step
-    is an exact partial maximization, so every iterate is a valid lower
-    bound.
+    Two routes, by the number of channels:
+
+    * two channels, any k: Helstrom's closed form
+      (1 + max ||id_k (x) (p0 e0 - p1 e1)(psi)||_1) / 2, one multistart
+      trace-norm ascent from ``restarts`` inputs drawn from ``seed``: the
+      same best-found lower bound as ``channel_distance``;
+    * three or more channels, k = d_in only: the optimum of
+      ``channel_guessing_program``, solved once.  A smaller ancilla raises
+      ``ValueError``.
+
+    ``iters`` and ``tol`` are ignored; they are kept only because
+    ``benchmarks/workloads.py`` passes them.
     """
     probs = states.check_probs(probs, len(channels))
     maps.check_restarts(restarts)
+    if len(channels) < 2:
+        raise ValueError("need at least two channels to discriminate")
+    if len({(e.dimIn, e.dimOut) for e in channels}) > 1:
+        raise ValueError("channels must share input and output dimensions")
     d_in = channels[0].dimIn
     if not 1 <= k <= d_in:
         raise ValueError(f"ancilla dimension k must lie in [1, {d_in}]")
-    if len(channels) < 2:
-        raise ValueError("need at least two channels to discriminate")
     if len(channels) == 2:
         delta = maps.weighted_difference(*channels, *probs)
         return (1.0 + _tracenorm_ascent(delta, k, restarts, seed)) / 2.0
-    return _seesaw_guess(probs, channels, k, restarts, seed, iters, tol)
-
-
-def _seesaw_guess(probs, channels, k: int, restarts: int, seed: int,
-                  iters: int, tol: float) -> float:
-    """The seesaw of ``p_guess_channels`` on validated arguments.
-
-    The restarts run in lockstep: each step solves the guessing programs of
-    every restart that has not yet converged with one ``sdp.solve_many``
-    call, and each restart stops on its own.
-    """
-    big = [maps.amplify(e, k) for e in channels]
-    adj = [maps.adjoint(b) for b in big]
-    dim = k * channels[0].dimIn
-    rng = np.random.default_rng(seed)
-    psis = []
-    for _ in range(restarts):
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psis.append(psi / np.linalg.norm(psi))
-    vals = [-math.inf] * restarts
-    active = list(range(restarts))
-    for _ in range(iters):
-        ensembles = []
-        for r in active:
-            rho = np.outer(psis[r], psis[r].conj())
-            outs = [states.DensityOperator(b.apply(rho)) for b in big]
-            ensembles.append(StateEnsemble(probs, outs))
-        sols = sdp.solve_many([guessing_program(ens) for ens in ensembles])
-        running = []
-        for r, ens, sol in zip(active, ensembles, sols):
-            res = _projected_guess(ens, sol)
-            g = sum(p * a.apply(e) for p, a, e in zip(probs, adj, res.povm.elements))
-            g = (g + g.conj().T) / 2
-            psis[r] = np.linalg.eigh(g)[1][:, -1]
-            converged = abs(res.value - vals[r]) <= tol * max(1.0, abs(res.value))
-            vals[r] = res.value
-            if not converged:
-                running.append(r)
-        active = running
-        if not active:
-            break
-    return float(max(vals))
+    if k < d_in:
+        raise ValueError(f"three or more channels need the full ancilla k = {d_in}")
+    sol = sdp.solve(channel_guessing_program(probs, channels))
+    if not sol.optimal:
+        raise SdpError(f"channel-guessing SDP returned status {sol.status!r}")
+    return float(sol.primal_value)
 
 
 def channel_distance(e1: QuantumMap, e2: QuantumMap, p: float, k: int,
@@ -196,30 +157,60 @@ def _tracenorm_ascent(delta: QuantumMap, k: int, restarts: int, seed: int) -> fl
     return float(val)
 
 
-def diamond_norm_program(m: QuantumMap) -> sdp.SdpProblem:
-    """max <J, Omega> s.t. -I (x) rho <= Omega <= I (x) rho, Tr rho = 1
-    (Watrous 2012), written in the slack blocks S+- = I (x) rho -+ Omega >= 0
-    alone; the identity factor acts on the output side of the Choi matrix.
+def _output_identity_rows(d_out: int, d_in: int) -> np.ndarray:
+    """Constraint stack that fixes a d_out d_in square S to I_out (x) rho up
+    to the trace of rho.
 
-    S+ + S- = 2 I_out (x) rho says that S+ + S- is orthogonal to T (x) h for
-    every traceless Hermitian T on the output and h in
-    ``hermitian_basis(d_in)``, and Tr rho = 1 that Tr(S+ + S-) = 2 d_out.
-    So m = (d_out^2 - 1) d_in^2 + 1, and the optimal input is
-    Tr_out(S+ + S-) / (2 d_out).
+    Rows T (x) h, for every traceless Hermitian T on the output and h in
+    ``hermitian_basis(d_in)``, set <T (x) h, S> = 0; the last row, the
+    identity, reads Tr S = d_out Tr rho.  m = (d_out^2 - 1) d_in^2 + 1.
     """
-    j = maps.choi(m)
-    j = (j + j.conj().T) / 2
-    d_out, d_in = m.dimOut, m.dimIn
     d = d_out * d_in
     # traceless output basis: e_ii - e_00 for i > 0, then the off-diagonal elements
     h_out = sdp.hermitian_basis(d_out)
     traceless = h_out[1:].copy()
     traceless[: d_out - 1] -= h_out[0]
     a = np.kron(traceless[:, None], sdp.hermitian_basis(d_in)[None]).reshape(-1, d, d)
-    a = np.concatenate([a, np.eye(d)[None]])
+    return np.concatenate([a, np.eye(d)[None]])
+
+
+def diamond_norm_program(m: QuantumMap) -> sdp.SdpProblem:
+    """max <J, Omega> s.t. -I (x) rho <= Omega <= I (x) rho, Tr rho = 1
+    (Watrous 2012), written in the slack blocks S+- = I (x) rho -+ Omega >= 0
+    alone; the identity factor acts on the output side of the Choi matrix.
+
+    S+ + S- = 2 I_out (x) rho is ``_output_identity_rows`` with right-hand
+    side 2 d_out on the trace row.  So m = (d_out^2 - 1) d_in^2 + 1, and the
+    optimal input is Tr_out(S+ + S-) / (2 d_out).
+    """
+    j = maps.choi(m)
+    j = (j + j.conj().T) / 2
+    d_out, d_in = m.dimOut, m.dimIn
+    d = d_out * d_in
+    a = _output_identity_rows(d_out, d_in)
     b = np.zeros(len(a))
     b[-1] = 2.0 * d_out
     return sdp.SdpProblem(blocks=[d, d], C=[-j / 2, j / 2], A=[a, a], b=b, sense="max")
+
+
+def channel_guessing_program(probs, channels) -> sdp.SdpProblem:
+    """max sum_i p_i <J(e_i), T_i> s.t. sum_i T_i = I_out (x) sigma,
+    Tr sigma = 1, T_i >= 0: the tester program for guessing among channels
+    of one shape with an ancilla as large as the input (Chiribella,
+    D'Ariano & Perinotti, PRL 101, 180501, 2008).
+
+    One block of size d_out d_in per channel, ``_output_identity_rows`` with
+    right-hand side d_out on the trace row, and no sigma block:
+    m = (d_out^2 - 1) d_in^2 + 1.  The optimal sigma is
+    Tr_out(sum_i T_i) / d_out.
+    """
+    d_out, d_in = channels[0].dimOut, channels[0].dimIn
+    a = _output_identity_rows(d_out, d_in)
+    b = np.zeros(len(a))
+    b[-1] = float(d_out)
+    c = [p * maps.choi(e) for p, e in zip(probs, channels)]
+    return sdp.SdpProblem(blocks=[d_out * d_in] * len(c), C=c, A=[a] * len(c), b=b,
+                          sense="max")
 
 
 def diamond_norm(m: QuantumMap) -> float:
@@ -229,72 +220,4 @@ def diamond_norm(m: QuantumMap) -> float:
         raise SdpError(f"diamond-norm SDP returned status {sol.status!r}")
     if abs(sol.gap) > 1e-6 * (1.0 + abs(sol.primal_value)):
         raise SdpError(f"diamond-norm primal/dual gap too large: {sol.gap}")
-    return float(sol.primal_value)
-
-
-def _on_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, V+ mat V) with V the d x r isometry onto the support of a PSD
-    matrix: pinning a block to the restriction keeps the primal strictly
-    feasible when mat is rank-deficient."""
-    _, v_iso = linalg.support(mat)
-    return v_iso, v_iso.conj().T @ mat @ v_iso
-
-
-def channel_fidelity_program(e1: QuantumMap, e2: QuantumMap) -> sdp.SdpProblem:
-    """max lam s.t. [[J1, Q+], [Q, J2]] >= 0, Re Tr_out Q >= lam I_in.
-
-    The value is the root fidelity of the two channels (Katariya & Wilde,
-    arXiv:2004.10708).  The pinned diagonal blocks are the Choi matrices
-    restricted to their supports, Q = V2 Q~ V1+, so that low-Kraus-rank
-    channels keep a strictly feasible primal; blocks are the pinned pair, the
-    slack S = Re Tr_out Q - lam I_in, and lam.
-    """
-    if (e1.dimIn, e1.dimOut) != (e2.dimIn, e2.dimOut):
-        raise ValueError("channels must share input and output dimensions")
-    d_out, d_in = e1.dimOut, e1.dimIn
-    v1, j1 = _on_support(maps.choi(e1))
-    v2, j2 = _on_support(maps.choi(e2))
-    r1, r2 = j1.shape[0], j2.shape[0]
-    h1, h2, h_in = sdp.hermitian_basis(r1), sdp.hermitian_basis(r2), sdp.hermitian_basis(d_in)
-    p1, p2 = r1 * r1, r1 * r1 + r2 * r2
-    m = p2 + d_in * d_in
-    a_q = np.zeros((m, r1 + r2, r1 + r2), dtype=complex)
-    a_s = np.zeros((m, d_in, d_in), dtype=complex)
-    a_lam = np.zeros((m, 1, 1), dtype=complex)
-    b = np.zeros(m)
-    # rows [0, p2): diagonal blocks pinned to the restricted Choi matrices
-    a_q[:p1, :r1, :r1] = h1
-    a_q[p1:p2, r1:, r1:] = h2
-    b[:p1] = np.einsum("kij,ji->k", h1, j1).real
-    b[p1:p2] = np.einsum("kij,ji->k", h2, j2).real
-    # rows [p2, m): <h, S> + lam Tr h - Re Tr(V1+ (I_out (x) h) V2 Q~) = 0
-    w = v1.conj().T @ np.kron(np.eye(d_out), h_in) @ v2
-    a_q[p2:, :r1, r1:] = -w / 2
-    a_q[p2:, r1:, :r1] = -w.conj().transpose(0, 2, 1) / 2
-    a_s[p2:] = h_in
-    a_lam[p2:, 0, 0] = np.trace(h_in, axis1=1, axis2=2)
-    return sdp.SdpProblem(
-        blocks=[r1 + r2, d_in, 1],
-        C=[np.zeros((r1 + r2, r1 + r2)), np.zeros((d_in, d_in)), np.ones((1, 1))],
-        A=[a_q, a_s, a_lam],
-        b=b,
-        sense="max",
-    )
-
-
-def operational_fidelity(e1: QuantumMap, e2: QuantumMap) -> float:
-    """inf over pure bipartite inputs of F((id (x) e1) psi, (id (x) e2) psi).
-
-    An ancilla of dimension d_in suffices.  The value is the optimum of
-    ``channel_fidelity_program`` (Katariya & Wilde, arXiv:2004.10708),
-    certified by its dual: the dual slack Z of the d_in block gives the
-    optimal input, the purification of (Z / Tr Z)^T.
-    """
-    rep1 = maps.is_cptp(e1)
-    rep2 = maps.is_cptp(e2)
-    if not (rep1["cp"] and rep1["tp"] and rep2["cp"] and rep2["tp"]):
-        raise ValueError("operational fidelity is defined for CPTP inputs")
-    sol = sdp.solve(channel_fidelity_program(e1, e2))
-    if not sol.optimal:
-        raise SdpError(f"channel-fidelity SDP returned status {sol.status!r}")
     return float(sol.primal_value)

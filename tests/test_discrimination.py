@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -8,11 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nonmarkov import discrimination as disc
-from nonmarkov import _accel, dynamics, entropy, linalg, maps, sdp, states
+from nonmarkov import _accel, dynamics, linalg, maps, sdp, states
 from nonmarkov.maps import depolarizing, identity_map, replacer, transposition_map, unitary_map
 from nonmarkov.states import StateEnsemble, basis_state, pure_state, random_density
 
@@ -137,36 +136,17 @@ class TestPGuessChannels:
         ]
         assert vals[0] <= vals[1] + 1e-6
 
-    # float.hex of seeded seesaw calls with the default iters and tol,
-    # recorded when each restart still ran its own seesaw (the restarts stop
-    # at different steps) and re-recorded when the solver's step changed its
-    # last bits.  Public pair calls take the Helstrom route, so the
-    # pair entries run the seesaw directly.
-    PINNED = {
-        ("pair", 1): "0x1.d7dc1df288b8ap-1",
-        ("pair", 2): "0x1.d7dc1dfb3460ep-1",
-        ("triple", 2): "0x1.974e0fd56abbep-1",
-    }
+    # float.hex of a seeded triple call (the tester program at k = d_in).
+    PINNED = {("triple", 2): "0x1.974e0fd9bb033p-1"}
 
     @staticmethod
     def pinned_call(kind, k):
         e1, e2, e3 = depolarizing(0.3), maps.random_cptp(2, 2, 11), maps.random_cptp(2, 2, 12)
-        if kind == "pair":
-            return disc._seesaw_guess([0.4, 0.6], [e1, e2], k, restarts=8, seed=5,
-                                      iters=40, tol=1e-9)
         return disc.p_guess_channels([0.2, 0.3, 0.5], [e1, e2, e3], k, restarts=4, seed=5)
 
     @pytest.mark.parametrize("kind, k", list(PINNED))
     def test_seeded_values_pinned(self, kind, k):
         assert self.pinned_call(kind, k).hex() == self.PINNED[kind, k]
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_pair_reaches_helstrom(self, k):
-        # The seesaw on a pair reaches Helstrom: (1 + channel_distance) / 2.
-        e1, e2 = depolarizing(0.3), maps.random_cptp(2, 2, 11)
-        helstrom = (1.0 + disc.channel_distance(e1, e2, 0.6, k)) / 2.0
-        val = disc._seesaw_guess([0.4, 0.6], [e1, e2], k, restarts=8, seed=6, iters=40, tol=1e-9)
-        assert helstrom - 5e-4 <= val <= helstrom + 1e-6
 
 
 def _no_sdp(*args, **kwargs):
@@ -189,18 +169,25 @@ class TestPairRoute:
         cd = disc.channel_distance(self.E0, self.E1, p, k, restarts=16, seed=3)
         assert val.hex() == ((1.0 + cd) / 2.0).hex()
 
-    def test_triple_runs_the_seesaw(self, monkeypatch):
+    def test_triple_solves_once(self, monkeypatch):
         calls = []
 
-        def counting(problems):
-            calls.append(len(problems))
-            return solve_many(problems)
+        def counting(problem):
+            calls.append(problem.blocks)
+            return solve(problem)
 
-        solve_many = sdp.solve_many
-        monkeypatch.setattr(sdp, "solve_many", counting)
-        disc.p_guess_channels([0.2, 0.3, 0.5], [self.E0, self.E1, self.E2], 1,
+        solve = sdp.solve
+        monkeypatch.setattr(sdp, "solve", counting)
+        disc.p_guess_channels([0.2, 0.3, 0.5], [self.E0, self.E1, self.E2], 2,
                               restarts=2, seed=5, iters=3)
-        assert calls and calls[0] == 2
+        assert calls == [[4, 4, 4]]
+
+    def test_triple_rejects_non_optimal_status(self, monkeypatch):
+        solve = sdp.solve
+        monkeypatch.setattr(sdp, "solve",
+                            lambda problem: dataclasses.replace(solve(problem), status="max_iter"))
+        with pytest.raises(sdp.SdpError, match="max_iter"):
+            disc.p_guess_channels([0.2, 0.3, 0.5], [self.E0, self.E1, self.E2], 2)
 
     # float.hex of two seeded public pair calls (the trace-norm ascent).
     PINNED = {1: "0x1.d7dc1dfbc8234p-1", 2: "0x1.d7dc1dfbc8235p-1"}
@@ -221,14 +208,62 @@ class TestPairRoute:
         ([0.5, 0.5], "pair", 1, 0),         # no restarts
         ([0.5, 0.5], "pair", 0, 4),         # k below 1
         ([0.5, 0.5], "pair", 3, 4),         # k above d_in
+        ([0.2, 0.3, 0.5], "triple-qubit-qutrit", 2, 4),     # mismatched input dimensions
+        ([0.2, 0.3, 0.5], "triple-qubit-to-qutrit", 2, 4),  # mismatched output dimensions
+        ([0.2, 0.3, 0.5], "triple", 1, 4),  # three channels below the full ancilla
     ])
     def test_rejects_bad_input(self, probs, chans, k, restarts):
         embed = maps.from_kraus([np.eye(3, 2)])
         chans = {"pair": [self.E0, self.E1],
                  "qubit-qutrit": [self.E0, maps.random_cptp(3, 2, 1)],
-                 "qubit-to-qutrit": [self.E0, embed]}[chans]
+                 "qubit-to-qutrit": [self.E0, embed],
+                 "triple": [self.E0, self.E1, self.E2],
+                 "triple-qubit-qutrit": [self.E0, self.E1, maps.random_cptp(3, 2, 1)],
+                 "triple-qubit-to-qutrit": [self.E0, embed, self.E1]}[chans]
         with pytest.raises(ValueError):
             disc.p_guess_channels(probs, chans, k, restarts=restarts, seed=0)
+
+
+PAULIS = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+
+
+class TestChannelGuessingProgram:
+    @staticmethod
+    def solve(probs, chans):
+        sol = sdp.solve(disc.channel_guessing_program(probs, chans))
+        assert sol.optimal
+        return sol.primal_value
+
+    def test_pauli_dense_coding(self):
+        # A maximally entangled input maps the four Paulis to orthogonal Bell states.
+        chans = [unitary_map(u.astype(complex)) for u in PAULIS]
+        assert self.solve([0.25] * 4, chans) == pytest.approx(1.0, abs=1e-8)
+
+    def test_copies_of_one_channel(self):
+        m = maps.random_cptp(2, 2, 7)
+        assert self.solve([0.2, 0.3, 0.5], [m, m, m]) == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pair_is_helstrom_on_diamond(self, seed):
+        e1, e2 = maps.random_cptp(2, 2, 100 + seed), maps.random_cptp(2, 2, 200 + seed)
+        p = 0.3 + 0.02 * seed
+        dia = disc.diamond_norm(maps.weighted_difference(e1, e2, 1.0 - p, p))
+        assert self.solve([1.0 - p, p], [e1, e2]) == pytest.approx((1.0 + dia) / 2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2), (3, 3)])
+    def test_non_qubit_triples_optimal(self, d_in, d_out):
+        chans = [random_channel(d_in, d_out, 2, 80 + 10 * d_in + d_out + i) for i in range(3)]
+        assert 0.5 - 1e-8 <= self.solve([0.2, 0.3, 0.5], chans) <= 1.0 + 1e-8
+
+    def test_shares_diamond_norm_constraints(self):
+        e1, e2, e3 = random_channel(3, 2, 2, 1), random_channel(3, 2, 2, 2), random_channel(3, 2, 2, 3)
+        tester = disc.channel_guessing_program([0.2, 0.3, 0.5], [e1, e2, e3])
+        diamond = disc.diamond_norm_program(maps.weighted_difference(e1, e2, 0.5, 0.5))
+        assert tester.blocks == [6] * 3 and tester.m == (2 * 2 - 1) * 3 * 3 + 1
+        for a in tester.A:
+            assert np.array_equal(a, diamond.A[0])
+        assert np.array_equal(tester.b[:-1], diamond.b[:-1])
+        assert (tester.b[-1], diamond.b[-1]) == (2.0, 4.0)
 
 
 class TestChannelDistance:
@@ -460,79 +495,6 @@ class TestCbNorm:
         rep = cb_norm_check(maps.scale_map(m, 2.0), restarts=8, seed=11)
         assert rep["cb_value"] == pytest.approx(2.0, abs=1e-3)
         assert rep["diamond"] == pytest.approx(2.0, abs=1e-6)
-
-
-class TestOperationalFidelity:
-    def test_identical(self):
-        m = maps.random_cptp(2, 2, 28)
-        assert disc.operational_fidelity(m, m) == pytest.approx(1.0, abs=1e-6)
-
-    def test_orthogonal_replacers(self):
-        val = disc.operational_fidelity(replacer(KET0.matrix), replacer(KET1.matrix))
-        assert val == pytest.approx(0.0, abs=1e-6)
-
-    def test_phase_flip_half(self):
-        # output fidelity is sqrt(1/2 + |<psi| I (x) Z |psi>|^2 / 2) >= 1/sqrt2,
-        # attained at |+>-type inputs
-        z = np.diag([1.0, -1.0]).astype(complex)
-        flip = maps.mix([identity_map(2), unitary_map(z)], [0.5, 0.5])
-        val = disc.operational_fidelity(identity_map(2), flip)
-        assert val == pytest.approx(1 / np.sqrt(2), abs=1e-4)
-        # grid-search oracle over product inputs cannot beat the optimizer
-        grid_best = 1.0
-        for th in np.linspace(0, np.pi, 200):
-            for ph in np.linspace(0, 2 * np.pi, 200):
-                b = np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)])
-                overlap = abs(b.conj() @ (z @ b)) ** 2
-                grid_best = min(grid_best, np.sqrt(0.5 + 0.5 * overlap))
-        assert val <= grid_best + 1e-6
-
-    def test_chain_against_diamond(self):
-        for seed in (29, 30):
-            e1 = maps.random_cptp(2, 2, seed)
-            e2 = maps.random_cptp(2, 2, seed + 60)
-            f = disc.operational_fidelity(e1, e2)
-            dia = disc.diamond_norm(maps.subtract(e1, e2))
-            assert 1 - f <= 0.5 * dia + 1e-6
-            assert 0.5 * dia <= np.sqrt(max(0.0, 1 - f * f)) + 1e-6
-
-    def test_rejects_non_cptp(self):
-        with pytest.raises(ValueError):
-            disc.operational_fidelity(transposition_map(2), identity_map(2))
-
-    @staticmethod
-    def _output_fidelity(e1, e2, rho_in):
-        # F of the two outputs on the purification sum_k sqrt(w_k) |k>|u_k>
-        w, u = np.linalg.eigh(rho_in)
-        d = e1.dimIn
-        psi = sum(np.sqrt(max(wk, 0.0)) * np.kron(np.eye(d)[k], u[:, k]) for k, wk in enumerate(w))
-        rho = np.outer(psi, psi.conj())
-        return entropy.fidelity(maps.amplify(e1, d).apply(rho), maps.amplify(e2, d).apply(rho))
-
-    @pytest.mark.parametrize("d, q", [(2, 0.3), (2, 0.9), (3, 0.6)])
-    def test_depolarizing_closed_form(self, d, q):
-        val = disc.operational_fidelity(identity_map(d), depolarizing(q, d))
-        assert val == pytest.approx(np.sqrt(1 - q + q / d**2), abs=1e-8)
-
-    def test_qutrit_value_attained_at_dual_input(self):
-        # The input read off the dual slack of the d_in block attains the
-        # value; the maximally entangled input can only do worse.
-        e1, e2 = maps.random_cptp(3, 2, 5), maps.random_cptp(3, 2, 6)
-        val = disc.operational_fidelity(e1, e2)
-        z = sdp.solve(disc.channel_fidelity_program(e1, e2)).Z[1]
-        assert abs(val - self._output_fidelity(e1, e2, z.T / np.trace(z).real)) <= 1e-8
-        assert val <= self._output_fidelity(e1, e2, np.eye(3) / 3) + 1e-8
-
-    @settings(max_examples=15, derandomize=True, deadline=None)
-    @given(d=st.sampled_from([2, 3]), s1=st.integers(0, 2**31 - 1),
-           s2=st.integers(0, 2**31 - 1), r1=st.integers(1, 3), r2=st.integers(1, 3))
-    def test_fuchs_van_de_graaf(self, d, s1, s2, r1, r2):
-        # 1 - F <= (1/2) ||e1 - e2||_diamond <= sqrt(1 - F^2)
-        e1, e2 = maps.random_cptp(d, r1, s1), maps.random_cptp(d, r2, s2)
-        f = disc.operational_fidelity(e1, e2)
-        half_dia = 0.5 * disc.diamond_norm(maps.subtract(e1, e2))
-        assert 1 - f <= half_dia + 1e-7
-        assert half_dia <= np.sqrt(max(0.0, 1 - f * f)) + 1e-7
 
 
 def test_import_leaves_out_scipy_optimize():

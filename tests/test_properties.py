@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonmarkov import discrimination as disc
-from nonmarkov import dynamics, entropy, maps
+from nonmarkov import dynamics, entropy, maps, sdp
 from nonmarkov.states import (
     BipartiteState,
     DensityOperator,
@@ -69,13 +69,22 @@ def test_diamond_norm_bounds_channel_distance(s1, s2, p):
 
 
 @PROPERTY
-@given(k=st.sampled_from([1, 2]), s1=SEEDS, s2=SEEDS, p=st.floats(0.05, 0.95))
-def test_channel_seesaw_at_most_helstrom(k, s1, s2, p):
-    # Two-channel guessing takes Helstrom's closed form; the seesaw that
-    # guesses among three or more channels is a lower bound on it.
-    e1, e2 = maps.random_cptp(2, 2, s1), maps.random_cptp(2, 2, s2)
-    val = disc._seesaw_guess([1.0 - p, p], [e1, e2], k, restarts=2, seed=s1, iters=10, tol=1e-9)
-    assert val <= (1.0 + disc.diamond_norm(maps.weighted_difference(e1, e2, 1.0 - p, p))) / 2.0 + 1e-7
+@given(n=st.sampled_from([2, 3]), ranks=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+       seed=SEEDS)
+def test_channel_guessing_at_least_fixed_input(n, ranks, seed):
+    # The tester program maximizes over inputs on C^2 (x) C^2 and measurements,
+    # so it is at least the guess at any one input: a bound without duality.
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(n))
+    chans = [maps.random_cptp(2, r, seed + i) for i, r in enumerate(ranks[:n])]
+    val = sdp.solve(disc.channel_guessing_program(probs, chans)).primal_value
+    rho = random_density(4, 1, seed)
+    outs = StateEnsemble(probs, [_apply(maps.amplify(e, 2), rho) for e in chans])
+    assert val >= disc.p_guess(outs).value - 1e-8
+    if n == 2:
+        for k in (1, 2):
+            dist = disc.channel_distance(chans[0], chans[1], probs[1], k, restarts=8, seed=seed)
+            assert val >= (1.0 + dist) / 2.0 - 1e-7
 
 
 @PROPERTY
