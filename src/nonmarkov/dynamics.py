@@ -270,11 +270,7 @@ class DynamicalMap:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=np.float64)
-        if g.ndim != 1 or g.size < 1:
-            raise ValueError("grid must be a 1-D array of times")
-        if g[0] != 0.0 or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must start at 0 and increase strictly")
+        g = _check_grid(self.grid)
         if len(self.maps) != g.size:
             raise ValueError("need one map per grid time")
         d = self.maps[0].dimIn
@@ -294,7 +290,7 @@ class DynamicalMap:
 def _check_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 1 or g.size < 1 or g[0] != 0.0 or np.any(np.diff(g) <= 0):
-        raise ValueError("grid must start at 0 and increase strictly")
+        raise ValueError("grid must be a 1-D array of times from 0, increasing strictly")
     return g
 
 
@@ -433,8 +429,8 @@ def reduce(model: TotalSystemModel, grid) -> DynamicalMap:
 
 def intermediate(dm: DynamicalMap, t_idx: int, s_idx: int) -> QuantumMap:
     """V with map(t) = V o map(s); requires the map at s to be invertible."""
-    if t_idx < s_idx:
-        raise ValueError("need t_idx >= s_idx")
+    if not 0 <= s_idx <= t_idx < len(dm):
+        raise ValueError(f"need 0 <= s_idx <= t_idx < {len(dm)}, got s_idx={s_idx}, t_idx={t_idx}")
     if t_idx == s_idx:
         return maps.identity_map(dm.dim)
     return maps.compose(dm.maps[t_idx], maps.inverse(dm.maps[s_idx]))

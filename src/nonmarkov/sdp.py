@@ -9,35 +9,35 @@ Standard form (sense "min"):
 with Hermitian C, A_i and <A, B> = Tr(A B).  "max" negates the objective
 internally.
 
-Constraint data is stacked from the builders on: a program passes block k
-of all m constraints as one (m, n_k, n_k) array ``A[k]`` and the right-hand
-sides as the vector ``b``, and ``SdpProblem`` keeps them in that layout.
-The solver embeds each Hermitian stack once into real symmetric blocks of
-doubled dimension, so the Gram independence check, A(X), A^T(y), the Schur
-complement and the Newton right-hand side are one matrix product per block.
-The iteration is primal-dual path-following (HKM direction, Mehrotra
-predictor-corrector, fraction-to-boundary 0.98) from an identity-scaled
-start; Cholesky failures of the Schur complement retry with escalating
-regularization.
+Every block of a program has the same size n, so the nb blocks of a
+program form one stack.  A program passes block k of all m constraints as
+one (m, n, n) array ``A[k]`` and the right-hand sides as the vector ``b``,
+and ``SdpProblem`` keeps them in that layout.  The solver embeds the
+Hermitian stacks once into one (nb, m, 4n^2) array of real symmetric rows
+of doubled dimension, so the Gram independence check, A(X), A^T(y), the
+Schur complement and the Newton right-hand side are one matrix product per
+block.  The iteration is primal-dual path-following (HKM direction,
+Mehrotra predictor-corrector, fraction-to-boundary 0.98) from an
+identity-scaled start; Cholesky failures of the Schur complement retry with
+escalating regularization.
 
 ``solve_many(problems)`` runs programs that share ``blocks``, ``sense`` and
 every ``A`` stack (``C`` and ``b`` may differ) in one iteration, and
-``solve(p)`` is ``solve_many([p])[0]``.  The state is one stack per
-distinct block size, with a leading axis over (problem, block), and X and Z
-share it.  Per iteration each block size costs one ``cholesky`` and one
-``inv`` call on the X-and-Z stack, whose inverse factors give Z^-1 and both
-step-length tests, and one ``eigvalsh`` call per step-length test, on
-L^-1 dW L^-T for W = L L^T.  The Schur complement costs one ``cholesky``,
-which tests it for positive definiteness, and each of the two Newton
-systems one ``solve`` against the matrix that factor represents.  These
-counts hold whatever the number of blocks or problems.  Each problem keeps
-its own iteration count, exit test, infeasibility tests and certified
-iterate, and leaves the stack when it stops.  A failed Schur factorization
-is redone problem by problem with each problem's own regularization, and
-any other breakdown of a stacked step redoes that step problem by problem,
-so one failing problem ends only itself.  Each finished problem logs its
-status, iterations, residuals and gap at DEBUG on the ``nonmarkov.sdp``
-logger.
+``solve(p)`` is ``solve_many([p])[0]``.  X and Z are one
+(2, q, nb, 2n, 2n) array over q problems.  Per iteration that costs one
+``cholesky`` and one ``inv`` call on the X-and-Z array, whose inverse
+factors give Z^-1 and both step-length tests, and one ``eigvalsh`` call per
+step-length test, on L^-1 dW L^-T for W = L L^T.  The Schur complement
+costs one ``cholesky``, which tests it for positive definiteness, and each
+of the two Newton systems one ``solve`` against the matrix that factor
+represents.  These counts hold whatever the number of blocks or problems.
+Each problem keeps its own iteration count, exit test, infeasibility tests
+and certified iterate, and leaves the stack when it stops.  A failed Schur
+factorization is redone problem by problem with each problem's own
+regularization, and any other breakdown of a stacked step redoes that step
+problem by problem, so one failing problem ends only itself.  Each finished
+problem logs its status, iterations, residuals and gap at DEBUG on the
+``nonmarkov.sdp`` logger.
 
 An "optimal" solution meets feasibility 1e-8 * max(1, |b_i|), normalised
 dual residual 1e-8 and gap 1e-8 * (1 + |primal|); the returned
@@ -101,9 +101,10 @@ class SdpError(RuntimeError):
 class SdpProblem:
     """Hermitian block-diagonal SDP in standard form.
 
-    ``A[k]`` is block k of all m constraints as one (m, n_k, n_k) stack and
-    ``b`` the m right-hand sides.  Validation keeps this layout: each stack
-    is checked and symmetrized as a whole.
+    All entries of ``blocks`` are one size n; a program whose blocks differ
+    in size is rejected.  ``A[k]`` is block k of all m constraints as one
+    (m, n, n) stack and ``b`` the m right-hand sides.  Validation keeps this
+    layout: each stack is checked and symmetrized as a whole.
     """
 
     blocks: list
@@ -117,6 +118,8 @@ class SdpProblem:
             raise ValueError("sense must be 'min' or 'max'")
         if not self.blocks or any(n < 1 for n in self.blocks):
             raise ValueError("block dimensions must be positive")
+        if len(set(self.blocks)) > 1:
+            raise ValueError("all blocks of a program must share one size")
         if len(self.C) != len(self.blocks):
             raise ValueError("objective must provide one block per block dimension")
         b = np.asarray(self.b, dtype=np.float64)
@@ -266,17 +269,11 @@ def solve_many(problems) -> list[SdpSolution]:
         if not all(a is f or np.array_equal(a, f) for a, f in zip(p.A, first.A)):
             raise ValueError("batched problems must share every constraint stack")
     sign = 1.0 if first.sense == "min" else -1.0
-    dims = [2 * n for n in first.blocks]
-    n_total = sum(dims)
+    nb, d = len(first.blocks), 2 * first.blocks[0]
+    n_total = nb * d
     m = first.m
-    # Blocks of equal size form one class; block k is entry pos[k] of class
-    # cls[k].  Stacks put the class members on axis -3.
-    sizes = list(dict.fromkeys(dims))
-    cls = [sizes.index(d) for d in dims]
-    pos = [dims[:k].count(d) for k, d in enumerate(dims)]
-    members = [[k for k in range(len(dims)) if cls[k] == c] for c in range(len(sizes))]
     # rows[k]: embedded block k of every constraint, one row per constraint.
-    rows = [embed_hermitian(a).reshape(m, -1) for a in first.A]
+    rows = embed_hermitian(first.A).reshape(nb, m, -1)
 
     # Constraint independence check (rank-deficiency is an input error).
     gram = sum(r @ r.T for r in rows)
@@ -285,36 +282,31 @@ def solve_many(problems) -> list[SdpSolution]:
         raise ValueError(
             f"constraints are linearly dependent (Gram eigenvalue {gw[0]:.3e})"
         )
-    rows_c = [np.stack([rows[k] for k in ks]) for ks in members]
 
-    def a_op(xs):
+    def a_op(x):
         # Block products added in block order: (q, m).
-        per_class = [r @ xc.reshape(xc.shape[:-2] + (-1, 1)) for r, xc in zip(rows_c, xs)]
-        return sum(per_class[c][:, j] for c, j in zip(cls, pos))[..., 0]
+        per_block = rows @ x.reshape(x.shape[:-2] + (-1, 1))
+        return sum(per_block[:, k] for k in range(nb))[..., 0]
 
     def at_op(y):
-        return [(y[:, None, None, :] @ r).reshape(len(y), len(ks), d, d)
-                for r, ks, d in zip(rows_c, members, sizes)]
+        return (y[:, None, None, :] @ rows).reshape(len(y), nb, d, d)
 
-    def block_sums(pairs):
+    def block_sums(a, b):
         # Per problem, the inner products <a, b> of its blocks added in block
         # order, as Python floats.
-        per_class = [(a.reshape(a.shape[:-2] + (1, -1)) @ b.reshape(b.shape[:-2] + (-1, 1)))
-                     .reshape(len(a), -1).tolist() for a, b in pairs]
-        return [sum(per_class[c][i][j] for c, j in zip(cls, pos))
-                for i in range(len(per_class[0]))]
+        per_block = a.reshape(a.shape[:-2] + (1, -1)) @ b.reshape(b.shape[:-2] + (-1, 1))
+        return [sum(row) for row in per_block.reshape(len(a), nb).tolist()]
 
     def measure(w, y, cm, b, b_scale, c_scale):
         """Residuals of a stack and, per problem, the scalars the exit and
         divergence tests read."""
-        rp = b - a_op([wc[0] for wc in w])
-        rd = [cc - wc[1] - ac for cc, wc, ac in zip(cm, w, at_op(y))]
+        rp = b - a_op(w[0])
+        rd = cm - w[1] - at_op(y)
         # primal: per constraint on the Hermitian (non-doubled) scale,
         # relative to max(1, |b_i|); dual: relative to max(1, ||C||)
         p_res = (np.abs(rp) / 2.0 / b_scale).max(axis=1).tolist()
-        d_max = zip(*[np.abs(r).max(axis=(1, 2, 3)).tolist() for r in rd])
-        d_res = [max(dm) / cs for dm, cs in zip(d_max, c_scale)]
-        pv = [sign * v / 2.0 for v in block_sums([(cc, wc[0]) for cc, wc in zip(cm, w)])]
+        d_res = [dm / cs for dm, cs in zip(np.abs(rd).max(axis=(1, 2, 3)).tolist(), c_scale)]
+        pv = [sign * v / 2.0 for v in block_sums(cm, w[0])]
         dv = [sign * v / 2.0 for v in (b[:, None, :] @ y[:, :, None]).ravel().tolist()]
         gap = [(p - d) if first.sense == "min" else (d - p) for p, d in zip(pv, dv)]
         return rp, rd, p_res, d_res, pv, dv, gap
@@ -322,16 +314,14 @@ def solve_many(problems) -> list[SdpSolution]:
     # Per-problem data, indexed by problem; the iteration works on the rows
     # of the problems still active.
     q = len(problems)
-    cm_all = [sign * embed_hermitian(np.array([[p.C[k] for k in ks] for p in problems]))
-              for ks in members]
+    cm_all = sign * embed_hermitian([p.C for p in problems])
     b_all = 2.0 * np.array([p.b for p in problems])
     b_scale_all = np.maximum(1.0, np.abs(b_all) / 2.0)
-    c_norm = [math.sqrt(v) for v in block_sums([(cc, cc) for cc in cm_all])]
+    c_norm = [math.sqrt(v) for v in block_sums(cm_all, cm_all)]
     c_scale_all = [max(1.0, cn) for cn in c_norm]
 
     def problem_rows(idx):
-        return ([c[idx] for c in cm_all], b_all[idx], b_scale_all[idx],
-                [c_scale_all[i] for i in idx])
+        return cm_all[idx], b_all[idx], b_scale_all[idx], [c_scale_all[i] for i in idx]
 
     # Identity-scaled start from problem norms.
     a_norms = np.maximum(np.sqrt(np.diag(gram)), 1e-12)
@@ -340,9 +330,8 @@ def solve_many(problems) -> list[SdpSolution]:
          for bb in b_all],
         [max(10.0, np.sqrt(n_total), cn, float(a_norms.max())) for cn in c_norm],
     ])
-    # w[c]: X and Z of size class c as one (2, q, nb, d, d) stack.
-    w = [np.repeat(start[:, :, None, None, None] * np.eye(d), len(ks), axis=2)
-         for d, ks in zip(sizes, members)]
+    # w: X and Z as one (2, q, nb, d, d) stack.
+    w = np.repeat(start[:, :, None, None, None] * np.eye(d), nb, axis=2)
     y = np.zeros((q, m))
 
     def schur_factor(schur):
@@ -362,69 +351,63 @@ def solve_many(problems) -> list[SdpSolution]:
     def step(w, y, rp, rd, mu):
         """One predictor-corrector step of a stack; raises LinAlgError on a
         breakdown anywhere in it."""
-        x = [wc[0] for wc in w]
+        x = w[0]
         # Inverse Cholesky factors of X and Z, one (2, q, nb, d, d) stack.
-        linv = [np.linalg.inv(np.linalg.cholesky(wc)) for wc in w]
-        linv_t = [li.swapaxes(-1, -2) for li in linv]
-        zinv = [lt[1] @ li[1] for li, lt in zip(linv, linv_t)]
+        linv = np.linalg.inv(np.linalg.cholesky(w))
+        linv_t = linv.swapaxes(-1, -2)
+        zinv = linv_t[1] @ linv[1]
 
         # Schur complement M[i, j] = <A_i, X A_j Z^{-1}>, one block at a time
         # so that the (q, m, d, d) temporaries stay small.
         schur = sum(
-            r @ (x[c][:, j, None] @ r.reshape(m, d, d) @ zinv[c][:, j, None])
+            r @ (x[:, k, None] @ r.reshape(m, d, d) @ zinv[:, k, None])
             .reshape(len(y), m, -1).swapaxes(-1, -2)
-            for r, d, c, j in zip(rows, dims, cls, pos)
+            for k, r in enumerate(rows)
         )
         # The Newton systems solve against the matrix the accepted factor
         # represents, regularized or not.
         chol = schur_factor((schur + schur.swapaxes(-1, -2)) / 2)
         schur = chol @ chol.swapaxes(-1, -2)
-        xrz = [xc @ rc @ zi for xc, rc, zi in zip(x, rd, zinv)]
+        xrz = x @ rd @ zinv
 
         def newton(sigma_mu, corr):
             """Solve for (dx, dy, dz) given centering target and corrector;
-            dX and dZ of each class come as one (2, q, nb, d, d) stack."""
-            base = [sigma_mu * zi - xc for zi, xc in zip(zinv, x)]
+            dX and dZ come as one (2, q, nb, d, d) stack."""
+            t = sigma_mu * zinv - x
             if corr is not None:
-                corr = [cc @ zi for cc, zi in zip(corr, zinv)]
-                targ = [t - c - xr for t, c, xr in zip(base, corr, xrz)]
+                corr = corr @ zinv
+                targ = t - corr - xrz
             else:
-                targ = [t - xr for t, xr in zip(base, xrz)]
+                targ = t - xrz
             dy = np.linalg.solve(schur, (rp - a_op(targ))[..., None])[..., 0]
-            dw = []
-            for k, (t, xc, rc, ac, zi) in enumerate(zip(base, x, rd, at_op(dy), zinv)):
-                dc = np.empty((2,) + t.shape)
-                dz = np.subtract(rc, ac, out=dc[1])
-                t = t - xc @ dz @ zi
-                if corr is not None:
-                    t = t - corr[k]
-                np.add(t, t.swapaxes(-1, -2), out=dc[0])
-                dc[0] /= 2
-                dw.append(dc)
+            dw = np.empty((2,) + t.shape)
+            dz = np.subtract(rd, at_op(dy), out=dw[1])
+            t = t - x @ dz @ zinv
+            if corr is not None:
+                t = t - corr
+            np.add(t, t.swapaxes(-1, -2), out=dw[0])
+            dw[0] /= 2
             return dw, dy
 
         def max_steps(dw):
             # Largest steps (<= 1) keeping X + a dX and Z + a dZ PSD: (2, q),
             # from the spectrum of L^-1 dW L^-T with W = L L^T.
-            lam = None
-            for li, lt, dc in zip(linv, linv_t, dw):
-                t = li @ (dc @ lt)
-                low = np.linalg.eigvalsh((t + t.swapaxes(-1, -2)) / 2)[..., 0]
-                low = np.fmin.reduce(low, axis=-1)  # over the blocks of the class
-                lam = low if lam is None else np.fmin(lam, low)
+            t = linv @ (dw @ linv_t)
+            low = np.linalg.eigvalsh((t + t.swapaxes(-1, -2)) / 2)[..., 0]
+            lam = np.fmin.reduce(low, axis=-1)  # over the blocks
             return np.minimum(1.0, -1.0 / np.fmin(lam, -1e-14))
 
         # Predictor
         dwa, _ = newton(0.0, None)
         alpha = max_steps(dwa)[:, :, None, None, None]
-        mu_aff = block_sums([wc + alpha * dc for wc, dc in zip(w, dwa)])
+        mu_aff = block_sums(*(w + alpha * dwa))
         sigma_mu = [min(1.0, max(0.0, (ma / n_total / mo) ** 3)) * mo for ma, mo in zip(mu_aff, mu)]
 
         # Corrector
-        dw, dy = newton(np.array(sigma_mu)[:, None, None, None], [dc[0] @ dc[1] for dc in dwa])
+        dw, dy = newton(np.array(sigma_mu)[:, None, None, None], dwa[0] @ dwa[1])
         alpha = FRACTION_TO_BOUNDARY * max_steps(dw)
-        w = [wc + alpha[:, :, None, None, None] * dc for wc, dc in zip(w, dw)]
-        return [(wc + wc.swapaxes(-1, -2)) / 2 for wc in w], y + alpha[1][:, None] * dy
+        w = w + alpha[:, :, None, None, None] * dw
+        return (w + w.swapaxes(-1, -2)) / 2, y + alpha[1][:, None] * dy
 
     sols = [None] * q
     certified = [None] * q
@@ -435,15 +418,15 @@ def solve_many(problems) -> list[SdpSolution]:
             # The step broke down after an iterate already met the guarantees.
             state, status = certified[i], "optimal"
         ws, ys, r = state
-        w1, y1 = [wc[:, r:r + 1] for wc in ws], ys[r:r + 1]
+        w1, y1 = ws[:, r:r + 1], ys[r:r + 1]
         _, _, p_res, d_res, pv, dv, gap = measure(w1, y1, *problem_rows([i]))
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("%s after %d iterations: primal_residual=%.3g dual_residual=%.3g "
                        "gap=%.3g", status, it, p_res[0], d_res[0], gap[0])
         return SdpSolution(
-            X=[_unembed(w1[c][0, 0, j]) for c, j in zip(cls, pos)],
+            X=[_unembed(xk) for xk in w1[0, 0]],
             y=y1[0].copy(),
-            Z=[_unembed(w1[c][1, 0, j]) for c, j in zip(cls, pos)],
+            Z=[_unembed(zk) for zk in w1[1, 0]],
             primal_value=pv[0],
             dual_value=dv[0],
             gap=gap[0],
@@ -457,7 +440,7 @@ def solve_many(problems) -> list[SdpSolution]:
     cm, b, b_scale, c_scale = problem_rows(idx)
     for it in range(1, MAX_ITER + 1):
         rp, rd, p_res, d_res, pv, _, gap = measure(w, y, cm, b, b_scale, c_scale)
-        mu = [v / n_total for v in block_sums([(wc[0], wc[1]) for wc in w])]
+        mu = [v / n_total for v in block_sums(w[0], w[1])]
         ynorm = [math.sqrt(v) for v in (y[:, None, :] @ y[:, :, None]).ravel().tolist()]
 
         keep = []
@@ -481,9 +464,8 @@ def solve_many(problems) -> list[SdpSolution]:
                 # (approximately) negative-semidefinite AT(y) -- a Farkas
                 # certificate.  Fallback: the normalized residuals diverged
                 # over a full window.
-                if (yn > 1e6 and float(b[r] @ y[r]) > 1e-8 * yn and max(
-                        float(np.linalg.eigvalsh(ray).max()) for ray in at_op(y[r:r + 1] / yn)
-                ) <= 1e-7):
+                if (yn > 1e6 and float(b[r] @ y[r]) > 1e-8 * yn
+                        and float(np.linalg.eigvalsh(at_op(y[r:r + 1] / yn)).max()) <= 1e-7):
                     status = "infeasible-detected"
                 elif it > DIVERGE_WINDOW and (
                     min(hist[-DIVERGE_WINDOW:]) > 10.0 * min(hist[:-DIVERGE_WINDOW]) + 1e-12
@@ -502,8 +484,8 @@ def solve_many(problems) -> list[SdpSolution]:
         if len(keep) < len(idx):
             idx = [idx[r] for r in keep]
             cm, b, b_scale, c_scale = problem_rows(idx)
-            w, y = [wc[:, keep] for wc in w], y[keep]
-            rp, rd, mu = rp[keep], [r[keep] for r in rd], [mu[r] for r in keep]
+            w, y = w[:, keep], y[keep]
+            rp, rd, mu = rp[keep], rd[keep], [mu[r] for r in keep]
         try:
             w, y = step(w, y, rp, rd, mu)
         except np.linalg.LinAlgError:
@@ -512,8 +494,8 @@ def solve_many(problems) -> list[SdpSolution]:
             keep, parts = [], []
             for r, i in enumerate(idx):
                 try:
-                    parts.append(step([wc[:, r:r + 1] for wc in w], y[r:r + 1], rp[r:r + 1],
-                                      [c[r:r + 1] for c in rd], mu[r:r + 1]))
+                    parts.append(step(w[:, r:r + 1], y[r:r + 1], rp[r:r + 1], rd[r:r + 1],
+                                      mu[r:r + 1]))
                     keep.append(r)
                 except np.linalg.LinAlgError:
                     sols[i] = finish(i, "numerical-failure", it, (w, y, r))
@@ -521,7 +503,7 @@ def solve_many(problems) -> list[SdpSolution]:
                 break
             idx = [idx[r] for r in keep]
             cm, b, b_scale, c_scale = problem_rows(idx)
-            w = [np.concatenate([p[0][c] for p in parts], axis=1) for c in range(len(sizes))]
+            w = np.concatenate([p[0] for p in parts], axis=1)
             y = np.concatenate([p[1] for p in parts])
     else:
         for r, i in enumerate(idx):

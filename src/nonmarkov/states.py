@@ -95,6 +95,8 @@ class BipartiteState:
         return self.state.dim
 
     def marginal(self, which: str) -> DensityOperator:
+        if which not in ("A", "B"):
+            raise ValueError(f"marginal must be 'A' or 'B', not {which!r}")
         return partial_trace(self, "B" if which == "A" else "A")
 
     def to_json(self) -> str:

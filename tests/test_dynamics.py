@@ -386,6 +386,13 @@ class TestIntermediate:
         with pytest.raises(ValueError):
             intermediate(dm, 0, 1)
 
+    @pytest.mark.parametrize("t_idx, s_idx", [(3, -1), (9, 1)])
+    def test_index_outside_grid_rejected(self, t_idx, s_idx):
+        # unchecked, -1 wrapped to the last map and 9 raised IndexError
+        dm = propagate(model("eternal"), time_grid(1.0, 5))
+        with pytest.raises(ValueError, match="s_idx <= t_idx < 5"):
+            intermediate(dm, t_idx, s_idx)
+
 
 class TestDivisibilityReport:
     def test_amplitude_damping_cp_divisible(self):

@@ -68,6 +68,12 @@ class TestTensorPartialTrace:
         psi = max_entangled(2)
         assert np.abs(partial_trace(psi, "B").matrix - np.eye(2) / 2).max() < 1e-12
 
+    def test_marginal_rejects_unknown_label(self):
+        psi = max_entangled(2)
+        assert np.abs(psi.marginal("A").matrix - np.eye(2) / 2).max() < 1e-12
+        with pytest.raises(ValueError, match="'A' or 'B'"):
+            psi.marginal("x")
+
     def test_trace_preserved_2x3(self):
         # independent oracle: direct index contraction
         rho = random_density(6, 6, 77)
