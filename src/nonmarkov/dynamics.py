@@ -289,14 +289,15 @@ class DynamicalMap:
 
 def _check_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=np.float64)
-    if g.ndim != 1 or g.size < 1 or g[0] != 0.0 or np.any(np.diff(g) <= 0):
-        raise ValueError("grid must be a 1-D array of times from 0, increasing strictly")
+    if (g.ndim != 1 or g.size < 1 or g[0] != 0.0 or not np.all(np.isfinite(g))
+            or np.any(np.diff(g) <= 0)):
+        raise ValueError("grid must be a 1-D array of finite times from 0, increasing strictly")
     return g
 
 
 def time_grid(t_max: float, steps: int) -> np.ndarray:
-    if steps < 2 or t_max <= 0:
-        raise ValueError("need steps >= 2 and t_max > 0")
+    if steps < 2 or not 0.0 < t_max < math.inf:
+        raise ValueError("need steps >= 2 and a finite t_max > 0")
     return np.linspace(0.0, float(t_max), int(steps))
 
 

@@ -9,27 +9,29 @@ Standard form (sense "min"):
 with Hermitian C, A_i and <A, B> = Tr(A B).  "max" negates the objective
 internally.
 
-Every block of a program has the same size n, so the nb blocks of a
-program form one stack.  A program passes block k of all m constraints as
-one (m, n, n) array ``A[k]`` and the right-hand sides as the vector ``b``,
-and ``SdpProblem`` keeps them in that layout.  The solver embeds the
-Hermitian stacks once into one (nb, m, 4n^2) array of real symmetric rows
-of doubled dimension, so the Gram independence check, A(X), A^T(y), the
-Schur complement and the Newton right-hand side are one matrix product per
-block.  The iteration is primal-dual path-following (HKM direction,
-Mehrotra predictor-corrector, fraction-to-boundary 0.98) from an
-identity-scaled start; Cholesky failures of the Schur complement retry with
-escalating regularization.
+Every block of a program has the same size n.  A program passes its nb
+objective blocks ``C``, block k of all m constraints as one (m, n, n) array
+``A[k]`` and the right-hand sides ``b``; ``SdpProblem`` keeps that layout
+and reads ``blocks`` and ``m`` from it.  The iteration runs on the complex
+Hermitian blocks.  As Re <A, G> = Re A . Re G + Im A . Im G for Hermitian A,
+the constraints are read once as one real (m, 2 nb n^2) matrix, the float
+view of their entries, and the Gram independence check, A(X), A^T(y), the
+inner products and the Schur complement are real matrix products.  The
+iteration is primal-dual path-following (HKM direction, Mehrotra
+predictor-corrector, fraction-to-boundary 0.98) from an identity-scaled
+start; Cholesky failures of the Schur complement retry with escalating
+regularization.
 
 ``solve_many(problems)`` runs programs that share ``blocks``, ``sense`` and
 every ``A`` stack (``C`` and ``b`` may differ) in one iteration, and
-``solve(p)`` is ``solve_many([p])[0]``.  X and Z are one
-(2, q, nb, 2n, 2n) array over q problems.  Per iteration that costs one
-``cholesky`` and one ``inv`` call on the X-and-Z array, whose inverse
-factors give Z^-1 and both step-length tests, and one ``eigvalsh`` call per
-step-length test, on L^-1 dW L^-T for W = L L^T.  The Schur complement
-costs one ``cholesky``, which tests it for positive definiteness, and each
-of the two Newton systems one ``solve`` against the matrix that factor
+``solve(p)`` is ``solve_many([p])[0]``.  X and Z are one complex
+(2, q, nb, n, n) array over q problems.  Per iteration that costs one
+``cholesky`` and one ``inv`` call on that array, whose inverse factors give
+Z^-1 and both step-length tests, and one ``eigvalsh`` call per step-length
+test, on L^-1 dW L^-H for W = L L^H.  The Schur complement
+Re <A_i, X A_j Z^-1> takes the complex products X [A_1 ... A_m] and then
+Z^-1 on the right; its ``cholesky`` tests it for positive definiteness, and
+each Newton system costs one ``solve`` against the matrix that factor
 represents.  These counts hold whatever the number of blocks or problems.
 Each problem keeps its own iteration count, exit test, infeasibility tests
 and certified iterate, and leaves the stack when it stops.  A failed Schur
@@ -52,20 +54,17 @@ the same for every "optimal" solution, fallback or not.
 
 Everything is deterministic for a given BLAS build and thread count:
 identical problems produce identical iterate sequences, and a problem
-solved in a batch gets bit for bit the solution it gets alone.  That rests
-on three choices.  Stacked LAPACK calls (``cholesky``, ``inv``, ``solve``,
-``eigvalsh``) and matrix products repeat the two-dimensional call on each
-slice, and the products keep their matrix-vector shapes ((m, d^2) times
-(q, d^2, 1), and (q, 1, m) times (m, d^2)).  Inner products are
-(q, 1, n) times (q, n, 1) products, which repeat ``np.vdot``, and sums over
-blocks run in block order.  Scalar recurrences such as the centering
-parameter (mu_aff / mu)^3 are evaluated on Python floats per problem: the
-vectorized power can differ from the scalar one in the last bit.  The last
-bits of the step still depend on how it is computed (the order of the
-products in L^-1 dW L^-T, solving against the Schur matrix or its factors),
-and an iterate close to the boundary can turn on them.  A threaded GEMM sums
-in another order, so the last bits of larger programs can change with the
-thread count.
+solved in a batch gets bit for bit the solution it gets alone.  Stacked
+LAPACK calls and matrix products repeat the two-dimensional call on each
+slice, products with the constraint matrix keep per-problem shapes, and
+scalar recurrences such as the centering parameter (mu_aff / mu)^3 are
+evaluated on Python floats per problem, since the vectorized power can
+differ from the scalar one in the last bit.  The last bits are set by the
+order of the sums inside ZGEMM (the complex products), DGEMM and DGEMV (the
+products with the constraint matrix), ZPOTRF, ZGESV and ZHEEVD (on the
+blocks), and an iterate close to the boundary can turn on them.  A threaded
+GEMM sums in another order, so the last bits of larger programs, and at
+times their iteration counts, can change with the thread count.
 """
 
 from __future__ import annotations
@@ -101,13 +100,13 @@ class SdpError(RuntimeError):
 class SdpProblem:
     """Hermitian block-diagonal SDP in standard form.
 
-    All entries of ``blocks`` are one size n; a program whose blocks differ
-    in size is rejected.  ``A[k]`` is block k of all m constraints as one
-    (m, n, n) stack and ``b`` the m right-hand sides.  Validation keeps this
+    ``C`` holds the nb objective blocks, all of one size n; a program whose
+    blocks differ in size is rejected.  ``A[k]`` is block k of all m
+    constraints as one (m, n, n) stack and ``b`` the m right-hand sides.
+    ``blocks`` and ``m`` are read from these shapes.  Validation keeps this
     layout: each stack is checked and symmetrized as a whole.
     """
 
-    blocks: list
     C: list
     A: list
     b: np.ndarray
@@ -116,25 +115,29 @@ class SdpProblem:
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
-        if not self.blocks or any(n < 1 for n in self.blocks):
-            raise ValueError("block dimensions must be positive")
-        if len(set(self.blocks)) > 1:
+        if len({np.shape(c) for c in self.C}) > 1:
             raise ValueError("all blocks of a program must share one size")
-        if len(self.C) != len(self.blocks):
-            raise ValueError("objective must provide one block per block dimension")
+        c = _herm_stack(self.C)
         b = np.asarray(self.b, dtype=np.float64)
         if b.ndim != 1:
             raise ValueError("right-hand sides must be a vector")
         if b.size == 0:
             raise ValueError("the solver requires at least one constraint")
-        if len(self.A) != len(self.blocks):
-            raise ValueError("constraint must provide one block per block dimension")
-        a = [_herm_stack(s, n) for s, n in zip(self.A, self.blocks)]
-        if any(s.shape[0] != b.size for s in a):
-            raise ValueError("every constraint stack must have one row per right-hand side")
-        object.__setattr__(self, "C", [_herm_stack([c], n)[0] for c, n in zip(self.C, self.blocks)])
+        if not np.all(np.isfinite(b)):
+            raise ValueError("SDP data contains NaN or Inf entries")
+        if len(self.A) != len(c):
+            raise ValueError("constraint must provide one block per objective block")
+        a = [_herm_stack(s) for s in self.A]
+        if any(s.shape != (b.size,) + c.shape[1:] for s in a):
+            raise ValueError("every constraint stack must have one row per right-hand side, "
+                             "each of the objective's block size")
+        object.__setattr__(self, "C", list(c))
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", b)
+
+    @property
+    def blocks(self) -> list:
+        return [c.shape[0] for c in self.C]
 
     @property
     def m(self) -> int:
@@ -146,7 +149,6 @@ class SdpProblem:
 
         return json.dumps(
             {
-                "blocks": [int(n) for n in self.blocks],
                 "C": [enc(c) for c in self.C],
                 "A": [enc(a) for a in self.A],
                 "b": self.b.tolist(),
@@ -156,6 +158,7 @@ class SdpProblem:
 
     @staticmethod
     def from_json(text: str) -> "SdpProblem":
+        """Read ``to_json`` output; a ``blocks`` key (older output) is ignored."""
         doc = json.loads(text)
 
         def dec(obj):
@@ -164,7 +167,6 @@ class SdpProblem:
             )
 
         return SdpProblem(
-            blocks=[int(n) for n in doc["blocks"]],
             C=[dec(c) for c in doc["C"]],
             A=[dec(a) for a in doc["A"]],
             b=doc["b"],
@@ -172,13 +174,13 @@ class SdpProblem:
         )
 
 
-def _herm_stack(mats, n: int) -> np.ndarray:
+def _herm_stack(mats) -> np.ndarray:
     """Check a stack of n x n blocks for finiteness and Hermiticity within
     1e-12 (relative to each block's largest entry); return it symmetrized as
     one (len(mats), n, n) array."""
     a = np.asarray(mats, dtype=np.complex128)
-    if a.shape[1:] != (n, n):
-        raise ValueError(f"block shape {a.shape[1:]} does not match declared dim {n}")
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise ValueError(f"SDP data must be stacks of square blocks, not shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("SDP data contains NaN or Inf entries")
     ah = a.conj().transpose(0, 2, 1)
@@ -190,6 +192,16 @@ def _herm_stack(mats, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SdpSolution:
+    """The iterate a solve ended on: blocks ``X`` and dual slacks ``Z``
+    (lists of n x n arrays), multipliers ``y`` with Z = s C - sum_i y_i A_i
+    up to the dual residual (s = 1 for "min", -1 for "max"), ``primal_value``
+    <C, X>, ``dual_value`` s b . y, their ``gap`` (primal minus dual for
+    "min"), the normalised residuals of the module docstring and the
+    ``iterations`` run.  ``status`` is "optimal" (the guarantees hold),
+    "infeasible-detected" (a Farkas ray, or residuals that diverged),
+    "numerical-failure" (a breakdown before any iterate met the guarantees)
+    or "max_iter"."""
+
     X: list
     y: np.ndarray
     Z: list
@@ -226,25 +238,6 @@ def hermitian_basis(dim: int) -> np.ndarray:
     return out
 
 
-def embed_hermitian(h) -> np.ndarray:
-    """[[Re h, -Im h], [Im h, Re h]] over the last two axes (one matrix or a
-    stack): eigenvalues duplicate, inner products of embedded pairs scale by
-    exactly 2 (accounted for during assembly)."""
-    a = np.asarray(h, dtype=np.complex128)
-    re, im = a.real, a.imag
-    top = np.concatenate([re, -im], axis=-1)
-    bot = np.concatenate([im, re], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
-
-
-def _unembed(y: np.ndarray) -> np.ndarray:
-    """Project a symmetric doubled matrix back to the Hermitian block."""
-    n = y.shape[0] // 2
-    re = (y[:n, :n] + y[n:, n:]) / 2
-    im = (y[n:, :n] - y[n:, :n].T) / 2
-    return re + 1j * im
-
-
 def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration on one program; see the module
     docstring."""
@@ -269,14 +262,23 @@ def solve_many(problems) -> list[SdpSolution]:
         if not all(a is f or np.array_equal(a, f) for a, f in zip(p.A, first.A)):
             raise ValueError("batched problems must share every constraint stack")
     sign = 1.0 if first.sense == "min" else -1.0
-    nb, d = len(first.blocks), 2 * first.blocks[0]
-    n_total = nb * d
+    nb, n = len(first.blocks), first.blocks[0]
+    n_total = nb * n
     m = first.m
-    # rows[k]: embedded block k of every constraint, one row per constraint.
-    rows = embed_hermitian(first.A).reshape(nb, m, -1)
+    a_stack = np.stack(first.A)  # (nb, m, n, n)
+    # rows: one real row per constraint over all blocks, the float view of its
+    # complex entries, since Re <A, G> = rows . flat(G) for Hermitian A and
+    # any G.  a_wide[k]: block k of the constraints side by side, so that
+    # X A_j Z^-1 for every j takes two products.
+    rows = a_stack.swapaxes(0, 1).reshape(m, -1).view(np.float64)
+    a_wide = a_stack.transpose(0, 2, 1, 3).reshape(nb, n, m * n)
+
+    def flat(x):
+        # The float view of each program's blocks: (..., 2 nb n^2).
+        return x.reshape(x.shape[:-3] + (-1,)).view(np.float64)
 
     # Constraint independence check (rank-deficiency is an input error).
-    gram = sum(r @ r.T for r in rows)
+    gram = rows @ rows.T
     gw = np.linalg.eigvalsh(gram)
     if gw[0] <= 1e-12 * max(1.0, gw[-1]):
         raise ValueError(
@@ -284,40 +286,36 @@ def solve_many(problems) -> list[SdpSolution]:
         )
 
     def a_op(x):
-        # Block products added in block order: (q, m).
-        per_block = rows @ x.reshape(x.shape[:-2] + (-1, 1))
-        return sum(per_block[:, k] for k in range(nb))[..., 0]
+        return (rows @ flat(x)[..., None])[..., 0]
 
     def at_op(y):
-        return (y[:, None, None, :] @ rows).reshape(len(y), nb, d, d)
+        return (y[:, None, :] @ rows).view(np.complex128).reshape(len(y), nb, n, n)
 
-    def block_sums(a, b):
-        # Per problem, the inner products <a, b> of its blocks added in block
-        # order, as Python floats.
-        per_block = a.reshape(a.shape[:-2] + (1, -1)) @ b.reshape(b.shape[:-2] + (-1, 1))
-        return [sum(row) for row in per_block.reshape(len(a), nb).tolist()]
+    def inner(a, b):
+        # Per problem, <a, b> over all its Hermitian blocks, as Python floats.
+        return (flat(a)[:, None, :] @ flat(b)[:, :, None]).ravel().tolist()
 
     def measure(w, y, cm, b, b_scale, c_scale):
         """Residuals of a stack and, per problem, the scalars the exit and
         divergence tests read."""
         rp = b - a_op(w[0])
         rd = cm - w[1] - at_op(y)
-        # primal: per constraint on the Hermitian (non-doubled) scale,
-        # relative to max(1, |b_i|); dual: relative to max(1, ||C||)
-        p_res = (np.abs(rp) / 2.0 / b_scale).max(axis=1).tolist()
+        # primal: per constraint, relative to max(1, |b_i|); dual: the largest
+        # entry modulus, relative to max(1, ||C||)
+        p_res = (np.abs(rp) / b_scale).max(axis=1).tolist()
         d_res = [dm / cs for dm, cs in zip(np.abs(rd).max(axis=(1, 2, 3)).tolist(), c_scale)]
-        pv = [sign * v / 2.0 for v in block_sums(cm, w[0])]
-        dv = [sign * v / 2.0 for v in (b[:, None, :] @ y[:, :, None]).ravel().tolist()]
+        pv = [sign * v for v in inner(cm, w[0])]
+        dv = [sign * v for v in (b[:, None, :] @ y[:, :, None]).ravel().tolist()]
         gap = [(p - d) if first.sense == "min" else (d - p) for p, d in zip(pv, dv)]
         return rp, rd, p_res, d_res, pv, dv, gap
 
     # Per-problem data, indexed by problem; the iteration works on the rows
     # of the problems still active.
     q = len(problems)
-    cm_all = sign * embed_hermitian([p.C for p in problems])
-    b_all = 2.0 * np.array([p.b for p in problems])
-    b_scale_all = np.maximum(1.0, np.abs(b_all) / 2.0)
-    c_norm = [math.sqrt(v) for v in block_sums(cm_all, cm_all)]
+    cm_all = sign * np.array([p.C for p in problems])
+    b_all = np.array([p.b for p in problems])
+    b_scale_all = np.maximum(1.0, np.abs(b_all))
+    c_norm = [math.sqrt(v) for v in inner(cm_all, cm_all)]
     c_scale_all = [max(1.0, cn) for cn in c_norm]
 
     def problem_rows(idx):
@@ -330,8 +328,8 @@ def solve_many(problems) -> list[SdpSolution]:
          for bb in b_all],
         [max(10.0, np.sqrt(n_total), cn, float(a_norms.max())) for cn in c_norm],
     ])
-    # w: X and Z as one (2, q, nb, d, d) stack.
-    w = np.repeat(start[:, :, None, None, None] * np.eye(d), nb, axis=2)
+    # w: X and Z as one (2, q, nb, n, n) stack.
+    w = np.repeat(start[:, :, None, None, None] * np.eye(n, dtype=np.complex128), nb, axis=2)
     y = np.zeros((q, m))
 
     def schur_factor(schur):
@@ -348,22 +346,23 @@ def solve_many(problems) -> list[SdpSolution]:
                 reg = base * 1e-14 if reg == 0.0 else reg * 1e4
         raise np.linalg.LinAlgError("Schur complement is not positive definite")
 
+    def herm(x):
+        return x.conj().swapaxes(-1, -2)
+
     def step(w, y, rp, rd, mu):
         """One predictor-corrector step of a stack; raises LinAlgError on a
         breakdown anywhere in it."""
         x = w[0]
-        # Inverse Cholesky factors of X and Z, one (2, q, nb, d, d) stack.
+        # Inverse Cholesky factors of X and Z, one (2, q, nb, n, n) stack.
         linv = np.linalg.inv(np.linalg.cholesky(w))
-        linv_t = linv.swapaxes(-1, -2)
-        zinv = linv_t[1] @ linv[1]
+        linv_h = herm(linv)
+        zinv = linv_h[1] @ linv[1]
 
-        # Schur complement M[i, j] = <A_i, X A_j Z^{-1}>, one block at a time
-        # so that the (q, m, d, d) temporaries stay small.
-        schur = sum(
-            r @ (x[:, k, None] @ r.reshape(m, d, d) @ zinv[:, k, None])
-            .reshape(len(y), m, -1).swapaxes(-1, -2)
-            for k, r in enumerate(rows)
-        )
+        # Schur complement M[i, j] = Re <A_i, X A_j Z^-1>: row (a, j) of xaz
+        # is row a of X A_j Z^-1, and g orders them by constraint.
+        xaz = (x @ a_wide).reshape(-1, nb, n * m, n) @ zinv
+        g = xaz.reshape(-1, nb, n, m, n).transpose(0, 3, 1, 2, 4)
+        schur = rows @ flat(g).swapaxes(-1, -2)
         # The Newton systems solve against the matrix the accepted factor
         # represents, regularized or not.
         chol = schur_factor((schur + schur.swapaxes(-1, -2)) / 2)
@@ -372,7 +371,7 @@ def solve_many(problems) -> list[SdpSolution]:
 
         def newton(sigma_mu, corr):
             """Solve for (dx, dy, dz) given centering target and corrector;
-            dX and dZ come as one (2, q, nb, d, d) stack."""
+            dX and dZ come as one (2, q, nb, n, n) stack."""
             t = sigma_mu * zinv - x
             if corr is not None:
                 corr = corr @ zinv
@@ -380,34 +379,34 @@ def solve_many(problems) -> list[SdpSolution]:
             else:
                 targ = t - xrz
             dy = np.linalg.solve(schur, (rp - a_op(targ))[..., None])[..., 0]
-            dw = np.empty((2,) + t.shape)
+            dw = np.empty((2,) + t.shape, dtype=np.complex128)
             dz = np.subtract(rd, at_op(dy), out=dw[1])
             t = t - x @ dz @ zinv
             if corr is not None:
                 t = t - corr
-            np.add(t, t.swapaxes(-1, -2), out=dw[0])
+            np.add(t, herm(t), out=dw[0])
             dw[0] /= 2
             return dw, dy
 
         def max_steps(dw):
             # Largest steps (<= 1) keeping X + a dX and Z + a dZ PSD: (2, q),
-            # from the spectrum of L^-1 dW L^-T with W = L L^T.
-            t = linv @ (dw @ linv_t)
-            low = np.linalg.eigvalsh((t + t.swapaxes(-1, -2)) / 2)[..., 0]
+            # from the spectrum of L^-1 dW L^-H with W = L L^H.
+            t = linv @ (dw @ linv_h)
+            low = np.linalg.eigvalsh((t + herm(t)) / 2)[..., 0]
             lam = np.fmin.reduce(low, axis=-1)  # over the blocks
             return np.minimum(1.0, -1.0 / np.fmin(lam, -1e-14))
 
         # Predictor
         dwa, _ = newton(0.0, None)
         alpha = max_steps(dwa)[:, :, None, None, None]
-        mu_aff = block_sums(*(w + alpha * dwa))
+        mu_aff = inner(*(w + alpha * dwa))
         sigma_mu = [min(1.0, max(0.0, (ma / n_total / mo) ** 3)) * mo for ma, mo in zip(mu_aff, mu)]
 
         # Corrector
         dw, dy = newton(np.array(sigma_mu)[:, None, None, None], dwa[0] @ dwa[1])
         alpha = FRACTION_TO_BOUNDARY * max_steps(dw)
         w = w + alpha[:, :, None, None, None] * dw
-        return (w + w.swapaxes(-1, -2)) / 2, y + alpha[1][:, None] * dy
+        return (w + herm(w)) / 2, y + alpha[1][:, None] * dy
 
     sols = [None] * q
     certified = [None] * q
@@ -424,9 +423,9 @@ def solve_many(problems) -> list[SdpSolution]:
             _log.debug("%s after %d iterations: primal_residual=%.3g dual_residual=%.3g "
                        "gap=%.3g", status, it, p_res[0], d_res[0], gap[0])
         return SdpSolution(
-            X=[_unembed(xk) for xk in w1[0, 0]],
+            X=list(w1[0, 0].copy()),
             y=y1[0].copy(),
-            Z=[_unembed(zk) for zk in w1[1, 0]],
+            Z=list(w1[1, 0].copy()),
             primal_value=pv[0],
             dual_value=dv[0],
             gap=gap[0],
@@ -440,7 +439,7 @@ def solve_many(problems) -> list[SdpSolution]:
     cm, b, b_scale, c_scale = problem_rows(idx)
     for it in range(1, MAX_ITER + 1):
         rp, rd, p_res, d_res, pv, _, gap = measure(w, y, cm, b, b_scale, c_scale)
-        mu = [v / n_total for v in block_sums(w[0], w[1])]
+        mu = [v / n_total for v in inner(w[0], w[1])]
         ynorm = [math.sqrt(v) for v in (y[:, None, :] @ y[:, :, None]).ravel().tolist()]
 
         keep = []

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import discrimination as disc
-from nonmarkov import _accel, dynamics, linalg, maps, sdp, states
+from nonmarkov import _accel, dynamics, entropy, linalg, maps, sdp, states
 from nonmarkov.maps import depolarizing, identity_map, replacer, transposition_map, unitary_map
 from nonmarkov.states import StateEnsemble, basis_state, pure_state, random_density
 
@@ -19,12 +19,8 @@ KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
 PLUS = pure_state(np.array([1.0, 1.0]))
 
-# Seeds of random_cptp(3, 2) pairs whose diamond-norm iteration can break
-# down after it meets the solver's guarantees; whether it does depends on the
-# last bits of the arithmetic.  They were found on the program with a rho
-# block, where the second pair ended through the certified iterate; on the
-# program without it, the fifth pair does (at iteration 21) and the others
-# meet the exit test.
+# Seeds of random_cptp(3, 2) pairs whose diamond-norm endgame turns on the
+# last bits of the arithmetic (see QUTRIT_BREAKDOWN_PAIRS in test_sdp.py).
 QUTRIT_BREAKDOWN_PAIRS = [
     (916926068, 1448099613),
     (2077510140, 314059661),
@@ -137,7 +133,7 @@ class TestPGuessChannels:
         assert vals[0] <= vals[1] + 1e-6
 
     # float.hex of a seeded triple call (the tester program at k = d_in).
-    PINNED = {("triple", 2): "0x1.974e0fd9bb033p-1"}
+    PINNED = {("triple", 2): "0x1.974e0fdcf6b5ep-1"}
 
     @staticmethod
     def pinned_call(kind, k):
@@ -147,6 +143,30 @@ class TestPGuessChannels:
     @pytest.mark.parametrize("kind, k", list(PINNED))
     def test_seeded_values_pinned(self, kind, k):
         assert self.pinned_call(kind, k).hex() == self.PINNED[kind, k]
+
+
+RHO_2X2 = states.BipartiteState(2, 2, random_density(4, 3, 8))
+CHANNELS = [depolarizing(0.3), maps.random_cptp(2, 2, 11), maps.random_cptp(2, 2, 12)]
+
+
+# Every public function backed by an SDP, on a small input.
+SDP_BACKED = {
+    "h_min": lambda: entropy.h_min(RHO_2X2),
+    "h_max": lambda: entropy.h_max(RHO_2X2),
+    "p_guess": lambda: disc.p_guess(StateEnsemble(
+        [0.5, 0.5], [random_density(2, 2, 9), random_density(2, 1, 10)])),
+    "diamond_norm": lambda: disc.diamond_norm(maps.subtract(*CHANNELS[1:])),
+    "p_guess_channels": lambda: disc.p_guess_channels([0.2, 0.3, 0.5], CHANNELS, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(SDP_BACKED))
+def test_rejects_non_optimal_status(monkeypatch, name):
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve",
+                        lambda problem: dataclasses.replace(solve(problem), status="max_iter"))
+    with pytest.raises(sdp.SdpError, match="max_iter"):
+        SDP_BACKED[name]()
 
 
 def _no_sdp(*args, **kwargs):
@@ -181,13 +201,6 @@ class TestPairRoute:
         disc.p_guess_channels([0.2, 0.3, 0.5], [self.E0, self.E1, self.E2], 2,
                               restarts=2, seed=5, iters=3)
         assert calls == [[4, 4, 4]]
-
-    def test_triple_rejects_non_optimal_status(self, monkeypatch):
-        solve = sdp.solve
-        monkeypatch.setattr(sdp, "solve",
-                            lambda problem: dataclasses.replace(solve(problem), status="max_iter"))
-        with pytest.raises(sdp.SdpError, match="max_iter"):
-            disc.p_guess_channels([0.2, 0.3, 0.5], [self.E0, self.E1, self.E2], 2)
 
     # float.hex of two seeded public pair calls (the trace-norm ascent).
     PINNED = {1: "0x1.d7dc1dfbc8234p-1", 2: "0x1.d7dc1dfbc8235p-1"}
@@ -432,6 +445,16 @@ class TestDiamondNorm:
         m = maps.subtract(identity_map(3), depolarizing(q, 3))
         expect = q * (1 - 1 / 9) + 8 * q / 9
         assert disc.diamond_norm(m) == pytest.approx(expect, abs=1e-5)
+
+    def test_ququart_identity_minus_depolarizing(self):
+        # 2q(1 - 1/d^2) at d = 4: blocks [16, 16] and m = 241, the largest
+        # program of the suite
+        q, d = 0.6, 4
+        delta = maps.subtract(identity_map(d), depolarizing(q, d))
+        prob = disc.diamond_norm_program(delta)
+        assert (prob.blocks, prob.m) == ([16, 16], 241)
+        expect = 2 * q * (1 - 1 / d**2)
+        assert disc.diamond_norm(delta) == pytest.approx(expect, abs=sdp.GUARANTEE * (1 + expect))
 
     @pytest.mark.parametrize("seed_a, seed_b", QUTRIT_BREAKDOWN_PAIRS)
     def test_qutrit_cptp_difference_within_bounds(self, seed_a, seed_b):

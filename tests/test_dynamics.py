@@ -331,6 +331,16 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(model("eternal"), np.array([0.5, 1.0]))
 
+    @pytest.mark.parametrize("make", [
+        lambda: time_grid(np.nan, 3),
+        lambda: time_grid(np.inf, 3),
+        lambda: propagate(model("eternal"), np.array([0.0, 1.0, np.inf])),
+        lambda: propagate(model("eternal"), np.array([0.0, np.nan, 1.0])),
+    ], ids=["time_grid-nan", "time_grid-inf", "propagate-inf", "propagate-nan"])
+    def test_non_finite_times_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
 
 class TestReduce:
     def test_decoupled_hamiltonian_is_unitary_family(self):

@@ -382,6 +382,17 @@ class TestHMax:
         rho = tensor(maximally_mixed(2), maximally_mixed(2))
         assert h_max(rho) == pytest.approx(1.0, abs=1e-5)
 
+    def test_full_rank_qutrit_isotropic(self):
+        # (id (x) depolarizing(0.3))(Phi+) has eigenvalues l1 once and l2 eight
+        # times; its purification's A:C marginal is one block of 27, m = 81.
+        iso = maps.amplify(maps.depolarizing(0.3, 3), 3).apply(max_entangled(3).matrix)
+        rho = BipartiteState(3, 3, states.DensityOperator(iso))
+        prob = entropy.min_entropy_program(states.purify(rho).marginal_ac())
+        assert (prob.blocks, prob.m) == ([27], 81)
+        l2, l1 = np.linalg.eigvalsh(iso)[[0, -1]]
+        expect = (math.sqrt(l1) + 8 * math.sqrt(l2)) ** 2 / 3
+        assert 2 ** h_max(rho) == pytest.approx(expect, abs=sdp.GUARANTEE * (1 + expect))
+
     def test_duality_on_random_pure_tripartite(self):
         for seed in range(8):
             v = states.random_pure_vector(8, seed)
@@ -396,13 +407,10 @@ def q_corr_channel_route(rho: BipartiteState) -> float:
     optimization behind 2^(-Hmin), solved directly as an oracle for
     ``q_corr``."""
     dA, dB = rho.dimA, rho.dimB
-    d = dA * dB
     h = sdp.hermitian_basis(dB)
     a = np.kron(np.eye(dA, dtype=complex), h)  # I_A (x) h for every h
     c = rho.matrix.conj()
-    prob = sdp.SdpProblem(
-        blocks=[d], C=[c], A=[a], b=np.trace(h, axis1=1, axis2=2).real, sense="max"
-    )
+    prob = sdp.SdpProblem(C=[c], A=[a], b=np.trace(h, axis1=1, axis2=2).real, sense="max")
     sol = sdp.solve(prob)
     assert sol.optimal, sol.status
     return float(sol.primal_value)
