@@ -3,14 +3,17 @@
 The searches behind k-positivity certificates and input-optimized trace-norm
 ascents run thousands of tiny eigendecompositions per grid.  Each kernel
 here is one numpy implementation that runs every restart at once: a sweep
-is a handful of stacked ``qr``/``eigh`` calls and batched ``einsum``s on
+is a handful of stacked ``qr``/``eigh`` calls and batched contractions on
 arrays with a leading restart axis, so the per-call overhead is paid once
 per sweep instead of once per restart and sweep.  A restart stops on the
 sweep where its own tolerance test passes and keeps the iterate it had
 there; later sweeps run only on the restarts still active.  LAPACK factors
-each matrix of a stack on its own and the batched contractions sum in the
-same order as unbatched ones, so every restart follows bit for bit the
-iterates it would follow alone.
+each matrix of a stack on its own, and the batched contractions sum in the
+same order as unbatched ones: ``tracenorm_scan``'s ``einsum``s, and
+``kpos_scan``'s Hessians, which a 3-D @ 2-D ``matmul`` builds with one
+BLAS product per row (a single GEMM over all rows would round a row
+differently by the number of rows).  So every restart follows bit for bit
+the iterates it would follow alone.
 
 Two pieces of a ``kpos_scan`` sweep skip LAPACK where a closed form exists.
 At k = 1 a factor has one column, and its orthonormal basis is the column
@@ -28,8 +31,12 @@ Memory scales as rows x one quadratic-form matrix: a ``kpos_scan`` sweep
 holds one stack of Hessians of size (d*k)^2, one per row, and up to four
 such stacks are alive at once (the Hessians, their Hermitian parts,
 LAPACK's working copy and the eigenvectors; the 2x2 closed form needs only
-the Hessians).  ``k_positivity_many`` puts whole steps into one call only
-while rows x (d*k)^2 stays within
+the Hessians).  Building the Hessians holds the matmul's output, its
+transposed copy and one more stack, the outer products of the fixed
+factor: rows x (k*e)^2 entries, where e is that factor's dimension, at
+most max(dA, dB), so never more than the largest Hessian stack; all but
+the copy are freed before the eigenpairs.  ``k_positivity_many`` puts
+whole steps into one call only while rows x (max(dA, dB)*k)^2 stays within
 ``KPOS_STACK_ENTRIES``, the size of one search of 64 restarts at d=16 and
 k=15: one stack is 64 x 240^2 complex128 = 59 MB, about 0.24 GB in all.
 A single step above the cap still runs, alone in its call.
@@ -54,6 +61,8 @@ blocks X[a, b, i, q] = X[a*d + i, b*d + q], and (id_k (x) W) maps block
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -123,6 +132,39 @@ def _lowest_eigpair(h):
     return (a + c) / 2 - r, v
 
 
+def _half_step_matrices(J4):
+    """Each group's J4[g, a, b, c, d] as the matrix of each seesaw half-step:
+    jl[g][b*dB + d, a*dA + c] for the L-step, which contracts U's indices b
+    and d, and ju[g][a*dA + c, b*dB + d] for the U-step."""
+    g, dA, dB = J4.shape[:3]
+    jl = np.ascontiguousarray(J4.transpose(0, 2, 4, 1, 3)).reshape(g, dB * dB, dA * dA)
+    ju = np.ascontiguousarray(J4.transpose(0, 1, 3, 2, 4)).reshape(g, dA * dA, dB * dB)
+    return jl, ju
+
+
+def _quadratic_forms(x, jm, cut):
+    """Hessians of one seesaw half-step, one per row of the fixed factor x.
+
+    x is a (rows, e, k) stack, and rows cut[g]:cut[g + 1] search group g,
+    whose half-step matrix ``jm[g]`` (see ``_half_step_matrices``) has shape
+    (e^2, n^2).  Row r gets the (n*k, n*k) Hessian
+    h[r, a*k + i, c*k + j] = sum_{p, q} conj(x[r, p, i]) x[r, q, j] jm[g][p*e + q, a*n + c].
+    The outer products z[r, i*k + j, p*e + q] = conj(x[r, p, i]) x[r, q, j]
+    are one broadcast.  Each group's span of z then takes one 3-D @ 2-D
+    matmul, which numpy runs as one BLAS product per row, so a row gets the
+    same bits in a stack of any height.
+    """
+    rows, e, k = x.shape
+    n = math.isqrt(jm.shape[2])
+    xt = x.transpose(0, 2, 1)
+    z = (xt.conj()[:, :, None, :, None] * xt[:, None, :, None, :]).reshape(rows, k * k, e * e)
+    h = np.empty((rows, k * k, n * n), dtype=np.complex128)
+    for g in range(len(jm)):
+        if cut[g] < cut[g + 1]:
+            np.matmul(z[cut[g]:cut[g + 1]], jm[g], out=h[cut[g]:cut[g + 1]])
+    return h.reshape(rows, k, k, n, n).transpose(0, 3, 1, 4, 2).reshape(rows, n * k, n * k)
+
+
 def _stopped(new_val, val, tol):
     """Per-restart stop test |new - old| <= tol * max(1, |new|)."""
     return np.abs(new_val - val) <= tol * np.maximum(1.0, np.abs(new_val))
@@ -144,10 +186,13 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60):
 
     ``J4`` is a ``(g, dA, dB, dA, dB)`` stack of Choi tensors.  The rows of
     ``starts_L``/``starts_U`` split evenly into g groups, in order, and group
-    i searches ``J4[i]``.  Each sweep makes one ``einsum`` per group over its
-    contiguous span of active rows and runs the orthonormalizations and
-    eigenpairs once over all of them; these work per row, so a batched call
-    is bit-identical to each group run alone.  The best value, L and U have
+    i searches ``J4[i]``.  Before the first sweep each group's J4 is
+    reshaped once into the matrix of each half-step; a sweep then forms the
+    fixed factor's outer products for all active rows, makes one per-row
+    ``matmul`` per group over its contiguous span of them (see
+    ``_quadratic_forms``), and runs the orthonormalizations and eigenpairs
+    once over all rows.  All of these work per row, so a batched call is
+    bit-identical to each group run alone.  The best value, L and U have
     a leading group axis, and ``values`` and ``converged`` have shape
     (g, restarts per group).
     """
@@ -159,16 +204,7 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60):
         raise ValueError(f"{n_starts} start rows do not split into {n_groups} groups")
     bounds = np.arange(n_groups + 1) * (n_starts // n_groups)
 
-    def quadratic_forms(x, active, spec, n):
-        # One einsum per group over its span of the active rows (x holds one
-        # row per active restart); J4 is never copied per row.
-        cut = np.searchsorted(active, bounds)
-        parts = [
-            np.einsum(spec, x[cut[g]:cut[g + 1]].conj(), J4[g], x[cut[g]:cut[g + 1]])
-            for g in range(n_groups) if cut[g] < cut[g + 1]
-        ]
-        h = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return h.reshape(-1, n, n)
+    jl, ju = _half_step_matrices(J4)
 
     val = np.full(n_starts, np.inf)
     converged = np.zeros(n_starts, dtype=bool)
@@ -179,15 +215,14 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60):
         # Re-parameterize: an orthonormal basis preserves the factor's span,
         # so each exact eigen-solve below searches a superset of the
         # previous state.
+        cut = np.searchsorted(active, bounds)
         u = _orthonormalize(U[active])
         # L-step: quadratic form matrix over vec(L), U orthonormal
-        h = quadratic_forms(u, active, "rbi,abcd,rdj->raicj", dA * k)
-        _, v = _lowest_eigpair(h)
+        _, v = _lowest_eigpair(_quadratic_forms(u, jl, cut))
         l = _orthonormalize(v.reshape(-1, dA, k))
         # U-step: quadratic form over vec(U), L orthonormal; afterwards
         # the pair (L, U) is exactly the state achieving new_val.
-        h = quadratic_forms(l, active, "rai,abcd,rcj->rbidj", dB * k)
-        new_val, v = _lowest_eigpair(h)
+        new_val, v = _lowest_eigpair(_quadratic_forms(l, ju, cut))
         L[active] = l
         U[active] = v.reshape(-1, dB, k)
         done = _stopped(new_val, val[active], KPOS_TOL)

@@ -100,13 +100,14 @@ def p_guess_channels(probs, channels, k: int, restarts: int = 64, seed: int = 0,
     ``benchmarks/workloads.py`` passes them.
     """
     probs = states.check_probs(probs, len(channels))
-    maps.check_restarts(restarts)
+    k = maps.check_positive_int(k, "k")
+    restarts = maps.check_positive_int(restarts, "restarts")
     if len(channels) < 2:
         raise ValueError("need at least two channels to discriminate")
     if len({(e.dimIn, e.dimOut) for e in channels}) > 1:
         raise ValueError("channels must share input and output dimensions")
     d_in = channels[0].dimIn
-    if not 1 <= k <= d_in:
+    if k > d_in:
         raise ValueError(f"ancilla dimension k must lie in [1, {d_in}]")
     if len(channels) == 2:
         delta = maps.weighted_difference(*channels, *probs)
@@ -132,9 +133,10 @@ def channel_distance(e1: QuantumMap, e2: QuantumMap, p: float, k: int,
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if not 1 <= k <= e1.dimIn:
+    k = maps.check_positive_int(k, "k")
+    restarts = maps.check_positive_int(restarts, "restarts")
+    if k > e1.dimIn:
         raise ValueError(f"ancilla dimension k must lie in [1, {e1.dimIn}]")
-    maps.check_restarts(restarts)
     return _tracenorm_ascent(maps.weighted_difference(e1, e2, 1.0 - p, p), k, restarts, seed)
 
 

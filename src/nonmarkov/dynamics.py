@@ -500,10 +500,12 @@ def divisibility_report(
     DEBUG, per k, each step's restarts_converged and spread, after the call
     plan that ``k_positivity_many`` logs on ``nonmarkov.maps``.
     """
-    ks = sorted(set(int(k) for k in ks))
-    if any(k < 1 or k > dm.dim for k in ks):
+    ks = sorted({maps.check_positive_int(k, "k") for k in ks})
+    if not ks:
+        raise ValueError("ks must name at least one k")
+    if ks[-1] > dm.dim:
         raise ValueError(f"each k must lie in [1, {dm.dim}]")
-    maps.check_restarts(restarts)
+    restarts = maps.check_positive_int(restarts, "restarts")
     n = len(dm) - 1
     vs = [intermediate(dm, j + 1, j) for j in range(n)]
     certs = {}

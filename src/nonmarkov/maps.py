@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,10 +257,22 @@ def is_unital(m: QuantumMap) -> dict:
     return {"unital": bool(residual <= UNITAL_TOL), "residual": float(residual)}
 
 
-def check_restarts(restarts: int) -> None:
-    """Multistart searches need at least one start point."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+def check_positive_int(value, name: str) -> int:
+    """``value`` as an int, if it is a Python or numpy integer >= 1.
+
+    Restart counts, Schmidt ranks k and ancilla dimensions k go through
+    this.  A float, even a whole one, and a bool raise ``ValueError``
+    rather than being rounded or read as 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if n >= 1:
+                return n
+    raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def choi_quadratic_form(j: np.ndarray, psi: np.ndarray) -> float:
@@ -302,9 +315,10 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
     dA, dB = ms[0].dimOut, ms[0].dimIn
     if any((m.dimOut, m.dimIn) != (dA, dB) for m in ms):
         raise ValueError("maps must share dimensions")
-    if not 1 <= k <= dB:
+    k = check_positive_int(k, "k")
+    restarts = check_positive_int(restarts, "restarts")
+    if k > dB:
         raise ValueError(f"k must be in [1, {dB}], got {k}")
-    check_restarts(restarts)
     js = []
     for m in ms:
         j = choi(m)

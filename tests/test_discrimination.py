@@ -415,6 +415,30 @@ def test_multistart_rejects_no_restarts(name, restarts):
         MULTISTART[name](restarts)
 
 
+@pytest.mark.parametrize("name", sorted(MULTISTART))
+@pytest.mark.parametrize("restarts", [2.5, 2.0, True])
+def test_multistart_rejects_non_integer_restarts(name, restarts):
+    # A whole float is not a count either, and a bool is not read as 1.
+    with pytest.raises(ValueError, match="restarts must be a positive integer"):
+        MULTISTART[name](restarts)
+
+
+TAKES_K = {
+    "k_positivity": lambda k: maps.k_positivity(transposition_map(3), k, restarts=4),
+    "k_positivity_many": lambda k: maps.k_positivity_many([transposition_map(3)], k, 4, [0]),
+    "channel_distance": lambda k: disc.channel_distance(QUBIT, QUBIT, 0.5, k, restarts=4),
+    "p_guess_channels": lambda k: disc.p_guess_channels(
+        [0.5, 0.5], [QUBIT, QUBIT], k, restarts=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_K))
+@pytest.mark.parametrize("k", [1.5, 2.0, True])
+def test_rejects_non_integer_k(name, k):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        TAKES_K[name](k)
+
+
 class TestDiamondNorm:
     def test_cptp_is_one(self):
         for seed in (18, 19):
@@ -472,7 +496,7 @@ def cb_norm_check(m, restarts: int = 32, seed: int = 0, iters: int = 60) -> dict
     by alternating ascent over unit-operator-norm inputs and unit vectors;
     the residual is within 1e-3 on qubit instances.
     """
-    maps.check_restarts(restarts)
+    restarts = maps.check_positive_int(restarts, "restarts")
     adj = maps.adjoint(m)
     big = maps.amplify(adj, adj.dimIn)
     dim_in = adj.dimIn * adj.dimIn

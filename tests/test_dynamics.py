@@ -460,6 +460,18 @@ class TestDivisibilityReport:
         assert doc["restarts_converged"] == cert.restarts_converged
         assert doc["spread"] == cert.spread
 
+    @pytest.mark.parametrize("ks", [[1.5], [2.9], [True], [1, 2.0]])
+    def test_rejects_non_integer_k(self, ks):
+        # A fractional k is not truncated, nor a bool read as k = 1.
+        dm = propagate(model("eternal"), time_grid(1.0, 3))
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            divisibility_report(dm, ks=ks, restarts=4)
+
+    def test_rejects_empty_ks(self):
+        dm = propagate(model("eternal"), time_grid(1.0, 3))
+        with pytest.raises(ValueError, match="at least one k"):
+            divisibility_report(dm, ks=[], restarts=4)
+
 
 def test_report_logs_search_statistics(caplog):
     dm = propagate(model("eternal"), time_grid(2, 7))

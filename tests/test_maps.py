@@ -285,19 +285,20 @@ class TestKPositivity:
         assert (cert.restarts_used, cert.restarts_converged, cert.spread) == (0, 0, 0.0)
 
     def test_seeded_values_pinned(self):
-        # Outputs of the per-restart loop kernel; the batched kernel must
-        # reproduce them bit for bit.
+        # Recorded from the per-row matmul Hessians.  The witness lies in a
+        # degenerate eigenspace, so any change to the Hessians' last bits
+        # moves it; -1 is the exact minimum.
         cert = k_positivity(transposition_map(3), 2)
         assert float(cert.min_value).hex() == "-0x1.0000000000000p+0"
         assert [float(x).hex() for x in cert.witness.real] == [
-            "0x1.7fffffffffffep-53", "-0x1.855d53cc5a1d4p-3", "-0x1.c3078d8957b4cp-3",
-            "0x1.855d53cc5a1d5p-3", "0x0.0p+0", "0x1.3b1d877d42c94p-2",
-            "0x1.c3078d8957b4ep-3", "-0x1.3b1d877d42c96p-2", "0x1.7fffffffffffep-54",
+            "0x1.ffffffffffffep-56", "-0x1.752718336431dp-3", "0x1.650006e9f7ef1p-3",
+            "0x1.7527183364317p-3", "0x1.ffffffffffffep-55", "-0x1.8580a827f2d14p-4",
+            "-0x1.650006e9f7eedp-3", "0x1.8580a827f2d18p-4", "0x1.ffffffffffffep-56",
         ]
         assert [float(x).hex() for x in cert.witness.imag] == [
-            "0x1.ffffffffffffep-54", "-0x1.4ee2501830d05p-3", "0x1.0217c09f4014dp-1",
-            "0x1.4ee2501830cffp-3", "-0x1.3ffffffffffffp-55", "0x1.98a555ebe2930p-3",
-            "-0x1.0217c09f4014bp-1", "-0x1.98a555ebe2931p-3", "0x1.ffffffffffffep-54",
+            "-0x1.7fffffffffffep-56", "-0x1.1828bbc1ed5dep-1", "-0x1.31d7cb8780c11p-3",
+            "0x1.1828bbc1ed5ddp-1", "0x0.0p+0", "0x1.4cda81f20d974p-2",
+            "0x1.31d7cb8780c11p-3", "-0x1.4cda81f20d974p-2", "0x1.3ffffffffffffp-54",
         ]
 
     def test_seeded_divisibility_report_pinned(self):
@@ -305,8 +306,8 @@ class TestKPositivity:
         dm = rk4_family(dynamics.model("eternal"), dynamics.time_grid(2, 7))
         rep = dynamics.divisibility_report(dm, ks=[1, 2], restarts=40, seed=0)
         pinned = {
-            1: ["0x1.f242c862329e5p-4", "0x1.52104b9cd2b34p-4", "0x1.9fc40fc06fec4p-5",
-                "0x1.db2738fa7a97ep-6", "0x1.02f906a9cbd54p-6", "0x1.129a64259c143p-7"],
+            1: ["0x1.f242c862329e5p-4", "0x1.52104b9cd2b36p-4", "0x1.9fc40fc06fec6p-5",
+                "0x1.db2738fa7a97ap-6", "0x1.02f906a9cbd54p-6", "0x1.129a64259c151p-7"],
             2: ["-0x1.6abf75ad93db6p-43", "-0x1.4064f98ac1863p-4", "-0x1.2260c081fb4c7p-3",
                 "-0x1.7b78fa2394880p-3", "-0x1.b18486b7ebc1dp-3", "-0x1.cfef7bddab2dap-3"],
         }
@@ -324,18 +325,21 @@ class TestKposScan:
     """The batched seesaw against one call per restart."""
 
     @staticmethod
-    def assert_best_of_single_restart_runs(d, k, iters=60):
+    def assert_best_of_single_restart_runs(d, k, iters=60, dB=None):
+        # J acts on C^d (x) C^dB; dB defaults to d.
+        dB = dB or d
         rng = np.random.default_rng(3)
-        g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        j4 = np.ascontiguousarray(((g + g.conj().T) / 2).reshape(d, d, d, d))
+        g = rng.standard_normal((d * dB, d * dB)) + 1j * rng.standard_normal((d * dB, d * dB))
+        j4 = np.ascontiguousarray(((g + g.conj().T) / 2).reshape(d, dB, d, dB))
         shape = (12, d, k)
         starts_l = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        starts_u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        shape_u = (12, dB, k)
+        starts_u = rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u)
         # One group: read group 0 of every output.
         val, best_l, best_u, vals, converged = (
-            x[0] for x in _accel.kpos_scan(j4[None], d, d, k, starts_l, starts_u, iters))
+            x[0] for x in _accel.kpos_scan(j4[None], d, dB, k, starts_l, starts_u, iters))
         single = [
-            _accel.kpos_scan(j4[None], d, d, k, starts_l[r:r + 1], starts_u[r:r + 1], iters)
+            _accel.kpos_scan(j4[None], d, dB, k, starts_l[r:r + 1], starts_u[r:r + 1], iters)
             for r in range(shape[0])
         ]
         assert np.array_equal(vals, [s[0][0] for s in single])
@@ -360,6 +364,75 @@ class TestKposScan:
         # sweeps still makes restarts stop on different sweeps.
         _, converged = self.assert_best_of_single_restart_runs(2, 1, iters=8)
         assert 0 < converged.sum() < len(converged)
+
+    # (dA, dB) = (2, 3) is a qutrit-to-qubit map's Choi tensor, (4, 2) a
+    # qubit-to-ququart one.  At k = 1 and on (4, 3) at k = 2 the restarts
+    # stop on different sweeps.  At k = 2 on (2, 3) and (4, 2) the rank
+    # bound is vacuous, and every restart stops on sweep 2.
+    @pytest.mark.parametrize("dA, dB, k", [(2, 3, 1), (4, 2, 1), (2, 3, 2), (4, 2, 2), (4, 3, 2)])
+    def test_rectangular_best_of_single_restart_runs(self, dA, dB, k):
+        self.assert_best_of_single_restart_runs(dA, k, dB=dB)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_groups_match_their_calls_alone(self, k):
+        # The identity's restarts all stop on sweep 2, so its span of active
+        # rows empties between the two random groups' spans.
+        dA, dB, per_group = 4, 3, 6
+        rng = np.random.default_rng(8)
+        n = dA * dB
+        g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        herm = (g + g.conj().swapaxes(1, 2)) / 2
+        j4 = np.stack([herm[0], np.eye(n), herm[1]]).reshape(3, dA, dB, dA, dB)
+        shape_l, shape_u = (3 * per_group, dA, k), (3 * per_group, dB, k)
+        starts_l = rng.standard_normal(shape_l) + 1j * rng.standard_normal(shape_l)
+        starts_u = rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u)
+        batch = _accel.kpos_scan(j4, dA, dB, k, starts_l, starts_u)
+        early = _accel.kpos_scan(j4, dA, dB, k, starts_l, starts_u, iters=2)[4]
+        assert early[1].all() and not early[0].any() and not early[2].any()
+        for grp in range(3):
+            rows = slice(grp * per_group, (grp + 1) * per_group)
+            alone = _accel.kpos_scan(j4[grp:grp + 1], dA, dB, k, starts_l[rows], starts_u[rows])
+            for out, out_alone in zip(batch, alone):
+                assert np.array_equal(out[grp], out_alone[0])
+
+
+class TestQuadraticForms:
+    """The per-row matmul Hessians against the einsum contraction of J4 that
+    the seesaw's half-steps used before."""
+
+    @pytest.mark.parametrize("dA, dB, k", [(2, 2, 1), (2, 3, 1), (3, 2, 2), (4, 3, 2), (3, 3, 2)])
+    def test_matches_einsum(self, dA, dB, k):
+        rng = np.random.default_rng(21)
+        n = dA * dB
+        g = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        j4 = ((g + g.conj().swapaxes(1, 2)) / 2).reshape(3, dA, dB, dA, dB)
+        jl, ju = _accel._half_step_matrices(j4)
+        # Three groups whose spans hold 5, 0 and 2 rows.
+        cut = np.array([0, 5, 5, 7])
+        half_steps = [(dB, dA, jl, "rbi,abcd,rdj->raicj"), (dA, dB, ju, "rai,abcd,rcj->rbidj")]
+        for fixed, free, jm, spec in half_steps:
+            x = rng.standard_normal((7, fixed, k)) + 1j * rng.standard_normal((7, fixed, k))
+            h = _accel._quadratic_forms(x, jm, cut)
+            oracle = np.concatenate([
+                np.einsum(spec, x[lo:hi].conj(), j4[grp], x[lo:hi])
+                for grp, (lo, hi) in enumerate(zip(cut[:-1], cut[1:]))
+            ]).reshape(7, free * k, free * k)
+            assert h.shape == oracle.shape
+            assert np.abs(h - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+class TestCheckPositiveInt:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.int32(2), np.uint8(5)])
+    def test_accepts_integers(self, value):
+        n = maps.check_positive_int(value, "restarts")
+        assert n == value
+        assert type(n) is int
+
+    @pytest.mark.parametrize("value", [
+        0, -2, np.int64(0), 1.5, 2.0, np.float64(2.0), True, False, np.True_, "3", None])
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(ValueError, match="restarts must be a positive integer"):
+            maps.check_positive_int(value, "restarts")
 
 
 def hermitian_2x2_edge_cases():
