@@ -296,9 +296,10 @@ def _check_grid(grid) -> np.ndarray:
 
 
 def time_grid(t_max: float, steps: int) -> np.ndarray:
+    steps = maps.check_positive_int(steps, "steps")
     if steps < 2 or not 0.0 < t_max < math.inf:
         raise ValueError("need steps >= 2 and a finite t_max > 0")
-    return np.linspace(0.0, float(t_max), int(steps))
+    return np.linspace(0.0, float(t_max), steps)
 
 
 def _rk4_step(gen: GkslGenerator, phi: np.ndarray, t: float, h: float, l_start):

@@ -333,15 +333,16 @@ def solve_many(problems) -> list[SdpSolution]:
     y = np.zeros((q, m))
 
     def schur_factor(schur):
-        """Cholesky factors of a (q, m, m) stack.  A failed factorization is
-        redone problem by problem, each escalating its own regularization."""
+        """Cholesky factors of a (q, m, m) stack.  A single problem escalates
+        its regularization on a failed factorization; a failed stack raises,
+        and the caller redoes the step problem by problem."""
         reg = 0.0
         for _ in range(4):
             try:
                 return np.linalg.cholesky(schur + reg * np.eye(m))
             except np.linalg.LinAlgError:
                 if len(schur) > 1:
-                    return np.concatenate([schur_factor(s) for s in schur[:, None]])
+                    raise
                 base = max(float(np.trace(schur[0])) / m, 1.0)
                 reg = base * 1e-14 if reg == 0.0 else reg * 1e4
         raise np.linalg.LinAlgError("Schur complement is not positive definite")

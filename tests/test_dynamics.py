@@ -327,6 +327,11 @@ class TestPropagate:
             "propagate: rk4 on 3 grid points, dim 2",
         ]
 
+    def test_time_grid_rejects_fractional_steps(self):
+        # A fractional count is an error, not a grid of int(steps) points.
+        with pytest.raises(ValueError, match="steps"):
+            time_grid(2.0, 7.9)
+
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError):
             propagate(model("eternal"), np.array([0.5, 1.0]))

@@ -302,12 +302,25 @@ class TestConditionalRenyi:
         rho = BipartiteState(dA, dB, random_density(dA * dB, rank, seed))
         sigmas = [states.partial_trace(rho, "A").matrix] + [
             random_density(dB, dB, seed + i).matrix for i in (1, 2, 3)]
-        for alpha in (0.5, math.inf):
+        for alpha in (0.5, 0.75, 1.5, 3.0, math.inf):
             bracket = conditional_renyi(rho, alpha)
             assert bracket.lower <= bracket.upper
             for sigma in sigmas:
                 point = -float(sandwiched_divergence(rho, np.kron(np.eye(dA), sigma), alpha))
                 assert point <= bracket.upper + 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 4)])
+    def test_descent_brackets_are_narrow(self, dims):
+        # Away from alpha in {1/2, 1, inf} the bracket is the descent's final
+        # gap: at most OPT_TOL, or the floor where the step underflows, which
+        # is widest at large alpha.
+        dA, dB = dims
+        n = dA * dB
+        for rank in (1, 2, n):
+            rho = BipartiteState(dA, dB, random_density(n, rank, 1000 * dA + 100 * dB + 10 * rank))
+            for alpha in (0.75, 1.5, 5.0, 200.0):
+                bracket = conditional_renyi(rho, alpha)
+                assert 0.0 <= bracket.upper - bracket.lower <= 1.5e-6
 
     @pytest.mark.parametrize("rho", [
         max_entangled(2),
