@@ -419,9 +419,7 @@ def reduce(model: TotalSystemModel, grid) -> DynamicalMap:
 
         def act(x, ut=ut):
             joint = np.kron(x, rho_e)
-            evolved = ut @ joint @ ut.conj().T
-            m4 = evolved.reshape(dS, dE, dS, dE)
-            return np.einsum("abcb->ac", m4)
+            return linalg.trace_out(ut @ joint @ ut.conj().T, (dS, dE), 1)
 
         out.append(maps.map_from_action(dS, dS, act))
     _enforce_cptp(out, g, REDUCE_BUDGET)
@@ -475,8 +473,7 @@ class DivisibilityReport:
                             "restarts_used": c.restarts_used,
                             "restarts_converged": c.restarts_converged,
                             "spread": c.spread,
-                            "witness_re": c.witness.real.tolist(),
-                            "witness_im": c.witness.imag.tolist(),
+                            "witness": linalg.to_jsonable(c.witness),
                         }
                         for k, c in s.certificates.items()
                     },

@@ -229,7 +229,7 @@ def _sandwich_conditional_objective(rho_mat, dA, dB, alpha):
         wmat = (mu * np.power(mw / top, alpha - 1.0)) @ mu.conj().T
         g1 = rho_mat @ big @ wmat
         gsum = g1 + g1.conj().T
-        n_small = np.einsum("aiaj->ij", gsum.reshape(dA, dB, dA, dB))
+        n_small = linalg.trace_out(gsum, (dA, dB), 0)
         n_tilde = u.conj().T @ n_small @ u
         phi = _dk_multipliers(w, c)
         grad_q = alpha * (u @ (phi * n_tilde) @ u.conj().T)
@@ -270,9 +270,9 @@ def _step_frame(sigma, grad):
 def _conditional_descent(rho: BipartiteState, alpha: float):
     """(f, bound, trial steps) with bound <= min_sigma D~_a(rho_AB || I (x)
     sigma_B) <= f, alpha > 1.  The optimal sigma_B lives on supp rho_B, so one
-    descent from rho_B, whose every accepted iterate is a full-rank state,
+    descent from rho_B, whose every evaluated trial is a full-rank state,
     runs on rho_AB conjugated by I (x) V, V the isometry onto that support;
-    bound is the best Frank-Wolfe bound seen."""
+    bound is the best Frank-Wolfe bound over every evaluated trial."""
     rho_b = states.partial_trace(rho, "A").matrix
     _, v_iso = linalg.support(rho_b)
     sigma = v_iso.conj().T @ rho_b @ v_iso
@@ -288,9 +288,10 @@ def _conditional_descent(rho: BipartiteState, alpha: float):
         steps += 1
         trial = sigma - step * direction
         f_trial, grad_trial = objective(trial) if step < limit else (math.inf, None)
+        if grad_trial is not None:
+            bound = max(bound, _frank_wolfe_bound(f_trial, trial, grad_trial, alpha))
         if f_trial < f:
             sigma, f, grad = trial, f_trial, grad_trial
-            bound = max(bound, _frank_wolfe_bound(f, sigma, grad, alpha))
             direction, limit = _step_frame(sigma, grad)
             step = min(step * 1.6, 1e3)
         else:
@@ -388,18 +389,14 @@ def _h_min_bracket(rho: BipartiteState) -> EntropyBracket:
     primal's X clipped to PSD and divided by lambda_max(Tr_A X), which is
     feasible for Tr_A X' <= I_B and so bounds 2^-Hmin from below."""
     sol = _min_entropy_solution(rho)
-    dA, dB = rho.dimA, rho.dimB
-
-    def tr_a(m):
-        return np.einsum("aiaj->ij", m.reshape(dA, dB, dA, dB))
-
+    dims = (rho.dimA, rho.dimB)
     w, u = np.linalg.eigh(sol.X[0])
     x = (u * np.maximum(w, 0.0)) @ u.conj().T
-    scale = float(np.linalg.eigvalsh(tr_a(x))[-1])
+    scale = float(np.linalg.eigvalsh(linalg.trace_out(x, dims, 0))[-1])
     upper = -math.log2(float(np.vdot(x, rho.matrix).real) / scale)
-    sigma = tr_a(sol.Z[0] + rho.matrix)
+    sigma = linalg.trace_out(sol.Z[0] + rho.matrix, dims, 0)
     sigma /= float(np.trace(sigma).real)
-    lower = -sandwiched_divergence(rho, np.kron(np.eye(dA), sigma), math.inf)
+    lower = -sandwiched_divergence(rho, np.kron(np.eye(rho.dimA), sigma), math.inf)
     return EntropyBracket(lower, upper)
 
 

@@ -12,6 +12,12 @@ the supports pinned in SDPs all take it.  Besides it, ``support_cut`` is read
 only where a spectrum is clamped (the ``entropy.conditional_renyi`` descent),
 counted (``states.schmidt_rank``) or first checked for negative eigenvalues
 (``maps.kraus_decomposition``).
+
+``trace_out`` is the one partial trace on an A-major (``numpy.kron``)
+product: marginals, Tr_A in H_min and its descent gradient, Tr_out J = I and
+the reduced dynamics' Tr_E all take it.  ``to_jsonable`` and
+``from_jsonable`` are the one JSON form of a complex array, ``{"re", "im"}``
+nested lists, for states, maps, SDP problems and certificates.
 """
 
 from __future__ import annotations
@@ -121,3 +127,21 @@ def min_eig(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     h = hermitize(m)
     return float(np.linalg.eigvalsh(h)[0])
+
+
+def trace_out(m, dims, axis: int) -> np.ndarray:
+    """Tr over factor ``axis`` of a matrix on the A-major product of factors
+    of sizes ``dims`` (a tuple), acting on the other factors in their order."""
+    n = len(m) // dims[axis]
+    t = np.asarray(m).reshape(dims * 2).trace(axis1=axis, axis2=axis + len(dims))
+    return t.reshape(n, n)
+
+
+def to_jsonable(m: np.ndarray) -> dict:
+    """``{"re": ..., "im": ...}``, an array's real and imaginary nested lists."""
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def from_jsonable(obj) -> np.ndarray:
+    """The complex128 array of a ``to_jsonable`` document."""
+    return np.array(obj["re"], dtype=np.float64) + 1j * np.array(obj["im"], dtype=np.float64)

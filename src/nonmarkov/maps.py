@@ -99,7 +99,7 @@ class QuantumMap:
             {
                 "dimIn": self.dimIn,
                 "dimOut": self.dimOut,
-                "superop": {"re": self.superop.real.tolist(), "im": self.superop.imag.tolist()},
+                "superop": linalg.to_jsonable(self.superop),
             }
         )
 
@@ -107,14 +107,8 @@ class QuantumMap:
     def from_json(text: str) -> "QuantumMap":
         doc = json.loads(text)
         if "kraus" in doc:
-            ops = [
-                np.array(k["re"], dtype=np.float64) + 1j * np.array(k["im"], dtype=np.float64)
-                for k in doc["kraus"]
-            ]
-            return from_kraus(ops)
-        s = np.array(doc["superop"]["re"], dtype=np.float64) + 1j * np.array(
-            doc["superop"]["im"], dtype=np.float64
-        )
+            return from_kraus([linalg.from_jsonable(k) for k in doc["kraus"]])
+        s = linalg.from_jsonable(doc["superop"])
         return QuantumMap(int(doc["dimIn"]), int(doc["dimOut"]), s)
 
 
@@ -222,8 +216,7 @@ def adjoint(m: QuantumMap) -> QuantumMap:
 
 def amplify(m: QuantumMap, k: int) -> QuantumMap:
     """id_k (x) m, the ancilla-extended map (ancilla is the first factor)."""
-    if k < 1:
-        raise ValueError("ancilla dimension must be >= 1")
+    k = check_positive_int(k, "ancilla dimension k")
     if k == 1:
         return m
     t4 = m.as_tensor()
@@ -239,7 +232,7 @@ def is_cptp(m: QuantumMap) -> dict:
     """Report {cp, tp, min_choi_eig, tp_residual} under the Choi criterion."""
     j = choi(m)
     min_choi_eig = linalg.min_eig(j)
-    tr_out = np.einsum("aiaj->ij", j.reshape(m.dimOut, m.dimIn, m.dimOut, m.dimIn))
+    tr_out = linalg.trace_out(j, (m.dimOut, m.dimIn), 0)
     tp_residual = linalg.operator_norm(tr_out - np.eye(m.dimIn))
     return {
         "cp": bool(min_choi_eig >= -CPTP_TOL),
@@ -414,6 +407,11 @@ def weighted_difference(a: QuantumMap, b: QuantumMap, wa: float, wb: float) -> Q
 
 
 def mix(ms, probs) -> QuantumMap:
+    """sum_i probs[i] ms[i]: one weight per map, all maps of one shape.
+    ValueError for an empty list, a weight count that differs from the
+    map count, or maps of differing dimensions."""
+    if not ms or len(ms) != len(probs) or len({(mi.dimIn, mi.dimOut) for mi in ms}) > 1:
+        raise ValueError("mix needs maps of one shape and one weight per map")
     p = np.asarray(probs, dtype=np.float64)
     s = sum(pi * mi.superop for pi, mi in zip(p, ms))
     return QuantumMap(ms[0].dimIn, ms[0].dimOut, s)

@@ -76,6 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
+
 _log = logging.getLogger(__name__)
 
 MAX_ITER = 200
@@ -144,13 +146,10 @@ class SdpProblem:
         return self.b.size
 
     def to_json(self) -> str:
-        def enc(mat):
-            return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
-
         return json.dumps(
             {
-                "C": [enc(c) for c in self.C],
-                "A": [enc(a) for a in self.A],
+                "C": [linalg.to_jsonable(c) for c in self.C],
+                "A": [linalg.to_jsonable(a) for a in self.A],
                 "b": self.b.tolist(),
                 "sense": self.sense,
             }
@@ -160,15 +159,9 @@ class SdpProblem:
     def from_json(text: str) -> "SdpProblem":
         """Read ``to_json`` output; a ``blocks`` key (older output) is ignored."""
         doc = json.loads(text)
-
-        def dec(obj):
-            return np.array(obj["re"], dtype=np.float64) + 1j * np.array(
-                obj["im"], dtype=np.float64
-            )
-
         return SdpProblem(
-            C=[dec(c) for c in doc["C"]],
-            A=[dec(a) for a in doc["A"]],
+            C=[linalg.from_jsonable(c) for c in doc["C"]],
+            A=[linalg.from_jsonable(a) for a in doc["A"]],
             b=doc["b"],
             sense=doc.get("sense", "min"),
         )

@@ -3,12 +3,14 @@ canonical states, ensembles, POVMs, Schmidt analysis and seeded sampling.
 
 Tensor ordering is A-major everywhere: the composite index of a product
 A (x) B is ``a * dimB + b``, which is exactly ``numpy.kron`` ordering. Every
-bipartite/tripartite helper in this package relies on that single convention.
+bipartite/tripartite helper in this package relies on that single convention,
+and every partial trace under it is ``linalg.trace_out``.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,18 +129,12 @@ class TripartiteState:
     def matrix(self) -> np.ndarray:
         return self.state.matrix
 
-    def _tensor6(self) -> np.ndarray:
-        d = (self.dimA, self.dimB, self.dimC)
-        return self.matrix.reshape(*d, *d)
-
     def marginal_ab(self) -> BipartiteState:
-        m = np.einsum("abcxyc->abxy", self._tensor6())
-        m = m.reshape(self.dimA * self.dimB, self.dimA * self.dimB)
+        m = linalg.trace_out(self.matrix, (self.dimA, self.dimB, self.dimC), 2)
         return BipartiteState(self.dimA, self.dimB, DensityOperator(m))
 
     def marginal_ac(self) -> BipartiteState:
-        m = np.einsum("abcxbz->acxz", self._tensor6())
-        m = m.reshape(self.dimA * self.dimC, self.dimA * self.dimC)
+        m = linalg.trace_out(self.matrix, (self.dimA, self.dimB, self.dimC), 1)
         return BipartiteState(self.dimA, self.dimC, DensityOperator(m))
 
     def to_json(self) -> str:
@@ -215,6 +211,9 @@ class Povm:
 
 
 def basis_state(dim: int, i: int) -> DensityOperator:
+    """|i><i| on C^dim; ValueError unless ``i`` is an integer in [0, dim)."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < dim:
+        raise ValueError(f"basis index must be an integer in [0, {dim}), got {i!r}")
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[i, i] = 1.0
     return DensityOperator(m)
@@ -240,14 +239,9 @@ def tensor(a: DensityOperator, b: DensityOperator) -> BipartiteState:
 
 def partial_trace(s: BipartiteState, which: str) -> DensityOperator:
     """Trace out subsystem ``which`` ("A" or "B")."""
-    m4 = s.matrix.reshape(s.dimA, s.dimB, s.dimA, s.dimB)
-    if which == "A":
-        out = np.einsum("abac->bc", m4)
-    elif which == "B":
-        out = np.einsum("abcb->ac", m4)
-    else:
+    if which not in ("A", "B"):
         raise ValueError(f"which must be 'A' or 'B', got {which!r}")
-    return DensityOperator(out)
+    return DensityOperator(linalg.trace_out(s.matrix, (s.dimA, s.dimB), "AB".index(which)))
 
 
 def max_entangled_vector(dA: int) -> np.ndarray:
@@ -339,29 +333,24 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: {"dims": [...], "re": [[...]], "im": [[...]]}
+# JSON serialization: {"dims": [...]} plus the matrix in linalg.to_jsonable form
 # ---------------------------------------------------------------------------
 
 
 def dumps_state(matrix: np.ndarray, dims) -> str:
-    m = linalg.as_matrix(matrix)
-    return json.dumps(
-        {
-            "dims": [int(d) for d in dims],
-            "re": m.real.tolist(),
-            "im": m.imag.tolist(),
-        }
-    )
+    doc = {"dims": [int(d) for d in dims]}
+    doc.update(linalg.to_jsonable(linalg.as_matrix(matrix)))
+    return json.dumps(doc)
 
 
 def loads_state(text: str):
     doc = json.loads(text)
     dims = [int(d) for d in doc["dims"]]
-    m = np.array(doc["re"], dtype=np.float64) + 1j * np.array(doc["im"], dtype=np.float64)
+    m = linalg.from_jsonable(doc)
     d = int(np.prod(dims))
     if m.shape != (d, d):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    return m.astype(np.complex128), dims
+    return m, dims
 
 
 def state_from_json(text: str):

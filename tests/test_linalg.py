@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from nonmarkov import linalg
+from nonmarkov import linalg, maps, sdp, states
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,3 +142,96 @@ class TestMinEig:
     def test_psd(self, rng):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert linalg.min_eig(g @ g.conj().T) >= -1e-12
+
+
+def loop_trace_out(m, dims, axis):
+    """Tr over factor ``axis`` by explicit indices: out[r, c] = sum_j
+    m[(r with j at axis), (c with j at axis)], rows and columns A-major."""
+    rest = [d for k, d in enumerate(dims) if k != axis]
+    n = int(np.prod(rest))
+    out = np.zeros((n, n), dtype=complex)
+    for r in np.ndindex(*rest):
+        for c in np.ndindex(*rest):
+            for j in range(dims[axis]):
+                row = np.ravel_multi_index(r[:axis] + (j,) + r[axis:], dims)
+                col = np.ravel_multi_index(c[:axis] + (j,) + c[axis:], dims)
+                out[np.ravel_multi_index(r, rest), np.ravel_multi_index(c, rest)] += m[row, col]
+    return out
+
+
+class TestTraceOut:
+    DIMS = [(2, 2), (2, 3), (3, 2), (2, 8), (9, 2), (2, 2, 2), (2, 3, 4), (4, 3, 2), (3, 8, 1)]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_matches_index_loop(self, rng, dims):
+        n = int(np.prod(dims))
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for axis in range(len(dims)):
+            got = linalg.trace_out(m, dims, axis)
+            want = loop_trace_out(m, dims, axis)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12
+
+    # The partial traces of the package written as einsum subscripts.
+    # trace_out agrees with them bit for bit whenever the result has at least
+    # two rows; a 1x1 result (every other factor trivial) is a full trace,
+    # which einsum sums in another order.
+    TWO = [(2, 2), (3, 2), (2, 5), (4, 4), (16, 2), (2, 16)]
+    THREE = [(2, 2, 2), (2, 3, 4), (4, 2, 3), (3, 3, 2), (2, 8, 2)]
+    EINSUM = [("abac->bc", 0, TWO), ("abcb->ac", 1, TWO),
+              ("abcxyc->abxy", 2, THREE), ("abcxbz->acxz", 1, THREE)]
+
+    @pytest.mark.parametrize("subscripts,axis,shapes", EINSUM)
+    def test_equals_einsum_bit_for_bit(self, rng, subscripts, axis, shapes):
+        for dims in shapes:
+            n = int(np.prod(dims))
+            for _ in range(3):
+                m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                old = np.einsum(subscripts, m.reshape(dims * 2))
+                new = linalg.trace_out(m, dims, axis)
+                assert new.tobytes() == old.reshape(new.shape).tobytes()
+
+    def test_marginal_of_product(self):
+        a = states.random_density(2, 2, 1).matrix
+        b = states.random_density(3, 2, 2).matrix
+        c = states.random_density(2, 1, 3).matrix
+        abc = np.kron(np.kron(a, b), c)
+        assert np.abs(linalg.trace_out(abc, (2, 3, 2), 0) - np.kron(b, c)).max() < 1e-15
+        assert np.abs(linalg.trace_out(abc, (2, 3, 2), 1) - np.kron(a, c)).max() < 1e-15
+        assert np.abs(linalg.trace_out(abc, (2, 3, 2), 2) - np.kron(a, b)).max() < 1e-15
+
+
+class TestJsonForm:
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 4), (2, 3, 3)])
+    def test_round_trip_exact(self, rng, shape):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        back = linalg.from_jsonable(json.loads(json.dumps(linalg.to_jsonable(m))))
+        assert back.dtype == np.complex128
+        assert np.array_equal(back, m)
+
+    def test_real_input_gets_zero_imaginary_part(self):
+        doc = linalg.to_jsonable(np.eye(2))
+        assert doc == {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+    def test_texts_of_state_map_and_problem(self):
+        # The JSON layout of each type is fixed, byte for byte.
+        rho = states.DensityOperator(np.array([[0.75, 0.25j], [-0.25j, 0.25]]))
+        assert rho.to_json() == (
+            '{"dims": [2], "re": [[0.75, 0.0], [0.0, 0.25]], '
+            '"im": [[0.0, 0.25], [-0.25, 0.0]]}'
+        )
+        phase = maps.from_kraus([np.diag([1, 1j])])
+        assert phase.to_json() == (
+            '{"dimIn": 2, "dimOut": 2, "superop": {"re": [[1.0, 0.0, 0.0, 0.0], '
+            '[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], '
+            '"im": [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], '
+            '[0.0, 0.0, 0.0, 0.0]]}}'
+        )
+        prob = sdp.SdpProblem(
+            C=[np.array([[1, 0.5j], [-0.5j, 2]])], A=[np.eye(2)[None]], b=[1.0], sense="max"
+        )
+        assert prob.to_json() == (
+            '{"C": [{"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.5], [-0.5, 0.0]]}], '
+            '"A": [{"re": [[[1.0, 0.0], [0.0, 1.0]]], "im": [[[0.0, 0.0], [0.0, 0.0]]]}], '
+            '"b": [1.0], "sense": "max"}'
+        )

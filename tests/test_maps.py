@@ -181,6 +181,11 @@ class TestAmplify:
         m = maps.random_cptp(2, 2, 16)
         assert amplify(m, 1) is m
 
+    @pytest.mark.parametrize("k", [0, -2, True, 2.0, 1.5, "2"])
+    def test_rejects_non_positive_integer_k(self, k):
+        with pytest.raises(ValueError, match="positive integer"):
+            amplify(maps.random_cptp(2, 2, 16), k)
+
     def test_amplified_identity(self):
         assert np.abs(amplify(identity_map(2), 3).superop - np.eye(36)).max() < 1e-14
 
@@ -212,6 +217,14 @@ class TestIsCptp:
         m = maps.mix([maps.random_cptp(2, 2, s) for s in (22, 23)], [0.5, 0.5])
         rep = is_cptp(m)
         assert rep["cp"] and rep["tp"]
+
+    def test_mix_rejects_mismatched_inputs(self):
+        a, b = maps.random_cptp(2, 2, 22), maps.random_cptp(2, 2, 23)
+        for ms, probs in [([a, b], [0.5]), ([a], [0.5, 0.5]), ([], []),
+                          ([a, maps.random_cptp(3, 2, 24)], [0.5, 0.5]),
+                          ([a, from_kraus([np.eye(3, 2)])], [0.5, 0.5])]:
+            with pytest.raises(ValueError):
+                maps.mix(ms, probs)
 
 
 class TestIsUnital:

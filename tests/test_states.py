@@ -74,6 +74,18 @@ class TestTensorPartialTrace:
         with pytest.raises(ValueError, match="'A' or 'B'"):
             psi.marginal("x")
 
+    @pytest.mark.parametrize("which", ["x", "a", "AB", None])
+    def test_partial_trace_rejects_unknown_label(self, which):
+        with pytest.raises(ValueError, match="'A' or 'B'"):
+            partial_trace(max_entangled(2), which)
+
+    def test_basis_state_index_in_range(self):
+        assert basis_state(3, 2).matrix[2, 2] == 1.0
+        assert basis_state(3, np.int64(0)).matrix[0, 0] == 1.0
+        for i in (-1, 3, 5, 1.0, True):
+            with pytest.raises(ValueError, match="basis index"):
+                basis_state(3, i)
+
     def test_trace_preserved_2x3(self):
         # independent oracle: direct index contraction
         rho = random_density(6, 6, 77)
