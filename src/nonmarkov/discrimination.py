@@ -35,8 +35,7 @@ def helstrom_guess(p1: float, rho1, rho2) -> float:
     """Optimal two-state guess (1 + ||p1 rho1 - p2 rho2||_1) / 2."""
     if not 0.0 <= p1 <= 1.0:
         raise ValueError("p1 must lie in [0, 1]")
-    r1 = entropy._as_psd(rho1)
-    r2 = entropy._as_psd(rho2)
+    r1, r2 = entropy._psd_pair(rho1, rho2)
     return 0.5 * (1.0 + linalg.trace_norm(p1 * r1 - (1.0 - p1) * r2))
 
 
@@ -100,8 +99,8 @@ def p_guess_channels(probs, channels, k: int, restarts: int = 64, seed: int = 0,
     ``benchmarks/workloads.py`` passes them.
     """
     probs = states.check_probs(probs, len(channels))
-    k = maps.check_positive_int(k, "k")
-    restarts = maps.check_positive_int(restarts, "restarts")
+    k = linalg.check_positive_int(k, "k")
+    restarts = linalg.check_positive_int(restarts, "restarts")
     if len(channels) < 2:
         raise ValueError("need at least two channels to discriminate")
     if len({(e.dimIn, e.dimOut) for e in channels}) > 1:
@@ -133,8 +132,8 @@ def channel_distance(e1: QuantumMap, e2: QuantumMap, p: float, k: int,
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    k = maps.check_positive_int(k, "k")
-    restarts = maps.check_positive_int(restarts, "restarts")
+    k = linalg.check_positive_int(k, "k")
+    restarts = linalg.check_positive_int(restarts, "restarts")
     if k > e1.dimIn:
         raise ValueError(f"ancilla dimension k must lie in [1, {e1.dimIn}]")
     return _tracenorm_ascent(maps.weighted_difference(e1, e2, 1.0 - p, p), k, restarts, seed)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import linalg, maps, states
-from .maps import QuantumMap, PositivityCertificate
+from .maps import QuantumMap
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -180,6 +180,7 @@ class GkslGenerator:
     rates: list
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", linalg.check_positive_int(self.dim, "dim"))
         h = linalg.hermitize(self.h_eff)
         if h.shape != (self.dim, self.dim):
             raise ValueError("h_eff dimension mismatch")
@@ -253,6 +254,8 @@ class TotalSystemModel:
     env_state: states.DensityOperator
 
     def __post_init__(self):
+        for name in ("dimS", "dimE"):
+            object.__setattr__(self, name, linalg.check_positive_int(getattr(self, name), name))
         h = linalg.hermitize(self.h_total)
         if h.shape != (self.dimS * self.dimE, self.dimS * self.dimE):
             raise ValueError("h_total dimension mismatch")
@@ -296,7 +299,7 @@ def _check_grid(grid) -> np.ndarray:
 
 
 def time_grid(t_max: float, steps: int) -> np.ndarray:
-    steps = maps.check_positive_int(steps, "steps")
+    steps = linalg.check_positive_int(steps, "steps")
     if steps < 2 or not 0.0 < t_max < math.inf:
         raise ValueError("need steps >= 2 and a finite t_max > 0")
     return np.linspace(0.0, float(t_max), steps)
@@ -498,12 +501,12 @@ def divisibility_report(
     DEBUG, per k, each step's restarts_converged and spread, after the call
     plan that ``k_positivity_many`` logs on ``nonmarkov.maps``.
     """
-    ks = sorted({maps.check_positive_int(k, "k") for k in ks})
+    ks = sorted({linalg.check_positive_int(k, "k") for k in ks})
     if not ks:
         raise ValueError("ks must name at least one k")
     if ks[-1] > dm.dim:
         raise ValueError(f"each k must lie in [1, {dm.dim}]")
-    restarts = maps.check_positive_int(restarts, "restarts")
+    restarts = linalg.check_positive_int(restarts, "restarts")
     n = len(dm) - 1
     vs = [intermediate(dm, j + 1, j) for j in range(n)]
     certs = {}

@@ -9,18 +9,21 @@ repaired.
 ``support`` is the one place the support of a PSD matrix is chosen: the
 divergences' pseudo-powers, logarithms and support rules, purifications and
 the supports pinned in SDPs all take it.  Besides it, ``support_cut`` is read
-only where a spectrum is clamped (the ``entropy.conditional_renyi`` descent),
-counted (``states.schmidt_rank``) or first checked for negative eigenvalues
-(``maps.kraus_decomposition``).
+only where a spectrum is clamped (the ``entropy.conditional_renyi`` descent)
+or counted (``states.schmidt_rank``).
 
 ``trace_out`` is the one partial trace on an A-major (``numpy.kron``)
 product: marginals, Tr_A in H_min and its descent gradient, Tr_out J = I and
 the reduced dynamics' Tr_E all take it.  ``to_jsonable`` and
 ``from_jsonable`` are the one JSON form of a complex array, ``{"re", "im"}``
 nested lists, for states, maps, SDP problems and certificates.
+``check_positive_int`` is the one check of a count: dimensions, ranks,
+restarts and grid steps.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -143,5 +146,30 @@ def to_jsonable(m: np.ndarray) -> dict:
 
 
 def from_jsonable(obj) -> np.ndarray:
-    """The complex128 array of a ``to_jsonable`` document."""
-    return np.array(obj["re"], dtype=np.float64) + 1j * np.array(obj["im"], dtype=np.float64)
+    """The complex128 array of a ``to_jsonable`` document, bit for bit
+    (signed zeros included); ValueError if ``re`` and ``im`` differ in shape."""
+    re = np.array(obj["re"], dtype=np.float64)
+    im = np.array(obj["im"], dtype=np.float64)
+    if re.shape != im.shape:
+        raise ValueError(f"re shape {re.shape} differs from im shape {im.shape}")
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def check_positive_int(value, name: str) -> int:
+    """``value`` as an int, if it is a Python or numpy integer >= 1.
+
+    Dimensions, ranks, restart counts, Schmidt ranks k and grid steps go
+    through this.  A float, even a whole one, and a bool raise
+    ``ValueError`` rather than being rounded or read as 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if n >= 1:
+                return n
+    raise ValueError(f"{name} must be a positive integer, got {value!r}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import logging
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ INVERT_RTOL = 1e-10
 CERT_NEG_TOL = -1e-8
 
 CPTP_TOL = 1e-9
-UNITAL_TOL = 1e-9
 
 _log = logging.getLogger(__name__)
 
@@ -70,6 +68,8 @@ class QuantumMap:
     superop: np.ndarray
 
     def __post_init__(self):
+        for name in ("dimIn", "dimOut"):
+            object.__setattr__(self, name, linalg.check_positive_int(getattr(self, name), name))
         s = linalg.as_matrix(self.superop)
         if s.shape != (self.dimOut**2, self.dimIn**2):
             raise ValueError(
@@ -109,7 +109,7 @@ class QuantumMap:
         if "kraus" in doc:
             return from_kraus([linalg.from_jsonable(k) for k in doc["kraus"]])
         s = linalg.from_jsonable(doc["superop"])
-        return QuantumMap(int(doc["dimIn"]), int(doc["dimOut"]), s)
+        return QuantumMap(doc["dimIn"], doc["dimOut"], s)
 
 
 @dataclass(frozen=True)
@@ -182,17 +182,6 @@ def from_choi(j, dimIn: int, dimOut: int) -> QuantumMap:
     return QuantumMap(dimIn, dimOut, np.ascontiguousarray(s))
 
 
-def kraus_decomposition(m: QuantumMap) -> list:
-    """Kraus operators of a CP map via the spectral form of its Choi matrix."""
-    w, u = linalg.eigh(choi(m))
-    if w[0] < -CPTP_TOL * max(1.0, abs(w[-1])):
-        raise ValueError("map is not CP; no Kraus decomposition exists")
-    cut = linalg.support_cut(w)
-    # a column vector on out (x) in reshapes to the Kraus matrix
-    return [np.sqrt(lam) * col.reshape(m.dimOut, m.dimIn)
-            for lam, col in zip(w, u.T) if lam > cut]
-
-
 def compose(f: QuantumMap, g: QuantumMap) -> QuantumMap:
     """The map x -> f(g(x))."""
     if g.dimOut != f.dimIn:
@@ -216,7 +205,7 @@ def adjoint(m: QuantumMap) -> QuantumMap:
 
 def amplify(m: QuantumMap, k: int) -> QuantumMap:
     """id_k (x) m, the ancilla-extended map (ancilla is the first factor)."""
-    k = check_positive_int(k, "ancilla dimension k")
+    k = linalg.check_positive_int(k, "ancilla dimension k")
     if k == 1:
         return m
     t4 = m.as_tensor()
@@ -240,32 +229,6 @@ def is_cptp(m: QuantumMap) -> dict:
         "min_choi_eig": float(min_choi_eig),
         "tp_residual": float(tp_residual),
     }
-
-
-def is_unital(m: QuantumMap) -> dict:
-    """Whether m(I) = I, with the residual in operator norm."""
-    if m.dimIn != m.dimOut:
-        raise ValueError("unitality is defined for square maps")
-    residual = linalg.operator_norm(m.apply(np.eye(m.dimIn)) - np.eye(m.dimOut))
-    return {"unital": bool(residual <= UNITAL_TOL), "residual": float(residual)}
-
-
-def check_positive_int(value, name: str) -> int:
-    """``value`` as an int, if it is a Python or numpy integer >= 1.
-
-    Restart counts, Schmidt ranks k and ancilla dimensions k go through
-    this.  A float, even a whole one, and a bool raise ``ValueError``
-    rather than being rounded or read as 1.
-    """
-    if not isinstance(value, bool):
-        try:
-            n = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if n >= 1:
-                return n
-    raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def choi_quadratic_form(j: np.ndarray, psi: np.ndarray) -> float:
@@ -308,8 +271,8 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
     dA, dB = ms[0].dimOut, ms[0].dimIn
     if any((m.dimOut, m.dimIn) != (dA, dB) for m in ms):
         raise ValueError("maps must share dimensions")
-    k = check_positive_int(k, "k")
-    restarts = check_positive_int(restarts, "restarts")
+    k = linalg.check_positive_int(k, "k")
+    restarts = linalg.check_positive_int(restarts, "restarts")
     if k > dB:
         raise ValueError(f"k must be in [1, {dB}], got {k}")
     js = []
@@ -390,10 +353,6 @@ def replacer(state) -> QuantumMap:
     return map_from_action(s.shape[0], s.shape[0], lambda x: np.trace(x) * s)
 
 
-def scale_map(m: QuantumMap, c: float) -> QuantumMap:
-    return QuantumMap(m.dimIn, m.dimOut, c * m.superop)
-
-
 def subtract(a: QuantumMap, b: QuantumMap) -> QuantumMap:
     if (a.dimIn, a.dimOut) != (b.dimIn, b.dimOut):
         raise ValueError("maps must share dimensions")
@@ -419,6 +378,8 @@ def mix(ms, probs) -> QuantumMap:
 
 def random_cptp(dim: int, kraus_rank: int, seed: int) -> QuantumMap:
     """Haar-isometry-induced random channel, deterministic per seed."""
+    dim = linalg.check_positive_int(dim, "dim")
+    kraus_rank = linalg.check_positive_int(kraus_rank, "kraus_rank")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim * kraus_rank, dim)) + 1j * rng.standard_normal(
         (dim * kraus_rank, dim)

@@ -10,6 +10,7 @@ and every partial trace under it is ``linalg.trace_out``.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -23,9 +24,6 @@ STATE_EIG_TOL = 1e-9
 STATE_TRACE_TOL = 1e-9
 POVM_TOL = 1e-9
 ENSEMBLE_PROB_TOL = 1e-12
-
-# A state whose purity is below 1 - PURITY_TOL has no dominant vector.
-PURITY_TOL = 1e-9
 
 
 def _check_density_matrix(m: np.ndarray) -> np.ndarray:
@@ -81,8 +79,8 @@ class BipartiteState:
     state: DensityOperator
 
     def __post_init__(self):
-        if self.dimA < 1 or self.dimB < 1:
-            raise ValueError("dimensions must be positive")
+        for name in ("dimA", "dimB"):
+            object.__setattr__(self, name, linalg.check_positive_int(getattr(self, name), name))
         if self.state.dim != self.dimA * self.dimB:
             raise ValueError(
                 f"state dim {self.state.dim} != dimA*dimB = {self.dimA * self.dimB}"
@@ -122,6 +120,8 @@ class TripartiteState:
     state: DensityOperator
 
     def __post_init__(self):
+        for name in ("dimA", "dimB", "dimC"):
+            object.__setattr__(self, name, linalg.check_positive_int(getattr(self, name), name))
         if self.state.dim != self.dimA * self.dimB * self.dimC:
             raise ValueError("state dim does not match dimA*dimB*dimC")
 
@@ -136,9 +136,6 @@ class TripartiteState:
     def marginal_ac(self) -> BipartiteState:
         m = linalg.trace_out(self.matrix, (self.dimA, self.dimB, self.dimC), 1)
         return BipartiteState(self.dimA, self.dimC, DensityOperator(m))
-
-    def to_json(self) -> str:
-        return dumps_state(self.matrix, [self.dimA, self.dimB, self.dimC])
 
 
 def check_probs(probs, n: int) -> np.ndarray:
@@ -267,29 +264,14 @@ def purify(s: BipartiteState) -> TripartiteState:
     return TripartiteState(s.dimA, s.dimB, len(w), pure_state(psi))
 
 
-def dominant_vector(state: DensityOperator) -> np.ndarray:
-    """Extract the state vector of a (numerically) pure density operator."""
-    if state.purity() < 1.0 - PURITY_TOL:
-        raise ValueError(f"state is not pure: purity {state.purity()!r}")
-    dec = linalg.eigh(state.matrix)
-    return dec.eigenvectors[:, -1]
+def schmidt_rank(vec, dA: int, dB: int) -> int:
+    """Schmidt rank of a vector on A (x) B (A-major): the squared singular
+    values of ``vec.reshape(dA, dB)`` above ``linalg.support_cut``.
 
-
-def schmidt_coefficients(psi: BipartiteState) -> np.ndarray:
-    """Singular values of the dA x dB coefficient matrix of a pure state."""
-    v = dominant_vector(psi.state)
-    m = v.reshape(psi.dimA, psi.dimB)
-    return np.linalg.svd(m, compute_uv=False)
-
-
-def schmidt_rank(psi: BipartiteState) -> int:
-    """Number of Schmidt coefficients whose squares clear the support cut.
-
-    Equals the support rank of the reduced state on A.
+    For a unit vector it equals the support rank of the reduced state on A.
     """
-    s2 = schmidt_coefficients(psi) ** 2
-    cut = linalg.support_cut(s2)
-    return int(np.sum(s2 > cut))
+    s2 = np.linalg.svd(np.asarray(vec).reshape(dA, dB), compute_uv=False) ** 2
+    return int(np.sum(s2 > linalg.support_cut(s2)))
 
 
 def make_cq(probs, states) -> BipartiteState:
@@ -309,7 +291,9 @@ def make_cq(probs, states) -> BipartiteState:
 
 def random_density(dim: int, rank: int, seed: int) -> DensityOperator:
     """Rank-truncated Ginibre-induced random state, deterministic per seed."""
-    if not 1 <= rank <= dim:
+    dim = linalg.check_positive_int(dim, "dim")
+    rank = linalg.check_positive_int(rank, "rank")
+    if rank > dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
@@ -338,28 +322,16 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 
 
 def dumps_state(matrix: np.ndarray, dims) -> str:
-    doc = {"dims": [int(d) for d in dims]}
+    doc = {"dims": [linalg.check_positive_int(d, "dims entry") for d in dims]}
     doc.update(linalg.to_jsonable(linalg.as_matrix(matrix)))
     return json.dumps(doc)
 
 
 def loads_state(text: str):
     doc = json.loads(text)
-    dims = [int(d) for d in doc["dims"]]
+    dims = [linalg.check_positive_int(d, "dims entry") for d in doc["dims"]]
     m = linalg.from_jsonable(doc)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if m.shape != (d, d):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
     return m, dims
-
-
-def state_from_json(text: str):
-    """Load a state, dispatching on the number of dims entries."""
-    m, dims = loads_state(text)
-    if len(dims) == 1:
-        return DensityOperator(m)
-    if len(dims) == 2:
-        return BipartiteState(dims[0], dims[1], DensityOperator(m))
-    if len(dims) == 3:
-        return TripartiteState(dims[0], dims[1], dims[2], DensityOperator(m))
-    raise ValueError(f"unsupported number of subsystems: {len(dims)}")

@@ -60,6 +60,10 @@ class TestHelstrom:
         assert disc.helstrom_guess(0.5, KET0, PLUS) == pytest.approx(expect, abs=1e-10)
         assert expect == pytest.approx(0.85355, abs=1e-5)
 
+    def test_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            disc.helstrom_guess(0.5, states.maximally_mixed(2), [[1.0]])
+
 
 class TestPGuess:
     def test_orthogonal_pair(self):
@@ -456,7 +460,7 @@ class TestDiamondNorm:
 
     def test_homogeneity(self):
         m = maps.random_cptp(2, 2, 20)
-        assert disc.diamond_norm(maps.scale_map(m, 2.0)) == pytest.approx(2.0, abs=1e-6)
+        assert disc.diamond_norm(maps.mix([m], [2.0])) == pytest.approx(2.0, abs=1e-6)
 
     def test_difference_of_cptp_at_most_two(self):
         for seed in (21, 22):
@@ -496,7 +500,7 @@ def cb_norm_check(m, restarts: int = 32, seed: int = 0, iters: int = 60) -> dict
     by alternating ascent over unit-operator-norm inputs and unit vectors;
     the residual is within 1e-3 on qubit instances.
     """
-    restarts = maps.check_positive_int(restarts, "restarts")
+    restarts = linalg.check_positive_int(restarts, "restarts")
     adj = maps.adjoint(m)
     big = maps.amplify(adj, adj.dimIn)
     dim_in = adj.dimIn * adj.dimIn
@@ -539,7 +543,7 @@ class TestCbNorm:
 
     def test_scaled_homogeneity(self):
         m = maps.random_cptp(2, 2, 25)
-        rep = cb_norm_check(maps.scale_map(m, 2.0), restarts=8, seed=11)
+        rep = cb_norm_check(maps.mix([m], [2.0]), restarts=8, seed=11)
         assert rep["cb_value"] == pytest.approx(2.0, abs=1e-3)
         assert rep["diamond"] == pytest.approx(2.0, abs=1e-6)
 

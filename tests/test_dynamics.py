@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from nonmarkov import dynamics, linalg, maps, states
+from nonmarkov import dynamics, maps, states
 from nonmarkov.dynamics import (
     DynamicalMap,
     GkslGenerator,
@@ -162,6 +162,12 @@ class TestGenerator:
         )
         with pytest.raises(PropagationError):
             gen.superop(0.0)
+
+
+    @pytest.mark.parametrize("dim", [2.0, np.float64(2.0), 0, True])
+    def test_rejects_non_integer_dim(self, dim):
+        with pytest.raises(ValueError, match="positive integer"):
+            GkslGenerator(dim, np.zeros((2, 2)), [], [])
 
 
 class TestPropagate:
@@ -367,6 +373,11 @@ class TestReduce:
             assert rep["cp"] and rep["tp"]
         # period 2*pi/g for the excitation exchange
         assert np.abs(dm.maps[-1].superop - np.eye(4)).max() < 1e-8
+
+    @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.0), (0, 2)])
+    def test_rejects_non_integer_dimensions(self, dims):
+        with pytest.raises(ValueError, match="positive integer"):
+            dynamics.TotalSystemModel(*dims, np.zeros((4, 4)), states.maximally_mixed(2))
 
     def test_dimension_overflow(self):
         h = np.zeros((128, 128))

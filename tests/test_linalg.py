@@ -209,6 +209,15 @@ class TestJsonForm:
         assert back.dtype == np.complex128
         assert np.array_equal(back, m)
 
+    def test_round_trip_keeps_signed_zeros(self):
+        m = np.array([complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0)])
+        back = linalg.from_jsonable(json.loads(json.dumps(linalg.to_jsonable(m))))
+        assert back.tobytes() == m.tobytes()
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            linalg.from_jsonable({"re": [[1.0, 0.0], [0.0, 1.0]], "im": [0.0, 0.0]})
+
     def test_real_input_gets_zero_imaginary_part(self):
         doc = linalg.to_jsonable(np.eye(2))
         assert doc == {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}

@@ -17,10 +17,8 @@ from nonmarkov.maps import (
     identity_map,
     inverse,
     is_cptp,
-    is_unital,
     k_positivity,
     k_positivity_many,
-    kraus_decomposition,
     replacer,
     transposition_map,
     unitary_map,
@@ -96,12 +94,6 @@ class TestChoi:
         back = from_choi(choi(m), m.dimIn, m.dimOut)
         assert np.abs(back.superop - m.superop).max() < 1e-12
 
-    def test_kraus_round_trip(self):
-        m = maps.random_cptp(2, 2, 5)
-        ops = kraus_decomposition(m)
-        back = from_kraus(ops)
-        assert np.abs(back.superop - m.superop).max() < 1e-10
-
     def test_choi_hermitian_for_hermiticity_preserving(self):
         m = maps.weighted_difference(identity_map(2), depolarizing(0.7, 2), 0.4, 0.6)
         j = choi(m)
@@ -169,7 +161,7 @@ class TestAdjoint:
 
     def test_tp_adjoint_unital(self):
         m = maps.random_cptp(2, 2, 14)
-        assert is_unital(adjoint(m))["unital"]
+        assert np.abs(adjoint(m).apply(np.eye(2)) - np.eye(2)).max() < 1e-9
 
     def test_involution(self):
         m = maps.random_cptp(2, 2, 15)
@@ -227,20 +219,6 @@ class TestIsCptp:
                 maps.mix(ms, probs)
 
 
-class TestIsUnital:
-    def test_pauli_channel(self):
-        assert is_unital(pauli_channel(0.4, 0.2, 0.2, 0.2))["unital"]
-
-    def test_amplitude_damping_not_unital(self):
-        m = from_kraus(amplitude_damping_kraus(0.5))
-        out = m.apply(np.eye(2))
-        assert np.abs(out - np.diag([1.5, 0.5])).max() < 1e-12
-        assert not is_unital(m)["unital"]
-
-    def test_adjoint_of_tp(self):
-        assert is_unital(adjoint(maps.random_cptp(2, 2, 24)))["unital"]
-
-
 class TestKPositivity:
     def test_exact_path_cptp(self):
         m = maps.random_cptp(2, 2, 25)
@@ -268,8 +246,7 @@ class TestKPositivity:
 
     def test_witness_schmidt_rank_bounded(self):
         cert = k_positivity(transposition_map(3), 2, restarts=8, seed=4)
-        psi = states.BipartiteState(3, 3, states.pure_state(cert.witness))
-        assert states.schmidt_rank(psi) <= 2
+        assert states.schmidt_rank(cert.witness, 3, 3) <= 2
 
     def test_monotone_in_k(self):
         # larger search set can only lower the minimum
@@ -437,7 +414,7 @@ class TestQuadraticForms:
 class TestCheckPositiveInt:
     @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.int32(2), np.uint8(5)])
     def test_accepts_integers(self, value):
-        n = maps.check_positive_int(value, "restarts")
+        n = linalg.check_positive_int(value, "restarts")
         assert n == value
         assert type(n) is int
 
@@ -445,7 +422,7 @@ class TestCheckPositiveInt:
         0, -2, np.int64(0), 1.5, 2.0, np.float64(2.0), True, False, np.True_, "3", None])
     def test_rejects_everything_else(self, value):
         with pytest.raises(ValueError, match="restarts must be a positive integer"):
-            maps.check_positive_int(value, "restarts")
+            linalg.check_positive_int(value, "restarts")
 
 
 def hermitian_2x2_edge_cases():
@@ -596,6 +573,13 @@ class TestJson:
         back = QuantumMap.from_json(m.to_json())
         assert np.array_equal(back.superop, m.superop)
 
+    @pytest.mark.parametrize("dims", [(2.5, 2.7), (2.0, 2), (2, "2"), (0, 2)])
+    def test_rejects_non_integer_dimensions(self, dims):
+        doc = json.loads(maps.random_cptp(2, 2, 30).to_json())
+        doc["dimIn"], doc["dimOut"] = dims
+        with pytest.raises(ValueError, match="positive integer"):
+            QuantumMap.from_json(json.dumps(doc))
+
     def test_kraus_input_form(self):
         ops = amplitude_damping_kraus(0.25)
         doc = {
@@ -605,6 +589,22 @@ class TestJson:
 
         back = QuantumMap.from_json(json.dumps(doc))
         assert np.abs(back.superop - from_kraus(ops).superop).max() < 1e-14
+
+
+class TestDimensions:
+    @pytest.mark.parametrize("dims", [(2.0, 2), (2, np.float64(2.0)), (True, 1)])
+    def test_map_rejects_non_integer_dimensions(self, dims):
+        with pytest.raises(ValueError, match="positive integer"):
+            QuantumMap(*dims, np.eye(4))
+
+    def test_map_stores_python_ints(self):
+        m = QuantumMap(np.int64(2), np.int32(2), np.eye(4))
+        assert type(m.dimIn) is int and type(m.dimOut) is int
+
+    @pytest.mark.parametrize("dim, rank", [(0, 1), (2, 0), (2.0, 1), (2, 1.5)])
+    def test_random_cptp_rejects_bad_sizes(self, dim, rank):
+        with pytest.raises(ValueError, match="positive integer"):
+            maps.random_cptp(dim, rank, 0)
 
 
 class TestReplacer:

@@ -190,3 +190,18 @@ def test_conditional_renyi_bracket_holds(case, alpha, seed):
     for sigma in sigmas:
         d = float(entropy.sandwiched_divergence(rho, np.kron(np.eye(2), sigma), alpha))
         assert -d <= bracket.upper + 1e-10
+
+
+@PROPERTY
+@given(case=st.sampled_from([(d_b, r) for d_b in (2, 3) for r in range(1, 2 * d_b + 1)]),
+       kraus_rank=st.integers(1, 3), alpha=st.sampled_from([0.5, 2.0, np.inf]),
+       s_rho=SEEDS, s_map=SEEDS)
+def test_conditional_renyi_does_not_fall_under_channel_on_b(case, kraus_rank, alpha, s_rho, s_map):
+    # Data processing on the conditioning system: for every CPTP map on B,
+    # H~_a(A|B) after the map is at least H~_a(A|B) before it.
+    d_b, rank = case
+    rho = BipartiteState(2, d_b, random_density(2 * d_b, rank, s_rho))
+    channel = maps.amplify(maps.random_cptp(d_b, kraus_rank, s_map), 2)
+    after = BipartiteState(2, d_b, _apply(channel, rho))
+    before = entropy.conditional_renyi(rho, alpha)
+    assert entropy.conditional_renyi(after, alpha).upper >= before.lower - 1e-9

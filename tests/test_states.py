@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from nonmarkov.states import (
     basis_state,
     make_cq,
     max_entangled,
+    max_entangled_vector,
     maximally_mixed,
     partial_trace,
     pure_state,
@@ -111,7 +114,7 @@ class TestMaxEntangled:
 
     def test_schmidt_rank(self):
         for d in (2, 3):
-            assert schmidt_rank(max_entangled(d)) == d
+            assert schmidt_rank(max_entangled_vector(d), d, d) == d
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
@@ -144,21 +147,12 @@ class TestPurify:
 class TestSchmidt:
     def test_product_state(self):
         v = np.kron(np.array([1, 0]), np.array([1, 1]) / np.sqrt(2))
-        s = BipartiteState(2, 2, pure_state(v))
-        assert schmidt_rank(s) == 1
+        assert schmidt_rank(v, 2, 2) == 1
 
     def test_skewed_superposition(self):
         # (2|00> + |11>)/sqrt5: singular values 2/sqrt5, 1/sqrt5
         v = np.array([2, 0, 0, 1]) / np.sqrt(5)
-        s = BipartiteState(2, 2, pure_state(v))
-        assert schmidt_rank(s) == 2
-        coeffs = states.schmidt_coefficients(s)
-        assert np.allclose(sorted(coeffs), [1 / np.sqrt(5), 2 / np.sqrt(5)])
-
-    def test_rejects_mixed(self):
-        s = BipartiteState(2, 2, maximally_mixed(4))
-        with pytest.raises(ValueError):
-            schmidt_rank(s)
+        assert schmidt_rank(v, 2, 2) == 2
 
     def test_matches_reduced_rank(self):
         for seed in range(5):
@@ -167,7 +161,7 @@ class TestSchmidt:
             red = partial_trace(s, "B").matrix
             w = np.linalg.eigvalsh(red)
             rank = int((w > linalg.support_cut(w)).sum())
-            assert schmidt_rank(s) == rank
+            assert schmidt_rank(v, 2, 3) == rank
 
 
 class TestCq:
@@ -235,7 +229,39 @@ class TestEnsemblePovm:
             Povm([np.diag([1.0, 0.0]), np.diag([0.0, 0.9])])
 
 
+class TestDimensions:
+    @pytest.mark.parametrize("dims", [(2.0, 2), (2, np.float64(2.0)), (0, 4), (True, 4)])
+    def test_bipartite_rejects_non_integer_dimensions(self, dims):
+        with pytest.raises(ValueError, match="positive integer"):
+            BipartiteState(*dims, maximally_mixed(4))
+
+    def test_tripartite_rejects_non_integer_dimensions(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            states.TripartiteState(2, 2.0, 1, maximally_mixed(4))
+
+    def test_numpy_dimensions_stored_as_python_ints(self):
+        s = BipartiteState(np.int64(2), np.uint8(2), maximally_mixed(4))
+        t = states.TripartiteState(np.int64(2), 2, np.int32(1), maximally_mixed(4))
+        assert {type(d) for d in (s.dimA, s.dimB, t.dimA, t.dimB, t.dimC)} == {int}
+
+    @pytest.mark.parametrize("dim, rank", [(2, 1.5), (2, 2.0), (2.0, 1), (2, 0), (2, True)])
+    def test_random_density_rejects_bad_rank_and_dim(self, dim, rank):
+        with pytest.raises(ValueError, match="positive integer"):
+            random_density(dim, rank, 0)
+
+
 class TestJson:
+    @pytest.mark.parametrize("dims", [[2.9, 2.2], [2.0, 2.0], [4, 1.0], ["2", 2]])
+    def test_rejects_non_integer_dims(self, dims):
+        doc = json.loads(max_entangled(2).to_json())
+        doc["dims"] = dims
+        with pytest.raises(ValueError, match="positive integer"):
+            BipartiteState.from_json(json.dumps(doc))
+
+    def test_dumps_rejects_non_integer_dims(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            states.dumps_state(np.eye(4) / 4, [2.9, 1.6])
+
     def test_round_trip_exact(self):
         rho = random_density(3, 2, 99)
         back = DensityOperator.from_json(rho.to_json())
@@ -246,9 +272,3 @@ class TestJson:
         back = BipartiteState.from_json(s.to_json())
         assert back.dimA == 2 and back.dimB == 2
         assert np.array_equal(back.matrix, s.matrix)
-
-    def test_dispatch(self):
-        tri = purify(BipartiteState(2, 1, maximally_mixed(2)))
-        back = states.state_from_json(tri.to_json())
-        assert isinstance(back, states.TripartiteState)
-        assert np.array_equal(back.matrix, tri.matrix)
