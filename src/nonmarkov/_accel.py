@@ -76,7 +76,8 @@ KPOS_STACK_ENTRIES = 64 * (16 * 15) ** 2
 KPOS_TOL = 1e-12
 TRACENORM_TOL = 1e-13
 
-# Sweeps of one tracenorm_scan restart at most.
+# Sweeps of one kpos_scan or tracenorm_scan restart at most.
+KPOS_ITERS = 60
 TRACENORM_ITERS = 80
 
 
@@ -170,7 +171,7 @@ def _stopped(new_val, val, tol):
     return np.abs(new_val - val) <= tol * np.maximum(1.0, np.abs(new_val))
 
 
-def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60):
+def kpos_scan(J4, dA, dB, k, starts_L, starts_U):
     """k-positivity seesaw: minimize <psi|J|psi> over unit vectors of Schmidt
     rank <= k, parameterized psi = sum_i L[:, i] (x) U[:, i].
 
@@ -182,7 +183,7 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60):
     ``_lowest_eigpair``.  Returns
     ``(value, L, U, values, converged)``: per group, the best restart (the
     first one reaching the minimum), then every restart's final value and
-    whether its tolerance test passed within ``iters`` sweeps.
+    whether its tolerance test passed within ``KPOS_ITERS`` sweeps.
 
     ``J4`` is a ``(g, dA, dB, dA, dB)`` stack of Choi tensors.  The rows of
     ``starts_L``/``starts_U`` split evenly into g groups, in order, and group
@@ -209,7 +210,7 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U, iters=60):
     val = np.full(n_starts, np.inf)
     converged = np.zeros(n_starts, dtype=bool)
     active = np.arange(n_starts)
-    for _ in range(iters):
+    for _ in range(KPOS_ITERS):
         if active.size == 0:
             break
         # Re-parameterize: an orthonormal basis preserves the factor's span,

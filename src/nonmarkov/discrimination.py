@@ -25,7 +25,6 @@ import numpy as np
 
 from . import _accel, entropy, linalg, maps, sdp, states
 from .maps import QuantumMap
-from .sdp import SdpError
 from .states import Povm, StateEnsemble
 
 _log = logging.getLogger(__name__)
@@ -51,7 +50,7 @@ def guessing_program(ens: StateEnsemble) -> sdp.SdpProblem:
     n, d = ens.size, ens.dim
     h = sdp.hermitian_basis(d)
     c = [p * s.matrix for p, s in zip(ens.probs, ens.states)]
-    return sdp.SdpProblem(C=c, A=[h] * n, b=np.trace(h, axis1=1, axis2=2).real, sense="max")
+    return sdp.SdpProblem(C=c, A=[h] * n, b=np.trace(h, axis1=1, axis2=2).real)
 
 
 def p_guess(ens: StateEnsemble) -> GuessResult:
@@ -63,9 +62,7 @@ def p_guess(ens: StateEnsemble) -> GuessResult:
     """
     if ens.size < 2:
         raise ValueError("need at least two states to discriminate")
-    sol = sdp.solve(guessing_program(ens))
-    if not sol.optimal:
-        raise SdpError(f"guessing SDP returned status {sol.status!r}")
+    sol = sdp.solve_optimal(guessing_program(ens), "guessing")
     elems = []
     for e in sol.X:
         dec = linalg.eigh(e)
@@ -113,10 +110,8 @@ def p_guess_channels(probs, channels, k: int, restarts: int = 64, seed: int = 0,
         return (1.0 + _tracenorm_ascent(delta, k, restarts, seed)) / 2.0
     if k < d_in:
         raise ValueError(f"three or more channels need the full ancilla k = {d_in}")
-    sol = sdp.solve(channel_guessing_program(probs, channels))
-    if not sol.optimal:
-        raise SdpError(f"channel-guessing SDP returned status {sol.status!r}")
-    return float(sol.primal_value)
+    return float(sdp.solve_optimal(channel_guessing_program(probs, channels),
+                                   "channel-guessing").primal_value)
 
 
 def channel_distance(e1: QuantumMap, e2: QuantumMap, p: float, k: int,
@@ -188,7 +183,7 @@ def diamond_norm_program(m: QuantumMap) -> sdp.SdpProblem:
     a = _output_identity_rows(d_out, d_in)
     b = np.zeros(len(a))
     b[-1] = 2.0 * d_out
-    return sdp.SdpProblem(C=[-j / 2, j / 2], A=[a, a], b=b, sense="max")
+    return sdp.SdpProblem(C=[-j / 2, j / 2], A=[a, a], b=b)
 
 
 def channel_guessing_program(probs, channels) -> sdp.SdpProblem:
@@ -207,12 +202,9 @@ def channel_guessing_program(probs, channels) -> sdp.SdpProblem:
     b = np.zeros(len(a))
     b[-1] = float(d_out)
     c = [p * maps.choi(e) for p, e in zip(probs, channels)]
-    return sdp.SdpProblem(C=c, A=[a] * len(c), b=b, sense="max")
+    return sdp.SdpProblem(C=c, A=[a] * len(c), b=b)
 
 
 def diamond_norm(m: QuantumMap) -> float:
     """Stabilized trace norm of a Hermiticity-preserving map (SDP value)."""
-    sol = sdp.solve(diamond_norm_program(m))
-    if not sol.optimal:
-        raise SdpError(f"diamond-norm SDP returned status {sol.status!r}")
-    return float(sol.primal_value)
+    return float(sdp.solve_optimal(diamond_norm_program(m), "diamond-norm").primal_value)

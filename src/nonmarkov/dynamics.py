@@ -326,8 +326,9 @@ def _rk4_pass(gen, phi, t0, h, n, l0):
     return phi
 
 
-def _integrate_interval(gen, phi, t0, t1, tol):
-    """Advance phi over [t0, t1] with Richardson step halving to local tol.
+def _integrate_interval(gen, phi, t0, t1):
+    """Advance phi over [t0, t1] with Richardson step halving to a local
+    error of ``RK4_TOL`` per unit time.
 
     Every pass starts from the generator at t0, and each step hands the
     generator at its end point to the next step, so each time point of a
@@ -342,12 +343,12 @@ def _integrate_interval(gen, phi, t0, t1, tol):
         if coarse is None:
             coarse = _rk4_pass(gen, phi, t0, h, 1, l0)
         err = float(np.abs(fine - coarse).max()) / 15.0
-        if err <= tol * h:
+        if err <= RK4_TOL * h:
             return fine + (fine - coarse) / 15.0
         coarse = fine
         n *= 2
     raise PropagationError(
-        f"step underflow integrating [{t0}, {t1}]: tolerance {tol} not met "
+        f"step underflow integrating [{t0}, {t1}]: tolerance {RK4_TOL} not met "
         f"after {MAX_SUBDIVISIONS} halvings"
     )
 
@@ -385,7 +386,7 @@ def propagate(gen: GkslGenerator, grid) -> DynamicalMap:
     else:
         phi = np.eye(d * d, dtype=np.complex128)
         for j in range(1, g.size):
-            phi = _integrate_interval(gen, phi, g[j - 1], g[j], RK4_TOL)
+            phi = _integrate_interval(gen, phi, g[j - 1], g[j])
             out.append(QuantumMap(d, d, phi))
     integrator = "rk4" if split is None else "expm"
     if _log.isEnabledFor(logging.DEBUG):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, sdp, states
-from .sdp import SdpError
 from .states import BipartiteState, DensityOperator
 
 LN2 = math.log(2.0)
@@ -41,9 +40,6 @@ SUPPORT_LEAK_TOL = 1e-9
 
 # Trace values below this count as vanishing (orthogonal supports).
 TINY_TRACE = 1e-30
-
-# Eigenvalues below -PSD_TOL * max(1, lambda_max) make a matrix non-PSD.
-PSD_TOL = 1e-9
 
 # sigma_B descent of conditional_renyi at alpha > 1: it stops once the
 # Frank-Wolfe bound is within OPT_TOL bits of the value, when no descent step
@@ -68,11 +64,7 @@ def _as_psd(m) -> np.ndarray:
     """Coerce a state object or matrix to a Hermitian PSD matrix."""
     if isinstance(m, (DensityOperator, BipartiteState)):
         return m.matrix
-    a = linalg.hermitize(m)
-    w = np.linalg.eigvalsh(a)
-    if w[0] < -PSD_TOL * max(1.0, float(w[-1])):
-        raise ValueError(f"matrix is not positive semidefinite (min eig {w[0]:.3e})")
-    return a
+    return linalg.check_psd(linalg.hermitize(linalg.as_matrix(m)))
 
 
 def _psd_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -354,23 +346,14 @@ def min_entropy_program(rho: BipartiteState) -> sdp.SdpProblem:
     """
     h = sdp.hermitian_basis(rho.dimB)
     a = np.kron(np.eye(rho.dimA), h)
-    return sdp.SdpProblem(C=[rho.matrix], A=[a], b=np.trace(h, axis1=1, axis2=2).real,
-                          sense="max")
-
-
-def _min_entropy_solution(rho: BipartiteState) -> sdp.SdpSolution:
-    """The optimal solution of ``min_entropy_program(rho)``: the one solve
-    behind ``h_min``, ``h_max`` and their brackets."""
-    sol = sdp.solve(min_entropy_program(rho))
-    if not sol.optimal:
-        raise SdpError(f"SDP solver returned status {sol.status!r}")
-    return sol
+    return sdp.SdpProblem(C=[rho.matrix], A=[a], b=np.trace(h, axis1=1, axis2=2).real)
 
 
 def h_min(rho: BipartiteState) -> float:
     """Conditional min-entropy -log2 of the primal value of
     ``min_entropy_program``."""
-    return float(-math.log2(_min_entropy_solution(rho).primal_value))
+    sol = sdp.solve_optimal(min_entropy_program(rho), "min-entropy")
+    return float(-math.log2(sol.primal_value))
 
 
 def h_max(rho: BipartiteState) -> float:
@@ -380,7 +363,8 @@ def h_max(rho: BipartiteState) -> float:
     purification (Konig, Renner & Schaffner 2009): log2 of the primal value
     of the min-entropy program of rho_AC, with d_C = rank rho."""
     ac = states.purify(rho).marginal_ac()
-    return float(math.log2(_min_entropy_solution(ac).primal_value))
+    sol = sdp.solve_optimal(min_entropy_program(ac), "min-entropy")
+    return float(math.log2(sol.primal_value))
 
 
 def _h_min_bracket(rho: BipartiteState) -> EntropyBracket:
@@ -388,7 +372,7 @@ def _h_min_bracket(rho: BipartiteState) -> EntropyBracket:
     dual's sigma_B = Tr_A(Z + rho), normalized, and -log2 <rho, X'> at the
     primal's X clipped to PSD and divided by lambda_max(Tr_A X), which is
     feasible for Tr_A X' <= I_B and so bounds 2^-Hmin from below."""
-    sol = _min_entropy_solution(rho)
+    sol = sdp.solve_optimal(min_entropy_program(rho), "min-entropy")
     dims = (rho.dimA, rho.dimB)
     w, u = np.linalg.eigh(sol.X[0])
     x = (u * np.maximum(w, 0.0)) @ u.conj().T

@@ -1,10 +1,12 @@
 """Dense complex-Hermitian linear algebra: spectral decompositions, matrix
 functions and the norms used throughout the toolkit.
 
-All functions take plain ``numpy.ndarray`` (complex128) and are pure. Inputs
-declared Hermitian are symmetrized as ``(m + m.conj().T) / 2`` before any
-decomposition; asymmetry beyond ``HERM_TOL`` is rejected rather than silently
-repaired.
+All functions take plain ``numpy.ndarray`` (complex128) and are pure.
+``hermitize`` is the one check of Hermitian input (states, Choi matrices of
+maps, SDP data, the spectral helpers here), each caller with its tolerance:
+asymmetry beyond it raises ``NotHermitianError`` rather than being silently
+repaired.  ``check_psd`` is the one check of positive semidefiniteness
+(states, POVM elements, the matrix arguments of divergences).
 
 ``support`` is the one place the support of a PSD matrix is chosen: the
 divergences' pseudo-powers, logarithms and support rules, purifications and
@@ -23,12 +25,16 @@ restarts and grid steps.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
 
 # Asymmetry beyond this (relative to the matrix scale) is an error, not noise.
 HERM_TOL = 1e-8
+
+# An eigenvalue below -PSD_TOL * max(1, lambda_max) makes a matrix non-PSD.
+PSD_TOL = 1e-9
 
 # An eigenvalue counts as "in the support" iff it exceeds
 # SUPPORT_RTOL * max(1, lambda_max).  Scale-aware so the same cut applies to
@@ -37,7 +43,7 @@ SUPPORT_RTOL = 1e-10
 
 
 class NotHermitianError(ValueError):
-    """Raised when an input declared Hermitian is asymmetric beyond HERM_TOL."""
+    """Raised by ``hermitize`` for a matrix asymmetric beyond its tolerance."""
 
 
 def as_matrix(m) -> np.ndarray:
@@ -50,25 +56,44 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hermitize(m) -> np.ndarray:
-    """Return (m + m†)/2 after checking m is square and Hermitian within HERM_TOL."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    asym = float(np.abs(a - a.conj().T).max(initial=0.0))
-    if asym > HERM_TOL * scale:
-        raise NotHermitianError(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance {HERM_TOL * scale:.3e}"
-        )
-    return (a + a.conj().T) / 2
+def hermitize(m, tol: float = HERM_TOL) -> np.ndarray:
+    """(a + a†)/2 of a square matrix, or of each matrix of a stack of shape
+    (..., n, n), after checking it: ValueError for a NaN or Inf entry, and
+    ``NotHermitianError`` where the largest entry modulus of a - a† exceeds
+    ``tol`` * max(1, largest entry modulus of a)."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    ah = a.conj().swapaxes(-1, -2)
+    # One row per matrix; the per-matrix maxima come back as Python floats,
+    # which keeps the test on a single matrix as cheap as an inline one.
+    rows = (math.prod(a.shape[:-2]), a.shape[-1] ** 2)
+    scales = np.abs(a).reshape(rows).max(axis=1, initial=0.0).tolist()
+    asyms = np.abs(a - ah).reshape(rows).max(axis=1, initial=0.0).tolist()
+    for scale, asym in zip(scales, asyms):
+        if not math.isfinite(scale):
+            raise ValueError("matrix contains NaN or Inf entries")
+        if asym > tol * max(1.0, scale):
+            raise NotHermitianError(f"matrix is not Hermitian: asymmetry {asym:.3e} "
+                                    f"exceeds {tol:g} x max(1, {scale:.3e})")
+    return (a + ah) / 2
+
+
+def check_psd(h: np.ndarray) -> np.ndarray:
+    """``h``, one Hermitian matrix as ``hermitize`` returns it, after
+    checking that no eigenvalue lies below -``PSD_TOL`` * max(1, lambda_max);
+    ValueError otherwise."""
+    w = np.linalg.eigvalsh(h)
+    if w[0] < -PSD_TOL * max(1.0, float(w[-1])):
+        raise ValueError(f"matrix is not positive semidefinite (min eig {w[0]:.3e})")
+    return h
 
 
 def eigh(m):
     """Spectral decomposition of a Hermitian matrix (symmetrized internally):
     numpy's ``EighResult``, ascending ``eigenvalues`` and the unitary of
     column ``eigenvectors``."""
-    return np.linalg.eigh(hermitize(m))
+    return np.linalg.eigh(hermitize(as_matrix(m)))
 
 
 def support_cut(eigenvalues: np.ndarray) -> float:
@@ -106,16 +131,14 @@ def spectral_fn(m, f, support_only: bool = False) -> np.ndarray:
 
 
 def trace_norm(m) -> float:
-    """||m||_1, the sum of singular values."""
+    """||m||_1 of a square matrix, the sum of singular values."""
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("trace norm defined here for square matrices only")
     # Hermitian inputs get the cheaper and more accurate spectral route.
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a - a.conj().T).max(initial=0.0)) <= HERM_TOL * scale:
-        w = np.linalg.eigvalsh((a + a.conj().T) / 2)
-        return float(np.abs(w).sum())
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    try:
+        h = hermitize(a)
+    except NotHermitianError:
+        return float(np.linalg.svd(a, compute_uv=False).sum())
+    return float(np.abs(np.linalg.eigvalsh(h)).sum())
 
 
 def operator_norm(m) -> float:
@@ -128,8 +151,7 @@ def operator_norm(m) -> float:
 
 def min_eig(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    h = hermitize(m)
-    return float(np.linalg.eigvalsh(h)[0])
+    return float(np.linalg.eigvalsh(hermitize(as_matrix(m)))[0])
 
 
 def trace_out(m, dims, axis: int) -> np.ndarray:

@@ -78,10 +78,8 @@ class QuantumMap:
             )
         object.__setattr__(self, "superop", s)
         s.setflags(write=False)
-        j = choi(self)
-        scale = max(1.0, float(np.abs(j).max(initial=0.0)))
-        if float(np.abs(j - j.conj().T).max(initial=0.0)) > HERM_PRESERVE_TOL * scale:
-            raise ValueError("map is not Hermiticity-preserving within 1e-9")
+        # A map preserves Hermiticity iff its Choi matrix is Hermitian.
+        linalg.hermitize(choi(self), HERM_PRESERVE_TOL)
 
     def apply(self, x) -> np.ndarray:
         a = linalg.as_matrix(x)
@@ -354,15 +352,13 @@ def replacer(state) -> QuantumMap:
 
 
 def subtract(a: QuantumMap, b: QuantumMap) -> QuantumMap:
-    if (a.dimIn, a.dimOut) != (b.dimIn, b.dimOut):
-        raise ValueError("maps must share dimensions")
-    return QuantumMap(a.dimIn, a.dimOut, a.superop - b.superop)
+    """a - b, as ``mix([a, b], [1.0, -1.0])``."""
+    return mix([a, b], [1.0, -1.0])
 
 
 def weighted_difference(a: QuantumMap, b: QuantumMap, wa: float, wb: float) -> QuantumMap:
-    if (a.dimIn, a.dimOut) != (b.dimIn, b.dimOut):
-        raise ValueError("maps must share dimensions")
-    return QuantumMap(a.dimIn, a.dimOut, wa * a.superop - wb * b.superop)
+    """wa a - wb b, as ``mix([a, b], [wa, -wb])``."""
+    return mix([a, b], [wa, -wb])
 
 
 def mix(ms, probs) -> QuantumMap:
@@ -370,7 +366,7 @@ def mix(ms, probs) -> QuantumMap:
     ValueError for an empty list, a weight count that differs from the
     map count, or maps of differing dimensions."""
     if not ms or len(ms) != len(probs) or len({(mi.dimIn, mi.dimOut) for mi in ms}) > 1:
-        raise ValueError("mix needs maps of one shape and one weight per map")
+        raise ValueError("mix needs one weight per map, and the maps must share dimensions")
     p = np.asarray(probs, dtype=np.float64)
     s = sum(pi * mi.superop for pi, mi in zip(p, ms))
     return QuantumMap(ms[0].dimIn, ms[0].dimOut, s)

@@ -1,13 +1,14 @@
 """Self-contained dense semidefinite-program solver for Hermitian
 block-diagonal programs.
 
-Standard form (sense "min"):
+Standard form, a maximization:
 
-    minimize   <C, X>
+    maximize   <C, X>
     subject to <A_i, X> = b_i   (i = 1..m),   X >= 0 (block diagonal)
 
-with Hermitian C, A_i and <A, B> = Tr(A B).  "max" negates the objective
-internally.
+with Hermitian C, A_i and <A, B> = Tr(A B), and dual: minimize -b . y
+subject to Z = -C - sum_i y_i A_i >= 0.  The iteration minimizes <-C, X>.
+A minimization of <J, X> is the maximization of <-J, X>, negated.
 
 Every block of a program has the same size n.  A program passes its nb
 objective blocks ``C``, block k of all m constraints as one (m, n, n) array
@@ -22,9 +23,11 @@ predictor-corrector, fraction-to-boundary 0.98) from an identity-scaled
 start; Cholesky failures of the Schur complement retry with escalating
 regularization.
 
-``solve_many(problems)`` runs programs that share ``blocks``, ``sense`` and
-every ``A`` stack (``C`` and ``b`` may differ) in one iteration, and
-``solve(p)`` is ``solve_many([p])[0]``.  X and Z are one complex
+``solve_many(problems)`` runs programs that share ``blocks`` and every
+``A`` stack (``C`` and ``b`` may differ) in one iteration, and ``solve(p)``
+is ``solve_many([p])[0]``.  ``solve_optimal(p, name)`` is the one gate for
+callers that need an optimum: ``solve(p)``, or ``SdpError`` naming the
+program.  X and Z are one complex
 (2, q, nb, n, n) array over q problems.  Per iteration that costs one
 ``cholesky`` and one ``inv`` call on that array, whose inverse factors give
 Z^-1 and both step-length tests, and one ``eigvalsh`` call per step-length
@@ -100,7 +103,7 @@ class SdpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Hermitian block-diagonal SDP in standard form.
+    """Hermitian block-diagonal SDP in standard form, a maximization.
 
     ``C`` holds the nb objective blocks, all of one size n; a program whose
     blocks differ in size is rejected.  ``A[k]`` is block k of all m
@@ -112,11 +115,8 @@ class SdpProblem:
     C: list
     A: list
     b: np.ndarray
-    sense: str = "min"
 
     def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
         if len({np.shape(c) for c in self.C}) > 1:
             raise ValueError("all blocks of a program must share one size")
         c = _herm_stack(self.C)
@@ -151,46 +151,41 @@ class SdpProblem:
                 "C": [linalg.to_jsonable(c) for c in self.C],
                 "A": [linalg.to_jsonable(a) for a in self.A],
                 "b": self.b.tolist(),
-                "sense": self.sense,
+                "sense": "max",
             }
         )
 
     @staticmethod
     def from_json(text: str) -> "SdpProblem":
-        """Read ``to_json`` output; a ``blocks`` key (older output) is ignored."""
+        """Read ``to_json`` output; a ``blocks`` key (older output) is ignored.
+        ValueError unless ``sense`` is "max"."""
         doc = json.loads(text)
+        if doc.get("sense") != "max":
+            raise ValueError(f"only maximizations are read, got sense {doc.get('sense')!r}")
         return SdpProblem(
             C=[linalg.from_jsonable(c) for c in doc["C"]],
             A=[linalg.from_jsonable(a) for a in doc["A"]],
             b=doc["b"],
-            sense=doc.get("sense", "min"),
         )
 
 
 def _herm_stack(mats) -> np.ndarray:
-    """Check a stack of n x n blocks for finiteness and Hermiticity within
-    1e-12 (relative to each block's largest entry); return it symmetrized as
-    one (len(mats), n, n) array."""
+    """A stack of n x n blocks as one (len(mats), n, n) array, through
+    ``linalg.hermitize`` at tolerance 1e-12."""
     a = np.asarray(mats, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
         raise ValueError(f"SDP data must be stacks of square blocks, not shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("SDP data contains NaN or Inf entries")
-    ah = a.conj().transpose(0, 2, 1)
-    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
-    if np.any(np.abs(a - ah).max(axis=(1, 2), initial=0.0) > 1e-12 * scale):
-        raise ValueError("SDP data blocks must be Hermitian within 1e-12")
-    return (a + ah) / 2
+    return linalg.hermitize(a, 1e-12)
 
 
 @dataclass(frozen=True)
 class SdpSolution:
     """The iterate a solve ended on: blocks ``X`` and dual slacks ``Z``
-    (lists of n x n arrays), multipliers ``y`` with Z = s C - sum_i y_i A_i
-    up to the dual residual (s = 1 for "min", -1 for "max"), ``primal_value``
-    <C, X>, ``dual_value`` s b . y, their ``gap`` (primal minus dual for
-    "min"), the normalised residuals of the module docstring and the
-    ``iterations`` run.  ``status`` is "optimal" (the guarantees hold),
+    (lists of n x n arrays), multipliers ``y`` with Z = -C - sum_i y_i A_i
+    up to the dual residual, ``primal_value`` <C, X>, ``dual_value`` -b . y
+    (an upper bound on the optimum), their ``gap`` (dual minus primal), the
+    normalised residuals of the module docstring and the ``iterations``
+    run.  ``status`` is "optimal" (the guarantees hold),
     "infeasible-detected" (a Farkas ray, or residuals that diverged),
     "numerical-failure" (a breakdown before any iterate met the guarantees)
     or "max_iter"."""
@@ -237,10 +232,19 @@ def solve(problem: SdpProblem) -> SdpSolution:
     return solve_many([problem])[0]
 
 
+def solve_optimal(problem: SdpProblem, name: str) -> SdpSolution:
+    """``solve(problem)`` if its status is "optimal"; otherwise ``SdpError``
+    naming the program ``name`` and the status."""
+    sol = solve(problem)
+    if not sol.optimal:
+        raise SdpError(f"{name} SDP returned status {sol.status!r}")
+    return sol
+
+
 def solve_many(problems) -> list[SdpSolution]:
-    """Run the interior-point iteration on programs that share ``blocks``,
-    ``sense`` and every constraint stack ``A`` (``C`` and ``b`` may differ),
-    all in one stacked iteration; see the module docstring.
+    """Run the interior-point iteration on programs that share ``blocks`` and
+    every constraint stack ``A`` (``C`` and ``b`` may differ), all in one
+    stacked iteration; see the module docstring.
 
     Returns one solution per problem, in order, each identical to what
     ``solve`` returns for that problem alone.
@@ -250,11 +254,10 @@ def solve_many(problems) -> list[SdpSolution]:
         raise ValueError("solve_many needs at least one problem")
     first = problems[0]
     for p in problems[1:]:
-        if list(p.blocks) != list(first.blocks) or p.sense != first.sense:
-            raise ValueError("batched problems must share blocks and sense")
+        if list(p.blocks) != list(first.blocks):
+            raise ValueError("batched problems must share blocks")
         if not all(a is f or np.array_equal(a, f) for a, f in zip(p.A, first.A)):
             raise ValueError("batched problems must share every constraint stack")
-    sign = 1.0 if first.sense == "min" else -1.0
     nb, n = len(first.blocks), first.blocks[0]
     n_total = nb * n
     m = first.m
@@ -297,15 +300,15 @@ def solve_many(problems) -> list[SdpSolution]:
         # entry modulus, relative to max(1, ||C||)
         p_res = (np.abs(rp) / b_scale).max(axis=1).tolist()
         d_res = [dm / cs for dm, cs in zip(np.abs(rd).max(axis=(1, 2, 3)).tolist(), c_scale)]
-        pv = [sign * v for v in inner(cm, w[0])]
-        dv = [sign * v for v in (b[:, None, :] @ y[:, :, None]).ravel().tolist()]
-        gap = [(p - d) if first.sense == "min" else (d - p) for p, d in zip(pv, dv)]
+        pv = [-v for v in inner(cm, w[0])]
+        dv = [-v for v in (b[:, None, :] @ y[:, :, None]).ravel().tolist()]
+        gap = [d - p for p, d in zip(pv, dv)]
         return rp, rd, p_res, d_res, pv, dv, gap
 
     # Per-problem data, indexed by problem; the iteration works on the rows
     # of the problems still active.
     q = len(problems)
-    cm_all = sign * np.array([p.C for p in problems])
+    cm_all = -np.array([p.C for p in problems])
     b_all = np.array([p.b for p in problems])
     b_scale_all = np.maximum(1.0, np.abs(b_all))
     c_norm = [math.sqrt(v) for v in inner(cm_all, cm_all)]

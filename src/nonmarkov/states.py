@@ -20,26 +20,17 @@ from . import linalg
 
 # Constructor tolerances for state-like objects.
 STATE_HERM_TOL = 1e-10
-STATE_EIG_TOL = 1e-9
 STATE_TRACE_TOL = 1e-9
 POVM_TOL = 1e-9
 ENSEMBLE_PROB_TOL = 1e-12
 
 
 def _check_density_matrix(m: np.ndarray) -> np.ndarray:
-    a = linalg.as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"density matrix must be square, got {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a - a.conj().T).max(initial=0.0)) > STATE_HERM_TOL * scale:
-        raise linalg.NotHermitianError("density matrix is not Hermitian within 1e-10")
-    h = (a + a.conj().T) / 2
+    h = linalg.hermitize(linalg.as_matrix(m), STATE_HERM_TOL)
     tr = float(np.trace(h).real)
     if abs(tr - 1.0) > STATE_TRACE_TOL:
         raise ValueError(f"density matrix trace {tr!r} is not 1 within {STATE_TRACE_TOL}")
-    if float(np.linalg.eigvalsh(h)[0]) < -STATE_EIG_TOL:
-        raise ValueError("density matrix has an eigenvalue below -1e-9")
-    return h
+    return linalg.check_psd(h)
 
 
 @dataclass(frozen=True)
@@ -184,16 +175,11 @@ class Povm:
     def __post_init__(self):
         if not self.elements:
             raise ValueError("POVM needs at least one element")
-        elems = [linalg.hermitize(e) for e in self.elements]
+        elems = [linalg.check_psd(linalg.hermitize(linalg.as_matrix(e))) for e in self.elements]
         d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=np.complex128)
-        for e in elems:
-            if e.shape[0] != d:
-                raise ValueError("POVM elements have mixed dimensions")
-            if float(np.linalg.eigvalsh(e)[0]) < -POVM_TOL:
-                raise ValueError("POVM element has an eigenvalue below -1e-9")
-            total += e
-        if float(np.abs(total - np.eye(d)).max()) > POVM_TOL:
+        if any(e.shape[0] != d for e in elems):
+            raise ValueError("POVM elements have mixed dimensions")
+        if float(np.abs(sum(elems) - np.eye(d)).max()) > POVM_TOL:
             raise ValueError("POVM elements do not sum to the identity within 1e-9")
         object.__setattr__(self, "elements", elems)
 
@@ -265,12 +251,14 @@ def purify(s: BipartiteState) -> TripartiteState:
 
 
 def schmidt_rank(vec, dA: int, dB: int) -> int:
-    """Schmidt rank of a vector on A (x) B (A-major): the squared singular
-    values of ``vec.reshape(dA, dB)`` above ``linalg.support_cut``.
-
-    For a unit vector it equals the support rank of the reduced state on A.
+    """Schmidt rank of a vector on A (x) B (A-major), whatever its norm: the
+    squared singular values of ``vec.reshape(dA, dB)``, as fractions of their
+    sum, above ``linalg.support_cut``; 0 for the zero vector.
     """
     s2 = np.linalg.svd(np.asarray(vec).reshape(dA, dB), compute_uv=False) ** 2
+    if not s2.any():
+        return 0
+    s2 /= s2.sum()
     return int(np.sum(s2 > linalg.support_cut(s2)))
 
 
@@ -321,17 +309,23 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _checked_dims(m: np.ndarray, dims) -> list:
+    """``dims`` as positive ints whose product is the side of square ``m``."""
+    dims = [linalg.check_positive_int(d, "dims entry") for d in dims]
+    d = math.prod(dims)
+    if m.shape != (d, d):
+        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+    return dims
+
+
 def dumps_state(matrix: np.ndarray, dims) -> str:
-    doc = {"dims": [linalg.check_positive_int(d, "dims entry") for d in dims]}
-    doc.update(linalg.to_jsonable(linalg.as_matrix(matrix)))
+    m = linalg.as_matrix(matrix)
+    doc = {"dims": _checked_dims(m, dims)}
+    doc.update(linalg.to_jsonable(m))
     return json.dumps(doc)
 
 
 def loads_state(text: str):
     doc = json.loads(text)
-    dims = [linalg.check_positive_int(d, "dims entry") for d in doc["dims"]]
     m = linalg.from_jsonable(doc)
-    d = math.prod(dims)
-    if m.shape != (d, d):
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    return m, dims
+    return m, _checked_dims(m, doc["dims"])

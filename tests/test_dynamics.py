@@ -27,7 +27,7 @@ SX, SY, SZ = dynamics.SIGMA_X, dynamics.SIGMA_Y, dynamics.SIGMA_Z
 SIGMA_MINUS = dynamics.SIGMA_MINUS
 
 
-def rk4_family(gen: GkslGenerator, grid, tol: float = 1e-10) -> DynamicalMap:
+def rk4_family(gen: GkslGenerator, grid) -> DynamicalMap:
     """The family propagate's RK4/Richardson integrator gives, for any
     generator, looping the interval integrator as propagate does: the
     reference for the exact path, and the input of the pins recorded
@@ -37,7 +37,7 @@ def rk4_family(gen: GkslGenerator, grid, tol: float = 1e-10) -> DynamicalMap:
     phi = np.eye(d * d, dtype=np.complex128)
     out = [maps.identity_map(d)]
     for j in range(1, g.size):
-        phi = dynamics._integrate_interval(gen, phi, g[j - 1], g[j], tol)
+        phi = dynamics._integrate_interval(gen, phi, g[j - 1], g[j])
         out.append(maps.QuantumMap(d, d, phi))
     return DynamicalMap(grid=g, maps=out, provenance={"kind": "gksl", "integrator": "rk4"})
 

@@ -237,7 +237,7 @@ class TestJsonForm:
             '[0.0, 0.0, 0.0, 0.0]]}}'
         )
         prob = sdp.SdpProblem(
-            C=[np.array([[1, 0.5j], [-0.5j, 2]])], A=[np.eye(2)[None]], b=[1.0], sense="max"
+            C=[np.array([[1, 0.5j], [-0.5j, 2]])], A=[np.eye(2)[None]], b=[1.0]
         )
         assert prob.to_json() == (
             '{"C": [{"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.5], [-0.5, 0.0]]}], '

@@ -315,7 +315,7 @@ class TestKposScan:
     """The batched seesaw against one call per restart."""
 
     @staticmethod
-    def assert_best_of_single_restart_runs(d, k, iters=60, dB=None):
+    def assert_best_of_single_restart_runs(d, k, dB=None):
         # J acts on C^d (x) C^dB; dB defaults to d.
         dB = dB or d
         rng = np.random.default_rng(3)
@@ -327,9 +327,9 @@ class TestKposScan:
         starts_u = rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u)
         # One group: read group 0 of every output.
         val, best_l, best_u, vals, converged = (
-            x[0] for x in _accel.kpos_scan(j4[None], d, dB, k, starts_l, starts_u, iters))
+            x[0] for x in _accel.kpos_scan(j4[None], d, dB, k, starts_l, starts_u))
         single = [
-            _accel.kpos_scan(j4[None], d, dB, k, starts_l[r:r + 1], starts_u[r:r + 1], iters)
+            _accel.kpos_scan(j4[None], d, dB, k, starts_l[r:r + 1], starts_u[r:r + 1])
             for r in range(shape[0])
         ]
         assert np.array_equal(vals, [s[0][0] for s in single])
@@ -348,11 +348,12 @@ class TestKposScan:
         assert len(np.unique(np.round(vals, 6))) > 1
         assert 0 < converged.sum() < len(vals)
 
-    def test_closed_form_sweeps_best_of_single_restart_runs(self):
+    def test_closed_form_sweeps_best_of_single_restart_runs(self, monkeypatch):
         # On 2 (x) 2 at k = 1 every sweep takes the closed-form 2x2 eigenpair
         # and every restart of this J reaches one minimum; a budget of 8
         # sweeps still makes restarts stop on different sweeps.
-        _, converged = self.assert_best_of_single_restart_runs(2, 1, iters=8)
+        monkeypatch.setattr(_accel, "KPOS_ITERS", 8)
+        _, converged = self.assert_best_of_single_restart_runs(2, 1)
         assert 0 < converged.sum() < len(converged)
 
     # (dA, dB) = (2, 3) is a qutrit-to-qubit map's Choi tensor, (4, 2) a
@@ -364,7 +365,7 @@ class TestKposScan:
         self.assert_best_of_single_restart_runs(dA, k, dB=dB)
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_groups_match_their_calls_alone(self, k):
+    def test_groups_match_their_calls_alone(self, monkeypatch, k):
         # The identity's restarts all stop on sweep 2, so its span of active
         # rows empties between the two random groups' spans.
         dA, dB, per_group = 4, 3, 6
@@ -377,7 +378,9 @@ class TestKposScan:
         starts_l = rng.standard_normal(shape_l) + 1j * rng.standard_normal(shape_l)
         starts_u = rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u)
         batch = _accel.kpos_scan(j4, dA, dB, k, starts_l, starts_u)
-        early = _accel.kpos_scan(j4, dA, dB, k, starts_l, starts_u, iters=2)[4]
+        with monkeypatch.context() as patch:
+            patch.setattr(_accel, "KPOS_ITERS", 2)
+            early = _accel.kpos_scan(j4, dA, dB, k, starts_l, starts_u)[4]
         assert early[1].all() and not early[0].any() and not early[2].any()
         for grp in range(3):
             rows = slice(grp * per_group, (grp + 1) * per_group)

@@ -37,13 +37,13 @@ def trace_norm_problem(a):
     d = a.shape[0]
     h = hermitian_basis(d)
     b = np.trace(h @ np.eye(d), axis1=1, axis2=2).real
-    return SdpProblem(C=[a, -a], A=[h, h], b=b, sense="max")
+    return SdpProblem(C=[a, -a], A=[h, h], b=b)
 
 
 def lambda_max_problem(a):
     """max <A, X> s.t. Tr X = 1, X >= 0; optimum is the top eigenvalue."""
     d = a.shape[0]
-    return SdpProblem(C=[a], A=[np.eye(d, dtype=complex)[None]], b=[1.0], sense="max")
+    return SdpProblem(C=[a], A=[np.eye(d, dtype=complex)[None]], b=[1.0])
 
 
 def p_guess_problem(probs, rhos):
@@ -52,7 +52,7 @@ def p_guess_problem(probs, rhos):
     d = rhos[0].shape[0]
     h = hermitian_basis(d)
     c = [p * r for p, r in zip(probs, rhos)]
-    return SdpProblem(C=c, A=[h] * n, b=np.trace(h, axis1=1, axis2=2).real, sense="max")
+    return SdpProblem(C=c, A=[h] * n, b=np.trace(h, axis1=1, axis2=2).real)
 
 
 def random_hermitian(dim, seed):
@@ -86,15 +86,15 @@ def test_hermitian_basis_layout(d):
 
 class TestBasicPrograms:
     def test_min_trace_unit(self):
+        # min <I, X> s.t. Tr X = 1, stated as max <-I, X>
         p = SdpProblem(
-            C=[np.eye(2, dtype=complex)],
+            C=[-np.eye(2, dtype=complex)],
             A=[np.eye(2, dtype=complex)[None]],
             b=[1.0],
-            sense="min",
         )
         sol = solve(p)
         assert sol.optimal
-        assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
+        assert sol.primal_value == pytest.approx(-1.0, abs=1e-7)
 
     def test_trace_norm_diag(self):
         sol = solve(trace_norm_problem(np.diag([1.0, -1.0]).astype(complex)))
@@ -150,10 +150,7 @@ class TestSolutionQuality:
     def test_weak_duality_never_violated(self):
         for prob, _ in self.battery():
             sol = solve(prob)
-            if prob.sense == "min":
-                assert sol.dual_value <= sol.primal_value + 1e-9
-            else:
-                assert sol.primal_value <= sol.dual_value + 1e-9
+            assert sol.primal_value <= sol.dual_value + 1e-9
 
     def test_solution_blocks_hermitian_and_psd(self):
         prob, _ = self.battery()[0]
@@ -194,7 +191,6 @@ class TestEdgeCases:
             C=[eye],
             A=[np.stack([eye, 2 * eye])],
             b=[1.0, 2.0],
-            sense="min",
         )
         with pytest.raises(ValueError, match="dependent"):
             solve(p)
@@ -219,7 +215,7 @@ class TestEdgeCases:
 
     def test_infeasible_detected(self):
         eye = np.eye(2, dtype=complex)
-        p = SdpProblem(C=[eye], A=[eye[None]], b=[-1.0], sense="min")
+        p = SdpProblem(C=[eye], A=[eye[None]], b=[-1.0])
         sol = solve(p)
         assert sol.status in ("infeasible-detected", "max_iter")
         assert sol.status == "infeasible-detected"
@@ -415,7 +411,7 @@ class TestSolveMany:
     def test_infeasible_problem_leaves_the_others(self):
         feasible = [lambda_max_problem(random_hermitian(3, s)) for s in (40, 41)]
         p = feasible[0]
-        infeasible = SdpProblem(C=p.C, A=p.A, b=[-1.0], sense="max")
+        infeasible = SdpProblem(C=p.C, A=p.A, b=[-1.0])
         batch = [feasible[0], infeasible, feasible[1]]
         sols = solve_many(batch)
         assert [s.status for s in sols] == ["optimal", "infeasible-detected", "optimal"]
@@ -429,10 +425,8 @@ class TestSolveMany:
             solve_many([])
         with pytest.raises(ValueError, match="blocks"):
             solve_many([base, lambda_max_problem(random_hermitian(2, 43))])
-        with pytest.raises(ValueError, match="sense"):
-            solve_many([base, SdpProblem(C=[a], A=base.A, b=[1.0], sense="min")])
         with pytest.raises(ValueError, match="constraint"):
-            solve_many([base, SdpProblem(C=[a], A=[2 * base.A[0]], b=[1.0], sense="max")])
+            solve_many([base, SdpProblem(C=[a], A=[2 * base.A[0]], b=[1.0])])
 
 
 def assert_certified_interior(sol):

@@ -163,6 +163,16 @@ class TestSchmidt:
             rank = int((w > linalg.support_cut(w)).sum())
             assert schmidt_rank(v, 2, 3) == rank
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+    def test_rank_does_not_depend_on_norm(self, scale):
+        product = np.kron(np.array([1, 0]), np.array([1, 1]) / np.sqrt(2))
+        assert schmidt_rank(scale * max_entangled_vector(2), 2, 2) == 2
+        assert schmidt_rank(scale * np.array([2, 0, 0, 1]) / np.sqrt(5), 2, 2) == 2
+        assert schmidt_rank(scale * product, 2, 2) == 1
+
+    def test_zero_vector_has_rank_zero(self):
+        assert schmidt_rank(np.zeros(6), 2, 3) == 0
+
 
 class TestCq:
     def test_single_state(self):
@@ -261,6 +271,15 @@ class TestJson:
     def test_dumps_rejects_non_integer_dims(self):
         with pytest.raises(ValueError, match="positive integer"):
             states.dumps_state(np.eye(4) / 4, [2.9, 1.6])
+
+    @pytest.mark.parametrize("dims", [[3], [2, 3], [4, 2]])
+    def test_dumps_rejects_dims_its_loader_would(self, dims):
+        # dumps_state and loads_state apply one shape check
+        with pytest.raises(ValueError, match="does not match dims"):
+            states.dumps_state(np.eye(4) / 4, dims)
+        doc = {"dims": dims, **linalg.to_jsonable(np.eye(4) / 4)}
+        with pytest.raises(ValueError, match="does not match dims"):
+            states.loads_state(json.dumps(doc))
 
     def test_round_trip_exact(self):
         rho = random_density(3, 2, 99)
