@@ -177,8 +177,7 @@ def diamond_norm_program(m: QuantumMap) -> sdp.SdpProblem:
     side 2 d_out on the trace row.  So m = (d_out^2 - 1) d_in^2 + 1, and the
     optimal input is Tr_out(S+ + S-) / (2 d_out).
     """
-    j = maps.choi(m)
-    j = (j + j.conj().T) / 2
+    j = m.hermitian_choi
     d_out, d_in = m.dimOut, m.dimIn
     a = _output_identity_rows(d_out, d_in)
     b = np.zeros(len(a))

@@ -11,6 +11,8 @@ expm(L_c t + sum_k R_k(t) D_k), with R_k(t) = ``r_k.integral(t)``; every
 library GKSL model is of this kind.  Any other generator (a plain-callable
 rate, or a Hamiltonian that does not commute with a time-varying
 dissipator) is integrated with RK4 and Richardson step halving.
+``scipy.linalg`` is imported at the first commuting propagation, for its
+``expm``; nothing else in the package loads scipy.
 
 Multi-rate qubit models use the dissipator normalization
 
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import linalg, maps, states
 from .maps import QuantumMap
@@ -358,9 +359,11 @@ def propagate(gen: GkslGenerator, grid) -> DynamicalMap:
 
     When every time-varying rate is a ``RateForm`` and the constant part
     L_c of the generator and the time-varying dissipators D_k commute
-    pairwise (see the module docstring), each grid point costs one scipy
-    ``expm(L_c t + sum_k R_k(t) D_k)``, exact up to rounding; a constant-rate
-    generator gives ``expm(superop(0.0) * t)`` bit for bit.  Any other
+    pairwise (see the module docstring), each grid point costs one
+    ``scipy.linalg.expm(L_c t + sum_k R_k(t) D_k)``, exact up to rounding; a
+    constant-rate generator gives ``expm(superop(0.0) * t)`` bit for bit.
+    ``scipy.linalg`` is imported on the first such call, not with the
+    module, and no other path loads it.  Any other
     generator is integrated with a classical 4th-order method and
     Richardson step halving, which keeps the local error below ``RK4_TOL``
     per unit time.  ``provenance["integrator"]`` names the path taken
@@ -374,6 +377,9 @@ def propagate(gen: GkslGenerator, grid) -> DynamicalMap:
     out = [maps.identity_map(d)]
     split = gen._commuting_split()
     if split is not None:
+        # Imported here: scipy.linalg costs about 0.15 s and 20 MB per process.
+        from scipy.linalg import expm
+
         l_c, varying = split
         for t in g[1:]:
             a = l_c * t

@@ -47,10 +47,13 @@ class NotHermitianError(ValueError):
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite complex128 2-D array (no NaN/Inf admitted)."""
+    """Coerce to a finite, non-empty complex128 2-D array (no NaN/Inf
+    admitted)."""
     a = np.ascontiguousarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    if a.size == 0:
+        raise ValueError(f"expected a non-empty matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise ValueError("matrix contains NaN or Inf entries")
     return a
@@ -58,12 +61,13 @@ def as_matrix(m) -> np.ndarray:
 
 def hermitize(m, tol: float = HERM_TOL) -> np.ndarray:
     """(a + a†)/2 of a square matrix, or of each matrix of a stack of shape
-    (..., n, n), after checking it: ValueError for a NaN or Inf entry, and
-    ``NotHermitianError`` where the largest entry modulus of a - a† exceeds
-    ``tol`` * max(1, largest entry modulus of a)."""
+    (..., n, n) with n >= 1, after checking it: ValueError for a NaN or Inf
+    entry, and ``NotHermitianError`` where the largest entry modulus of
+    a - a† exceeds ``tol`` * max(1, largest entry modulus of a)."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValueError(f"expected a non-empty square matrix or a stack of them, "
+                         f"got shape {a.shape}")
     ah = a.conj().swapaxes(-1, -2)
     # One row per matrix; the per-matrix maxima come back as Python floats,
     # which keeps the test on a single matrix as cheap as an inline one.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,11 +61,17 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumMap:
-    """Linear map B(H_in) -> B(H_out) stored as a superoperator matrix."""
+    """Linear map B(H_in) -> B(H_out) stored as a superoperator matrix.
+
+    ``hermitian_choi`` is the read-only Hermitian part (J + J†)/2 of the
+    Choi matrix, kept from the construction-time check; ``choi`` returns J
+    itself.
+    """
 
     dimIn: int
     dimOut: int
     superop: np.ndarray
+    hermitian_choi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("dimIn", "dimOut"):
@@ -79,7 +85,9 @@ class QuantumMap:
         object.__setattr__(self, "superop", s)
         s.setflags(write=False)
         # A map preserves Hermiticity iff its Choi matrix is Hermitian.
-        linalg.hermitize(choi(self), HERM_PRESERVE_TOL)
+        j = linalg.hermitize(choi(self), HERM_PRESERVE_TOL)
+        j.setflags(write=False)
+        object.__setattr__(self, "hermitian_choi", j)
 
     def apply(self, x) -> np.ndarray:
         a = linalg.as_matrix(x)
@@ -273,10 +281,7 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
     restarts = linalg.check_positive_int(restarts, "restarts")
     if k > dB:
         raise ValueError(f"k must be in [1, {dB}], got {k}")
-    js = []
-    for m in ms:
-        j = choi(m)
-        js.append((j + j.conj().T) / 2)
+    js = [m.hermitian_choi for m in ms]
     if k >= min(dA, dB):
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("k=%d: exact minimum eigenvalues, no kpos_scan call", k)

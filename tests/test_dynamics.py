@@ -1,4 +1,9 @@
 import logging
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,3 +522,32 @@ class TestModelLibrary:
     def test_amplitude_damping_needs_positive_rate(self):
         with pytest.raises(ValueError):
             model("amplitude_damping", {"gamma": -1.0})
+
+
+def test_scipy_loads_only_on_the_expm_path():
+    # scipy.linalg costs about 0.15 s and 20 MB per importing process; only
+    # propagate's commuting (expm) path needs it.
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = textwrap.dedent("""
+        import sys
+        import nonmarkov
+        from nonmarkov import _accel, discrimination, dynamics, entropy, linalg, maps, sdp, states
+        assert 'scipy' not in sys.modules, 'import'
+
+        e0, e1 = maps.random_cptp(2, 2, 1), maps.depolarizing(0.3)
+        entropy.h_min(states.max_entangled(2))
+        discrimination.p_guess(states.StateEnsemble(
+            [0.5, 0.5], [states.basis_state(2, 0), states.maximally_mixed(2)]))
+        discrimination.diamond_norm(maps.subtract(e0, e1))
+        discrimination.channel_distance(e0, e1, 0.5, 1, restarts=4)
+        discrimination.p_guess_channels([0.5, 0.5], [e0, e1], 1, restarts=4)
+        dm = dynamics.reduce(dynamics.model("jaynes_cummings_toy"), dynamics.time_grid(1.0, 3))
+        dynamics.divisibility_report(dm, ks=[1, 2], restarts=4)
+        assert 'scipy' not in sys.modules, 'numpy-only calls'
+
+        dm = dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(1.0, 3))
+        assert dm.provenance["integrator"] == "expm"
+        assert 'scipy.linalg' in sys.modules
+    """)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -27,6 +27,7 @@ from nonmarkov.states import (
 
 EYE = np.eye(2, dtype=complex)
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
+EMPTY = np.zeros((0, 0))
 TRACE_MAP_KRAUS = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
 
 
@@ -62,6 +63,11 @@ CHECKS = [
                  "NaN or Inf", id="linalg.hermitize-nan"),
     pytest.param(lambda: linalg.hermitize(np.ones((2, 3))), ValueError, "square",
                  id="linalg.hermitize-square"),
+    pytest.param(lambda: linalg.hermitize(np.zeros((2, 0, 0))), ValueError, "non-empty",
+                 id="linalg.hermitize-0x0-stack"),
+    pytest.param(lambda: linalg.as_matrix(EMPTY), ValueError, "non-empty",
+                 id="linalg.as_matrix-0x0"),
+    pytest.param(lambda: linalg.min_eig(EMPTY), ValueError, "non-empty", id="linalg.min_eig-0x0"),
     pytest.param(lambda: linalg.eigh(np.stack([EYE, EYE])), ValueError, "matrix",
                  id="linalg.eigh-stack"),
     pytest.param(lambda: linalg.check_psd(np.diag([1.0, -0.5])), ValueError,
@@ -84,6 +90,7 @@ CHECKS = [
     pytest.param(lambda: StateEnsemble([0.5, 0.5], [maximally_mixed(2), maximally_mixed(3)]),
                  ValueError, "mixed dimensions", id="states.StateEnsemble-dims"),
     pytest.param(lambda: Povm([]), ValueError, "at least one", id="states.Povm-empty"),
+    pytest.param(lambda: Povm([EMPTY]), ValueError, "non-empty", id="states.Povm-0x0"),
     pytest.param(lambda: Povm([EYE, np.zeros((3, 3))]), ValueError, "mixed dimensions",
                  id="states.Povm-dims"),
     pytest.param(lambda: Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])]), ValueError,
@@ -125,6 +132,8 @@ CHECKS = [
     # entropy
     pytest.param(lambda: entropy.relative_entropy(np.diag([1.0, -0.5]), EYE), ValueError,
                  "positive semidefinite", id="entropy._as_psd"),
+    pytest.param(lambda: entropy.relative_entropy(EMPTY, EMPTY), ValueError, "non-empty",
+                 id="entropy.relative_entropy-0x0"),
     pytest.param(lambda: entropy.q_corr(BipartiteState(3, 2, maximally_mixed(6))), ValueError,
                  "dimA <= dimB", id="entropy.q_corr-dims"),
 ]
