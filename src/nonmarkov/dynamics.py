@@ -14,6 +14,14 @@ dissipator) is integrated with RK4 and Richardson step halving.
 ``scipy.linalg`` is imported at the first commuting propagation, for its
 ``expm``; nothing else in the package loads scipy.
 
+The model library and the rate forms are two tables from a name to a
+builder, ``MODELS`` and ``RATE_FORMS``.  A builder's keyword parameters,
+with their defaults, are the entry's parameters, and a model builder's
+docstring is the model's description.  ``model(name, params)`` and
+``rate_from_spec({"form": name, **params})`` read both tables by one
+keyword rule: an unknown name, a missing parameter without a default, or
+a key the builder does not take raises ``ValueError``.
+
 Multi-rate qubit models use the dissipator normalization
 
     L(rho) = -i [H, rho] + (1/2) sum_k gamma_k(t) (s_k rho s_k - rho)
@@ -25,10 +33,11 @@ changing it only rescales time.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -64,10 +73,14 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RateForm:
-    """Named time-dependent rate: constant, sinusoid, neg_tanh, piecewise_linear."""
+    """Named time-dependent rate, one of the forms in ``RATE_FORMS``."""
 
     form: str
     params: tuple = ()
+
+    def __post_init__(self):
+        if self.form not in RATE_FORMS:
+            raise ValueError(f"unknown rate form {self.form!r}")
 
     def __call__(self, t: float) -> float:
         if self.form == "constant":
@@ -77,12 +90,10 @@ class RateForm:
             return a * np.sin(omega * t + phi)
         if self.form == "neg_tanh":
             return -np.tanh(t)
-        if self.form == "piecewise_linear":
-            knots = self.params[0]
-            ts = np.array([k[0] for k in knots])
-            vs = np.array([k[1] for k in knots])
-            return float(np.interp(t, ts, vs))
-        raise ValueError(f"unknown rate form {self.form!r}")
+        knots = self.params[0]  # piecewise_linear
+        ts = np.array([k[0] for k in knots])
+        vs = np.array([k[1] for k in knots])
+        return float(np.interp(t, ts, vs))
 
     def integral(self, t: float) -> float:
         """R(t) = integral of the rate over [0, t], in closed form.
@@ -106,27 +117,32 @@ class RateForm:
         if self.form == "neg_tanh":
             u = abs(t)
             return -(u + math.log1p(math.exp(-2 * u)) - math.log(2))
-        if self.form == "piecewise_linear":
-            knots = self.params[0]
-            ts = np.array([k[0] for k in knots])
-            vs = np.array([k[1] for k in knots])
-            pts = np.concatenate(([0.0], ts[(ts > 0) & (ts < t)], [t]))
-            # Overflow shows as a non-finite integral, which propagate rejects.
-            with np.errstate(over="ignore", invalid="ignore"):
-                return float(np.trapezoid(np.interp(pts, ts, vs), pts))
-        raise ValueError(f"unknown rate form {self.form!r}")
+        knots = self.params[0]  # piecewise_linear
+        ts = np.array([k[0] for k in knots])
+        vs = np.array([k[1] for k in knots])
+        pts = np.concatenate(([0.0], ts[(ts > 0) & (ts < t)], [t]))
+        # Overflow shows as a non-finite integral, which propagate rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.trapezoid(np.interp(pts, ts, vs), pts))
 
     @property
     def constant(self) -> bool:
         return self.form == "constant"
 
 
+def _finite(x, name: str) -> float:
+    """``x`` as a finite float; a bool is not read as 0 or 1."""
+    if isinstance(x, (bool, np.bool_)) or not math.isfinite(float(x)):
+        raise ValueError(f"parameter {name} must be a finite number, got {x!r}")
+    return float(x)
+
+
 def rate_constant(c: float) -> RateForm:
-    return RateForm("constant", (float(c),))
+    return RateForm("constant", (_finite(c, "c"),))
 
 
 def rate_sinusoid(a: float, omega: float, phi: float = 0.0) -> RateForm:
-    return RateForm("sinusoid", (float(a), float(omega), float(phi)))
+    return RateForm("sinusoid", (_finite(a, "a"), _finite(omega, "omega"), _finite(phi, "phi")))
 
 
 def rate_neg_tanh() -> RateForm:
@@ -134,38 +150,48 @@ def rate_neg_tanh() -> RateForm:
 
 
 def rate_piecewise_linear(knots) -> RateForm:
-    ks = tuple((float(t), float(v)) for t, v in knots)
+    ks = tuple((_finite(t, "knot time"), _finite(v, "knot value")) for t, v in knots)
     if not ks:
         raise ValueError("piecewise_linear needs at least one knot")
-    if not all(math.isfinite(t) and math.isfinite(v) for t, v in ks):
-        raise ValueError("piecewise_linear knots must be finite")
     if any(ks[i + 1][0] <= ks[i][0] for i in range(len(ks) - 1)):
         raise ValueError("piecewise_linear knots must have increasing times")
     return RateForm("piecewise_linear", (ks,))
 
 
+RATE_FORMS = {
+    "constant": rate_constant,
+    "sinusoid": rate_sinusoid,
+    "neg_tanh": rate_neg_tanh,
+    "piecewise_linear": rate_piecewise_linear,
+}
+
+
+def _build(table: dict, name, params: dict, what: str):
+    """``table[name](**params)`` if ``params`` names every parameter of the
+    builder that has no default and nothing else; otherwise ``ValueError``."""
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"unknown {what} {name!r}")
+    sig = inspect.signature(table[name]).parameters
+    extra = sorted(set(params) - set(sig))
+    if extra:
+        raise ValueError(f"unexpected parameters for {what} {name!r}: {extra}")
+    for key, p in sig.items():
+        if p.default is p.empty and key not in params:
+            raise ValueError(f"{what} {name!r} lacks the key {key!r}")
+    return table[name](**params)
+
+
 def rate_from_spec(spec) -> RateForm:
-    """Accept a bare number (constant) or a {"form": ...} descriptor."""
+    """A ``RateForm`` as it is, a bare number as a constant rate, or a
+    {"form": name, **params} spec built by ``RATE_FORMS[name]``."""
     if isinstance(spec, RateForm):
         return spec
     if isinstance(spec, (int, float)):
         return rate_constant(spec)
-
-    def need(key):
-        if key not in spec:
-            raise ValueError(f"rate spec {spec!r} lacks the key {key!r}")
-        return spec[key]
-
-    form = need("form")
-    if form == "constant":
-        return rate_constant(need("c"))
-    if form == "sinusoid":
-        return rate_sinusoid(need("a"), need("omega"), spec.get("phi", 0.0))
-    if form == "neg_tanh":
-        return rate_neg_tanh()
-    if form == "piecewise_linear":
-        return rate_piecewise_linear(need("knots"))
-    raise ValueError(f"unknown rate form {form!r}")
+    if "form" not in spec:
+        raise ValueError(f"rate spec {spec!r} lacks the key 'form'")
+    params = dict(spec)
+    return _build(RATE_FORMS, params.pop("form"), params, "rate form")
 
 
 @dataclass(frozen=True)
@@ -465,32 +491,22 @@ class DivisibilityReport:
     verdicts: dict  # k -> "k-divisible on grid" | "not k-divisible on grid"
 
     def to_jsonable(self) -> dict:
-        return {
-            "ks": [int(k) for k in self.ks],
-            "grid": [float(t) for t in self.grid],
-            "verdicts": {str(k): v for k, v in self.verdicts.items()},
-            "steps": [
-                {
-                    "index": s.index,
-                    "t_from": s.t_from,
-                    "t_to": s.t_to,
-                    "tp_residual": s.tp_residual,
-                    "certificates": {
-                        str(k): {
-                            "k": c.k,
-                            "min_value": c.min_value,
-                            "verdict": c.verdict,
-                            "restarts_used": c.restarts_used,
-                            "restarts_converged": c.restarts_converged,
-                            "spread": c.spread,
-                            "witness": linalg.to_jsonable(c.witness),
-                        }
-                        for k, c in s.certificates.items()
-                    },
-                }
-                for s in self.steps
-            ],
-        }
+        """The report as JSON-ready data, read off its dataclass fields."""
+        return _jsonable(self)
+
+
+def _jsonable(x):
+    """Dataclasses by field name, dict keys as strings, real arrays as
+    lists and complex arrays in ``linalg.to_jsonable`` form."""
+    if is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return linalg.to_jsonable(x) if np.iscomplexobj(x) else x.tolist()
+    return x
 
 
 def divisibility_report(
@@ -546,69 +562,50 @@ def divisibility_report(
 # ---------------------------------------------------------------------------
 
 
-def model(name: str, params: dict | None = None):
-    """Named test models returning a GkslGenerator or TotalSystemModel."""
-    params = dict(params or {})
-    if name == "amplitude_damping":
-        gamma = float(params.pop("gamma", 1.0))
-        if gamma <= 0:
-            raise ValueError("amplitude_damping needs gamma > 0")
-        _no_extra(name, params)
-        return GkslGenerator(
-            dim=2,
-            h_eff=np.zeros((2, 2)),
-            jumps=[SIGMA_MINUS],
-            rates=[rate_constant(gamma)],
-        )
-    if name == "dephasing":
-        gamma = rate_from_spec(params.pop("gamma", 1.0))
-        _no_extra(name, params)
-        return GkslGenerator(
-            dim=2,
-            h_eff=np.zeros((2, 2)),
-            jumps=[SIGMA_Z / np.sqrt(2)],
-            rates=[gamma],
-        )
-    if name == "pauli":
-        g1 = rate_from_spec(params.pop("gamma1", 1.0))
-        g2 = rate_from_spec(params.pop("gamma2", 1.0))
-        g3 = rate_from_spec(params.pop("gamma3", 1.0))
-        _no_extra(name, params)
-        return GkslGenerator(
-            dim=2,
-            h_eff=np.zeros((2, 2)),
-            jumps=[s / np.sqrt(2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)],
-            rates=[g1, g2, g3],
-        )
-    if name == "eternal":
-        _no_extra(name, params)
-        return GkslGenerator(
-            dim=2,
-            h_eff=np.zeros((2, 2)),
-            jumps=[s / np.sqrt(2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)],
-            rates=[rate_constant(1.0), rate_constant(1.0), rate_neg_tanh()],
-        )
-    if name == "jaynes_cummings_toy":
-        g = float(params.pop("g", 1.0))
-        _no_extra(name, params)
-        sp = SIGMA_MINUS.conj().T
-        h = g * (np.kron(sp, SIGMA_MINUS) + np.kron(SIGMA_MINUS, sp))
-        return TotalSystemModel(
-            dimS=2, dimE=2, h_total=h, env_state=states.basis_state(2, 0)
-        )
-    raise ValueError(f"unknown model {name!r}")
+def _amplitude_damping(gamma=1.0) -> GkslGenerator:
+    """Qubit decay to the ground state at the constant rate gamma > 0."""
+    rate = rate_constant(gamma)
+    if rate.params[0] <= 0:
+        raise ValueError("amplitude_damping needs gamma > 0")
+    return GkslGenerator(2, np.zeros((2, 2)), [SIGMA_MINUS], [rate])
 
 
-def _no_extra(name, params):
-    if params:
-        raise ValueError(f"unexpected parameters for model {name!r}: {sorted(params)}")
+def _dephasing(gamma=1.0) -> GkslGenerator:
+    """Qubit phase damping at rate gamma, a number or a rate spec."""
+    return GkslGenerator(2, np.zeros((2, 2)), [SIGMA_Z / np.sqrt(2)], [rate_from_spec(gamma)])
 
 
-MODEL_DESCRIPTIONS = {
-    "amplitude_damping": "qubit decay to the ground state; params: gamma > 0 (constant rate)",
-    "dephasing": "qubit phase damping; params: gamma (number or rate form)",
-    "pauli": "qubit with all three Pauli dissipation channels; params: gamma1, gamma2, gamma3",
-    "eternal": "qubit Pauli model with gamma1 = gamma2 = 1, gamma3(t) = -tanh(t); "
-    "P-divisible at all times but never CP-divisible for t > 0",
-    "jaynes_cummings_toy": "qubit exchanging an excitation with a qubit environment; params: g",
+def _pauli(gamma1=1.0, gamma2=1.0, gamma3=1.0) -> GkslGenerator:
+    """Qubit with all three Pauli dissipation channels, jumps s_k / sqrt(2)
+    at rates gamma_k; each rate is a number or a rate spec."""
+    jumps = [s / np.sqrt(2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+    rates = [rate_from_spec(g) for g in (gamma1, gamma2, gamma3)]
+    return GkslGenerator(2, np.zeros((2, 2)), jumps, rates)
+
+
+def _eternal() -> GkslGenerator:
+    """Qubit Pauli model with gamma1 = gamma2 = 1, gamma3(t) = -tanh(t);
+    P-divisible at all times but never CP-divisible for t > 0."""
+    return _pauli(gamma3=rate_neg_tanh())
+
+
+def _jaynes_cummings_toy(g=1.0) -> TotalSystemModel:
+    """Qubit exchanging an excitation with a qubit environment at coupling g."""
+    sp = SIGMA_MINUS.conj().T
+    h = _finite(g, "g") * (np.kron(sp, SIGMA_MINUS) + np.kron(SIGMA_MINUS, sp))
+    return TotalSystemModel(dimS=2, dimE=2, h_total=h, env_state=states.basis_state(2, 0))
+
+
+MODELS = {
+    "amplitude_damping": _amplitude_damping,
+    "dephasing": _dephasing,
+    "pauli": _pauli,
+    "eternal": _eternal,
+    "jaynes_cummings_toy": _jaynes_cummings_toy,
 }
+
+
+def model(name: str, params: dict | None = None):
+    """The ``MODELS`` entry ``name`` built from ``params`` under the keyword
+    rule of ``_build``: a GkslGenerator or a TotalSystemModel."""
+    return _build(MODELS, name, dict(params or {}), "model")

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from nonmarkov import dynamics, maps, states
+from nonmarkov import dynamics, linalg, maps, states
 from nonmarkov.dynamics import (
     DynamicalMap,
     GkslGenerator,
@@ -329,6 +330,15 @@ class TestPropagate:
         with pytest.raises(PropagationError, match="non-finite"):
             propagate(gen, time_grid(2.0, 3))
 
+    def test_negative_constant_rate_breaks_the_cptp_budget(self):
+        with pytest.raises(PropagationError, match="violates the CPTP budget"):
+            propagate(model("dephasing", {"gamma": -1.0}), time_grid(1.0, 3))
+
+    def test_rk4_step_underflow_raises(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_SUBDIVISIONS", 1)
+        with pytest.raises(PropagationError, match="step underflow"):
+            propagate(driven_dephasing(), time_grid(1.0, 3))
+
     def test_integrator_logged_at_debug(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="nonmarkov.dynamics"):
             propagate(model("eternal"), time_grid(2, 7))
@@ -480,6 +490,9 @@ class TestDivisibilityReport:
         doc = rep.to_jsonable()["steps"][0]["certificates"]["1"]
         assert doc["restarts_converged"] == cert.restarts_converged
         assert doc["spread"] == cert.spread
+        # every certificate field, the witness in {re, im} form
+        assert set(doc) == {f.name for f in dataclasses.fields(maps.PositivityCertificate)}
+        assert np.array_equal(linalg.from_jsonable(doc["witness"]), cert.witness)
 
     @pytest.mark.parametrize("ks", [[1.5], [2.9], [True], [1, 2.0]])
     def test_rejects_non_integer_k(self, ks):
@@ -523,6 +536,18 @@ class TestModelLibrary:
         with pytest.raises(ValueError):
             model("amplitude_damping", {"gamma": -1.0})
 
+    @pytest.mark.parametrize("name", sorted(dynamics.MODELS))
+    def test_every_entry_builds_at_its_defaults(self, name):
+        m = model(name)
+        assert dynamics.MODELS[name].__doc__.strip()
+        with pytest.raises(ValueError, match="unexpected parameters"):
+            model(name, {"no_such_parameter": 1.0})
+        if isinstance(m, GkslGenerator):
+            # the module docstring's claim for every library GKSL model
+            assert propagate(m, time_grid(2, 7)).provenance["integrator"] == "expm"
+        else:
+            assert reduce(m, time_grid(2, 7)).provenance["kind"] == "total"
+
 
 def test_scipy_loads_only_on_the_expm_path():
     # scipy.linalg costs about 0.15 s and 20 MB per importing process; only
@@ -545,6 +570,13 @@ def test_scipy_loads_only_on_the_expm_path():
         dm = dynamics.reduce(dynamics.model("jaynes_cummings_toy"), dynamics.time_grid(1.0, 3))
         dynamics.divisibility_report(dm, ks=[1, 2], restarts=4)
         assert 'scipy' not in sys.modules, 'numpy-only calls'
+
+        for name in dynamics.MODELS:
+            dynamics.model(name)
+        specs = [{"form": "constant", "c": 1.0}, {"form": "sinusoid", "a": 1.0, "omega": 1.0},
+                 {"form": "neg_tanh"}, {"form": "piecewise_linear", "knots": [(0.0, 1.0)]}]
+        assert {dynamics.rate_from_spec(s).form for s in specs} == set(dynamics.RATE_FORMS)
+        assert 'scipy' not in sys.modules, 'model and rate set-up'
 
         dm = dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(1.0, 3))
         assert dm.provenance["integrator"] == "expm"

@@ -1,9 +1,10 @@
 """Every input check of the data model raises its documented error class.
 
-One row per check: bad input to a state, a map, an SDP program or a
-spectral helper.  A non-Hermitian input raises ``linalg.NotHermitianError``
-wherever it enters (``hermitize`` is its one owner); every other bad input
-raises a plain ``ValueError``.
+One row per check: bad input to a state, a map, an SDP program, a
+spectral helper, a dynamical model or rate, or a discrimination task.  A
+non-Hermitian input raises ``linalg.NotHermitianError`` wherever it enters
+(``hermitize`` is its one owner); every other bad input raises a plain
+``ValueError``.
 """
 
 import json
@@ -11,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from nonmarkov import entropy, linalg, maps, sdp, states
+from nonmarkov import _accel, discrimination, dynamics, entropy, linalg, maps, sdp, states
 from nonmarkov.linalg import NotHermitianError
 from nonmarkov.maps import QuantumMap, identity_map
 from nonmarkov.sdp import SdpProblem
@@ -129,6 +130,61 @@ CHECKS = [
                  id="sdp.SdpProblem.from_json-min"),
     pytest.param(lambda: SdpProblem.from_json(problem_doc(sense=None)), ValueError, "sense",
                  id="sdp.SdpProblem.from_json-no-sense"),
+    # dynamics: rates and models
+    pytest.param(lambda: dynamics.rate_from_spec(True), ValueError, "finite number",
+                 id="dynamics.rate_from_spec-bool"),
+    pytest.param(lambda: dynamics.rate_from_spec(
+        {"form": "sinusoid", "a": 1.0, "omega": 2.0, "phase": 0.3}), ValueError,
+                 r"unexpected parameters for rate form 'sinusoid': \['phase'\]",
+                 id="dynamics.rate_from_spec-unknown-key"),
+    pytest.param(lambda: dynamics.rate_constant(np.nan), ValueError, "finite number",
+                 id="dynamics.rate_constant-nan"),
+    pytest.param(lambda: dynamics.rate_sinusoid(np.inf, 1.0), ValueError, "finite number",
+                 id="dynamics.rate_sinusoid-inf"),
+    pytest.param(lambda: dynamics.rate_piecewise_linear([(0.0, 1.0), (0.0, 2.0)]), ValueError,
+                 "increasing times", id="dynamics.rate_piecewise_linear-order"),
+    pytest.param(lambda: dynamics.RateForm("bogus"), ValueError, "unknown rate form 'bogus'",
+                 id="dynamics.RateForm-form"),
+    pytest.param(lambda: dynamics.model("amplitude_damping", {"gamma": True}), ValueError,
+                 "finite number", id="dynamics.model-bool-rate"),
+    pytest.param(lambda: dynamics.model("amplitude_damping", {"gamma": np.nan}), ValueError,
+                 "finite number", id="dynamics.model-nan-rate"),
+    pytest.param(lambda: dynamics.model("jaynes_cummings_toy", {"g": np.inf}), ValueError,
+                 "finite number", id="dynamics.model-inf-coupling"),
+    pytest.param(lambda: dynamics.GkslGenerator(2, np.eye(3), [], []), ValueError,
+                 "h_eff dimension", id="dynamics.GkslGenerator-h_eff"),
+    pytest.param(lambda: dynamics.GkslGenerator(2, EYE, [np.eye(3)], [1.0]), ValueError,
+                 "jump operator dimension", id="dynamics.GkslGenerator-jumps"),
+    pytest.param(lambda: dynamics.GkslGenerator(2, EYE, [NILPOTENT], []), ValueError,
+                 "one rate function per jump", id="dynamics.GkslGenerator-rates"),
+    pytest.param(lambda: dynamics.TotalSystemModel(2, 2, np.eye(3), maximally_mixed(2)),
+                 ValueError, "h_total dimension", id="dynamics.TotalSystemModel-h_total"),
+    pytest.param(lambda: dynamics.TotalSystemModel(2, 2, np.eye(4), maximally_mixed(3)),
+                 ValueError, "environment state", id="dynamics.TotalSystemModel-env"),
+    pytest.param(lambda: dynamics.DynamicalMap([0.0, 1.0], [identity_map(2)]), ValueError,
+                 "one map per grid time", id="dynamics.DynamicalMap-count"),
+    pytest.param(lambda: dynamics.DynamicalMap([0.0], [maps.depolarizing(0.5)]), ValueError,
+                 "identity", id="dynamics.DynamicalMap-identity"),
+    pytest.param(lambda: dynamics.divisibility_report(
+        dynamics.DynamicalMap([0.0, 1.0], [identity_map(2)] * 2), ks=[3]), ValueError,
+                 r"k must lie in \[1, 2\]", id="dynamics.divisibility_report-k"),
+    # discrimination
+    pytest.param(lambda: discrimination.helstrom_guess(1.5, EYE / 2, EYE / 2), ValueError,
+                 "p1 must lie", id="discrimination.helstrom_guess-p1"),
+    pytest.param(lambda: discrimination.p_guess_channels(
+        [0.5, 0.5], [identity_map(2), identity_map(3)], 1), ValueError,
+                 "share input and output", id="discrimination.p_guess_channels-dims"),
+    pytest.param(lambda: discrimination.channel_distance(
+        identity_map(2), identity_map(2), -0.1, 1), ValueError, "p must lie",
+                 id="discrimination.channel_distance-p"),
+    pytest.param(lambda: discrimination.channel_distance(
+        identity_map(2), identity_map(2), 0.5, 3), ValueError, r"k must lie in \[1, 2\]",
+                 id="discrimination.channel_distance-k"),
+    # _accel
+    pytest.param(lambda: _accel.kpos_scan(np.zeros((2, 2, 2, 2, 2)), 2, 2, 1,
+                                          np.zeros((3, 2, 1)), np.zeros((3, 2, 1))),
+                 ValueError, "3 start rows do not split into 2 groups",
+                 id="_accel.kpos_scan-groups"),
     # entropy
     pytest.param(lambda: entropy.relative_entropy(np.diag([1.0, -0.5]), EYE), ValueError,
                  "positive semidefinite", id="entropy._as_psd"),

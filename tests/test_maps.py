@@ -510,7 +510,7 @@ def counting_kpos_scan(monkeypatch):
 class TestKPositivityMany:
     """One stacked search over several maps against one search per map."""
 
-    @pytest.mark.parametrize("name", sorted(dynamics.MODEL_DESCRIPTIONS))
+    @pytest.mark.parametrize("name", sorted(dynamics.MODELS))
     def test_matches_one_map_at_a_time(self, name):
         dm = library_family(name)
         vs = [dynamics.intermediate(dm, j + 1, j) for j in range(len(dm) - 1)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonmarkov import dynamics, entropy, linalg, maps
+from nonmarkov import dynamics, entropy, linalg, maps, sdp
 from nonmarkov.discrimination import diamond_norm_program, guessing_program
 from nonmarkov.sdp import (
     GUARANTEE,
@@ -417,6 +417,18 @@ class TestSolveMany:
         assert [s.status for s in sols] == ["optimal", "infeasible-detected", "optimal"]
         for prob, sol in zip(batch, sols):
             assert_same_solution(sol, solve(prob))
+
+    def test_max_iter_exit(self, monkeypatch):
+        # The solver's own exit, not a faked status: no program here is
+        # optimal after 3 iterations.
+        monkeypatch.setattr(sdp, "MAX_ITER", 3)
+        batch = [lambda_max_problem(random_hermitian(3, s)) for s in (40, 41)]
+        alone = [solve(p) for p in batch]
+        for sol, ref in zip(solve_many(batch), alone):
+            assert (ref.status, ref.iterations) == ("max_iter", 3)
+            assert_same_solution(sol, ref)
+        with pytest.raises(sdp.SdpError, match="'max_iter'"):
+            sdp.solve_optimal(batch[0], "test-program")
 
     def test_rejects_mismatched_batches(self):
         a = random_hermitian(3, 42)
