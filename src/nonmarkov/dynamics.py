@@ -11,8 +11,8 @@ expm(L_c t + sum_k R_k(t) D_k), with R_k(t) = ``r_k.integral(t)``; every
 library GKSL model is of this kind.  Any other generator (a plain-callable
 rate, or a Hamiltonian that does not commute with a time-varying
 dissipator) is integrated with RK4 and Richardson step halving.
-``scipy.linalg`` is imported at the first commuting propagation, for its
-``expm``; nothing else in the package loads scipy.
+The exponentials of all grid points come from one batched numpy Pade-13
+scaling and squaring, ``_expm``; the package never loads scipy.
 
 The model library and the rate forms are two tables from a name to a
 builder, ``MODELS`` and ``RATE_FORMS``.  A builder's keyword parameters,
@@ -37,6 +37,7 @@ import inspect
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -182,11 +183,12 @@ def _build(table: dict, name, params: dict, what: str):
 
 
 def rate_from_spec(spec) -> RateForm:
-    """A ``RateForm`` as it is, a bare number as a constant rate, or a
-    {"form": name, **params} spec built by ``RATE_FORMS[name]``."""
+    """A ``RateForm`` as it is, a bare real number (a numpy scalar too, but
+    not a bool) as a constant rate, or a {"form": name, **params} spec
+    built by ``RATE_FORMS[name]``."""
     if isinstance(spec, RateForm):
         return spec
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (numbers.Real, np.bool_)):
         return rate_constant(spec)
     if "form" not in spec:
         raise ValueError(f"rate spec {spec!r} lacks the key 'form'")
@@ -380,41 +382,80 @@ def _integrate_interval(gen, phi, t0, t1):
     )
 
 
+# Pade-13 numerator coefficients b_0..b_13 and the largest 1-norm theta_13 at
+# which the degree-13 approximant needs no scaling (Higham, SIAM J. Matrix
+# Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of the finite (N, n, n) stack ``a``, by Pade-13
+    scaling and squaring (Higham 2005).
+
+    Matrix i is scaled by 2^-s_i, with s_i >= 0 the least power that brings
+    its 1-norm to theta_13 or below, and its approximant is squared s_i
+    times.  Every step acts on each matrix alone, so an entry of the result
+    does not depend on the rest of the stack.
+    """
+    b = _PADE13
+    norm = np.abs(a).sum(axis=1).max(axis=1, initial=0.0)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(np.int64)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U: rounding then spares the
+    # identity part, which on a trace-preserving generator is what the
+    # squarings amplify.
+    r = eye + 2 * np.linalg.solve(v - u, u)
+    for k in range(s.max(initial=0)):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r
+
+
 def propagate(gen: GkslGenerator, grid) -> DynamicalMap:
     """Propagate the superoperator equation of motion along the grid.
 
     When every time-varying rate is a ``RateForm`` and the constant part
     L_c of the generator and the time-varying dissipators D_k commute
-    pairwise (see the module docstring), each grid point costs one
-    ``scipy.linalg.expm(L_c t + sum_k R_k(t) D_k)``, exact up to rounding; a
-    constant-rate generator gives ``expm(superop(0.0) * t)`` bit for bit.
-    ``scipy.linalg`` is imported on the first such call, not with the
-    module, and no other path loads it.  Any other
-    generator is integrated with a classical 4th-order method and
-    Richardson step halving, which keeps the local error below ``RK4_TOL``
-    per unit time.  ``provenance["integrator"]`` names the path taken
-    ("expm" or "rk4"), which is also logged at DEBUG.  A non-finite rate or rate
-    integral raises ``PropagationError``.  Every output map must pass the
-    CPTP residual budget (1e-7), which also catches rate functions that do
-    not generate a legitimate dynamical family.
+    pairwise (see the module docstring), the map at t is
+    expm(L_c t + sum_k R_k(t) D_k), exact up to rounding, and one ``_expm``
+    call takes the whole stack of grid points at once.  Each entry is
+    ``_expm`` of that one matrix alone, so a constant-rate generator gives
+    ``_expm(superop(0.0) * t)`` bit for bit.  Any other generator is
+    integrated with a classical 4th-order method and Richardson step
+    halving, which keeps the local error below ``RK4_TOL`` per unit time.
+    ``provenance["integrator"]`` names the path taken ("expm" or "rk4"),
+    which is also logged at DEBUG.  A non-finite rate, rate integral or
+    integrated generator raises ``PropagationError``.  Every output map must
+    pass the CPTP residual budget (1e-7), which also catches rate functions
+    that do not generate a legitimate dynamical family.
     """
     g = _check_grid(grid)
     d = gen.dim
     out = [maps.identity_map(d)]
     split = gen._commuting_split()
     if split is not None:
-        # Imported here: scipy.linalg costs about 0.15 s and 20 MB per process.
-        from scipy.linalg import expm
-
         l_c, varying = split
-        for t in g[1:]:
-            a = l_c * t
+        ts = g[1:]
+        # Overflow shows as a non-finite entry, which the check below rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = ts[:, None, None] * l_c
             for rate, dk in varying:
-                r = rate.integral(t)
-                if not np.isfinite(r):
-                    raise PropagationError(f"rate integral non-finite at t={t}")
-                a += r * dk
-            out.append(QuantumMap(d, d, expm(a)))
+                a += np.array([rate.integral(t) for t in ts])[:, None, None] * dk
+        bad = ~np.isfinite(a).all(axis=(1, 2))
+        if bad.any():
+            raise PropagationError(f"integrated generator non-finite at t={ts[bad][0]}")
+        out += [QuantumMap(d, d, m) for m in _expm(a)]
     else:
         phi = np.eye(d * d, dtype=np.complex128)
         for j in range(1, g.size):

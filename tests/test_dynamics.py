@@ -110,6 +110,12 @@ class TestRateForms:
         r = rate_from_spec({"form": "sinusoid", "a": 1.0, "omega": 1.0})
         assert r(np.pi / 2) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("c", [np.int64(2), np.float32(0.5)])
+    def test_from_spec_numpy_scalar(self, c):
+        # A numpy scalar is a bare number, not a {"form": ...} spec.
+        assert rate_from_spec(c) == rate_constant(float(c))
+        assert model("dephasing", {"gamma": c}).rates == [rate_constant(float(c))]
+
     @pytest.mark.parametrize("spec, key", [
         ({"form": "sinusoid", "a": 1}, "omega"),
         ({"a": 1}, "form"),
@@ -314,12 +320,37 @@ class TestPropagate:
                       [rate_constant(0.4), rate_constant(0.9)]),
     ], ids=["amplitude_damping", "pauli", "driven"])
     def test_constant_rate_maps_are_expm_bit_for_bit(self, gen):
-        grid = np.array([0.0, 0.1, 0.35, 1.0, 2.5])
+        # propagate takes one batched _expm over the grid; each map must be
+        # _expm of its own generator taken alone.  The grid mixes points that
+        # need no squaring with points that need one or more.
+        grid = np.array([0.0, 0.1, 0.35, 1.0, 2.5, 10.0])
         dm = propagate(gen, grid)
         assert dm.provenance["integrator"] == "expm"
         l = gen.superop(0.0)
         for m, t in zip(dm.maps[1:], grid[1:]):
-            assert np.array_equal(m.superop, expm(l * t))
+            assert np.array_equal(m.superop, dynamics._expm((l * t)[None])[0])
+
+    def test_amplitude_damping_closed_form(self):
+        # rho_11 decays as e^{-gamma t}, into rho_00, and the coherences as
+        # e^{-gamma t / 2}; the superoperator acts on column-stacked rho.
+        gamma = 1.3
+        grid = np.array([0.0, 0.01, 0.5, 2.0, 7.0, 40.0])
+        dm = propagate(model("amplitude_damping", {"gamma": gamma}), grid)
+        for m, t in zip(dm.maps, grid):
+            e = np.exp(-gamma * t)
+            c = np.exp(-gamma * t / 2)
+            expected = np.array([[1, 0, 0, 1 - e], [0, c, 0, 0], [0, 0, c, 0], [0, 0, 0, e]])
+            assert np.abs(m.superop - expected).max() <= 1e-14
+
+    def test_single_point_grid_gives_the_identity(self):
+        dm = propagate(model("eternal"), [0.0])
+        assert dm.provenance["integrator"] == "expm"
+        assert len(dm.maps) == 1
+        assert np.array_equal(dm.maps[0].superop, np.eye(4))
+
+    def test_overflowing_generator_integral_raises(self):
+        with pytest.raises(PropagationError, match="non-finite"):
+            propagate(model("dephasing", {"gamma": 1e308}), time_grid(10.0, 3))
 
     @pytest.mark.parametrize("rate", [
         rate_sinusoid(1e308, 1.0, 0.5),
@@ -366,6 +397,45 @@ class TestPropagate:
     def test_non_finite_times_rejected(self, make):
         with pytest.raises(ValueError, match="finite"):
             make()
+
+
+def close_to(e, ref) -> bool:
+    """||e - ref||_1 <= 1e-14 max(1, ||ref||_1)."""
+    return np.linalg.norm(e - ref, 1) <= 1e-14 * max(1.0, np.linalg.norm(ref, 1))
+
+
+class TestExpm:
+    """dynamics._expm against scipy.linalg.expm, which only the tests load."""
+
+    # every library GKSL model at its defaults, and the rate forms on them
+    EXACT = {**{n: (n, {}) for n in dynamics.MODELS if isinstance(model(n), GkslGenerator)},
+             **COMMUTING}
+
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_library_models_match_scipy(self, name):
+        gen = model(*self.EXACT[name])
+        grid = time_grid(40.0, 81)
+        dm = propagate(gen, grid)
+        assert dm.provenance["integrator"] == "expm"
+        l_c, varying = gen._commuting_split()
+        for m, t in zip(dm.maps, grid):
+            a = l_c * t + sum(rate.integral(t) * dk for rate, dk in varying)
+            assert close_to(m.superop, expm(a))
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_random_stack_matches_scipy(self, n):
+        # 1-norms on both sides of theta_13: no squaring below, s >= 1 above.
+        rng = np.random.default_rng(n)
+        theta = dynamics._THETA13
+        stack = []
+        for norm in (0.01, 1.0, theta / 2, theta, 2 * theta, 30.0):
+            for _ in range(3):
+                x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                stack.append(x * (norm / np.linalg.norm(x, 1)))
+        out = dynamics._expm(np.array(stack))
+        for x, e in zip(stack, out):
+            assert close_to(e, expm(x))
+            assert np.array_equal(e, dynamics._expm(x[None])[0])
 
 
 class TestReduce:
@@ -549,9 +619,9 @@ class TestModelLibrary:
             assert reduce(m, time_grid(2, 7)).provenance["kind"] == "total"
 
 
-def test_scipy_loads_only_on_the_expm_path():
-    # scipy.linalg costs about 0.15 s and 20 MB per importing process; only
-    # propagate's commuting (expm) path needs it.
+def test_package_never_loads_scipy():
+    # scipy.linalg costs about 0.15 s and 20 MB per importing process; the
+    # package, propagate's exact path included, runs on numpy alone.
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = textwrap.dedent("""
@@ -571,15 +641,24 @@ def test_scipy_loads_only_on_the_expm_path():
         dynamics.divisibility_report(dm, ks=[1, 2], restarts=4)
         assert 'scipy' not in sys.modules, 'numpy-only calls'
 
-        for name in dynamics.MODELS:
-            dynamics.model(name)
         specs = [{"form": "constant", "c": 1.0}, {"form": "sinusoid", "a": 1.0, "omega": 1.0},
                  {"form": "neg_tanh"}, {"form": "piecewise_linear", "knots": [(0.0, 1.0)]}]
         assert {dynamics.rate_from_spec(s).form for s in specs} == set(dynamics.RATE_FORMS)
-        assert 'scipy' not in sys.modules, 'model and rate set-up'
+        for name in dynamics.MODELS:
+            m = dynamics.model(name)
+            if isinstance(m, dynamics.GkslGenerator):
+                dm = dynamics.propagate(m, dynamics.time_grid(2.0, 7))
+                assert dm.provenance["integrator"] == "expm", name
+        assert 'scipy' not in sys.modules, 'models, rates and propagate'
 
-        dm = dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(1.0, 3))
-        assert dm.provenance["integrator"] == "expm"
-        assert 'scipy.linalg' in sys.modules
+        # the witness workload's set-up: the eternal trajectory, its Choi
+        # states and the differences of consecutive maps
+        dm = dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(2, 11))
+        phi2 = states.max_entangled(2).matrix
+        for j in range(1, len(dm)):
+            states.BipartiteState(2, 2, states.DensityOperator(
+                maps.amplify(dm.maps[j], 2).apply(phi2)))
+            maps.subtract(dm.maps[j], dm.maps[j - 1])
+        assert 'scipy' not in sys.modules, 'witness set-up'
     """)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -133,6 +133,8 @@ CHECKS = [
     # dynamics: rates and models
     pytest.param(lambda: dynamics.rate_from_spec(True), ValueError, "finite number",
                  id="dynamics.rate_from_spec-bool"),
+    pytest.param(lambda: dynamics.rate_from_spec(np.True_), ValueError, "finite number",
+                 id="dynamics.rate_from_spec-numpy-bool"),
     pytest.param(lambda: dynamics.rate_from_spec(
         {"form": "sinusoid", "a": 1.0, "omega": 2.0, "phase": 0.3}), ValueError,
                  r"unexpected parameters for rate form 'sinusoid': \['phase'\]",
