@@ -470,14 +470,17 @@ def propagate(gen: GkslGenerator, grid) -> DynamicalMap:
 
 
 def _enforce_cptp(family, grid, budget):
-    for t, m in zip(grid, family):
-        rep = maps.is_cptp(m)
-        if rep["min_choi_eig"] < -budget or rep["tp_residual"] > budget:
-            raise PropagationError(
-                f"map at t={t} violates the CPTP budget: "
-                f"min Choi eigenvalue {rep['min_choi_eig']:.3e}, "
-                f"TP residual {rep['tp_residual']:.3e}"
-            )
+    """``PropagationError`` at the first map of the family whose
+    ``maps.cptp_residuals`` break ``budget``."""
+    min_eig, tp_residual = maps.cptp_residuals(family)
+    bad = np.flatnonzero((min_eig < -budget) | (tp_residual > budget))
+    if bad.size:
+        k = bad[0]
+        raise PropagationError(
+            f"map at t={grid[k]} violates the CPTP budget: "
+            f"min Choi eigenvalue {min_eig[k]:.3e}, "
+            f"TP residual {tp_residual[k]:.3e}"
+        )
 
 
 def reduce(model: TotalSystemModel, grid) -> DynamicalMap:

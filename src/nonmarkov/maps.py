@@ -223,12 +223,24 @@ def amplify(m: QuantumMap, k: int) -> QuantumMap:
     return QuantumMap(dI, dO, np.ascontiguousarray(s))
 
 
+def cptp_residuals(ms) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest Choi eigenvalue and the TP residual ||Tr_out J - I||_inf
+    of each map of ``ms`` as two arrays, from one stacked ``eigvalsh`` and one
+    stacked ``svd``; each entry is bit for bit what the map alone gives.
+    ValueError for an empty list or maps of differing dimensions."""
+    if not ms or len({(m.dimIn, m.dimOut) for m in ms}) > 1:
+        raise ValueError("cptp_residuals needs maps that share their dimensions")
+    d_out, d_in = ms[0].dimOut, ms[0].dimIn
+    min_eig = np.linalg.eigvalsh(np.stack([m.hermitian_choi for m in ms]))[:, 0]
+    j = np.stack([choi(m) for m in ms]).reshape(-1, d_out, d_in, d_out, d_in)
+    tr_out = j.trace(axis1=1, axis2=3) - np.eye(d_in)
+    return min_eig, np.linalg.svd(tr_out, compute_uv=False).max(axis=-1)
+
+
 def is_cptp(m: QuantumMap) -> dict:
-    """Report {cp, tp, min_choi_eig, tp_residual} under the Choi criterion."""
-    j = choi(m)
-    min_choi_eig = linalg.min_eig(j)
-    tr_out = linalg.trace_out(j, (m.dimOut, m.dimIn), 0)
-    tp_residual = linalg.operator_norm(tr_out - np.eye(m.dimIn))
+    """Report {cp, tp, min_choi_eig, tp_residual} under the Choi criterion,
+    the residuals of ``cptp_residuals``."""
+    (min_choi_eig,), (tp_residual,) = cptp_residuals([m])
     return {
         "cp": bool(min_choi_eig >= -CPTP_TOL),
         "tp": bool(tp_residual <= CPTP_TOL),

@@ -19,23 +19,35 @@ the constraints are read once as one real (m, 2 nb n^2) matrix, the float
 view of their entries, and the Gram independence check, A(X), A^T(y), the
 inner products and the Schur complement are real matrix products.  The
 iteration is primal-dual path-following (HKM direction, Mehrotra
-predictor-corrector, fraction-to-boundary 0.98) from an identity-scaled
-start; Cholesky failures of the Schur complement retry with escalating
-regularization.
+predictor-corrector) from an identity-scaled start; Cholesky failures of the
+Schur complement retry with escalating regularization.
+
+Step lengths follow SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw. 11,
+545, 1999).  With a_X and a_Z the largest steps that keep X and Z PSD, the
+predictor steps min(1, a) and the corrector min(1, gamma a), where
+gamma = max(FRACTION_TO_BOUNDARY, 0.9 + 0.0999 min(a_X, a_Z) of the
+predictor).  So a problem whose affine step is nearly full takes full Newton
+steps near the optimum, and FRACTION_TO_BOUNDARY (0.98) is only the floor of
+gamma.  Each problem gets its own gamma from its own steps.  Every step adds a
+real multiple of a Hermitian direction, so the iterates stay exactly
+Hermitian and are returned as they are.
 
 ``solve_many(problems)`` runs programs that share ``blocks`` and every
 ``A`` stack (``C`` and ``b`` may differ) in one iteration, and ``solve(p)``
 is ``solve_many([p])[0]``.  ``solve_optimal(p, name)`` is the one gate for
 callers that need an optimum: ``solve(p)``, or ``SdpError`` naming the
 program.  X and Z are one complex
-(2, q, nb, n, n) array over q problems.  Per iteration that costs one
-``cholesky`` and one ``inv`` call on that array, whose inverse factors give
-Z^-1 and both step-length tests, and one ``eigvalsh`` call per step-length
-test, on L^-1 dW L^-H for W = L L^H.  The Schur complement
-Re <A_i, X A_j Z^-1> takes the complex products X [A_1 ... A_m] and then
-Z^-1 on the right; its ``cholesky`` tests it for positive definiteness, and
-each Newton system costs one ``solve`` against the matrix that factor
-represents.  These counts hold whatever the number of blocks or problems.
+(2, q, nb, n, n) array over q problems.  Per iteration that costs seven
+LAPACK calls on stacks: one ``cholesky`` and one ``inv`` on that array,
+whose inverse factors give Z^-1 and both step-length tests; one ``eigvalsh``
+per step-length test (predictor and corrector), on L^-1 dW L^-H for
+W = L L^H, of which it reads the lower triangle; one ``cholesky`` of the
+Schur complement Re <A_i, X A_j Z^-1>, which tests it for positive
+definiteness; and one ``solve`` per Newton system against the matrix that
+factor represents.  The Schur complement takes the complex products
+X [A_1 ... A_m] and then Z^-1 on the right, and the inner products and
+norms are ``vecdot`` calls.  These counts hold whatever the number of blocks
+or problems.
 Each problem keeps its own iteration count, exit test, infeasibility tests
 and certified iterate, and leaves the stack when it stops.  A failed Schur
 factorization is redone problem by problem with each problem's own
@@ -289,7 +301,7 @@ def solve_many(problems) -> list[SdpSolution]:
 
     def inner(a, b):
         # Per problem, <a, b> over all its Hermitian blocks, as Python floats.
-        return (flat(a)[:, None, :] @ flat(b)[:, :, None]).ravel().tolist()
+        return np.vecdot(flat(a), flat(b)).tolist()
 
     def measure(w, y, cm, b, b_scale, c_scale):
         """Residuals of a stack and, per problem, the scalars the exit and
@@ -301,7 +313,7 @@ def solve_many(problems) -> list[SdpSolution]:
         p_res = (np.abs(rp) / b_scale).max(axis=1).tolist()
         d_res = [dm / cs for dm, cs in zip(np.abs(rd).max(axis=(1, 2, 3)).tolist(), c_scale)]
         pv = [-v for v in inner(cm, w[0])]
-        dv = [-v for v in (b[:, None, :] @ y[:, :, None]).ravel().tolist()]
+        dv = [-v for v in np.vecdot(b, y).tolist()]
         gap = [d - p for p, d in zip(pv, dv)]
         return rp, rd, p_res, d_res, pv, dv, gap
 
@@ -335,7 +347,7 @@ def solve_many(problems) -> list[SdpSolution]:
         reg = 0.0
         for _ in range(4):
             try:
-                return np.linalg.cholesky(schur + reg * np.eye(m))
+                return np.linalg.cholesky(schur + reg * np.eye(m) if reg else schur)
             except np.linalg.LinAlgError:
                 if len(schur) > 1:
                     raise
@@ -386,24 +398,25 @@ def solve_many(problems) -> list[SdpSolution]:
             return dw, dy
 
         def max_steps(dw):
-            # Largest steps (<= 1) keeping X + a dX and Z + a dZ PSD: (2, q),
-            # from the spectrum of L^-1 dW L^-H with W = L L^H.
-            t = linv @ (dw @ linv_h)
-            low = np.linalg.eigvalsh((t + herm(t)) / 2)[..., 0]
+            # Largest steps keeping X + a dX and Z + a dZ PSD, uncapped: (2, q),
+            # from the spectrum of L^-1 dW L^-H with W = L L^H (eigvalsh
+            # reads its lower triangle).
+            low = np.linalg.eigvalsh(linv @ (dw @ linv_h))[..., 0]
             lam = np.fmin.reduce(low, axis=-1)  # over the blocks
-            return np.minimum(1.0, -1.0 / np.fmin(lam, -1e-14))
+            return -1.0 / np.fmin(lam, -1e-14)
 
         # Predictor
         dwa, _ = newton(0.0, None)
-        alpha = max_steps(dwa)[:, :, None, None, None]
-        mu_aff = inner(*(w + alpha * dwa))
+        alpha_aff = np.minimum(1.0, max_steps(dwa))
+        mu_aff = inner(*(w + alpha_aff[:, :, None, None, None] * dwa))
         sigma_mu = [min(1.0, max(0.0, (ma / n_total / mo) ** 3)) * mo for ma, mo in zip(mu_aff, mu)]
 
-        # Corrector
+        # Corrector: the closer the predictor came to a full step, the closer
+        # to the boundary the corrector may go, up to a full Newton step.
         dw, dy = newton(np.array(sigma_mu)[:, None, None, None], dwa[0] @ dwa[1])
-        alpha = FRACTION_TO_BOUNDARY * max_steps(dw)
-        w = w + alpha[:, :, None, None, None] * dw
-        return (w + herm(w)) / 2, y + alpha[1][:, None] * dy
+        gamma = np.maximum(FRACTION_TO_BOUNDARY, 0.9 + 0.0999 * alpha_aff.min(axis=0))
+        alpha = np.minimum(1.0, gamma * max_steps(dw))
+        return w + alpha[:, :, None, None, None] * dw, y + alpha[1][:, None] * dy
 
     sols = [None] * q
     certified = [None] * q
@@ -437,7 +450,7 @@ def solve_many(problems) -> list[SdpSolution]:
     for it in range(1, MAX_ITER + 1):
         rp, rd, p_res, d_res, pv, _, gap = measure(w, y, cm, b, b_scale, c_scale)
         mu = [v / n_total for v in inner(w[0], w[1])]
-        ynorm = [math.sqrt(v) for v in (y[:, None, :] @ y[:, :, None]).ravel().tolist()]
+        ynorm = [math.sqrt(v) for v in np.vecdot(y, y).tolist()]
 
         keep = []
         for r, i in enumerate(idx):

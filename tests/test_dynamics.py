@@ -399,6 +399,90 @@ class TestPropagate:
             make()
 
 
+def cptp_residuals_per_map(m):
+    """The reference for maps.cptp_residuals: one map's smallest Choi
+    eigenvalue and TP residual, from its own eigvalsh and svd."""
+    j = maps.choi(m)
+    tr_out = linalg.trace_out(j, (m.dimOut, m.dimIn), 0)
+    return linalg.min_eig(j), linalg.operator_norm(tr_out - np.eye(m.dimIn))
+
+
+def enforce_cptp_per_map(family, grid, budget):
+    """The reference for dynamics._enforce_cptp: the maps in turn, raising at
+    the first one outside the budget."""
+    for t, m in zip(grid, family):
+        min_eig, tp_residual = cptp_residuals_per_map(m)
+        if min_eig < -budget or tp_residual > budget:
+            raise PropagationError(
+                f"map at t={t} violates the CPTP budget: "
+                f"min Choi eigenvalue {min_eig:.3e}, TP residual {tp_residual:.3e}"
+            )
+
+
+def cptp_error(check, family, grid, budget):
+    try:
+        check(family, grid, budget)
+    except PropagationError as exc:
+        return str(exc)
+    return None
+
+
+# Choi-eigenvalue and TP defects on either side of both CPTP budgets.
+NEAR_BUDGET = (5e-10, 2e-9, 5e-8, 2e-7)
+
+
+def cptp_families():
+    """(name, family, grid) triples: every library model on time_grid(2, 7),
+    the negative-rate dephasing family, and the prefixes and the reversal of
+    a qubit family whose maps break CP or TP by each of ``NEAR_BUDGET``."""
+    grid = time_grid(2.0, 7)
+    out = []
+    for name in sorted(dynamics.MODELS):
+        m = model(name)
+        dm = propagate(m, grid) if isinstance(m, GkslGenerator) else reduce(m, grid)
+        out.append((name, dm.maps, dm.grid))
+    lneg = model("dephasing", {"gamma": -1.0}).superop(0.0)
+    out.append(("dephasing-negative", [maps.identity_map(2)] + [
+        maps.QuantumMap(2, 2, e) for e in dynamics._expm(grid[1:, None, None] * lneg)], grid))
+    ident = maps.identity_map(2)
+    transpose = maps.map_from_action(2, 2, lambda x: x.T)
+    near = [ident]
+    for eps in NEAR_BUDGET:
+        near.append(maps.mix([ident, transpose], [1.0 - eps, eps]))  # min Choi eigenvalue -eps
+        near.append(maps.mix([ident], [1.0 + eps]))  # TP residual eps
+    times = np.arange(len(near)) / 4
+    for k in range(1, len(near) + 1):
+        out.append((f"near-budget[:{k}]", near[:k], times[:k]))
+    out.append(("near-budget-reversed", near[::-1], times))
+    return out
+
+
+def test_stacked_cptp_residuals_match_per_map():
+    kraus = np.random.default_rng(5).standard_normal((3, 3, 2)) / 2
+    rect = [maps.from_kraus([k]) for k in kraus]  # 2 -> 3 maps, not TP
+    for name, family, _ in cptp_families() + [("rectangular", rect, None)]:
+        min_eig, tp_residual = maps.cptp_residuals(family)
+        for m, e, r in zip(family, min_eig, tp_residual):
+            assert (e, r) == cptp_residuals_per_map(m), name
+            rep = maps.is_cptp(m)
+            assert (rep["min_choi_eig"], rep["tp_residual"]) == (e, r), name
+
+
+@pytest.mark.parametrize("budget", [dynamics.CPTP_BUDGET, dynamics.REDUCE_BUDGET])
+def test_stacked_cptp_check_matches_per_map(budget):
+    raised = set()
+    for name, family, grid in cptp_families():
+        expected = cptp_error(enforce_cptp_per_map, family, grid, budget)
+        assert cptp_error(dynamics._enforce_cptp, family, grid, budget) == expected, name
+        if expected is not None:
+            raised.add(name)
+    assert not raised & set(dynamics.MODELS)
+    assert {"dephasing-negative", "near-budget-reversed"} <= raised
+    within = 1 + 2 * sum(eps <= budget for eps in NEAR_BUDGET)
+    assert {n for n in raised if n.startswith("near-budget[")} == {
+        f"near-budget[:{k}]" for k in range(within + 1, 2 * len(NEAR_BUDGET) + 2)}
+
+
 def close_to(e, ref) -> bool:
     """||e - ref||_1 <= 1e-14 max(1, ||ref||_1)."""
     return np.linalg.norm(e - ref, 1) <= 1e-14 * max(1.0, np.linalg.norm(ref, 1))

@@ -119,6 +119,12 @@ CHECKS = [
                  "share dimensions", id="maps.subtract-dims"),
     pytest.param(lambda: maps.weighted_difference(identity_map(2), identity_map(3), 0.5, 0.5),
                  ValueError, "share dimensions", id="maps.weighted_difference-dims"),
+    pytest.param(lambda: maps.cptp_residuals([]), ValueError, "share their dimensions",
+                 id="maps.cptp_residuals-empty"),
+    # a 2 -> 1 and a 1 -> 2 map, whose Choi matrices are both 2 x 2
+    pytest.param(lambda: maps.cptp_residuals([maps.from_kraus(TRACE_MAP_KRAUS),
+                                              maps.from_kraus([np.array([[1.0], [0.0]])])]),
+                 ValueError, "share their dimensions", id="maps.cptp_residuals-dims"),
     # sdp
     pytest.param(lambda: SdpProblem(C=[EYE], A=[EYE[None]], b=[[1.0]]), ValueError, "vector",
                  id="sdp.SdpProblem-b"),

@@ -246,9 +246,9 @@ class TestEdgeCases:
 # Seeds of random_cptp(3, 2) pairs whose diamond-norm iteration can break
 # down after it meets the solver's guarantees; whether it does depends on the
 # last bits of the arithmetic, and so on the BLAS thread count.  The first
-# five were found on earlier forms of the solver and now meet the exit test;
-# the sixth ends through the certified iterate at one BLAS thread (iteration
-# 25), the seventh at two (iteration 22).
+# seven were found on earlier forms of the solver and now meet the exit test;
+# the eighth, the pair of the witness workload at seed 54, ends through the
+# certified iterate at one BLAS thread (iteration 27).
 QUTRIT_BREAKDOWN_PAIRS = [
     (916926068, 1448099613),
     (2077510140, 314059661),
@@ -257,6 +257,7 @@ QUTRIT_BREAKDOWN_PAIRS = [
     (970959677, 1097537907),
     (1775320089, 1718133284),
     (106880952, 691699729),
+    (1318918238, 977726707),
 ]
 
 
@@ -322,18 +323,20 @@ def _pinned_program(name):
 # primal_value.hex() and iterations of each builder's program at one BLAS
 # thread: a change that keeps the solver's arithmetic leaves them as they are.
 PINNED = {
-    "min_entropy[t1]": ("0x1.ab9a1830b4f9ep+0", 9),
-    "fidelity[t1]": ("0x1.1b6dcdb3beed7p+0", 10),
-    "guessing[t1]": ("0x1.ec410ee18d12dp-1", 11),
-    "diamond[t1]": ("0x1.51979f311708ap-2", 10),
-    "diamond[qutrit]": ("0x1.f2e276511430fp+0", 16),
-    "min_entropy[isotropic3]": ("0x1.199999995cc9cp+1", 10),
+    "min_entropy[t1]": ("0x1.ab9a18338e875p+0", 7),
+    "fidelity[t1]": ("0x1.1b6dcdb3d58eep+0", 7),
+    "guessing[t1]": ("0x1.ec410ee24f493p-1", 9),
+    "diamond[t1]": ("0x1.51979f319029ep-2", 7),
+    "diamond[qutrit]": ("0x1.f2e276516b316p+0", 15),
+    "min_entropy[isotropic3]": ("0x1.199999993b696p+1", 7),
 }
 
 # The m = 73 qutrit program's GEMMs are large enough for OpenBLAS to split
-# over threads, which changes its last bits (0x1.f2e2765091809p+0 with two
-# threads); it is pinned to 1e-10 instead of bit for bit.
-THREAD_SENSITIVE = {"diamond[qutrit]"}
+# over threads, which changes its last bits.  It stops at a gap of about
+# 2e-9, and with two to four threads its primal value ends 1.5e-10 (relative)
+# below the one-thread value, in as many iterations; that value is pinned bit
+# for bit too.
+THREADED = {"diamond[qutrit]": "0x1.f2e276502bf3dp+0"}
 
 
 @pytest.mark.parametrize("name", list(PINNED))
@@ -342,11 +345,7 @@ def test_builder_outputs_pinned(name):
     sol = solve(_pinned_program(name))
     assert sol.optimal
     assert sol.iterations == iterations
-    if name in THREAD_SENSITIVE:
-        pinned = float.fromhex(value_hex)
-        assert abs(sol.primal_value - pinned) <= 1e-10 * abs(pinned)
-    else:
-        assert sol.primal_value.hex() == value_hex
+    assert sol.primal_value.hex() in {value_hex, THREADED.get(name, value_hex)}
 
 
 def test_finished_solve_logged(caplog):
@@ -355,14 +354,82 @@ def test_finished_solve_logged(caplog):
         entropy.h_min(rho)
     (record,) = caplog.records
     head, _, tail = record.getMessage().partition(": ")
-    assert head == "optimal after 9 iterations"
+    assert head == "optimal after 7 iterations"
     fields = {k: float(v) for k, v in (f.split("=") for f in tail.split())}
     assert set(fields) == {"primal_residual", "dual_residual", "gap"}
     assert max(fields["primal_residual"], fields["dual_residual"]) <= GUARANTEE
 
 
 def test_channel_route_pinned():
-    assert q_corr_channel_route(max_entangled(2)).hex() == "0x1.ffffffff8a12cp+0"
+    assert q_corr_channel_route(max_entangled(2)).hex() == "0x1.fffffffffd05ep+0"
+
+
+def witness_trajectory_programs():
+    """The 40 programs that h_min, h_max, p_guess and diamond_norm solve on
+    the eternal trajectory of the witness workload of
+    benchmarks/workloads.py at seed 0, in its order."""
+    rng = np.random.default_rng(0)
+    ens_seeds = [int(s) for s in rng.integers(0, 2**31 - 1, size=3)]
+    rng.integers(0, 2**31 - 1, size=1)  # the probe seed
+    probs = rng.dirichlet(np.ones(3))
+    dm = dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(2.0, 11))
+    ens_states = [random_density(4, 2, s) for s in ens_seeds]
+    programs = []
+    for j in range(1, len(dm)):
+        big = maps.amplify(dm.maps[j], 2)
+        rho = BipartiteState(2, 2, DensityOperator(big.apply(max_entangled(2).matrix)))
+        ens = StateEnsemble(probs, [DensityOperator(big.apply(s.matrix)) for s in ens_states])
+        programs += [
+            entropy.min_entropy_program(rho),
+            entropy.min_entropy_program(purify(rho).marginal_ac()),
+            guessing_program(ens),
+            diamond_norm_program(maps.subtract(dm.maps[j], dm.maps[j - 1])),
+        ]
+    return programs
+
+
+def witness_qutrit_program(seed):
+    """The diamond-norm program of the witness workload's qutrit pair at
+    ``seed``: the difference of two seeded random_cptp(3, 2) channels."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2**31 - 1, size=4)  # the ensemble and probe seeds
+    rng.dirichlet(np.ones(3))
+    qa, qb = (int(s) for s in rng.integers(0, 2**31 - 1, size=2))
+    return diamond_norm_program(
+        maps.subtract(maps.random_cptp(3, 2, qa), maps.random_cptp(3, 2, qb)))
+
+
+def test_witness_trajectory_iterations():
+    # A fixed 0.98 fraction-to-boundary step took 408 iterations here and the
+    # adaptive corrector step takes 291: the bound leaves room for last-bit
+    # changes, not for the fixed rule.
+    sols = [solve(p) for p in witness_trajectory_programs()]
+    assert all(sol.optimal for sol in sols)
+    assert sum(sol.iterations for sol in sols) < 393
+
+
+def test_witness_qutrit_diamond_norms_optimal():
+    # The 50 programs share their constraints, so one batch solves them,
+    # each bit for bit as alone.
+    sols = solve_many([witness_qutrit_program(seed) for seed in range(50)])
+    assert [seed for seed, sol in enumerate(sols) if not sol.optimal] == []
+
+
+def test_returned_blocks_exactly_hermitian():
+    # Every step adds a real multiple of a Hermitian direction, so the
+    # iterates stay Hermitian bit for bit without a symmetrization.
+    sols = [solve(prob) for prob, _ in TestSolutionQuality().battery()]
+    sols += [solve(_pinned_program(name)) for name in PINNED]
+    sols += solve_many([
+        diamond_norm_program(maps.subtract(maps.random_cptp(3, 2, a), maps.random_cptp(3, 2, b)))
+        for a, b in QUTRIT_BREAKDOWN_PAIRS])
+    sols += solve_many(random_guessing_batch(4, 3, 8, 43))
+    eye = np.eye(2, dtype=complex)
+    sols.append(solve(SdpProblem(C=[eye], A=[eye[None]], b=[-1.0])))
+    assert "infeasible-detected" in {sol.status for sol in sols}
+    for sol in sols:
+        for block in sol.X + sol.Z:
+            assert np.array_equal(block, block.conj().T)
 
 
 def assert_same_solution(a, b):
