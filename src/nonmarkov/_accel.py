@@ -47,6 +47,29 @@ their block layouts); at k = d_in = 6 with 2 restarts it peaks at about
 0.5 MB, where the amplified tensor of id_k (x) W alone is k^4 d_out^2 d_in^2
 entries (27 MB there, and 69 GB at d = k = 16).
 
+``tracenorm_scan`` splits its restarts into contiguous chunks, runs chunk 0
+on the calling thread and each further chunk on a ``threading.Thread``, and
+joins them all; ``kpos_scan`` does not split.  Stacked ``eigh``, ``einsum``
+and ``matmul`` release the interpreter lock, so the chunks' LAPACK work
+overlaps on separate CPUs.  The chunk count is derived, never set (see
+``_chunk_count``): one per CPU the process may run on, at most one per
+``TRACENORM_CHUNK_ROWS`` rows, and exactly one when a row's largest
+eigenproblem, k*max(d_in, d_out) square, is below ``TRACENORM_SPLIT_SIZE``.
+There the ~20 numpy calls of a sweep are mostly Python dispatch, which holds
+the lock, and two threads only contend for it.  On 2 CPUs at one BLAS thread
+(64 restarts, medians of 7), 2 chunks took the qutrit k = 3 ascent of the
+channels benchmark (9x9 and 6x6 problems) from 288 to 187 ms, but the qubit
+k = 1 ascent from 4.6 to 7.8 ms; 2 chunks of 8 rows lost at every size up to
+9x9.  Every computation of a sweep works row by row (see above), so a
+chunk's restarts follow the iterates they follow in one stack.  Each chunk
+ascends its own copy of its starts; the scan then concatenates values,
+iterates and stop flags in row order and takes the first maximum, as the
+serial scan does, so a split scan returns the serial result bit for bit.
+Worker threads call numpy and this module's private helpers only.  A
+chunk's exception is re-raised on the calling thread once every chunk has
+ended.  ``kpos_scan`` stays serial because its callers search qubit maps at
+k = 1, whose 2x2 sweeps are dispatch-bound.
+
 All kernels are deterministic: start points are generated by the caller
 from explicit seeds.
 
@@ -63,6 +86,8 @@ blocks X[a, b, i, q] = X[a*d + i, b*d + q], and (id_k (x) W) maps block
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -79,6 +104,12 @@ TRACENORM_TOL = 1e-13
 # Sweeps of one kpos_scan or tracenorm_scan restart at most.
 KPOS_ITERS = 60
 TRACENORM_ITERS = 80
+
+# tracenorm_scan splits its restarts over threads only when a row's largest
+# eigenproblem is at least this size, and gives each thread at least this
+# many rows (see the module docstring for the measurements behind both).
+TRACENORM_SPLIT_SIZE = 6
+TRACENORM_CHUNK_ROWS = 16
 
 
 def _herm(h):
@@ -235,6 +266,24 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U):
     return val[rows], L[rows], U[rows], vals, converged.reshape(n_groups, -1)
 
 
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_count(rows, size):
+    """Threads a ``tracenorm_scan`` of ``rows`` restarts runs on, whose
+    largest eigenproblem per row is size x size: one per CPU, at most one
+    per ``TRACENORM_CHUNK_ROWS`` rows, and one in all below
+    ``TRACENORM_SPLIT_SIZE``, where a sweep is mostly Python dispatch."""
+    if size < TRACENORM_SPLIT_SIZE:
+        return 1
+    return max(1, min(_cpus(), rows // TRACENORM_CHUNK_ROWS))
+
+
 def tracenorm_scan(T4, starts):
     """Trace-norm ascent: maximize ||(id_k (x) W)(psi psi^dag)||_1 over unit
     psi on C^k (x) C^d_in for a Hermiticity-preserving superoperator W given
@@ -250,19 +299,53 @@ def tracenorm_scan(T4, starts):
     restart (the first one reaching the maximum), then every restart's final
     value and whether its tolerance test passed within ``TRACENORM_ITERS``
     sweeps.
+
+    The restarts run in contiguous chunks (see ``_chunk_count``): chunk 0 on
+    the calling thread and each further one on a thread of its own.  The
+    first exception of any chunk reaches the caller once all have ended.
     """
-    # einsum on a transposed (non-contiguous) view rounds differently, so the
-    # tensor and both contracted iterates are always contiguous.  Then the
-    # blockwise sums over (i, q) and (o, p) run in the order of the dense
-    # contraction over the amplified tensor and give the same bits.
     T4 = np.ascontiguousarray(T4)
-    T4c = T4.conj()
     d_out, d_in = T4.shape[0], T4.shape[2]
     psi = np.array(starts, dtype=np.complex128)
     if psi.shape[1] % d_in:
         raise ValueError(f"start width {psi.shape[1]} is not a multiple of d_in = {d_in}")
     k = psi.shape[1] // d_in
     psi /= _row_norms(psi)[:, None]
+    chunks = np.array_split(psi, _chunk_count(psi.shape[0], k * max(d_in, d_out)))
+    results = [None] * len(chunks)
+
+    def run(i):
+        try:
+            results[i] = _tracenorm_rows(T4, chunks[i].copy(), k)
+        except BaseException as exc:  # re-raised on the calling thread below
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(chunks))]
+    try:
+        for t in threads:
+            t.start()
+        run(0)
+    finally:
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    psi, val, converged = (np.concatenate(parts) for parts in zip(*results))
+    best = int(np.argmax(val))
+    return float(val[best]), psi[best], val, converged
+
+
+def _tracenorm_rows(T4, psi, k):
+    """``tracenorm_scan``'s sweeps on the unit starts ``psi``, updated in
+    place; returns ``(psi, values, converged)``."""
+    # einsum on a transposed (non-contiguous) view rounds differently, so the
+    # tensor and both contracted iterates are always contiguous.  Then the
+    # blockwise sums over (i, q) and (o, p) run in the order of the dense
+    # contraction over the amplified tensor and give the same bits.
+    T4c = T4.conj()
+    d_out, d_in = T4.shape[0], T4.shape[2]
     val = np.full(psi.shape[0], -np.inf)
     converged = np.zeros(psi.shape[0], dtype=bool)
     active = np.arange(psi.shape[0])
@@ -285,5 +368,4 @@ def tracenorm_scan(T4, starts):
         val[active] = new_val
         converged[active[done]] = True
         active = active[~done]
-    best = int(np.argmax(val))
-    return float(val[best]), psi[best], val, converged
+    return psi, val, converged

@@ -4,8 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,6 +384,135 @@ class TestTracenormScan:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+
+def _channels_qutrit_scan(rows=64):
+    """The tensor and seeded starts of channel_distance[qutrit,k3] in the
+    channels benchmark at seed 0 (64 rows), or ``rows`` starts from the same
+    generator."""
+    s3, s4 = np.random.default_rng(0).integers(0, 2**31 - 1, size=4)[2:]
+    delta = maps.weighted_difference(
+        maps.random_cptp(3, 2, int(s3)), maps.random_cptp(3, 2, int(s4)), 0.5, 0.5)
+    rng = np.random.default_rng(0)
+    return delta.as_tensor(), rng.standard_normal((rows, 9)) + 1j * rng.standard_normal((rows, 9))
+
+
+def _bounded(fn, timeout=120.0):
+    """fn() on a thread of its own, joined with a timeout; returns its result
+    or raises its exception."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread below
+            out["error"] = exc
+
+    t = threading.Thread(target=target)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), f"not done within {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def _same_bits(a, b):
+    return all(np.asarray(x).dtype == np.asarray(y).dtype
+               and np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(a, b))
+
+
+class TestTracenormChunks:
+    """tracenorm_scan's restarts split over threads give the serial scan's
+    results bit for bit."""
+
+    @pytest.fixture
+    def chunk_rows(self, monkeypatch):
+        """Row counts of the chunks each scan runs, in the order they start."""
+        seen = []
+        rows = _accel._tracenorm_rows
+
+        def spy(T4, psi, k):
+            seen.append(psi.shape[0])
+            return rows(T4, psi, k)
+
+        monkeypatch.setattr(_accel, "_tracenorm_rows", spy)
+        return seen
+
+    def scan(self, monkeypatch, cpus, t4, starts):
+        monkeypatch.setattr(_accel, "_cpus", lambda: cpus)
+        return _bounded(lambda: _accel.tracenorm_scan(t4, starts))
+
+    def test_split_is_bit_identical(self, monkeypatch, chunk_rows):
+        t4, starts = _channels_qutrit_scan()
+        serial = self.scan(monkeypatch, 1, t4, starts)
+        assert serial[0].hex() == "0x1.fe907e0102cb2p-1"
+        for cpus in (2, 3):
+            chunk_rows.clear()
+            assert _same_bits(self.scan(monkeypatch, cpus, t4, starts), serial)
+            assert sorted(chunk_rows) == sorted(len(c) for c in np.array_split(starts, cpus))
+
+    def test_duplicate_rows_in_different_chunks(self, monkeypatch, chunk_rows):
+        # The best start copied into the other end of the stack: both rows end
+        # on the same value, and every split keeps the serial result.
+        t4, starts = _channels_qutrit_scan()
+        best = int(np.argmax(self.scan(monkeypatch, 1, t4, starts)[2]))
+        twin = 0 if best >= 32 else 63
+        starts[twin] = starts[best]
+        serial = self.scan(monkeypatch, 1, t4, starts)
+        assert serial[2][best] == serial[2][twin] == serial[0]
+        for cpus in (2, 3):
+            assert _same_bits(self.scan(monkeypatch, cpus, t4, starts), serial)
+        assert sorted(chunk_rows) == [21, 21, 22, 32, 32, 64, 64]
+
+    @pytest.mark.parametrize("k, restarts", [(1, 16), (1, 64), (2, 64)])
+    def test_qubit_sizes_start_no_thread(self, monkeypatch, k, restarts):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("tracenorm_scan started a thread")
+
+        monkeypatch.setattr(_accel, "threading", SimpleNamespace(Thread=no_thread))
+        monkeypatch.setattr(_accel, "_cpus", lambda: 64)
+        e0, e1 = maps.depolarizing(0.3), maps.random_cptp(2, 2, 1)
+        assert 0.0 < disc.channel_distance(e0, e1, 0.4, k, restarts=restarts) <= 1.0
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(_accel, "TRACENORM_ITERS", 4)
+        rows = _accel._tracenorm_rows
+        caller = []
+
+        def fail_off_caller(T4, psi, k):
+            if threading.get_ident() != caller[0]:
+                raise RuntimeError("worker chunk failed")
+            return rows(T4, psi, k)
+
+        monkeypatch.setattr(_accel, "_tracenorm_rows", fail_off_caller)
+        t4, starts = _channels_qutrit_scan()
+
+        def call():
+            caller.append(threading.get_ident())
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match="worker chunk failed"):
+                _accel.tracenorm_scan(t4, starts)
+            return before, threading.active_count()
+
+        monkeypatch.setattr(_accel, "_cpus", lambda: 2)
+        before, after = _bounded(call)
+        assert after == before
+
+    def test_more_chunks_than_cores(self, monkeypatch, chunk_rows):
+        # 8 threads on fewer cores, switching as often as the interpreter
+        # allows: a lost or misplaced chunk result changes the bits.
+        monkeypatch.setattr(_accel, "TRACENORM_ITERS", 10)
+        t4, starts = _channels_qutrit_scan(rows=8 * _accel.TRACENORM_CHUNK_ROWS)
+        serial = self.scan(monkeypatch, 1, t4, starts)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = self.scan(monkeypatch, 8, t4, starts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert chunk_rows[1:] == [_accel.TRACENORM_CHUNK_ROWS] * 8
+        assert _same_bits(split, serial)
 
 
 def test_channel_distance_logs_restart_statistics(caplog):

@@ -283,9 +283,11 @@ class TestEndGame:
 
 
 def _witness_t1():
-    """Eternal-model inputs at the first step of time_grid(2, 11), built as
-    the witness workload of benchmarks/workloads.py builds them at seed 0:
-    the Choi state, a three-state ensemble and the step difference.  The
+    """Eternal-model inputs at the first step of time_grid(2, 11): the Choi
+    state, a three-state ensemble and the step difference.  They follow the
+    witness workload of benchmarks/workloads.py at seed 0 but skip its
+    probe-seed draw, so the ensemble weights, and with them the pinned
+    ``guessing[t1]`` program, are not the workload's ``p_guess[t1]``.  The
     family is the RK4 one the pins were recorded on; propagate's exact path
     differs from it in the last bits."""
     rng = np.random.default_rng(0)
