@@ -26,16 +26,31 @@ A ``kpos_scan`` call searches a stack of Choi matrices at once, one group
 of restarts each.  ``maps.k_positivity_many`` stacks every step of a
 divisibility report this way, so the rows of a call are steps x restarts
 and a sweep pays its fixed cost once per report instead of once per step.
+A qubit report's searches at k = 1 are 2x2 problems, where a sweep's cost
+is almost all numpy dispatch, so the scan keeps bookkeeping out of the
+sweeps.  The active rows' factors and last values live in compact
+arrays, in row order, and a row's results are written back only on the
+sweep where it stops (and, for rows still active, after the last sweep).
+Each group's span of the outer-product and Hessian stacks is sliced once
+per compaction, not twice per group and half-step.  Gathering each row's
+half-step matrix into one stack, for one ``matmul`` over all rows, would
+save the per-group calls but hold rows x dA^2 dB^2 entries, 256 times the
+Hessian stack at d = 16, k = 1; the scan does not do it.
 
-Memory scales as rows x one quadratic-form matrix: a ``kpos_scan`` sweep
-holds one stack of Hessians of size (d*k)^2, one per row, and up to four
-such stacks are alive at once (the Hessians, their Hermitian parts,
-LAPACK's working copy and the eigenvectors; the 2x2 closed form needs only
-the Hessians).  Building the Hessians holds the matmul's output, its
-transposed copy and one more stack, the outer products of the fixed
-factor: rows x (k*e)^2 entries, where e is that factor's dimension, at
-most max(dA, dB), so never more than the largest Hessian stack; all but
-the copy are freed before the eigenpairs.  ``k_positivity_many`` puts
+Memory scales as rows x one quadratic-form matrix.  A ``kpos_scan`` call
+allocates two flat buffers of rows x (max(dA, dB)*k)^2 entries, the size
+of its largest stack of Hessians of size (d*k)^2, once; every stack of
+either half-step is a view of them over the active rows.  One buffer takes
+the outer products of the fixed factor (rows x (k*e)^2 entries, where e
+is that factor's dimension, at most max(dA, dB)) and the other their
+products with the half-step matrix.  At k = 1 those products are the
+Hessians; at k > 1 the Hessians are the products with their indices
+reordered, copied into the first buffer, whose outer products are spent
+by then.  The eigenpairs hold up to four such stacks: the Hessians in one
+buffer, their Hermitian parts in the other, LAPACK's working copy and the
+eigenvectors (the 2x2 closed form needs only the Hessians and the idle
+buffer).  So the buffers add no Hessian-sized stack to the four that the
+eigenpairs need in any case.  ``k_positivity_many`` puts
 whole steps into one call only while rows x (max(dA, dB)*k)^2 stays within
 ``KPOS_STACK_ENTRIES``, the size of one search of 64 restarts at d=16 and
 k=15: one stack is 64 x 240^2 complex128 = 59 MB, about 0.24 GB in all.
@@ -112,9 +127,12 @@ TRACENORM_SPLIT_SIZE = 6
 TRACENORM_CHUNK_ROWS = 16
 
 
-def _herm(h):
-    """Hermitian part of each matrix in a stack."""
-    return (h + h.conj().swapaxes(-1, -2)) / 2
+def _herm(h, out=None):
+    """Hermitian part of each matrix in a stack, written into ``out`` if
+    given (an array of h's shape that does not overlap it)."""
+    out = np.add(h, h.conj().swapaxes(-1, -2), out=out)
+    out /= 2
+    return out
 
 
 def _row_norms(x):
@@ -135,7 +153,7 @@ def _orthonormalize(x):
     return x / _row_norms(x[:, :, 0])[:, None, None]
 
 
-def _lowest_eigpair(h):
+def _lowest_eigpair(h, work=None):
     """Lowest eigenvalue and a unit eigenvector of the Hermitian part of
     each matrix in a (rows, n, n) stack.
 
@@ -145,10 +163,12 @@ def _lowest_eigpair(h):
     eigenvector (-b, r + delta) if delta >= 0, else (r - delta, -conj b),
     so that no component is a difference of near-equal terms; a multiple
     of the identity (r = 0) gives e1.  Any other size takes
-    ``np.linalg.eigh``.
+    ``np.linalg.eigh`` of the Hermitian part, which is written into the
+    flat buffer ``work`` if one is given (it must not overlap h).
     """
     if h.shape[-1] != 2:
-        w, v = np.linalg.eigh(_herm(h))
+        out = None if work is None else work[:h.size].reshape(h.shape)
+        w, v = np.linalg.eigh(_herm(h, out))
         return w[:, 0], v[:, :, 0]
     a = h[:, 0, 0].real
     c = h[:, 1, 1].real
@@ -157,9 +177,12 @@ def _lowest_eigpair(h):
     r = np.hypot(delta, np.abs(b))
     upper = delta >= 0
     v = np.empty((h.shape[0], 2), dtype=np.complex128)
-    v[:, 0] = np.where(upper, -b, r - delta)
-    v[:, 1] = np.where(upper, r + delta, -b.conj())
-    v[r == 0] = (1.0, 0.0)
+    np.subtract(r, delta, out=v[:, 0])
+    np.negative(b, out=v[:, 0], where=upper)
+    np.negative(b.conj(), out=v[:, 1])
+    np.copyto(v[:, 1], r + delta, where=upper)
+    if not r.all():
+        v[r == 0] = (1.0, 0.0)
     v /= np.hypot(np.abs(v[:, 0]), np.abs(v[:, 1]))[:, None]
     return (a + c) / 2 - r, v
 
@@ -174,27 +197,54 @@ def _half_step_matrices(J4):
     return jl, ju
 
 
-def _quadratic_forms(x, jm, cut):
-    """Hessians of one seesaw half-step, one per row of the fixed factor x.
+def _half_step(jm, cut, k, zbuf, hbuf):
+    """One seesaw half-step's stacks over the rows that ``cut`` splits into
+    groups, as views of the flat buffers zbuf and hbuf:
+    ``(zbuf, hbuf, z, h, spans)``.
 
-    x is a (rows, e, k) stack, and rows cut[g]:cut[g + 1] search group g,
-    whose half-step matrix ``jm[g]`` (see ``_half_step_matrices``) has shape
-    (e^2, n^2).  Row r gets the (n*k, n*k) Hessian
+    jm is the (g, e^2, n^2) stack of half-step matrices (see
+    ``_half_step_matrices``), and rows cut[g]:cut[g + 1] search group g.
+    z, of shape (rows, k*k, e*e), takes the outer products of the fixed
+    factor and h, of shape (rows, k*k, n*n), their products with jm; spans
+    lists ``(z[lo:hi], jm[g], h[lo:hi])`` for each group with rows, so a
+    sweep slices nothing while the active rows stay the same.
+    """
+    rows, e, n = cut[-1], math.isqrt(jm.shape[1]), math.isqrt(jm.shape[2])
+    z = zbuf[:rows * (k * e) ** 2].reshape(rows, k * k, e * e)
+    h = hbuf[:rows * (k * n) ** 2].reshape(rows, k * k, n * n)
+    spans = [(z[lo:hi], jm[g], h[lo:hi])
+             for g, (lo, hi) in enumerate(zip(cut[:-1], cut[1:])) if lo < hi]
+    return zbuf, hbuf, z, h, spans
+
+
+def _quadratic_forms(x, step):
+    """Hessians of one seesaw half-step, one per row of the fixed factor x,
+    and the flat buffer they leave free: ``(hessians, work)``.
+
+    x is a (rows, e, k) stack and ``step`` comes from ``_half_step``.  Row r
+    of group g gets the (n*k, n*k) Hessian
     h[r, a*k + i, c*k + j] = sum_{p, q} conj(x[r, p, i]) x[r, q, j] jm[g][p*e + q, a*n + c].
     The outer products z[r, i*k + j, p*e + q] = conj(x[r, p, i]) x[r, q, j]
-    are one broadcast.  Each group's span of z then takes one 3-D @ 2-D
-    matmul, which numpy runs as one BLAS product per row, so a row gets the
-    same bits in a stack of any height.
+    are one broadcast into z.  Each group's span of z then takes one 3-D @
+    2-D matmul into its span of h, which numpy runs as one BLAS product per
+    row, so a row gets the same bits in a stack of any height.  At k = 1 the
+    Hessians are h itself and z's buffer is free; at k > 1 they are h with
+    its indices reordered, copied into z's buffer, and h's is free.
     """
+    zbuf, hbuf, z, h, spans = step
     rows, e, k = x.shape
-    n = math.isqrt(jm.shape[2])
+    n = math.isqrt(h.shape[2])
     xt = x.transpose(0, 2, 1)
-    z = (xt.conj()[:, :, None, :, None] * xt[:, None, :, None, :]).reshape(rows, k * k, e * e)
-    h = np.empty((rows, k * k, n * n), dtype=np.complex128)
-    for g in range(len(jm)):
-        if cut[g] < cut[g + 1]:
-            np.matmul(z[cut[g]:cut[g + 1]], jm[g], out=h[cut[g]:cut[g + 1]])
-    return h.reshape(rows, k, k, n, n).transpose(0, 3, 1, 4, 2).reshape(rows, n * k, n * k)
+    np.multiply(xt.conj()[:, :, None, :, None], xt[:, None, :, None, :],
+                out=z.reshape(rows, k, k, e, e))
+    for zg, jg, hg in spans:
+        np.matmul(zg, jg, out=hg)
+    blocks = h.reshape(rows, k, k, n, n).transpose(0, 3, 1, 4, 2)
+    if k == 1:
+        return blocks.reshape(rows, n, n), zbuf
+    hess = zbuf[:h.size].reshape(rows, n, k, n, k)
+    np.copyto(hess, blocks)
+    return hess.reshape(rows, n * k, n * k), hbuf
 
 
 def _stopped(new_val, val, tol):
@@ -219,9 +269,15 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U):
     ``J4`` is a ``(g, dA, dB, dA, dB)`` stack of Choi tensors.  The rows of
     ``starts_L``/``starts_U`` split evenly into g groups, in order, and group
     i searches ``J4[i]``.  Before the first sweep each group's J4 is
-    reshaped once into the matrix of each half-step; a sweep then forms the
-    fixed factor's outer products for all active rows, makes one per-row
-    ``matmul`` per group over its contiguous span of them (see
+    reshaped once into the matrix of each half-step.  The sweeps run on
+    compact arrays of the active rows' factors and last values, in row
+    order; a row's L, U, value and stop flag are written back on the sweep
+    where it stops, and those of rows still active once after the last
+    sweep.  Only a sweep where rows stop compacts the arrays and rebuilds
+    each group's span of the half-steps' outer-product and Hessian stacks
+    (see ``_half_step``), views of two buffers allocated once per call.  A
+    sweep forms the fixed factor's outer products for all active rows,
+    makes one per-row ``matmul`` per group over its span of them (see
     ``_quadratic_forms``), and runs the orthonormalizations and eigenpairs
     once over all rows.  All of these work per row, so a batched call is
     bit-identical to each group run alone.  The best value, L and U have
@@ -237,30 +293,41 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U):
     bounds = np.arange(n_groups + 1) * (n_starts // n_groups)
 
     jl, ju = _half_step_matrices(J4)
+    zbuf = np.empty(n_starts * (k * max(dA, dB)) ** 2, dtype=np.complex128)
+    hbuf = np.empty_like(zbuf)
 
     val = np.full(n_starts, np.inf)
     converged = np.zeros(n_starts, dtype=bool)
-    active = np.arange(n_starts)
+    # The active rows, and their factors and last values.
+    active, l, u, last = np.arange(n_starts), L, U, val
+    steps = None
     for _ in range(KPOS_ITERS):
-        if active.size == 0:
-            break
+        if steps is None:
+            cut = np.searchsorted(active, bounds).tolist()
+            steps = (_half_step(jl, cut, k, zbuf, hbuf), _half_step(ju, cut, k, zbuf, hbuf))
         # Re-parameterize: an orthonormal basis preserves the factor's span,
         # so each exact eigen-solve below searches a superset of the
         # previous state.
-        cut = np.searchsorted(active, bounds)
-        u = _orthonormalize(U[active])
+        u = _orthonormalize(u)
         # L-step: quadratic form matrix over vec(L), U orthonormal
-        _, v = _lowest_eigpair(_quadratic_forms(u, jl, cut))
+        _, v = _lowest_eigpair(*_quadratic_forms(u, steps[0]))
         l = _orthonormalize(v.reshape(-1, dA, k))
         # U-step: quadratic form over vec(U), L orthonormal; afterwards
         # the pair (L, U) is exactly the state achieving new_val.
-        new_val, v = _lowest_eigpair(_quadratic_forms(l, ju, cut))
-        L[active] = l
-        U[active] = v.reshape(-1, dB, k)
-        done = _stopped(new_val, val[active], KPOS_TOL)
-        val[active] = new_val
-        converged[active[done]] = True
-        active = active[~done]
+        new_val, v = _lowest_eigpair(*_quadratic_forms(l, steps[1]))
+        u = v.reshape(-1, dB, k)
+        done = _stopped(new_val, last, KPOS_TOL)
+        last = new_val
+        if done.any():
+            rows = active[done]
+            L[rows], U[rows], val[rows] = l[done], u[done], last[done]
+            converged[rows] = True
+            keep = ~done
+            active, l, u, last = active[keep], l[keep], u[keep], last[keep]
+            if active.size == 0:
+                break
+            steps = None
+    L[active], U[active], val[active] = l, u, last
     vals = val.reshape(n_groups, -1)
     rows = bounds[:-1] + np.argmin(vals, axis=1)
     return val[rows], L[rows], U[rows], vals, converged.reshape(n_groups, -1)

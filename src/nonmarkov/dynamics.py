@@ -485,35 +485,57 @@ def _enforce_cptp(family, grid, budget):
 
 def reduce(model: TotalSystemModel, grid) -> DynamicalMap:
     """Exact open-system family: trace the environment out of the joint
-    unitary orbit of rho (x) env_state."""
+    unitary orbit of rho (x) env_state.
+
+    The map at t sends each matrix unit E_ij of the system to
+    Tr_E[U_t (E_ij (x) env_state) U_t^dag], which is column i + j*dimS of
+    its superoperator.  U_t = V exp(-i w t) V^dag, from one eigendecomposition
+    of the total Hamiltonian, is built for every grid time as one stack,
+    and so are the joint states of the dimS^2 matrix units; one stacked
+    product then takes every (time, unit) pair.  It runs per slice the
+    GEMMs of the product for one time and one unit, so each map is bit for
+    bit the one ``maps.map_from_action`` assembles from that product.  The
+    product holds grid points x dimS^2 x (dimS*dimE)^2 entries.
+    """
     g = _check_grid(grid)
     dS, dE = model.dimS, model.dimE
     if dS * dE > 64:
         raise ValueError("total dimension above desk scale (dimS*dimE <= 64)")
     dec = linalg.eigh(model.h_total)
     w, u = dec.eigenvalues, dec.eigenvectors
+    ut = (u * np.exp(-1j * w * g[:, None])[:, None, :]) @ u.conj().T
+    # units[i + j*dS] = E_ij, and joint[i + j*dS] = E_ij (x) env_state.
+    units = np.eye(dS * dS, dtype=np.complex128).reshape(dS * dS, dS, dS).swapaxes(1, 2)
     rho_e = model.env_state.matrix
-    out = []
-    for t in g:
-        ut = (u * np.exp(-1j * w * t)) @ u.conj().T
-
-        def act(x, ut=ut):
-            joint = np.kron(x, rho_e)
-            return linalg.trace_out(ut @ joint @ ut.conj().T, (dS, dE), 1)
-
-        out.append(maps.map_from_action(dS, dS, act))
-    _enforce_cptp(out, g, REDUCE_BUDGET)
+    joint = (units[:, :, None, :, None] * rho_e[:, None, :]).reshape(dS * dS, dS * dE, dS * dE)
+    orbit = ut[:, None] @ joint @ ut.conj().swapaxes(1, 2)[:, None]
+    out = orbit.reshape(g.size, dS * dS, dS, dE, dS, dE).trace(axis1=3, axis2=5)
+    # Column i + j*dS of the superoperator is vec(out[:, i + j*dS]).
+    superops = out.transpose(0, 3, 2, 1).reshape(g.size, dS * dS, dS * dS)
+    family = [QuantumMap(dS, dS, s) for s in superops]
+    _enforce_cptp(family, g, REDUCE_BUDGET)
     prov = {"kind": "total", "dimS": dS, "dimE": dE}
-    return DynamicalMap(grid=g, maps=out, provenance=prov)
+    return DynamicalMap(grid=g, maps=family, provenance=prov)
+
+
+def _intermediates(dm: DynamicalMap, t_idx, s_idx) -> list:
+    """The maps V_i with map(t_idx[i]) = V_i o map(s_idx[i]), from one
+    stacked inverse (``maps.inverse_many``, which raises at the first map
+    that is not invertible) and one stacked product; each is bit for bit
+    ``maps.compose(dm.maps[t], maps.inverse(dm.maps[s]))``."""
+    inverses = maps.inverse_many([dm.maps[s] for s in s_idx])
+    ss = np.stack([dm.maps[t].superop for t in t_idx]) @ np.stack([v.superop for v in inverses])
+    return [QuantumMap(dm.dim, dm.dim, s) for s in ss]
 
 
 def intermediate(dm: DynamicalMap, t_idx: int, s_idx: int) -> QuantumMap:
-    """V with map(t) = V o map(s); requires the map at s to be invertible."""
+    """V with map(t) = V o map(s); requires the map at s to be invertible.
+    The one-map case of the step maps of ``divisibility_report``."""
     if not 0 <= s_idx <= t_idx < len(dm):
         raise ValueError(f"need 0 <= s_idx <= t_idx < {len(dm)}, got s_idx={s_idx}, t_idx={t_idx}")
     if t_idx == s_idx:
         return maps.identity_map(dm.dim)
-    return maps.compose(dm.maps[t_idx], maps.inverse(dm.maps[s_idx]))
+    return _intermediates(dm, [t_idx], [s_idx])[0]
 
 
 @dataclass(frozen=True)
@@ -562,9 +584,16 @@ def divisibility_report(
     certified negative.  Refining the grid refines the claim; nothing is
     asserted between grid points.
 
-    Every intermediate map is built first; then each k runs one stacked
-    search over all steps (``maps.k_positivity_many``), step j drawing its
-    starts from ``SeedSequence(entropy=seed, spawn_key=(j, k))``.  Logs at
+    The step maps V_j, with map(t_j+1) = V_j o map(t_j), are built first,
+    as one stack: one ``maps.inverse_many`` call inverts the maps at
+    t_0..t_n-1 (the first one that is not invertible raises
+    ``maps.NonInvertibleMapError`` with its singular values), one stacked
+    product composes them, and one ``maps.cptp_residuals`` call gives every
+    step's TP residual; each step map is bit for bit ``intermediate(dm,
+    j + 1, j)``.  A one-point grid has no steps and is k-divisible for
+    every k.  Then each k runs one stacked search over all steps
+    (``maps.k_positivity_many``), step j drawing its starts from
+    ``SeedSequence(entropy=seed, spawn_key=(j, k))``.  Logs at
     DEBUG, per k, each step's restarts_converged and spread, after the call
     plan that ``k_positivity_many`` logs on ``nonmarkov.maps``.
     """
@@ -575,7 +604,8 @@ def divisibility_report(
         raise ValueError(f"each k must lie in [1, {dm.dim}]")
     restarts = linalg.check_positive_int(restarts, "restarts")
     n = len(dm) - 1
-    vs = [intermediate(dm, j + 1, j) for j in range(n)]
+    vs = _intermediates(dm, range(1, n + 1), range(n)) if n else []
+    tp_residuals = maps.cptp_residuals(vs)[1].tolist() if n else []
     certs = {}
     for k in ks:
         seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(j, k)) for j in range(n)]
@@ -589,10 +619,10 @@ def divisibility_report(
             index=j,
             t_from=float(dm.grid[j]),
             t_to=float(dm.grid[j + 1]),
-            tp_residual=float(maps.is_cptp(v)["tp_residual"]),
+            tp_residual=tp_residuals[j],
             certificates={k: certs[k][j] for k in ks},
         )
-        for j, v in enumerate(vs)
+        for j in range(n)
     ]
     verdicts = {}
     for k in ks:

@@ -196,12 +196,31 @@ def compose(f: QuantumMap, g: QuantumMap) -> QuantumMap:
 
 
 def inverse(m: QuantumMap) -> QuantumMap:
-    if m.dimIn != m.dimOut:
+    """The inverse map, as ``inverse_many([m])[0]``."""
+    return inverse_many([m])[0]
+
+
+def inverse_many(ms) -> list[QuantumMap]:
+    """The inverse of each map of ``ms``, from one stacked ``svd`` and one
+    stacked ``inv``; each is bit for bit what the map alone gives.
+
+    The maps must be square and share their dimension.  A map counts as
+    invertible iff its smallest singular value exceeds ``INVERT_RTOL`` times
+    its largest; the first map that is not raises ``NonInvertibleMapError``
+    with its own singular values.
+    """
+    ms = list(ms)
+    if not ms or len({(m.dimIn, m.dimOut) for m in ms}) > 1:
+        raise ValueError("inverse_many needs maps that share their dimensions")
+    d = ms[0].dimIn
+    if ms[0].dimOut != d:
         raise ValueError("only square maps can be inverted")
-    sv = np.linalg.svd(m.superop, compute_uv=False)
-    if sv[-1] <= INVERT_RTOL * sv[0]:
-        raise NonInvertibleMapError(float(sv[-1]), float(sv[0]))
-    return QuantumMap(m.dimIn, m.dimOut, np.linalg.inv(m.superop))
+    ss = np.stack([m.superop for m in ms])
+    sv = np.linalg.svd(ss, compute_uv=False)
+    bad = np.flatnonzero(sv[:, -1] <= INVERT_RTOL * sv[:, 0])
+    if bad.size:
+        raise NonInvertibleMapError(float(sv[bad[0], -1]), float(sv[bad[0], 0]))
+    return [QuantumMap(d, d, s) for s in np.linalg.inv(ss)]
 
 
 def adjoint(m: QuantumMap) -> QuantumMap:
@@ -271,13 +290,15 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
     """``k_positivity`` of every map in ``ms``, with ``restarts`` start points
     drawn from each map's own entry of ``seeds``.
 
-    The maps must share dimensions.  On the exact-eigenvalue path each map
-    gets its own eigendecomposition.  Otherwise the searches of all maps run
-    as groups of one stacked ``_accel.kpos_scan`` call, split into several
-    calls only where a call would hold more than
-    ``_accel.KPOS_STACK_ENTRIES`` Hessian entries.  Every restart follows
-    the iterates it follows alone, so each certificate is bit for bit the
-    one ``k_positivity`` gives for that map and seed.  Logs this call plan
+    The maps must share dimensions.  On the exact-eigenvalue path one
+    stacked ``eigh`` takes every map's Choi matrix, each factored on its
+    own.  Otherwise the searches of all maps run as groups of one stacked
+    ``_accel.kpos_scan`` call, split into several calls only where a call
+    would hold more than ``_accel.KPOS_STACK_ENTRIES`` Hessian entries, and
+    each call's spreads take the medians of all its groups in one
+    ``np.median`` over the restart axis.  Every restart follows the
+    iterates it follows alone, so each certificate is bit for bit the one
+    ``k_positivity`` gives for that map and seed.  Logs this call plan
     at DEBUG on the ``nonmarkov.maps`` logger: the exact path, or the number
     of ``kpos_scan`` calls and the rows of each.
     """
@@ -297,7 +318,8 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
     if k >= min(dA, dB):
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("k=%d: exact minimum eigenvalues, no kpos_scan call", k)
-        return [_certificate(k, j, linalg.eigh(j).eigenvectors[:, 0], 0, 0, 0.0) for j in js]
+        vecs = np.linalg.eigh(linalg.hermitize(np.stack(js))).eigenvectors[:, :, 0]
+        return [_certificate(k, j, psi, 0, 0, 0.0) for j, psi in zip(js, vecs)]
     starts_l, starts_u = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -316,12 +338,12 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
         bests, best_l, best_u, vals, converged = _accel.kpos_scan(
             j4[lo:hi], dA, dB, k,
             np.concatenate(starts_l[lo:hi]), np.concatenate(starts_u[lo:hi]))
+        spreads = (np.median(vals, axis=1) - bests).tolist()
         for g in range(hi - lo):
             psi = np.einsum("ai,bi->ab", best_l[g], best_u[g]).reshape(dA * dB)
             psi = psi / np.linalg.norm(psi)
-            spread = float(np.median(vals[g]) - bests[g])
             certs.append(_certificate(k, js[lo + g], psi, restarts,
-                                      int(converged[g].sum()), spread))
+                                      int(converged[g].sum()), spreads[g]))
     return certs
 
 

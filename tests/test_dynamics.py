@@ -522,7 +522,41 @@ class TestExpm:
             assert np.array_equal(e, dynamics._expm(x[None])[0])
 
 
+def reduce_per_time(tm, grid) -> list:
+    """The maps of ``reduce``, one ``maps.map_from_action`` per grid time
+    over the product for one time and one matrix unit: the per-map
+    reference of its stacked products."""
+    dec = linalg.eigh(tm.h_total)
+    w, u = dec.eigenvalues, dec.eigenvectors
+    rho_e = tm.env_state.matrix
+    out = []
+    for t in np.asarray(grid, dtype=np.float64):
+        ut = (u * np.exp(-1j * w * t)) @ u.conj().T
+
+        def act(x, ut=ut):
+            joint = np.kron(x, rho_e)
+            return linalg.trace_out(ut @ joint @ ut.conj().T, (tm.dimS, tm.dimE), 1)
+
+        out.append(maps.map_from_action(tm.dimS, tm.dimS, act))
+    return out
+
+
+def random_total_model(dS, dE, seed) -> dynamics.TotalSystemModel:
+    rng = np.random.default_rng(seed)
+    n = dS * dE
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return dynamics.TotalSystemModel(dS, dE, a + a.conj().T, states.random_density(dE, dE, seed))
+
+
 class TestReduce:
+    @pytest.mark.parametrize("tm", [model("jaynes_cummings_toy"), random_total_model(2, 3, 17)],
+                             ids=["jaynes_cummings_toy", "random-2x3"])
+    def test_stacked_products_match_per_time_oracle(self, tm):
+        grid = time_grid(2.0, 9)
+        dm = reduce(tm, grid)
+        oracle = reduce_per_time(tm, grid)
+        assert [m.superop.tobytes() for m in dm.maps] == [m.superop.tobytes() for m in oracle]
+
     def test_decoupled_hamiltonian_is_unitary_family(self):
         h = np.kron(SZ, np.eye(2))
         tm = dynamics.TotalSystemModel(2, 2, h, states.maximally_mixed(2))
@@ -556,6 +590,17 @@ class TestReduce:
 
 
 class TestIntermediate:
+    @pytest.mark.parametrize("family", ["eternal", "jaynes_cummings_toy"])
+    def test_matches_compose_with_inverse(self, family):
+        tm = model(family)
+        grid = time_grid(1.4, 6)
+        dm = reduce(tm, grid) if family == "jaynes_cummings_toy" else propagate(tm, grid)
+        # Consecutive pairs, then pairs further apart.
+        for t, s in [(1, 0), (3, 2), (5, 4), (3, 1), (5, 0), (4, 1)]:
+            v = intermediate(dm, t, s)
+            oracle = maps.compose(dm.maps[t], maps.inverse(dm.maps[s]))
+            assert v.superop.tobytes() == oracle.superop.tobytes()
+
     def test_same_index_identity(self):
         dm = propagate(model("eternal"), time_grid(1.0, 5))
         v = intermediate(dm, 2, 2)
@@ -629,6 +674,25 @@ class TestDivisibilityReport:
             for sigma in (SX, SY, SZ):
                 ratio = pauli_eigenvalue(v, sigma)
                 assert 0 < ratio <= 1 + 1e-12
+
+    def test_singular_map_raises_with_its_singular_values(self):
+        # The excitation of the Jaynes-Cummings toy leaves the system
+        # entirely at t = pi/2, where the map is not invertible.
+        dm = reduce(model("jaynes_cummings_toy"), [0.0, 0.5, np.pi / 2, 2.0])
+        with pytest.raises(maps.NonInvertibleMapError) as report_exc:
+            divisibility_report(dm, ks=[1, 2], restarts=4)
+        with pytest.raises(maps.NonInvertibleMapError) as inverse_exc:
+            maps.inverse(dm.maps[2])
+        assert report_exc.value.sigma_min == inverse_exc.value.sigma_min
+        assert report_exc.value.sigma_max == inverse_exc.value.sigma_max
+        assert report_exc.value.sigma_min < 1e-30
+        assert report_exc.value.sigma_max == pytest.approx(np.sqrt(2), rel=1e-12)
+
+    def test_one_point_grid_has_no_steps(self):
+        dm = reduce(model("jaynes_cummings_toy"), [0.0])
+        rep = divisibility_report(dm, ks=[1, 2], restarts=4)
+        assert rep.steps == []
+        assert rep.verdicts == {1: "k-divisible on grid", 2: "k-divisible on grid"}
 
     def test_jsonable(self):
         dm = propagate(model("eternal"), time_grid(1.0, 4))

@@ -115,6 +115,10 @@ CHECKS = [
                  "cannot compose", id="maps.compose-dims"),
     pytest.param(lambda: maps.inverse(maps.from_kraus(TRACE_MAP_KRAUS)), ValueError,
                  "square", id="maps.inverse-square"),
+    pytest.param(lambda: maps.inverse_many([]), ValueError, "share their dimensions",
+                 id="maps.inverse_many-empty"),
+    pytest.param(lambda: maps.inverse_many([identity_map(2), identity_map(3)]), ValueError,
+                 "share their dimensions", id="maps.inverse_many-dims"),
     pytest.param(lambda: maps.subtract(identity_map(2), identity_map(3)), ValueError,
                  "share dimensions", id="maps.subtract-dims"),
     pytest.param(lambda: maps.weighted_difference(identity_map(2), identity_map(3), 0.5, 0.5),

@@ -10,6 +10,7 @@ from nonmarkov.maps import (
     adjoint,
     amplify,
     choi,
+    choi_quadratic_form,
     compose,
     depolarizing,
     from_choi,
@@ -132,6 +133,22 @@ class TestAlgebra:
         with pytest.raises(NonInvertibleMapError) as exc:
             inverse(depolarizing(1.0, 2))
         assert exc.value.sigma_min < 1e-12
+
+    def test_inverse_many_matches_inv_per_map(self):
+        ms = [maps.random_cptp(3, 2, seed) for seed in (11, 12, 13)]
+        for m, inv in zip(ms, maps.inverse_many(ms)):
+            assert inv.superop.tobytes() == np.linalg.inv(m.superop).tobytes()
+            assert inv.superop.tobytes() == inverse(m).superop.tobytes()
+
+    def test_inverse_many_raises_at_the_first_singular_map(self):
+        # Two singular maps: the error carries the first one's singular values.
+        first, second = depolarizing(1.0, 2), replacer(np.diag([0.25, 0.75]))
+        ms = [maps.random_cptp(2, 2, 14), first, second]
+        with pytest.raises(NonInvertibleMapError) as exc:
+            maps.inverse_many(ms)
+        sv = np.linalg.svd(first.superop, compute_uv=False)
+        assert (exc.value.sigma_min, exc.value.sigma_max) == (float(sv[-1]), float(sv[0]))
+        assert sv[0] != np.linalg.svd(second.superop, compute_uv=False)[0]
 
     def test_pauli_map_inverse_eigenvalues(self):
         m = pauli_channel(0.7, 0.1, 0.1, 0.1)
@@ -315,7 +332,35 @@ class TestKposScan:
     """The batched seesaw against one call per restart."""
 
     @staticmethod
-    def assert_best_of_single_restart_runs(d, k, dB=None):
+    def assert_groups_best_of_single_restart_runs(j4, k, starts_l, starts_u):
+        """Every output of one kpos_scan call on the stack j4 has, group by
+        group, the bytes of that group's single-restart runs; returns the
+        call's values and stop flags."""
+        n_groups, dA, dB = j4.shape[:3]
+        per_group = starts_l.shape[0] // n_groups
+        batch = _accel.kpos_scan(j4, dA, dB, k, starts_l, starts_u)
+        for grp in range(n_groups):
+            val, best_l, best_u, vals, converged = (x[grp] for x in batch)
+            single = [
+                _accel.kpos_scan(j4[grp:grp + 1], dA, dB, k, starts_l[r:r + 1], starts_u[r:r + 1])
+                for r in range(grp * per_group, (grp + 1) * per_group)
+            ]
+            assert vals.tobytes() == np.concatenate([s[3][0] for s in single]).tobytes()
+            assert converged.tobytes() == np.concatenate([s[4][0] for s in single]).tobytes()
+            r = int(np.argmin([s[0][0] for s in single]))
+            assert val.tobytes() == single[r][0][0].tobytes()
+            assert best_l.tobytes() == single[r][1][0].tobytes()
+            assert best_u.tobytes() == single[r][2][0].tobytes()
+            # Checks that do not run the scan: every restart ran a sweep, and
+            # the best factors are the state that achieves the best value.
+            assert np.isfinite(vals).all()
+            psi = np.einsum("ai,bi->ab", best_l, best_u).reshape(dA * dB)
+            jm = j4[grp].reshape(dA * dB, dA * dB)
+            assert choi_quadratic_form(jm, psi) == pytest.approx(val, rel=1e-9, abs=1e-12)
+        return batch[3], batch[4]
+
+    @classmethod
+    def assert_best_of_single_restart_runs(cls, d, k, dB=None):
         # J acts on C^d (x) C^dB; dB defaults to d.
         dB = dB or d
         rng = np.random.default_rng(3)
@@ -325,20 +370,25 @@ class TestKposScan:
         starts_l = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         shape_u = (12, dB, k)
         starts_u = rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u)
-        # One group: read group 0 of every output.
-        val, best_l, best_u, vals, converged = (
-            x[0] for x in _accel.kpos_scan(j4[None], d, dB, k, starts_l, starts_u))
-        single = [
-            _accel.kpos_scan(j4[None], d, dB, k, starts_l[r:r + 1], starts_u[r:r + 1])
-            for r in range(shape[0])
-        ]
-        assert np.array_equal(vals, [s[0][0] for s in single])
-        assert np.array_equal(converged, [s[4][0, 0] for s in single])
-        r = int(np.argmin([s[0][0] for s in single]))
-        assert val == single[r][0][0]
-        assert np.array_equal(best_l, single[r][1][0])
-        assert np.array_equal(best_u, single[r][2][0])
-        return vals, converged
+        vals, converged = cls.assert_groups_best_of_single_restart_runs(
+            j4[None], k, starts_l, starts_u)
+        return vals[0], converged[0]
+
+    @staticmethod
+    def staggered_qubit_stack():
+        """Three 2 (x) 2 Choi tensors, diag(0, 1, 2, 3) plus 0.1, 0.5 and 1
+        times a random Hermitian matrix, with 12 restarts each.  Within 12
+        sweeps its rows stop on eight different sweeps, 4, 5 and 7 to 12,
+        and two never stop."""
+        rng = np.random.default_rng(29)
+        g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        herm = (g + g.conj().swapaxes(1, 2)) / 2
+        eps = np.array([0.1, 0.5, 1.0])[:, None, None]
+        j4 = (np.diag(np.arange(4.0)) + eps * herm).reshape(3, 2, 2, 2, 2)
+        shape = (36, 2, 1)
+        starts_l = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        starts_u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return j4, starts_l, starts_u
 
     @pytest.mark.parametrize("d, k", [(4, 1), (4, 2)])
     def test_best_of_single_restart_runs(self, d, k):
@@ -355,6 +405,23 @@ class TestKposScan:
         monkeypatch.setattr(_accel, "KPOS_ITERS", 8)
         _, converged = self.assert_best_of_single_restart_runs(2, 1)
         assert 0 < converged.sum() < len(converged)
+
+    @pytest.mark.parametrize("iters", range(1, 13))
+    def test_compacted_write_back_matches_single_restart_runs(self, monkeypatch, iters):
+        # A batched scan writes a row back on the sweep where it stops and
+        # the rows still active after its last sweep; a single-restart run
+        # has nothing to compact.  With a budget of `iters` sweeps, rows
+        # stop before the last sweep, on it (at every budget where a row of
+        # this stack stops), or never.
+        j4, starts_l, starts_u = self.staggered_qubit_stack()
+        monkeypatch.setattr(_accel, "KPOS_ITERS", iters - 1)
+        before = _accel.kpos_scan(j4, 2, 2, 1, starts_l, starts_u)[4]
+        monkeypatch.setattr(_accel, "KPOS_ITERS", iters)
+        _, converged = self.assert_groups_best_of_single_restart_runs(j4, 1, starts_l, starts_u)
+        assert (~converged).any()
+        assert not (before & ~converged).any()
+        if iters in (4, 5, 7, 8, 9, 10, 11, 12):
+            assert (converged & ~before).any()
 
     # (dA, dB) = (2, 3) is a qutrit-to-qubit map's Choi tensor, (4, 2) a
     # qubit-to-ququart one.  At k = 1 and on (4, 3) at k = 2 the restarts
@@ -401,11 +468,16 @@ class TestQuadraticForms:
         j4 = ((g + g.conj().swapaxes(1, 2)) / 2).reshape(3, dA, dB, dA, dB)
         jl, ju = _accel._half_step_matrices(j4)
         # Three groups whose spans hold 5, 0 and 2 rows.
-        cut = np.array([0, 5, 5, 7])
+        cut = [0, 5, 5, 7]
+        zbuf = np.empty(7 * (k * max(dA, dB)) ** 2, dtype=np.complex128)
+        hbuf = np.empty_like(zbuf)
         half_steps = [(dB, dA, jl, "rbi,abcd,rdj->raicj"), (dA, dB, ju, "rai,abcd,rcj->rbidj")]
         for fixed, free, jm, spec in half_steps:
             x = rng.standard_normal((7, fixed, k)) + 1j * rng.standard_normal((7, fixed, k))
-            h = _accel._quadratic_forms(x, jm, cut)
+            step = _accel._half_step(jm, cut, k, zbuf, hbuf)
+            h, work = _accel._quadratic_forms(x, step)
+            # The buffer left free for the Hermitian part is not the Hessians'.
+            assert not np.shares_memory(h, work)
             oracle = np.concatenate([
                 np.einsum(spec, x[lo:hi].conj(), j4[grp], x[lo:hi])
                 for grp, (lo, hi) in enumerate(zip(cut[:-1], cut[1:]))
