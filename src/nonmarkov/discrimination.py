@@ -100,9 +100,7 @@ def p_guess_channels(probs, channels, k: int, restarts: int = 64, seed: int = 0,
     restarts = linalg.check_positive_int(restarts, "restarts")
     if len(channels) < 2:
         raise ValueError("need at least two channels to discriminate")
-    if len({(e.dimIn, e.dimOut) for e in channels}) > 1:
-        raise ValueError("channels must share input and output dimensions")
-    d_in = channels[0].dimIn
+    d_in, _ = maps._family_shape(channels, "p_guess_channels")
     if k > d_in:
         raise ValueError(f"ancilla dimension k must lie in [1, {d_in}]")
     if len(channels) == 2:

@@ -38,7 +38,7 @@ import itertools
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -509,7 +509,7 @@ def reduce(model: TotalSystemModel, grid) -> DynamicalMap:
     rho_e = model.env_state.matrix
     joint = (units[:, :, None, :, None] * rho_e[:, None, :]).reshape(dS * dS, dS * dE, dS * dE)
     orbit = ut[:, None] @ joint @ ut.conj().swapaxes(1, 2)[:, None]
-    out = orbit.reshape(g.size, dS * dS, dS, dE, dS, dE).trace(axis1=3, axis2=5)
+    out = linalg.trace_out(orbit, (dS, dE), 1)
     # Column i + j*dS of the superoperator is vec(out[:, i + j*dS]).
     superops = out.transpose(0, 3, 2, 1).reshape(g.size, dS * dS, dS * dS)
     family = [QuantumMap(dS, dS, s) for s in superops]
@@ -557,22 +557,8 @@ class DivisibilityReport:
     verdicts: dict  # k -> "k-divisible on grid" | "not k-divisible on grid"
 
     def to_jsonable(self) -> dict:
-        """The report as JSON-ready data, read off its dataclass fields."""
-        return _jsonable(self)
-
-
-def _jsonable(x):
-    """Dataclasses by field name, dict keys as strings, real arrays as
-    lists and complex arrays in ``linalg.to_jsonable`` form."""
-    if is_dataclass(x):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return linalg.to_jsonable(x) if np.iscomplexobj(x) else x.tolist()
-    return x
+        """The report as JSON-ready data, its fields walked by ``linalg.jsonable``."""
+        return linalg.jsonable(self)
 
 
 def divisibility_report(

@@ -15,18 +15,25 @@ only where a spectrum is clamped (the ``entropy.conditional_renyi`` descent)
 or counted (``states.schmidt_rank``).
 
 ``trace_out`` is the one partial trace on an A-major (``numpy.kron``)
-product: marginals, Tr_A in H_min and its descent gradient, Tr_out J = I and
-the reduced dynamics' Tr_E all take it.  ``to_jsonable`` and
-``from_jsonable`` are the one JSON form of a complex array, ``{"re", "im"}``
-nested lists, for states, maps, SDP problems and certificates.
+product, of a matrix or a stack: marginals, Tr_A in H_min and its descent
+gradient, Tr_out J = I and the reduced dynamics' Tr_E all take it.
+
+Only this module imports ``json``.  ``to_jsonable`` and ``from_jsonable``
+are the one JSON form of a complex array, ``{"re", "im"}`` nested lists;
+``jsonable`` is the one object walker and ``build_dataclass`` its strict
+reader, the JSON of states, maps, SDP problems (all by ``JsonForm``) and
+divisibility reports.
 ``check_positive_int`` is the one check of a count: dimensions, ranks,
 restarts and grid steps.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
+import typing
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -160,10 +167,13 @@ def min_eig(m) -> float:
 
 def trace_out(m, dims, axis: int) -> np.ndarray:
     """Tr over factor ``axis`` of a matrix on the A-major product of factors
-    of sizes ``dims`` (a tuple), acting on the other factors in their order."""
-    n = len(m) // dims[axis]
-    t = np.asarray(m).reshape(dims * 2).trace(axis1=axis, axis2=axis + len(dims))
-    return t.reshape(n, n)
+    of sizes ``dims`` (a tuple), acting on the other factors in their order;
+    of a stack (..., n, n), each matrix bit for bit as it is traced alone."""
+    a = np.asarray(m)
+    lead, n = a.shape[:-2], a.shape[-1] // dims[axis]
+    axis1 = len(lead) + axis
+    t = a.reshape(lead + dims * 2).trace(axis1=axis1, axis2=axis1 + len(dims))
+    return t.reshape(lead + (n, n))
 
 
 def to_jsonable(m: np.ndarray) -> dict:
@@ -181,6 +191,54 @@ def from_jsonable(obj) -> np.ndarray:
     out = np.empty(re.shape, dtype=np.complex128)
     out.real, out.imag = re, im
     return out
+
+
+def jsonable(x):
+    """JSON-ready data: a dataclass as a dict of its init fields by name, dict
+    keys as strings, lists item by item, a complex array in ``to_jsonable``
+    form, a real array as nested lists and any other value as it is."""
+    if is_dataclass(x):
+        return {f.name: jsonable(getattr(x, f.name)) for f in fields(x) if f.init}
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return to_jsonable(x) if np.iscomplexobj(x) else x.tolist()
+    return x
+
+
+def build_dataclass(cls, doc):
+    """``cls(**doc)`` for a dict ``doc`` that names exactly the init fields of
+    dataclass ``cls`` (ValueError otherwise), a field typed as a dataclass
+    read the same way and every other ``{"re", "im"}`` value, also in a
+    list, as its array."""
+    names = [f.name for f in fields(cls) if f.init]
+    if not isinstance(doc, dict) or set(doc) != set(names):
+        got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+        raise ValueError(f"a {cls.__name__} document has exactly the keys {names}, got {got}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{name: build_dataclass(hints[name], doc[name]) if is_dataclass(hints[name])
+                  else _arrays(doc[name]) for name in names})
+
+
+def _arrays(x):
+    if isinstance(x, dict) and set(x) == {"re", "im"}:
+        return from_jsonable(x)
+    if isinstance(x, list):
+        return [_arrays(v) for v in x]
+    return x
+
+
+class JsonForm:
+    """A dataclass's ``to_json`` and ``from_json``, by ``jsonable`` and ``build_dataclass``."""
+
+    def to_json(self) -> str:
+        return json.dumps(jsonable(self))
+
+    @classmethod
+    def from_json(cls, text: str):
+        return build_dataclass(cls, json.loads(text))
 
 
 def check_positive_int(value, name: str) -> int:

@@ -14,7 +14,6 @@ trace-preserving map gives the identity on H_in.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -60,12 +59,12 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuantumMap:
+class QuantumMap(linalg.JsonForm):
     """Linear map B(H_in) -> B(H_out) stored as a superoperator matrix.
 
     ``hermitian_choi`` is the read-only Hermitian part (J + J†)/2 of the
     Choi matrix, kept from the construction-time check; ``choi`` returns J
-    itself.
+    itself.  Its JSON (``linalg.JsonForm``) holds the other three fields.
     """
 
     dimIn: int
@@ -100,23 +99,6 @@ class QuantumMap:
         t = self.superop.reshape(self.dimOut, self.dimOut, self.dimIn, self.dimIn)
         return t.transpose(1, 0, 3, 2)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dimIn": self.dimIn,
-                "dimOut": self.dimOut,
-                "superop": linalg.to_jsonable(self.superop),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "QuantumMap":
-        doc = json.loads(text)
-        if "kraus" in doc:
-            return from_kraus([linalg.from_jsonable(k) for k in doc["kraus"]])
-        s = linalg.from_jsonable(doc["superop"])
-        return QuantumMap(doc["dimIn"], doc["dimOut"], s)
-
 
 @dataclass(frozen=True)
 class PositivityCertificate:
@@ -143,6 +125,16 @@ class PositivityCertificate:
     @property
     def certified_negative(self) -> bool:
         return self.verdict == "certified-negative"
+
+
+def _family_shape(ms, caller: str) -> tuple[int, int]:
+    """(dimIn, dimOut) of the maps ``ms``, the one rule for a family of maps:
+    ValueError unless there is at least one map, all of one shape."""
+    shapes = {(m.dimIn, m.dimOut) for m in ms}
+    if len(shapes) != 1:
+        raise ValueError(f"{caller} needs at least one map, all of one shape; "
+                         f"got (dimIn, dimOut) {sorted(shapes)}")
+    return shapes.pop()
 
 
 def map_from_action(dimIn: int, dimOut: int, action) -> QuantumMap:
@@ -210,10 +202,8 @@ def inverse_many(ms) -> list[QuantumMap]:
     with its own singular values.
     """
     ms = list(ms)
-    if not ms or len({(m.dimIn, m.dimOut) for m in ms}) > 1:
-        raise ValueError("inverse_many needs maps that share their dimensions")
-    d = ms[0].dimIn
-    if ms[0].dimOut != d:
+    d, d_out = _family_shape(ms, "inverse_many")
+    if d_out != d:
         raise ValueError("only square maps can be inverted")
     ss = np.stack([m.superop for m in ms])
     sv = np.linalg.svd(ss, compute_uv=False)
@@ -247,12 +237,9 @@ def cptp_residuals(ms) -> tuple[np.ndarray, np.ndarray]:
     of each map of ``ms`` as two arrays, from one stacked ``eigvalsh`` and one
     stacked ``svd``; each entry is bit for bit what the map alone gives.
     ValueError for an empty list or maps of differing dimensions."""
-    if not ms or len({(m.dimIn, m.dimOut) for m in ms}) > 1:
-        raise ValueError("cptp_residuals needs maps that share their dimensions")
-    d_out, d_in = ms[0].dimOut, ms[0].dimIn
+    d_in, d_out = _family_shape(ms, "cptp_residuals")
     min_eig = np.linalg.eigvalsh(np.stack([m.hermitian_choi for m in ms]))[:, 0]
-    j = np.stack([choi(m) for m in ms]).reshape(-1, d_out, d_in, d_out, d_in)
-    tr_out = j.trace(axis1=1, axis2=3) - np.eye(d_in)
+    tr_out = linalg.trace_out(np.stack([choi(m) for m in ms]), (d_out, d_in), 0) - np.eye(d_in)
     return min_eig, np.linalg.svd(tr_out, compute_uv=False).max(axis=-1)
 
 
@@ -303,13 +290,9 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
     of ``kpos_scan`` calls and the rows of each.
     """
     ms, seeds = list(ms), list(seeds)
-    if not ms:
-        raise ValueError("k_positivity_many needs at least one map")
+    dB, dA = _family_shape(ms, "k_positivity_many")
     if len(seeds) != len(ms):
         raise ValueError(f"need one seed per map: {len(seeds)} seeds for {len(ms)} maps")
-    dA, dB = ms[0].dimOut, ms[0].dimIn
-    if any((m.dimOut, m.dimIn) != (dA, dB) for m in ms):
-        raise ValueError("maps must share dimensions")
     k = linalg.check_positive_int(k, "k")
     restarts = linalg.check_positive_int(restarts, "restarts")
     if k > dB:
@@ -318,7 +301,7 @@ def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertif
     if k >= min(dA, dB):
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("k=%d: exact minimum eigenvalues, no kpos_scan call", k)
-        vecs = np.linalg.eigh(linalg.hermitize(np.stack(js))).eigenvectors[:, :, 0]
+        vecs = np.linalg.eigh(np.stack(js)).eigenvectors[:, :, 0]
         return [_certificate(k, j, psi, 0, 0, 0.0) for j, psi in zip(js, vecs)]
     starts_l, starts_u = [], []
     for seed in seeds:
@@ -404,11 +387,12 @@ def mix(ms, probs) -> QuantumMap:
     """sum_i probs[i] ms[i]: one weight per map, all maps of one shape.
     ValueError for an empty list, a weight count that differs from the
     map count, or maps of differing dimensions."""
-    if not ms or len(ms) != len(probs) or len({(mi.dimIn, mi.dimOut) for mi in ms}) > 1:
-        raise ValueError("mix needs one weight per map, and the maps must share dimensions")
+    d_in, d_out = _family_shape(ms, "mix")
+    if len(ms) != len(probs):
+        raise ValueError(f"mix needs one weight per map: {len(probs)} weights for {len(ms)} maps")
     p = np.asarray(probs, dtype=np.float64)
     s = sum(pi * mi.superop for pi, mi in zip(p, ms))
-    return QuantumMap(ms[0].dimIn, ms[0].dimOut, s)
+    return QuantumMap(d_in, d_out, s)
 
 
 def random_cptp(dim: int, kraus_rank: int, seed: int) -> QuantumMap:

@@ -84,7 +84,6 @@ times their iteration counts, can change with the thread count.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -114,14 +113,15 @@ class SdpError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SdpProblem:
+class SdpProblem(linalg.JsonForm):
     """Hermitian block-diagonal SDP in standard form, a maximization.
 
     ``C`` holds the nb objective blocks, all of one size n; a program whose
     blocks differ in size is rejected.  ``A[k]`` is block k of all m
     constraints as one (m, n, n) stack and ``b`` the m right-hand sides.
     ``blocks`` and ``m`` are read from these shapes.  Validation keeps this
-    layout: each stack is checked and symmetrized as a whole.
+    layout: each stack is checked and symmetrized as a whole.  Its JSON
+    (``linalg.JsonForm``) holds exactly ``C``, ``A`` and ``b``.
     """
 
     C: list
@@ -156,29 +156,6 @@ class SdpProblem:
     @property
     def m(self) -> int:
         return self.b.size
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "C": [linalg.to_jsonable(c) for c in self.C],
-                "A": [linalg.to_jsonable(a) for a in self.A],
-                "b": self.b.tolist(),
-                "sense": "max",
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SdpProblem":
-        """Read ``to_json`` output; a ``blocks`` key (older output) is ignored.
-        ValueError unless ``sense`` is "max"."""
-        doc = json.loads(text)
-        if doc.get("sense") != "max":
-            raise ValueError(f"only maximizations are read, got sense {doc.get('sense')!r}")
-        return SdpProblem(
-            C=[linalg.from_jsonable(c) for c in doc["C"]],
-            A=[linalg.from_jsonable(a) for a in doc["A"]],
-            b=doc["b"],
-        )
 
 
 def _herm_stack(mats) -> np.ndarray:

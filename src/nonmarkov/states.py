@@ -5,12 +5,14 @@ Tensor ordering is A-major everywhere: the composite index of a product
 A (x) B is ``a * dimB + b``, which is exactly ``numpy.kron`` ordering. Every
 bipartite/tripartite helper in this package relies on that single convention,
 and every partial trace under it is ``linalg.trace_out``.
+
+``DensityOperator`` and ``BipartiteState`` take their JSON from
+``linalg.JsonForm``: their constructor fields by name, read back through
+the constructor and all its checks.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -34,7 +36,7 @@ def _check_density_matrix(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(linalg.JsonForm):
     """Hermitian, positive-semidefinite, unit-trace matrix."""
 
     matrix: np.ndarray
@@ -50,19 +52,9 @@ class DensityOperator:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def to_json(self) -> str:
-        return dumps_state(self.matrix, [self.dim])
-
-    @staticmethod
-    def from_json(text: str) -> "DensityOperator":
-        m, dims = loads_state(text)
-        if len(dims) != 1:
-            raise ValueError(f"expected a single-system state, got dims {dims}")
-        return DensityOperator(m)
-
 
 @dataclass(frozen=True)
-class BipartiteState:
+class BipartiteState(linalg.JsonForm):
     """State on H_A (x) H_B with A-major index ordering."""
 
     dimA: int
@@ -89,16 +81,6 @@ class BipartiteState:
         if which not in ("A", "B"):
             raise ValueError(f"marginal must be 'A' or 'B', not {which!r}")
         return partial_trace(self, "B" if which == "A" else "A")
-
-    def to_json(self) -> str:
-        return dumps_state(self.matrix, [self.dimA, self.dimB])
-
-    @staticmethod
-    def from_json(text: str) -> "BipartiteState":
-        m, dims = loads_state(text)
-        if len(dims) != 2:
-            raise ValueError(f"expected a bipartite state, got dims {dims}")
-        return BipartiteState(dims[0], dims[1], DensityOperator(m))
 
 
 @dataclass(frozen=True)
@@ -303,29 +285,3 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     d = np.diag(r)
     return q * (d / np.abs(d))
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization: {"dims": [...]} plus the matrix in linalg.to_jsonable form
-# ---------------------------------------------------------------------------
-
-
-def _checked_dims(m: np.ndarray, dims) -> list:
-    """``dims`` as positive ints whose product is the side of square ``m``."""
-    dims = [linalg.check_positive_int(d, "dims entry") for d in dims]
-    d = math.prod(dims)
-    if m.shape != (d, d):
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    return dims
-
-
-def dumps_state(matrix: np.ndarray, dims) -> str:
-    m = linalg.as_matrix(matrix)
-    doc = {"dims": _checked_dims(m, dims)}
-    doc.update(linalg.to_jsonable(m))
-    return json.dumps(doc)
-
-
-def loads_state(text: str):
-    doc = json.loads(text)
-    m = linalg.from_jsonable(doc)
-    return m, _checked_dims(m, doc["dims"])

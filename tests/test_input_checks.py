@@ -32,14 +32,15 @@ EMPTY = np.zeros((0, 0))
 TRACE_MAP_KRAUS = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
 
 
-def state_doc(dims, matrix):
-    return json.dumps({"dims": dims, **linalg.to_jsonable(matrix)})
+def edited_doc(obj, **changes):
+    """``obj.to_json()`` with ``changes`` applied; a None value drops its key."""
+    doc = json.loads(obj.to_json())
+    doc.update(changes)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
 
 
 def problem_doc(**changes):
-    doc = json.loads(SdpProblem(C=[EYE], A=[EYE[None]], b=[1.0]).to_json())
-    doc.update(changes)
-    return json.dumps({k: v for k, v in doc.items() if v is not None})
+    return edited_doc(SdpProblem(C=[EYE], A=[EYE[None]], b=[1.0]), **changes)
 
 
 CHECKS = [
@@ -80,12 +81,8 @@ CHECKS = [
     # states
     pytest.param(lambda: DensityOperator(np.ones((2, 3)) / 2), ValueError, "square",
                  id="states.DensityOperator-square"),
-    pytest.param(lambda: DensityOperator.from_json(max_entangled(2).to_json()), ValueError,
-                 "single-system", id="states.DensityOperator.from_json-factors"),
     pytest.param(lambda: BipartiteState(2, 3, maximally_mixed(4)), ValueError, "dimA",
                  id="states.BipartiteState-dims"),
-    pytest.param(lambda: BipartiteState.from_json(maximally_mixed(4).to_json()), ValueError,
-                 "bipartite", id="states.BipartiteState.from_json-factors"),
     pytest.param(lambda: TripartiteState(2, 2, 2, maximally_mixed(4)), ValueError, "dimA",
                  id="states.TripartiteState-dims"),
     pytest.param(lambda: StateEnsemble([0.5, 0.5], [maximally_mixed(2), maximally_mixed(3)]),
@@ -98,8 +95,6 @@ CHECKS = [
                  "positive semidefinite", id="states.Povm-negative"),
     pytest.param(lambda: states.pure_state(np.zeros(2)), ValueError, "zero vector",
                  id="states.pure_state-zero"),
-    pytest.param(lambda: states.loads_state(state_doc([3], EYE / 2)), ValueError,
-                 "does not match dims", id="states.loads_state-shape"),
     # maps
     pytest.param(lambda: QuantumMap(2, 2, np.eye(3)), ValueError, "superop shape",
                  id="maps.QuantumMap-shape"),
@@ -115,20 +110,20 @@ CHECKS = [
                  "cannot compose", id="maps.compose-dims"),
     pytest.param(lambda: maps.inverse(maps.from_kraus(TRACE_MAP_KRAUS)), ValueError,
                  "square", id="maps.inverse-square"),
-    pytest.param(lambda: maps.inverse_many([]), ValueError, "share their dimensions",
+    pytest.param(lambda: maps.inverse_many([]), ValueError, "at least one map",
                  id="maps.inverse_many-empty"),
     pytest.param(lambda: maps.inverse_many([identity_map(2), identity_map(3)]), ValueError,
-                 "share their dimensions", id="maps.inverse_many-dims"),
+                 "one shape", id="maps.inverse_many-dims"),
     pytest.param(lambda: maps.subtract(identity_map(2), identity_map(3)), ValueError,
-                 "share dimensions", id="maps.subtract-dims"),
+                 "one shape", id="maps.subtract-dims"),
     pytest.param(lambda: maps.weighted_difference(identity_map(2), identity_map(3), 0.5, 0.5),
-                 ValueError, "share dimensions", id="maps.weighted_difference-dims"),
-    pytest.param(lambda: maps.cptp_residuals([]), ValueError, "share their dimensions",
+                 ValueError, "one shape", id="maps.weighted_difference-dims"),
+    pytest.param(lambda: maps.cptp_residuals([]), ValueError, "at least one map",
                  id="maps.cptp_residuals-empty"),
     # a 2 -> 1 and a 1 -> 2 map, whose Choi matrices are both 2 x 2
     pytest.param(lambda: maps.cptp_residuals([maps.from_kraus(TRACE_MAP_KRAUS),
                                               maps.from_kraus([np.array([[1.0], [0.0]])])]),
-                 ValueError, "share their dimensions", id="maps.cptp_residuals-dims"),
+                 ValueError, "one shape", id="maps.cptp_residuals-dims"),
     # sdp
     pytest.param(lambda: SdpProblem(C=[EYE], A=[EYE[None]], b=[[1.0]]), ValueError, "vector",
                  id="sdp.SdpProblem-b"),
@@ -136,10 +131,29 @@ CHECKS = [
                  "one block per objective block", id="sdp.SdpProblem-block-count"),
     pytest.param(lambda: SdpProblem(C=[EYE], A=[EYE], b=[1.0]), ValueError,
                  "stacks of square blocks", id="sdp.SdpProblem-stack"),
+    # JSON documents: the one strict reader, then each constructor's checks
+    pytest.param(lambda: DensityOperator.from_json(max_entangled(2).to_json()), ValueError,
+                 "DensityOperator document", id="states.DensityOperator.from_json-factors"),
+    pytest.param(lambda: BipartiteState.from_json(maximally_mixed(4).to_json()), ValueError,
+                 "BipartiteState document", id="states.BipartiteState.from_json-factors"),
+    pytest.param(lambda: BipartiteState.from_json(edited_doc(max_entangled(2), dimA=2.5)),
+                 ValueError, "positive integer", id="states.BipartiteState.from_json-dims"),
+    pytest.param(lambda: BipartiteState.from_json(edited_doc(max_entangled(2), dimA=3)),
+                 ValueError, "state dim 4", id="states.BipartiteState.from_json-shape"),
+    pytest.param(lambda: QuantumMap.from_json(edited_doc(identity_map(2), superop=None)),
+                 ValueError, "exactly the keys", id="maps.QuantumMap.from_json-missing"),
+    pytest.param(lambda: QuantumMap.from_json(json.dumps({"kraus": [linalg.to_jsonable(EYE)]})),
+                 ValueError, "kraus", id="maps.QuantumMap.from_json-kraus"),
+    pytest.param(lambda: SdpProblem.from_json(problem_doc(b=None)), ValueError,
+                 "exactly the keys", id="sdp.SdpProblem.from_json-missing"),
+    pytest.param(lambda: SdpProblem.from_json(problem_doc(sense="max")), ValueError, "sense",
+                 id="sdp.SdpProblem.from_json-sense"),
     pytest.param(lambda: SdpProblem.from_json(problem_doc(sense="min")), ValueError, "sense",
                  id="sdp.SdpProblem.from_json-min"),
-    pytest.param(lambda: SdpProblem.from_json(problem_doc(sense=None)), ValueError, "sense",
-                 id="sdp.SdpProblem.from_json-no-sense"),
+    pytest.param(lambda: SdpProblem.from_json(problem_doc(blocks=[2])), ValueError, "blocks",
+                 id="sdp.SdpProblem.from_json-blocks"),
+    pytest.param(lambda: SdpProblem.from_json("[]"), ValueError, "got list",
+                 id="sdp.SdpProblem.from_json-not-an-object"),
     # dynamics: rates and models
     pytest.param(lambda: dynamics.rate_from_spec(True), ValueError, "finite number",
                  id="dynamics.rate_from_spec-bool"),
@@ -185,7 +199,7 @@ CHECKS = [
                  "p1 must lie", id="discrimination.helstrom_guess-p1"),
     pytest.param(lambda: discrimination.p_guess_channels(
         [0.5, 0.5], [identity_map(2), identity_map(3)], 1), ValueError,
-                 "share input and output", id="discrimination.p_guess_channels-dims"),
+                 "one shape", id="discrimination.p_guess_channels-dims"),
     pytest.param(lambda: discrimination.channel_distance(
         identity_map(2), identity_map(2), -0.1, 1), ValueError, "p must lie",
                  id="discrimination.channel_distance-p"),

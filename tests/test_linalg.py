@@ -191,6 +191,15 @@ class TestTraceOut:
                 new = linalg.trace_out(m, dims, axis)
                 assert new.tobytes() == old.reshape(new.shape).tobytes()
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_stack_equals_each_matrix_bit_for_bit(self, rng, axis):
+        dims = (2, 3, 2)
+        stack = rng.standard_normal((2, 3, 12, 12)) + 1j * rng.standard_normal((2, 3, 12, 12))
+        traced = linalg.trace_out(stack, dims, axis)
+        assert traced.shape == (2, 3) + linalg.trace_out(stack[0, 0], dims, axis).shape
+        for i, j in np.ndindex(2, 3):
+            assert traced[i, j].tobytes() == linalg.trace_out(stack[i, j], dims, axis).tobytes()
+
     def test_marginal_of_product(self):
         a = states.random_density(2, 2, 1).matrix
         b = states.random_density(3, 2, 2).matrix
@@ -223,12 +232,14 @@ class TestJsonForm:
         assert doc == {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
     def test_texts_of_state_map_and_problem(self):
-        # The JSON layout of each type is fixed, byte for byte.
+        # The JSON layout of each type is fixed, byte for byte: its
+        # constructor fields by name.
         rho = states.DensityOperator(np.array([[0.75, 0.25j], [-0.25j, 0.25]]))
-        assert rho.to_json() == (
-            '{"dims": [2], "re": [[0.75, 0.0], [0.0, 0.25]], '
-            '"im": [[0.0, 0.25], [-0.25, 0.0]]}'
-        )
+        matrix = ('{"re": [[0.75, 0.0], [0.0, 0.25]], '
+                  '"im": [[0.0, 0.25], [-0.25, 0.0]]}')
+        assert rho.to_json() == '{"matrix": ' + matrix + '}'
+        pair = states.BipartiteState(2, 1, rho)
+        assert pair.to_json() == '{"dimA": 2, "dimB": 1, "state": {"matrix": ' + matrix + '}}'
         phase = maps.from_kraus([np.diag([1, 1j])])
         assert phase.to_json() == (
             '{"dimIn": 2, "dimOut": 2, "superop": {"re": [[1.0, 0.0, 0.0, 0.0], '
@@ -242,5 +253,42 @@ class TestJsonForm:
         assert prob.to_json() == (
             '{"C": [{"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.5], [-0.5, 0.0]]}], '
             '"A": [{"re": [[[1.0, 0.0], [0.0, 1.0]]], "im": [[[0.0, 0.0], [0.0, 0.0]]]}], '
-            '"b": [1.0], "sense": "max"}'
+            '"b": [1.0]}'
         )
+
+
+def json_objects():
+    """One object of each type with a JSON form, each holding signed zeros.
+    The Hermitian matrices are exactly Hermitian, conj(0j) being -0j, so the
+    constructors' symmetrization keeps their bits."""
+    zeros = np.array([[0.5, complex(0.0, -0.0)], [0.0, 0.5]])
+    rho = states.DensityOperator(zeros)
+    superop = np.eye(4, dtype=complex)
+    superop[1, 2] = superop[2, 1] = complex(-0.0, -0.0)
+    return {
+        "DensityOperator": rho,
+        "BipartiteState": states.BipartiteState(1, 2, rho),
+        "QuantumMap": maps.QuantumMap(2, 2, superop),
+        "SdpProblem": sdp.SdpProblem(C=[zeros], A=[np.diag([1.0, 2.0])[None]], b=[1.0]),
+    }
+
+
+def arrays(obj):
+    if isinstance(obj, sdp.SdpProblem):
+        return [*obj.C, *obj.A, obj.b]
+    return [obj.superop if isinstance(obj, maps.QuantumMap) else obj.matrix]
+
+
+class TestObjectJson:
+    @pytest.mark.parametrize("name", list(json_objects()))
+    def test_round_trip_bit_for_bit(self, name):
+        obj = json_objects()[name]
+        text = obj.to_json()
+        assert "-0.0" in text
+        back = type(obj).from_json(text)
+        assert type(back) is type(obj)
+        # json writes every float64 exactly, signed zeros included.
+        assert back.to_json() == text
+        assert [a.tobytes() for a in arrays(back)] == [a.tobytes() for a in arrays(obj)]
+        if name == "SdpProblem":
+            assert sdp.solve(back).primal_value == sdp.solve(obj).primal_value
