@@ -58,20 +58,19 @@ def p_guess(ens: StateEnsemble) -> GuessResult:
 
     The solver's POVM is projected to exact feasibility (eigenvalue clip and
     symmetric normalization); the reported value is what that projected POVM
-    achieves.
+    achieves.  The projection takes all elements as one stack: one
+    ``hermitize``, one stacked ``eigh`` and stacked products, each element
+    bit for bit as projected alone.
     """
     if ens.size < 2:
         raise ValueError("need at least two states to discriminate")
     sol = sdp.solve_optimal(guessing_program(ens), "guessing")
-    elems = []
-    for e in sol.X:
-        dec = linalg.eigh(e)
-        w = np.maximum(dec.eigenvalues, 0.0)
-        elems.append((dec.eigenvectors * w) @ dec.eigenvectors.conj().T)
-    total = sum(elems)
-    tdec = linalg.eigh(total)
+    dec = np.linalg.eigh(linalg.hermitize(np.stack(sol.X)))
+    v = dec.eigenvectors
+    elems = (v * np.maximum(dec.eigenvalues, 0.0)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    tdec = linalg.eigh(sum(elems))
     inv_sqrt = (tdec.eigenvectors * tdec.eigenvalues**-0.5) @ tdec.eigenvectors.conj().T
-    povm = Povm([inv_sqrt @ e @ inv_sqrt for e in elems])
+    povm = Povm(list(inv_sqrt @ elems @ inv_sqrt))
     value = float(
         sum(p * np.trace(e @ s.matrix).real for p, e, s in zip(ens.probs, povm.elements, ens.states))
     )
@@ -162,7 +161,9 @@ def _output_identity_rows(d_out: int, d_in: int) -> np.ndarray:
     h_out = sdp.hermitian_basis(d_out)
     traceless = h_out[1:].copy()
     traceless[: d_out - 1] -= h_out[0]
-    a = np.kron(traceless[:, None], sdp.hermitian_basis(d_in)[None]).reshape(-1, d, d)
+    # T (x) h for every pair, by one broadcast product: np.kron(T, h).
+    h_in = sdp.hermitian_basis(d_in)
+    a = (traceless[:, None, :, None, :, None] * h_in[:, None, :, None, :]).reshape(-1, d, d)
     return np.concatenate([a, np.eye(d)[None]])
 
 

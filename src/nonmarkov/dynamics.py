@@ -579,7 +579,8 @@ def divisibility_report(
     j + 1, j)``.  A one-point grid has no steps and is k-divisible for
     every k.  Then each k runs one stacked search over all steps
     (``maps.k_positivity_many``), step j drawing its starts from
-    ``SeedSequence(entropy=seed, spawn_key=(j, k))``.  Logs at
+    ``SeedSequence(entropy=seed, spawn_key=(j, k))``; at k = ``dm.dim``
+    the search is the exact eigenvalue path and no seed is built.  Logs at
     DEBUG, per k, each step's restarts_converged and spread, after the call
     plan that ``k_positivity_many`` logs on ``nonmarkov.maps``.
     """
@@ -594,7 +595,10 @@ def divisibility_report(
     tp_residuals = maps.cptp_residuals(vs)[1].tolist() if n else []
     certs = {}
     for k in ks:
-        seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(j, k)) for j in range(n)]
+        # At k = dm.dim (= min(dimIn, dimOut) of every step map)
+        # k_positivity_many takes the exact path, which reads no seed.
+        seeds = ([np.random.SeedSequence(entropy=seed, spawn_key=(j, k)) for j in range(n)]
+                 if k < dm.dim else [None] * n)
         certs[k] = maps.k_positivity_many(vs, k, restarts, seeds) if n else []
         if _log.isEnabledFor(logging.DEBUG):
             for j, c in enumerate(certs[k]):

@@ -212,14 +212,24 @@ def build_dataclass(cls, doc):
     """``cls(**doc)`` for a dict ``doc`` that names exactly the init fields of
     dataclass ``cls`` (ValueError otherwise), a field typed as a dataclass
     read the same way and every other ``{"re", "im"}`` value, also in a
-    list, as its array."""
+    list, as its array.  A value of a type the constructor cannot take
+    raises ValueError too, naming the class and the field: a list or array
+    field that holds neither a list nor a ``{"re", "im"}`` document, or else
+    every field."""
     names = [f.name for f in fields(cls) if f.init]
     if not isinstance(doc, dict) or set(doc) != set(names):
         got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
         raise ValueError(f"a {cls.__name__} document has exactly the keys {names}, got {got}")
     hints = typing.get_type_hints(cls)
-    return cls(**{name: build_dataclass(hints[name], doc[name]) if is_dataclass(hints[name])
-                  else _arrays(doc[name]) for name in names})
+    values = {name: build_dataclass(hints[name], doc[name]) if is_dataclass(hints[name])
+              else _arrays(doc[name]) for name in names}
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        wrong = [name for name in names if hints[name] in (list, np.ndarray)
+                 and not isinstance(values[name], (list, np.ndarray))]
+        raise ValueError(f"a {cls.__name__} document holds a value of the wrong type "
+                         f"in {wrong or names}: {exc}") from exc
 
 
 def _arrays(x):

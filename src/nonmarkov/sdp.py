@@ -13,14 +13,16 @@ A minimization of <J, X> is the maximization of <-J, X>, negated.
 Every block of a program has the same size n.  A program passes its nb
 objective blocks ``C``, block k of all m constraints as one (m, n, n) array
 ``A[k]`` and the right-hand sides ``b``; ``SdpProblem`` keeps that layout
-and reads ``blocks`` and ``m`` from it.  The iteration runs on the complex
-Hermitian blocks.  As Re <A, G> = Re A . Re G + Im A . Im G for Hermitian A,
-the constraints are read once as one real (m, 2 nb n^2) matrix, the float
-view of their entries, and the Gram independence check, A(X), A^T(y), the
-inner products and the Schur complement are real matrix products.  The
-iteration is primal-dual path-following (HKM direction, Mehrotra
-predictor-corrector) from an identity-scaled start; Cholesky failures of the
-Schur complement retry with escalating regularization.
+and reads ``blocks`` and ``m`` from it.  Blocks often share one stack object
+(``[h] * n``, ``[a, a]``): ``SdpProblem`` checks and symmetrizes each
+distinct object once, and its blocks share the result.  The iteration runs
+on the complex Hermitian blocks.  As Re <A, G> = Re A . Re G + Im A . Im G
+for Hermitian A, the constraints are read once as one real (m, 2 nb n^2)
+matrix, the float view of their entries, and the Gram independence check,
+A(X), A^T(y), the inner products and the Schur complement are real matrix
+products.  The iteration is primal-dual path-following (HKM direction,
+Mehrotra predictor-corrector) from an identity-scaled start; Cholesky
+failures of the Schur complement retry with escalating regularization.
 
 Step lengths follow SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw. 11,
 545, 1999).  With a_X and a_Z the largest steps that keep X and Z PSD, the
@@ -54,7 +56,10 @@ factorization is redone problem by problem with each problem's own
 regularization, and any other breakdown of a stacked step redoes that step
 problem by problem, so one failing problem ends only itself.  Each finished
 problem logs its status, iterations, residuals and gap at DEBUG on the
-``nonmarkov.sdp`` logger.
+``nonmarkov.sdp`` logger.  A solution carries the residuals, values and gap
+that the iteration measured on the iterate it returns; only a returned
+iterate that was not measured last, the certified fallback below or the
+iterate after the last step at "max_iter", is measured again.
 
 An "optimal" solution meets feasibility 1e-8 * max(1, |b_i|), normalised
 dual residual 1e-8 and gap 1e-8 * (1 + |primal|); the returned
@@ -84,6 +89,7 @@ times their iteration counts, can change with the thread count.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -120,7 +126,8 @@ class SdpProblem(linalg.JsonForm):
     blocks differ in size is rejected.  ``A[k]`` is block k of all m
     constraints as one (m, n, n) stack and ``b`` the m right-hand sides.
     ``blocks`` and ``m`` are read from these shapes.  Validation keeps this
-    layout: each stack is checked and symmetrized as a whole.  Its JSON
+    layout: each stack is checked and symmetrized as a whole, a stack object
+    passed for several blocks only once.  Its JSON
     (``linalg.JsonForm``) holds exactly ``C``, ``A`` and ``b``.
     """
 
@@ -141,7 +148,13 @@ class SdpProblem(linalg.JsonForm):
             raise ValueError("SDP data contains NaN or Inf entries")
         if len(self.A) != len(c):
             raise ValueError("constraint must provide one block per objective block")
-        a = [_herm_stack(s) for s in self.A]
+        # A program may pass one stack object for several blocks ([h] * n):
+        # each distinct object is checked once and shared.
+        checked = {}
+        for s in self.A:
+            if id(s) not in checked:
+                checked[id(s)] = _herm_stack(s)
+        a = [checked[id(s)] for s in self.A]
         if any(s.shape != (b.size,) + c.shape[1:] for s in a):
             raise ValueError("every constraint stack must have one row per right-hand side, "
                              "each of the objective's block size")
@@ -195,6 +208,7 @@ class SdpSolution:
         return self.status == "optimal"
 
 
+@functools.cache
 def hermitian_basis(dim: int) -> np.ndarray:
     """Orthogonal (unnormalized) basis of dim x dim Hermitian matrices as one
     (dim^2, dim, dim) stack.
@@ -202,7 +216,9 @@ def hermitian_basis(dim: int) -> np.ndarray:
     Diagonal units first, then for each i < j the symmetric element
     (1 at (i, j) and (j, i)) followed by the antisymmetric one (i at (i, j),
     -i at (j, i)).  Used to turn a Hermitian operator equality into real
-    scalar constraints.
+    scalar constraints.  Built once per ``dim`` and cached: every call with
+    that ``dim`` returns the same read-only array, so a caller that needs to
+    change it copies it first.
     """
     out = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
     diag = np.arange(dim)
@@ -212,6 +228,7 @@ def hermitian_basis(dim: int) -> np.ndarray:
     out[sym, i, j] = out[sym, j, i] = 1.0
     out[sym + 1, i, j] = 1j
     out[sym + 1, j, i] = -1j
+    out.flags.writeable = False
     return out
 
 
@@ -399,39 +416,47 @@ def solve_many(problems) -> list[SdpSolution]:
     certified = [None] * q
     res_history = [[] for _ in range(q)]
 
-    def finish(i, status, it, state):
+    def finish(i, status, it, state, scalars=None):
+        """The solution of problem i at row r of the stacks ``state`` = (w, y,
+        r).  ``scalars`` are its (p_res, d_res, pv, dv, gap) as ``measure``
+        gave them for that iterate; without them, or when the certified
+        iterate replaces it, that iterate is measured here."""
         if status == "numerical-failure" and certified[i] is not None:
             # The step broke down after an iterate already met the guarantees.
-            state, status = certified[i], "optimal"
+            state, status, scalars = certified[i], "optimal", None
         ws, ys, r = state
         w1, y1 = ws[:, r:r + 1], ys[r:r + 1]
-        _, _, p_res, d_res, pv, dv, gap = measure(w1, y1, *problem_rows([i]))
+        if scalars is None:
+            scalars = [v[0] for v in measure(w1, y1, *problem_rows([i]))[2:]]
+        p_res, d_res, pv, dv, gap = scalars
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("%s after %d iterations: primal_residual=%.3g dual_residual=%.3g "
-                       "gap=%.3g", status, it, p_res[0], d_res[0], gap[0])
+                       "gap=%.3g", status, it, p_res, d_res, gap)
         return SdpSolution(
             X=list(w1[0, 0].copy()),
             y=y1[0].copy(),
             Z=list(w1[1, 0].copy()),
-            primal_value=pv[0],
-            dual_value=dv[0],
-            gap=gap[0],
+            primal_value=pv,
+            dual_value=dv,
+            gap=gap,
             status=status,
             iterations=it,
-            primal_residual=p_res[0],
-            dual_residual=d_res[0],
+            primal_residual=p_res,
+            dual_residual=d_res,
         )
 
     idx = list(range(q))  # the problem of each row of the stacks
     cm, b, b_scale, c_scale = problem_rows(idx)
     for it in range(1, MAX_ITER + 1):
-        rp, rd, p_res, d_res, pv, _, gap = measure(w, y, cm, b, b_scale, c_scale)
+        rp, rd, *measured = measure(w, y, cm, b, b_scale, c_scale)
+        # Per row: (p_res, d_res, pv, dv, gap) of the iterate (w, y).
+        scalars = list(zip(*measured))
         mu = [v / n_total for v in inner(w[0], w[1])]
         ynorm = [math.sqrt(v) for v in np.vecdot(y, y).tolist()]
 
         keep = []
         for r, i in enumerate(idx):
-            pr, dr, pvr, gr, yn = p_res[r], d_res[r], pv[r], gap[r], ynorm[r]
+            (pr, dr, pvr, _, gr), yn = scalars[r], ynorm[r]
             hist = res_history[i]
             hist.append(pr + dr)
             status = None
@@ -463,7 +488,7 @@ def solve_many(problems) -> list[SdpSolution]:
             if status is None:
                 keep.append(r)
             else:
-                sols[i] = finish(i, status, it, (w, y, r))
+                sols[i] = finish(i, status, it, (w, y, r), scalars[r])
 
         if not keep:
             break
@@ -472,6 +497,7 @@ def solve_many(problems) -> list[SdpSolution]:
             cm, b, b_scale, c_scale = problem_rows(idx)
             w, y = w[:, keep], y[keep]
             rp, rd, mu = rp[keep], rd[keep], [mu[r] for r in keep]
+            scalars = [scalars[r] for r in keep]
         try:
             w, y = step(w, y, rp, rd, mu)
         except np.linalg.LinAlgError:
@@ -484,7 +510,7 @@ def solve_many(problems) -> list[SdpSolution]:
                                       mu[r:r + 1]))
                     keep.append(r)
                 except np.linalg.LinAlgError:
-                    sols[i] = finish(i, "numerical-failure", it, (w, y, r))
+                    sols[i] = finish(i, "numerical-failure", it, (w, y, r), scalars[r])
             if not keep:
                 break
             idx = [idx[r] for r in keep]

@@ -93,6 +93,33 @@ class TestPGuess:
             assert linalg.min_eig(e) >= -1e-9
         assert abs(res.value - res.sdp_value) < 1e-7
 
+    @pytest.mark.parametrize("d, n, seed", [(2, 2, 0), (2, 3, 1), (3, 3, 2), (3, 4, 3),
+                                            (4, 3, 4), (4, 5, 5)])
+    def test_stacked_projection_equals_per_element(self, d, n, seed):
+        # Oracle: the projection one element at a time, on the same solution.
+        rng = np.random.default_rng(seed)
+        ens = StateEnsemble(rng.dirichlet(np.ones(n)),
+                            [random_density(d, 1 + s % d, seed * 10 + s) for s in range(n)])
+        sol = sdp.solve(disc.guessing_program(ens))
+        elems = []
+        for e in sol.X:
+            dec = linalg.eigh(e)
+            w = np.maximum(dec.eigenvalues, 0.0)
+            elems.append((dec.eigenvectors * w) @ dec.eigenvectors.conj().T)
+        tdec = linalg.eigh(sum(elems))
+        inv_sqrt = (tdec.eigenvectors * tdec.eigenvalues**-0.5) @ tdec.eigenvectors.conj().T
+        povm = states.Povm([inv_sqrt @ e @ inv_sqrt for e in elems])
+        value = float(sum(p * np.trace(e @ s.matrix).real
+                          for p, e, s in zip(ens.probs, povm.elements, ens.states)))
+        res = disc.p_guess(ens)
+        assert res.value.hex() == value.hex()
+        assert res.sdp_value.hex() == sol.primal_value.hex()
+        assert len(res.povm.elements) == n
+        for got, want in zip(res.povm.elements, povm.elements):
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+            assert np.array_equal(np.signbit(got.view(np.float64)),
+                                  np.signbit(want.view(np.float64)))
+
     def test_single_state_rejected(self):
         with pytest.raises(ValueError):
             disc.p_guess(StateEnsemble(np.array([1.0]), [KET0]))

@@ -694,6 +694,26 @@ class TestDivisibilityReport:
         assert rep.steps == []
         assert rep.verdicts == {1: "k-divisible on grid", 2: "k-divisible on grid"}
 
+    def test_seeds_built_only_for_searched_ks(self, monkeypatch):
+        # At k = 2 a qubit report takes the exact eigenvalue path, which
+        # reads no seed: only k = 1 builds one per step.
+        built = []
+
+        class Spy(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["spawn_key"])
+                super().__init__(*args, **kwargs)
+
+        dm = propagate(model("eternal"), time_grid(1.0, 4))
+        before = divisibility_report(dm, ks=[1, 2], restarts=4, seed=6).to_jsonable()
+        monkeypatch.setattr(np.random, "SeedSequence", Spy)
+        rep = divisibility_report(dm, ks=[1, 2], restarts=4, seed=6)
+        assert built == [(j, 1) for j in range(3)]
+        assert rep.to_jsonable() == before
+        built.clear()
+        divisibility_report(dm, ks=[2], restarts=4, seed=6)
+        assert built == []
+
     def test_jsonable(self):
         dm = propagate(model("eternal"), time_grid(1.0, 4))
         rep = divisibility_report(dm, ks=[2], restarts=4, seed=6)

@@ -43,6 +43,11 @@ def problem_doc(**changes):
     return edited_doc(SdpProblem(C=[EYE], A=[EYE[None]], b=[1.0]), **changes)
 
 
+def retyped_doc(**changes):
+    """``problem_doc()`` with ``changes`` applied, a None value kept as null."""
+    return json.dumps({**json.loads(problem_doc()), **changes})
+
+
 CHECKS = [
     # Hermiticity, one owner for every kind of input
     pytest.param(lambda: linalg.hermitize(np.stack([EYE, NILPOTENT])), NotHermitianError,
@@ -154,6 +159,16 @@ CHECKS = [
                  id="sdp.SdpProblem.from_json-blocks"),
     pytest.param(lambda: SdpProblem.from_json("[]"), ValueError, "got list",
                  id="sdp.SdpProblem.from_json-not-an-object"),
+    # a value of the wrong type, which the constructor cannot take
+    pytest.param(lambda: DensityOperator.from_json('{"matrix": {"re": [[1.0]]}}'), ValueError,
+                 r"DensityOperator document holds a value of the wrong type in \['matrix'\]",
+                 id="states.DensityOperator.from_json-type"),
+    pytest.param(lambda: SdpProblem.from_json(retyped_doc(C=None)), ValueError,
+                 r"SdpProblem document holds a value of the wrong type in \['C'\]",
+                 id="sdp.SdpProblem.from_json-type-C"),
+    pytest.param(lambda: SdpProblem.from_json(retyped_doc(A=5)), ValueError,
+                 r"SdpProblem document holds a value of the wrong type in \['A'\]",
+                 id="sdp.SdpProblem.from_json-type-A"),
     # dynamics: rates and models
     pytest.param(lambda: dynamics.rate_from_spec(True), ValueError, "finite number",
                  id="dynamics.rate_from_spec-bool"),

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonmarkov import dynamics, entropy, linalg, maps, sdp
-from nonmarkov.discrimination import diamond_norm_program, guessing_program
+from nonmarkov.discrimination import (
+    _output_identity_rows,
+    diamond_norm_program,
+    guessing_program,
+)
 from nonmarkov.sdp import (
     GUARANTEE,
     SdpProblem,
@@ -81,6 +85,38 @@ def test_hermitian_basis_layout(d):
     gram = np.einsum("kij,lji->kl", h, h)
     assert np.array_equal(gram, np.diag(np.diag(gram)))
     assert set(np.diag(gram).real.tolist()) <= {1.0, 2.0}
+
+
+def test_hermitian_basis_cached_read_only():
+    for d in (1, 2, 3):
+        h = hermitian_basis(d)
+        assert hermitian_basis(d) is h
+        assert not h.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0, 0] = 2.0
+    assert hermitian_basis(2) is not hermitian_basis(3)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.float64), b.view(np.float64))
+    assert np.array_equal(np.signbit(a.view(np.float64)), np.signbit(b.view(np.float64)))
+
+
+@pytest.mark.parametrize("d_a, d_b", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_min_entropy_stack_equals_kron(monkeypatch, d_a, d_b):
+    # The constraint stack as the builder passes it, before SdpProblem
+    # symmetrizes it, against np.kron(I_A, h) for each basis element h.
+    passed = {}
+
+    def capture(C, A, b):
+        passed["A"] = A
+        return SdpProblem(C=C, A=A, b=b)
+
+    monkeypatch.setattr(sdp, "SdpProblem", capture)
+    rho = BipartiteState(d_a, d_b, random_density(d_a * d_b, 2, 5))
+    entropy.min_entropy_program(rho)
+    assert_bits_equal(passed["A"][0], np.kron(np.eye(d_a), hermitian_basis(d_b)))
 
 
 class TestBasicPrograms:
@@ -317,32 +353,59 @@ def _pinned_program(name):
     return entropy.min_entropy_program(BipartiteState(3, 3, DensityOperator(iso)))
 
 
-# primal_value.hex() and iterations of each builder's program at one BLAS
-# thread: a change that keeps the solver's arithmetic leaves them as they are.
+# iterations and the .hex() of the scalars of each builder's program at one
+# BLAS thread: a change that keeps the solver's arithmetic leaves them as they
+# are.
 PINNED = {
-    "min_entropy[t1]": ("0x1.ab9a18338e875p+0", 7),
-    "fidelity[t1]": ("0x1.1b6dcdb3d58eep+0", 7),
-    "guessing[t1]": ("0x1.ec410ee24f493p-1", 9),
-    "diamond[t1]": ("0x1.51979f319029ep-2", 7),
-    "diamond[qutrit]": ("0x1.f2e276516b316p+0", 15),
-    "min_entropy[isotropic3]": ("0x1.199999993b696p+1", 7),
+    "min_entropy[t1]": (7, {
+        "primal_value": "0x1.ab9a18338e875p+0", "dual_value": "0x1.ab9a1833982f0p+0",
+        "gap": "0x1.34f6000000000p-37", "primal_residual": "0x1.0000000000000p-52",
+        "dual_residual": "0x0.0p+0"}),
+    "fidelity[t1]": (7, {
+        "primal_value": "0x1.1b6dcdb3d58eep+0", "dual_value": "0x1.1b6dcdb405b78p+0",
+        "gap": "0x1.8145000000000p-35", "primal_residual": "0x1.4600000000000p-46",
+        "dual_residual": "0x1.0000000000000p-55"}),
+    "guessing[t1]": (9, {
+        "primal_value": "0x1.ec410ee24f493p-1", "dual_value": "0x1.ec410ee26fd12p-1",
+        "gap": "0x1.043f800000000p-36", "primal_residual": "0x1.8000000000000p-51",
+        "dual_residual": "0x1.0000000000000p-55"}),
+    "diamond[t1]": (7, {
+        "primal_value": "0x1.51979f319029ep-2", "dual_value": "0x1.51979f31d7c0cp-2",
+        "gap": "0x1.1e5b800000000p-36", "primal_residual": "0x1.8734e659cebb8p-51",
+        "dual_residual": "0x1.0000000000000p-56"}),
+    "diamond[qutrit]": (15, {
+        "primal_value": "0x1.f2e276516b316p+0", "dual_value": "0x1.f2e27658b095bp+0",
+        "gap": "0x1.d159140000000p-30", "primal_residual": "0x1.f8e20a0000000p-32",
+        "dual_residual": "0x1.09a93a9288691p-55"}),
+    "min_entropy[isotropic3]": (7, {
+        "primal_value": "0x1.199999993b696p+1", "dual_value": "0x1.19999999b4e17p+1",
+        "gap": "0x1.e5e0400000000p-33", "primal_residual": "0x1.0000000000000p-53",
+        "dual_residual": "0x0.0p+0"}),
 }
 
 # The m = 73 qutrit program's GEMMs are large enough for OpenBLAS to split
 # over threads, which changes its last bits.  It stops at a gap of about
 # 2e-9, and with two to four threads its primal value ends 1.5e-10 (relative)
-# below the one-thread value, in as many iterations; that value is pinned bit
-# for bit too.
-THREADED = {"diamond[qutrit]": "0x1.f2e276502bf3dp+0"}
+# below the one-thread value, in as many iterations; those scalars are pinned
+# bit for bit too.
+THREADED = {
+    "diamond[qutrit]": {
+        "primal_value": "0x1.f2e276502bf3dp+0", "dual_value": "0x1.f2e27658b08e3p+0",
+        "gap": "0x1.10934c0000000p-29", "primal_residual": "0x1.b82fbc0000000p-32",
+        "dual_residual": "0x1.09a93a9288691p-54"},
+}
 
 
 @pytest.mark.parametrize("name", list(PINNED))
 def test_builder_outputs_pinned(name):
-    value_hex, iterations = PINNED[name]
+    # The returned scalars are those the iteration measured on its last
+    # iterate: measuring it again gives the same bits.
+    iterations, scalars = PINNED[name]
     sol = solve(_pinned_program(name))
     assert sol.optimal
     assert sol.iterations == iterations
-    assert sol.primal_value.hex() in {value_hex, THREADED.get(name, value_hex)}
+    got = {field: getattr(sol, field).hex() for field in scalars}
+    assert got in (scalars, THREADED.get(name, scalars))
 
 
 def test_finished_solve_logged(caplog):
@@ -565,6 +628,37 @@ def test_min_entropy_program_shape(d_a, d_b):
     prob = entropy.min_entropy_program(rho)
     assert prob.blocks == [d_a * d_b]
     assert prob.m == d_b**2
+
+
+@pytest.mark.parametrize("d_out, d_in", [(1, 2), (2, 2), (3, 3), (2, 3), (3, 2), (2, 4)])
+def test_output_identity_rows_equal_kron(d_out, d_in):
+    h_out = hermitian_basis(d_out)
+    traceless = h_out[1:].copy()
+    traceless[: d_out - 1] -= h_out[0]
+    d = d_out * d_in
+    kron = np.kron(traceless[:, None], hermitian_basis(d_in)[None]).reshape(-1, d, d)
+    assert_bits_equal(_output_identity_rows(d_out, d_in),
+                      np.concatenate([kron, np.eye(d)[None]]))
+
+
+def test_repeated_stack_checked_once(monkeypatch):
+    # guessing_program passes one basis object for every block: it is
+    # symmetrized once and the copies share the result.
+    rhos = [random_density(3, 2, s).matrix for s in (1, 2, 3)]
+    hermitize, calls = linalg.hermitize, []
+
+    def counted(m, tol=linalg.HERM_TOL):
+        calls.append(np.shape(m))
+        return hermitize(m, tol)
+
+    monkeypatch.setattr(linalg, "hermitize", counted)
+    prob = p_guess_problem([0.2, 0.3, 0.5], rhos)
+    assert calls == [(3, 3, 3), (9, 3, 3)]
+    assert prob.A[0] is prob.A[1] is prob.A[2]
+    distinct = SdpProblem(C=prob.C, A=[a.copy() for a in prob.A], b=prob.b)
+    assert len(calls) == 2 + 4
+    for u, v in zip(prob.A, distinct.A):
+        assert_bits_equal(u, v)
 
 
 @pytest.mark.parametrize("d_out, d_in", [(2, 2), (3, 3), (2, 3), (3, 2)])
