@@ -10,10 +10,10 @@ guessed with an ancilla as large as the input, by one tester program.
 The trace-norm ascent over input states is a multistart local search
 reporting a best-found lower bound; the semidefinite programs (state
 guessing, channel guessing, diamond norm) carry matching dual
-certificates.  The diamond-norm and channel-guessing programs share one
-constraint stack: the rows that fix a block sum to I_out (x) rho with
-Tr rho = 1.  The trace-norm ascent logs its restart statistics at DEBUG on
-the ``nonmarkov.discrimination`` logger.
+certificates.  The diamond-norm and channel-guessing programs are built on
+the same constraint rows, those that fix the sum of their blocks to
+I_out (x) rho with Tr rho = 1.  The trace-norm ascent logs its restart
+statistics at DEBUG on the ``nonmarkov.discrimination`` logger.
 """
 
 from __future__ import annotations
@@ -47,10 +47,9 @@ class GuessResult:
 
 def guessing_program(ens: StateEnsemble) -> sdp.SdpProblem:
     """max sum_i p_i <rho_i, E_i>  s.t.  sum_i E_i = I, E_i >= 0."""
-    n, d = ens.size, ens.dim
-    h = sdp.hermitian_basis(d)
+    h = sdp.hermitian_basis(ens.dim)
     c = [p * s.matrix for p, s in zip(ens.probs, ens.states)]
-    return sdp.SdpProblem(C=c, A=[h] * n, b=np.trace(h, axis1=1, axis2=2).real)
+    return sdp.SdpProblem(C=c, A=h, b=np.trace(h, axis1=1, axis2=2).real)
 
 
 def p_guess(ens: StateEnsemble) -> GuessResult:
@@ -181,7 +180,7 @@ def diamond_norm_program(m: QuantumMap) -> sdp.SdpProblem:
     a = _output_identity_rows(d_out, d_in)
     b = np.zeros(len(a))
     b[-1] = 2.0 * d_out
-    return sdp.SdpProblem(C=[-j / 2, j / 2], A=[a, a], b=b)
+    return sdp.SdpProblem(C=[-j / 2, j / 2], A=a, b=b)
 
 
 def channel_guessing_program(probs, channels) -> sdp.SdpProblem:
@@ -200,7 +199,7 @@ def channel_guessing_program(probs, channels) -> sdp.SdpProblem:
     b = np.zeros(len(a))
     b[-1] = float(d_out)
     c = [p * maps.choi(e) for p, e in zip(probs, channels)]
-    return sdp.SdpProblem(C=c, A=[a] * len(c), b=b)
+    return sdp.SdpProblem(C=c, A=a, b=b)
 
 
 def diamond_norm(m: QuantumMap) -> float:

@@ -217,7 +217,7 @@ class GkslGenerator:
         vs = [linalg.as_matrix(v) for v in self.jumps]
         if any(v.shape != (self.dim, self.dim) for v in vs):
             raise ValueError("jump operator dimension mismatch")
-        if len(vs) != len(self.rates):
+        if len(vs) != len(self.rates) or not all(callable(r) for r in self.rates):
             raise ValueError("need one rate function per jump operator")
         object.__setattr__(self, "jumps", vs)
         eye = np.eye(self.dim)

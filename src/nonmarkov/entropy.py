@@ -348,7 +348,7 @@ def min_entropy_program(rho: BipartiteState) -> sdp.SdpProblem:
     # I_A (x) h for every h, by one broadcast product: np.kron(np.eye(d_A), h).
     n = rho.dimA * rho.dimB
     a = (np.eye(rho.dimA)[:, None, :, None] * h[:, None, :, None, :]).reshape(-1, n, n)
-    return sdp.SdpProblem(C=[rho.matrix], A=[a], b=np.trace(h, axis1=1, axis2=2).real)
+    return sdp.SdpProblem(C=[rho.matrix], A=a, b=np.trace(h, axis1=1, axis2=2).real)
 
 
 def h_min(rho: BipartiteState) -> float:

@@ -10,19 +10,19 @@ with Hermitian C, A_i and <A, B> = Tr(A B), and dual: minimize -b . y
 subject to Z = -C - sum_i y_i A_i >= 0.  The iteration minimizes <-C, X>.
 A minimization of <J, X> is the maximization of <-J, X>, negated.
 
-Every block of a program has the same size n.  A program passes its nb
-objective blocks ``C``, block k of all m constraints as one (m, n, n) array
-``A[k]`` and the right-hand sides ``b``; ``SdpProblem`` keeps that layout
-and reads ``blocks`` and ``m`` from it.  Blocks often share one stack object
-(``[h] * n``, ``[a, a]``): ``SdpProblem`` checks and symmetrizes each
-distinct object once, and its blocks share the result.  The iteration runs
-on the complex Hermitian blocks.  As Re <A, G> = Re A . Re G + Im A . Im G
-for Hermitian A, the constraints are read once as one real (m, 2 nb n^2)
-matrix, the float view of their entries, and the Gram independence check,
-A(X), A^T(y), the inner products and the Schur complement are real matrix
-products.  The iteration is primal-dual path-following (HKM direction,
-Mehrotra predictor-corrector) from an identity-scaled start; Cholesky
-failures of the Schur complement retry with escalating regularization.
+Every block of a program has the same size n, and every constraint reads
+the sum of the blocks: <A_i, X> = sum_k <A_i, X_k>.  A program passes its
+nb objective blocks ``C``, its m constraints as one (m, n, n) stack ``A``
+and the right-hand sides ``b``; ``SdpProblem`` checks and symmetrizes the
+stack as a whole and reads ``blocks`` and ``m`` from these shapes.  The
+iteration runs on the complex Hermitian blocks.  As
+Re <A, G> = Re A . Re G + Im A . Im G for Hermitian A, the constraints are
+read once as one real (m, 2 nb n^2) matrix, the float view of their entries
+repeated once per block, and the Gram independence check, A(X), A^T(y), the
+inner products and the Schur complement are real matrix products.  The
+iteration is primal-dual path-following (HKM direction, Mehrotra
+predictor-corrector) from an identity-scaled start; Cholesky failures of the
+Schur complement retry with escalating regularization.
 
 Step lengths follow SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw. 11,
 545, 1999).  With a_X and a_Z the largest steps that keep X and Z PSD, the
@@ -34,9 +34,9 @@ gamma.  Each problem gets its own gamma from its own steps.  Every step adds a
 real multiple of a Hermitian direction, so the iterates stay exactly
 Hermitian and are returned as they are.
 
-``solve_many(problems)`` runs programs that share ``blocks`` and every
-``A`` stack (``C`` and ``b`` may differ) in one iteration, and ``solve(p)``
-is ``solve_many([p])[0]``.  ``solve_optimal(p, name)`` is the one gate for
+``solve_many(problems)`` runs programs that share ``blocks`` and ``A``
+(``C`` and ``b`` may differ) in one iteration, and ``solve(p)`` is
+``solve_many([p])[0]``.  ``solve_optimal(p, name)`` is the one gate for
 callers that need an optimum: ``solve(p)``, or ``SdpError`` naming the
 program.  X and Z are one complex
 (2, q, nb, n, n) array over q problems.  Per iteration that costs seven
@@ -123,16 +123,16 @@ class SdpProblem(linalg.JsonForm):
     """Hermitian block-diagonal SDP in standard form, a maximization.
 
     ``C`` holds the nb objective blocks, all of one size n; a program whose
-    blocks differ in size is rejected.  ``A[k]`` is block k of all m
-    constraints as one (m, n, n) stack and ``b`` the m right-hand sides.
-    ``blocks`` and ``m`` are read from these shapes.  Validation keeps this
-    layout: each stack is checked and symmetrized as a whole, a stack object
-    passed for several blocks only once.  Its JSON
-    (``linalg.JsonForm``) holds exactly ``C``, ``A`` and ``b``.
+    blocks differ in size is rejected.  ``A`` is the one (m, n, n) stack of
+    the m constraints, each applied to every block
+    (<A_i, X> = sum_k <A_i, X_k>), and ``b`` the m right-hand sides.
+    ``blocks`` and ``m`` are read from these shapes.  Validation checks and
+    symmetrizes the stack as a whole.  Its JSON (``linalg.JsonForm``) holds
+    exactly ``C``, ``A`` (one ``{"re", "im"}`` document) and ``b``.
     """
 
     C: list
-    A: list
+    A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
@@ -146,17 +146,9 @@ class SdpProblem(linalg.JsonForm):
             raise ValueError("the solver requires at least one constraint")
         if not np.all(np.isfinite(b)):
             raise ValueError("SDP data contains NaN or Inf entries")
-        if len(self.A) != len(c):
-            raise ValueError("constraint must provide one block per objective block")
-        # A program may pass one stack object for several blocks ([h] * n):
-        # each distinct object is checked once and shared.
-        checked = {}
-        for s in self.A:
-            if id(s) not in checked:
-                checked[id(s)] = _herm_stack(s)
-        a = [checked[id(s)] for s in self.A]
-        if any(s.shape != (b.size,) + c.shape[1:] for s in a):
-            raise ValueError("every constraint stack must have one row per right-hand side, "
+        a = _herm_stack(self.A)
+        if a.shape != (b.size,) + c.shape[1:]:
+            raise ValueError("the constraint stack must have one row per right-hand side, "
                              "each of the objective's block size")
         object.__setattr__(self, "C", list(c))
         object.__setattr__(self, "A", a)
@@ -249,7 +241,7 @@ def solve_optimal(problem: SdpProblem, name: str) -> SdpSolution:
 
 def solve_many(problems) -> list[SdpSolution]:
     """Run the interior-point iteration on programs that share ``blocks`` and
-    every constraint stack ``A`` (``C`` and ``b`` may differ), all in one
+    the constraint stack ``A`` (``C`` and ``b`` may differ), all in one
     stacked iteration; see the module docstring.
 
     Returns one solution per problem, in order, each identical to what
@@ -262,18 +254,17 @@ def solve_many(problems) -> list[SdpSolution]:
     for p in problems[1:]:
         if list(p.blocks) != list(first.blocks):
             raise ValueError("batched problems must share blocks")
-        if not all(a is f or np.array_equal(a, f) for a, f in zip(p.A, first.A)):
-            raise ValueError("batched problems must share every constraint stack")
+        if not np.array_equal(p.A, first.A):
+            raise ValueError("batched problems must share the constraint stack")
     nb, n = len(first.blocks), first.blocks[0]
     n_total = nb * n
     m = first.m
-    a_stack = np.stack(first.A)  # (nb, m, n, n)
     # rows: one real row per constraint over all blocks, the float view of its
-    # complex entries, since Re <A, G> = rows . flat(G) for Hermitian A and
-    # any G.  a_wide[k]: block k of the constraints side by side, so that
-    # X A_j Z^-1 for every j takes two products.
-    rows = a_stack.swapaxes(0, 1).reshape(m, -1).view(np.float64)
-    a_wide = a_stack.transpose(0, 2, 1, 3).reshape(nb, n, m * n)
+    # complex entries repeated once per block, since Re <A, G> = rows . flat(G)
+    # for Hermitian A and any G.  a_wide: the constraints side by side, so that
+    # X A_j Z^-1 for every j and every block takes two products.
+    rows = np.tile(first.A.reshape(m, -1), (1, nb)).view(np.float64)
+    a_wide = first.A.transpose(1, 0, 2).reshape(n, m * n)
 
     def flat(x):
         # The float view of each program's blocks: (..., 2 nb n^2).

@@ -306,8 +306,7 @@ class TestChannelGuessingProgram:
         tester = disc.channel_guessing_program([0.2, 0.3, 0.5], [e1, e2, e3])
         diamond = disc.diamond_norm_program(maps.weighted_difference(e1, e2, 0.5, 0.5))
         assert tester.blocks == [6] * 3 and tester.m == (2 * 2 - 1) * 3 * 3 + 1
-        for a in tester.A:
-            assert np.array_equal(a, diamond.A[0])
+        assert np.array_equal(tester.A, diamond.A)
         assert np.array_equal(tester.b[:-1], diamond.b[:-1])
         assert (tester.b[-1], diamond.b[-1]) == (2.0, 4.0)
 

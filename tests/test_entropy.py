@@ -423,7 +423,7 @@ def q_corr_channel_route(rho: BipartiteState) -> float:
     h = sdp.hermitian_basis(dB)
     a = np.kron(np.eye(dA, dtype=complex), h)  # I_A (x) h for every h
     c = rho.matrix.conj()
-    prob = sdp.SdpProblem(C=[c], A=[a], b=np.trace(h, axis1=1, axis2=2).real)
+    prob = sdp.SdpProblem(C=[c], A=a, b=np.trace(h, axis1=1, axis2=2).real)
     sol = sdp.solve(prob)
     assert sol.optimal, sol.status
     return float(sol.primal_value)

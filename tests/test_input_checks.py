@@ -40,12 +40,19 @@ def edited_doc(obj, **changes):
 
 
 def problem_doc(**changes):
-    return edited_doc(SdpProblem(C=[EYE], A=[EYE[None]], b=[1.0]), **changes)
+    return edited_doc(SdpProblem(C=[EYE], A=EYE[None], b=[1.0]), **changes)
 
 
 def retyped_doc(**changes):
     """``problem_doc()`` with ``changes`` applied, a None value kept as null."""
     return json.dumps({**json.loads(problem_doc()), **changes})
+
+
+def per_block_doc(nb):
+    """``problem_doc()`` of an nb-block program with ``"A"`` a list of nb
+    stack documents, one per block."""
+    doc = json.loads(problem_doc())
+    return json.dumps({**doc, "C": doc["C"] * nb, "A": [doc["A"]] * nb})
 
 
 CHECKS = [
@@ -59,9 +66,9 @@ CHECKS = [
     # x -> x |1><0| on 1x1 inputs: its Choi matrix |1><0| is not Hermitian
     pytest.param(lambda: QuantumMap(1, 2, np.array([[0], [1], [0], [0]])), NotHermitianError,
                  "Hermitian", id="maps.QuantumMap-hermiticity-preserving"),
-    pytest.param(lambda: SdpProblem(C=[NILPOTENT], A=[EYE[None]], b=[1.0]), NotHermitianError,
+    pytest.param(lambda: SdpProblem(C=[NILPOTENT], A=EYE[None], b=[1.0]), NotHermitianError,
                  "Hermitian", id="sdp.SdpProblem-hermitian-C"),
-    pytest.param(lambda: SdpProblem(C=[EYE], A=[np.stack([EYE, NILPOTENT])], b=[1.0, 0.0]),
+    pytest.param(lambda: SdpProblem(C=[EYE], A=np.stack([EYE, NILPOTENT]), b=[1.0, 0.0]),
                  NotHermitianError, "Hermitian", id="sdp.SdpProblem-hermitian-A"),
     # linalg
     pytest.param(lambda: linalg.as_matrix(np.ones(3)), ValueError, "matrix",
@@ -130,11 +137,9 @@ CHECKS = [
                                               maps.from_kraus([np.array([[1.0], [0.0]])])]),
                  ValueError, "one shape", id="maps.cptp_residuals-dims"),
     # sdp
-    pytest.param(lambda: SdpProblem(C=[EYE], A=[EYE[None]], b=[[1.0]]), ValueError, "vector",
+    pytest.param(lambda: SdpProblem(C=[EYE], A=EYE[None], b=[[1.0]]), ValueError, "vector",
                  id="sdp.SdpProblem-b"),
-    pytest.param(lambda: SdpProblem(C=[EYE, EYE], A=[EYE[None]], b=[1.0]), ValueError,
-                 "one block per objective block", id="sdp.SdpProblem-block-count"),
-    pytest.param(lambda: SdpProblem(C=[EYE], A=[EYE], b=[1.0]), ValueError,
+    pytest.param(lambda: SdpProblem(C=[EYE], A=EYE, b=[1.0]), ValueError,
                  "stacks of square blocks", id="sdp.SdpProblem-stack"),
     # JSON documents: the one strict reader, then each constructor's checks
     pytest.param(lambda: DensityOperator.from_json(max_entangled(2).to_json()), ValueError,
@@ -167,8 +172,12 @@ CHECKS = [
                  r"SdpProblem document holds a value of the wrong type in \['C'\]",
                  id="sdp.SdpProblem.from_json-type-C"),
     pytest.param(lambda: SdpProblem.from_json(retyped_doc(A=5)), ValueError,
-                 r"SdpProblem document holds a value of the wrong type in \['A'\]",
-                 id="sdp.SdpProblem.from_json-type-A"),
+                 r"stacks of square blocks, not shape \(\)", id="sdp.SdpProblem.from_json-type-A"),
+    # the earlier layout, one constraint stack per block
+    pytest.param(lambda: SdpProblem.from_json(per_block_doc(1)), ValueError,
+                 "stacks of square blocks", id="sdp.SdpProblem.from_json-per-block-A"),
+    pytest.param(lambda: SdpProblem.from_json(per_block_doc(2)), ValueError,
+                 "stacks of square blocks", id="sdp.SdpProblem.from_json-per-block-A-two"),
     # dynamics: rates and models
     pytest.param(lambda: dynamics.rate_from_spec(True), ValueError, "finite number",
                  id="dynamics.rate_from_spec-bool"),
@@ -198,6 +207,10 @@ CHECKS = [
                  "jump operator dimension", id="dynamics.GkslGenerator-jumps"),
     pytest.param(lambda: dynamics.GkslGenerator(2, EYE, [NILPOTENT], []), ValueError,
                  "one rate function per jump", id="dynamics.GkslGenerator-rates"),
+    pytest.param(lambda: dynamics.GkslGenerator(2, 0 * EYE, [dynamics.SIGMA_Z], [0.5]),
+                 ValueError, "one rate function per jump", id="dynamics.GkslGenerator-rate-float"),
+    pytest.param(lambda: dynamics.GkslGenerator(2, 0 * EYE, [dynamics.SIGMA_Z], [None]),
+                 ValueError, "one rate function per jump", id="dynamics.GkslGenerator-rate-None"),
     pytest.param(lambda: dynamics.TotalSystemModel(2, 2, np.eye(3), maximally_mixed(2)),
                  ValueError, "h_total dimension", id="dynamics.TotalSystemModel-h_total"),
     pytest.param(lambda: dynamics.TotalSystemModel(2, 2, np.eye(4), maximally_mixed(3)),
@@ -245,6 +258,6 @@ def test_bad_input_raises_documented_class(call, error, match):
 
 def test_solve_optimal_raises_naming_the_program():
     # b = -1 asks for Tr X = -1 with X >= 0
-    infeasible = SdpProblem(C=[EYE], A=[EYE[None]], b=[-1.0])
+    infeasible = SdpProblem(C=[EYE], A=EYE[None], b=[-1.0])
     with pytest.raises(sdp.SdpError, match="test-program SDP returned status 'infeasible"):
         sdp.solve_optimal(infeasible, "test-program")

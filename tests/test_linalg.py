@@ -248,11 +248,11 @@ class TestJsonForm:
             '[0.0, 0.0, 0.0, 0.0]]}}'
         )
         prob = sdp.SdpProblem(
-            C=[np.array([[1, 0.5j], [-0.5j, 2]])], A=[np.eye(2)[None]], b=[1.0]
+            C=[np.array([[1, 0.5j], [-0.5j, 2]])], A=np.eye(2)[None], b=[1.0]
         )
         assert prob.to_json() == (
             '{"C": [{"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.5], [-0.5, 0.0]]}], '
-            '"A": [{"re": [[[1.0, 0.0], [0.0, 1.0]]], "im": [[[0.0, 0.0], [0.0, 0.0]]]}], '
+            '"A": {"re": [[[1.0, 0.0], [0.0, 1.0]]], "im": [[[0.0, 0.0], [0.0, 0.0]]]}, '
             '"b": [1.0]}'
         )
 
@@ -269,13 +269,13 @@ def json_objects():
         "DensityOperator": rho,
         "BipartiteState": states.BipartiteState(1, 2, rho),
         "QuantumMap": maps.QuantumMap(2, 2, superop),
-        "SdpProblem": sdp.SdpProblem(C=[zeros], A=[np.diag([1.0, 2.0])[None]], b=[1.0]),
+        "SdpProblem": sdp.SdpProblem(C=[zeros], A=np.diag([1.0, 2.0])[None], b=[1.0]),
     }
 
 
 def arrays(obj):
     if isinstance(obj, sdp.SdpProblem):
-        return [*obj.C, *obj.A, obj.b]
+        return [*obj.C, obj.A, obj.b]
     return [obj.superop if isinstance(obj, maps.QuantumMap) else obj.matrix]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -40,22 +41,20 @@ def trace_norm_problem(a):
     d = a.shape[0]
     h = hermitian_basis(d)
     b = np.trace(h @ np.eye(d), axis1=1, axis2=2).real
-    return SdpProblem(C=[a, -a], A=[h, h], b=b)
+    return SdpProblem(C=[a, -a], A=h, b=b)
 
 
 def lambda_max_problem(a):
     """max <A, X> s.t. Tr X = 1, X >= 0; optimum is the top eigenvalue."""
     d = a.shape[0]
-    return SdpProblem(C=[a], A=[np.eye(d, dtype=complex)[None]], b=[1.0])
+    return SdpProblem(C=[a], A=np.eye(d, dtype=complex)[None], b=[1.0])
 
 
 def p_guess_problem(probs, rhos):
     """max sum p_i <rho_i, E_i> s.t. sum E_i = I, E_i >= 0."""
-    n = len(rhos)
-    d = rhos[0].shape[0]
-    h = hermitian_basis(d)
+    h = hermitian_basis(rhos[0].shape[0])
     c = [p * r for p, r in zip(probs, rhos)]
-    return SdpProblem(C=c, A=[h] * n, b=np.trace(h, axis1=1, axis2=2).real)
+    return SdpProblem(C=c, A=h, b=np.trace(h, axis1=1, axis2=2).real)
 
 
 def random_hermitian(dim, seed):
@@ -116,7 +115,7 @@ def test_min_entropy_stack_equals_kron(monkeypatch, d_a, d_b):
     monkeypatch.setattr(sdp, "SdpProblem", capture)
     rho = BipartiteState(d_a, d_b, random_density(d_a * d_b, 2, 5))
     entropy.min_entropy_program(rho)
-    assert_bits_equal(passed["A"][0], np.kron(np.eye(d_a), hermitian_basis(d_b)))
+    assert_bits_equal(passed["A"], np.kron(np.eye(d_a), hermitian_basis(d_b)))
 
 
 class TestBasicPrograms:
@@ -124,7 +123,7 @@ class TestBasicPrograms:
         # min <I, X> s.t. Tr X = 1, stated as max <-I, X>
         p = SdpProblem(
             C=[-np.eye(2, dtype=complex)],
-            A=[np.eye(2, dtype=complex)[None]],
+            A=np.eye(2, dtype=complex)[None],
             b=[1.0],
         )
         sol = solve(p)
@@ -207,7 +206,7 @@ class TestSolutionQuality:
         for prob, _ in self.battery()[:5]:
             sol = solve(prob)
             for i, b in enumerate(prob.b):
-                got = sum(np.trace(a[i] @ x).real for a, x in zip(prob.A, sol.X))
+                got = sum(np.trace(prob.A[i] @ x).real for x in sol.X)
                 assert abs(got - b) <= 1e-8 * max(1, abs(b))
 
     def test_determinism(self):
@@ -224,7 +223,7 @@ class TestEdgeCases:
         eye = np.eye(2, dtype=complex)
         p = SdpProblem(
             C=[eye],
-            A=[np.stack([eye, 2 * eye])],
+            A=np.stack([eye, 2 * eye]),
             b=[1.0, 2.0],
         )
         with pytest.raises(ValueError, match="dependent"):
@@ -234,23 +233,23 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="at least one constraint"):
             SdpProblem(
                 C=[np.eye(2, dtype=complex)],
-                A=[np.zeros((0, 2, 2), dtype=complex)],
+                A=np.zeros((0, 2, 2), dtype=complex),
                 b=[],
             )
 
     def test_stack_rows_must_match_rhs(self):
         eye = np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="one row per right-hand side"):
-            SdpProblem(C=[eye, eye], A=[eye[None], np.stack([eye, eye])], b=[1.0])
+            SdpProblem(C=[eye, eye], A=np.stack([eye, eye]), b=[1.0])
 
     def test_mixed_block_sizes_rejected(self):
         with pytest.raises(ValueError, match="share one size"):
             SdpProblem(C=[np.eye(4), np.eye(2), np.eye(1)],
-                       A=[np.eye(4)[None], np.eye(2)[None], np.ones((1, 1, 1))], b=[1.0])
+                       A=np.eye(4)[None], b=[1.0])
 
     def test_infeasible_detected(self):
         eye = np.eye(2, dtype=complex)
-        p = SdpProblem(C=[eye], A=[eye[None]], b=[-1.0])
+        p = SdpProblem(C=[eye], A=eye[None], b=[-1.0])
         sol = solve(p)
         assert sol.status in ("infeasible-detected", "max_iter")
         assert sol.status == "infeasible-detected"
@@ -265,13 +264,13 @@ class TestEdgeCases:
     def test_non_hermitian_data_rejected(self):
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
-            SdpProblem(C=[bad], A=[np.eye(2, dtype=complex)[None]], b=[1.0])
+            SdpProblem(C=[bad], A=np.eye(2, dtype=complex)[None], b=[1.0])
         eye = np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            SdpProblem(C=[eye], A=[np.stack([eye, bad])], b=[1.0, 0.0])
+            SdpProblem(C=[eye], A=np.stack([eye, bad]), b=[1.0, 0.0])
         for c, b in [(np.diag([np.nan, 1.0]), [1.0]), (eye, [np.nan]), (eye, [np.inf])]:
             with pytest.raises(ValueError, match="NaN or Inf"):
-                SdpProblem(C=[c], A=[eye[None]], b=b)
+                SdpProblem(C=[c], A=eye[None], b=b)
 
 
 # Seeds of random_cptp(3, 2) pairs whose diamond-norm iteration can break
@@ -300,7 +299,7 @@ class TestEndGame:
         sol = solve(prob)
         assert sol.optimal, f"status {sol.status}"
         for i, b in enumerate(prob.b):
-            got = sum(np.trace(a[i] @ x).real for a, x in zip(prob.A, sol.X))
+            got = sum(np.trace(prob.A[i] @ x).real for x in sol.X)
             assert abs(got - b) <= 1e-8 * max(1, abs(b))
         assert abs(sol.gap) <= 1e-8 * (1 + abs(sol.primal_value))
 
@@ -353,34 +352,40 @@ def _pinned_program(name):
     return entropy.min_entropy_program(BipartiteState(3, 3, DensityOperator(iso)))
 
 
-# iterations and the .hex() of the scalars of each builder's program at one
-# BLAS thread: a change that keeps the solver's arithmetic leaves them as they
-# are.
+# iterations, the .hex() of the scalars and the ``iterate_digest`` of each
+# builder's program at one BLAS thread: a change that keeps the solver's
+# arithmetic leaves them as they are.
 PINNED = {
     "min_entropy[t1]": (7, {
         "primal_value": "0x1.ab9a18338e875p+0", "dual_value": "0x1.ab9a1833982f0p+0",
         "gap": "0x1.34f6000000000p-37", "primal_residual": "0x1.0000000000000p-52",
-        "dual_residual": "0x0.0p+0"}),
+        "dual_residual": "0x0.0p+0",
+        "iterates": "a6653378e53e3e006f70b875f2a3ea7ffa1739e4281f18484ff4ef95f12d799c"}),
     "fidelity[t1]": (7, {
         "primal_value": "0x1.1b6dcdb3d58eep+0", "dual_value": "0x1.1b6dcdb405b78p+0",
         "gap": "0x1.8145000000000p-35", "primal_residual": "0x1.4600000000000p-46",
-        "dual_residual": "0x1.0000000000000p-55"}),
+        "dual_residual": "0x1.0000000000000p-55",
+        "iterates": "1d3231acf200bbc6ca075b310a807a5f483d62ad11b561b784bac7040f7b6485"}),
     "guessing[t1]": (9, {
         "primal_value": "0x1.ec410ee24f493p-1", "dual_value": "0x1.ec410ee26fd12p-1",
         "gap": "0x1.043f800000000p-36", "primal_residual": "0x1.8000000000000p-51",
-        "dual_residual": "0x1.0000000000000p-55"}),
+        "dual_residual": "0x1.0000000000000p-55",
+        "iterates": "b791006e8bae6ca532270cf85bbb5223cfbc6117c96795f8490cfaf878a1d967"}),
     "diamond[t1]": (7, {
         "primal_value": "0x1.51979f319029ep-2", "dual_value": "0x1.51979f31d7c0cp-2",
         "gap": "0x1.1e5b800000000p-36", "primal_residual": "0x1.8734e659cebb8p-51",
-        "dual_residual": "0x1.0000000000000p-56"}),
+        "dual_residual": "0x1.0000000000000p-56",
+        "iterates": "e44c93049d1289478b734c60d946b336e0a2471033fbf1a3c639d2cefa3c5d7a"}),
     "diamond[qutrit]": (15, {
         "primal_value": "0x1.f2e276516b316p+0", "dual_value": "0x1.f2e27658b095bp+0",
         "gap": "0x1.d159140000000p-30", "primal_residual": "0x1.f8e20a0000000p-32",
-        "dual_residual": "0x1.09a93a9288691p-55"}),
+        "dual_residual": "0x1.09a93a9288691p-55",
+        "iterates": "1ff6c4b32f9014e14fe0473a1a06fa27ffd4e09c0918ca526bbebbcc8e77b1ed"}),
     "min_entropy[isotropic3]": (7, {
         "primal_value": "0x1.199999993b696p+1", "dual_value": "0x1.19999999b4e17p+1",
         "gap": "0x1.e5e0400000000p-33", "primal_residual": "0x1.0000000000000p-53",
-        "dual_residual": "0x0.0p+0"}),
+        "dual_residual": "0x0.0p+0",
+        "iterates": "9e75a1d1198cc37e734bcfef826ef5554a3b9c0cef90e90289184c7da4d69f42"}),
 }
 
 # The m = 73 qutrit program's GEMMs are large enough for OpenBLAS to split
@@ -392,20 +397,30 @@ THREADED = {
     "diamond[qutrit]": {
         "primal_value": "0x1.f2e276502bf3dp+0", "dual_value": "0x1.f2e27658b08e3p+0",
         "gap": "0x1.10934c0000000p-29", "primal_residual": "0x1.b82fbc0000000p-32",
-        "dual_residual": "0x1.09a93a9288691p-54"},
+        "dual_residual": "0x1.09a93a9288691p-54",
+        "iterates": "ccffb45143f421cfac7761551697833c7f47d4a54bf6456e339735d8acb1e245"},
 }
+
+
+def iterate_digest(sol):
+    """sha256 over the bytes of the returned X, y and Z."""
+    h = hashlib.sha256()
+    for a in (np.stack(sol.X), sol.y, np.stack(sol.Z)):
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", list(PINNED))
 def test_builder_outputs_pinned(name):
     # The returned scalars are those the iteration measured on its last
     # iterate: measuring it again gives the same bits.
-    iterations, scalars = PINNED[name]
+    iterations, pinned = PINNED[name]
     sol = solve(_pinned_program(name))
     assert sol.optimal
     assert sol.iterations == iterations
-    got = {field: getattr(sol, field).hex() for field in scalars}
-    assert got in (scalars, THREADED.get(name, scalars))
+    got = {field: getattr(sol, field).hex() for field in pinned if field != "iterates"}
+    got["iterates"] = iterate_digest(sol)
+    assert got in (pinned, THREADED.get(name, pinned))
 
 
 def test_finished_solve_logged(caplog):
@@ -485,7 +500,7 @@ def test_returned_blocks_exactly_hermitian():
         for a, b in QUTRIT_BREAKDOWN_PAIRS])
     sols += solve_many(random_guessing_batch(4, 3, 8, 43))
     eye = np.eye(2, dtype=complex)
-    sols.append(solve(SdpProblem(C=[eye], A=[eye[None]], b=[-1.0])))
+    sols.append(solve(SdpProblem(C=[eye], A=eye[None], b=[-1.0])))
     assert "infeasible-detected" in {sol.status for sol in sols}
     for sol in sols:
         for block in sol.X + sol.Z:
@@ -565,7 +580,7 @@ class TestSolveMany:
         with pytest.raises(ValueError, match="blocks"):
             solve_many([base, lambda_max_problem(random_hermitian(2, 43))])
         with pytest.raises(ValueError, match="constraint"):
-            solve_many([base, SdpProblem(C=[a], A=[2 * base.A[0]], b=[1.0])])
+            solve_many([base, SdpProblem(C=[a], A=2 * base.A, b=[1.0])])
 
 
 def assert_certified_interior(sol):
@@ -641,9 +656,9 @@ def test_output_identity_rows_equal_kron(d_out, d_in):
                       np.concatenate([kron, np.eye(d)[None]]))
 
 
-def test_repeated_stack_checked_once(monkeypatch):
-    # guessing_program passes one basis object for every block: it is
-    # symmetrized once and the copies share the result.
+def test_program_stack_hermitized_once(monkeypatch):
+    # A three-block guessing program: the objective blocks as one stack, then
+    # its one constraint stack, each through one hermitize call.
     rhos = [random_density(3, 2, s).matrix for s in (1, 2, 3)]
     hermitize, calls = linalg.hermitize, []
 
@@ -654,11 +669,7 @@ def test_repeated_stack_checked_once(monkeypatch):
     monkeypatch.setattr(linalg, "hermitize", counted)
     prob = p_guess_problem([0.2, 0.3, 0.5], rhos)
     assert calls == [(3, 3, 3), (9, 3, 3)]
-    assert prob.A[0] is prob.A[1] is prob.A[2]
-    distinct = SdpProblem(C=prob.C, A=[a.copy() for a in prob.A], b=prob.b)
-    assert len(calls) == 2 + 4
-    for u, v in zip(prob.A, distinct.A):
-        assert_bits_equal(u, v)
+    assert prob.A.shape == (9, 3, 3)
 
 
 @pytest.mark.parametrize("d_out, d_in", [(2, 2), (3, 3), (2, 3), (3, 2)])
