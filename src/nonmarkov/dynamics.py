@@ -2,6 +2,11 @@
 total Hamiltonian, intermediate maps, divisibility certification, and the
 named model library.
 
+A ``DynamicalMap`` holds its time family as one family ``maps.QuantumMap``,
+one (N, d^2, d^2) superoperator stack indexed by grid time: ``propagate``
+and ``reduce`` each build and check it once, and the divisibility pass
+slices, inverts and composes it as a whole.
+
 ``propagate`` writes a generator as L_t = L_c + sum_{k in V} r_k(t) D_k,
 with L_c the Hamiltonian part plus every constant-rate dissipator and V the
 time-varying rates.  When every r_k in V is a ``RateForm`` and L_c and the
@@ -217,7 +222,8 @@ class GkslGenerator:
         vs = [linalg.as_matrix(v) for v in self.jumps]
         if any(v.shape != (self.dim, self.dim) for v in vs):
             raise ValueError("jump operator dimension mismatch")
-        if len(vs) != len(self.rates) or not all(callable(r) for r in self.rates):
+        if (not np.iterable(self.rates) or len(vs) != len(self.rates)
+                or not all(callable(r) for r in self.rates)):
             raise ValueError("need one rate function per jump operator")
         object.__setattr__(self, "jumps", vs)
         eye = np.eye(self.dim)
@@ -295,25 +301,27 @@ class TotalSystemModel:
 
 @dataclass(frozen=True)
 class DynamicalMap:
-    """Time grid with the propagated family of maps (maps[0] = identity)."""
+    """Time grid with the propagated family of maps: ``maps`` is one family
+    ``QuantumMap`` of square maps, checked once at its construction, with
+    ``maps[j]`` the map at ``grid[j]`` and ``maps[0]`` the identity."""
 
     grid: np.ndarray
-    maps: list
+    maps: QuantumMap
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         g = _check_grid(self.grid)
-        if len(self.maps) != g.size:
-            raise ValueError("need one map per grid time")
-        d = self.maps[0].dimIn
-        if float(np.abs(self.maps[0].superop - np.eye(d * d)).max()) > 1e-10:
+        s, d = self.maps.superop, self.maps.dimIn
+        if s.ndim != 3 or len(s) != g.size or self.maps.dimOut != d:
+            raise ValueError(f"need a family of square maps, one map per grid time ({g.size})")
+        if float(np.abs(s[0] - np.eye(d * d)).max()) > 1e-10:
             raise ValueError("the map at t=0 must be the identity")
         object.__setattr__(self, "grid", g)
         g.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.maps[0].dimIn
+        return self.maps.dimIn
 
     def __len__(self) -> int:
         return self.grid.size
@@ -442,7 +450,7 @@ def propagate(gen: GkslGenerator, grid) -> DynamicalMap:
     """
     g = _check_grid(grid)
     d = gen.dim
-    out = [maps.identity_map(d)]
+    out = [np.eye(d * d, dtype=np.complex128)]
     split = gen._commuting_split()
     if split is not None:
         l_c, varying = split
@@ -455,21 +463,20 @@ def propagate(gen: GkslGenerator, grid) -> DynamicalMap:
         bad = ~np.isfinite(a).all(axis=(1, 2))
         if bad.any():
             raise PropagationError(f"integrated generator non-finite at t={ts[bad][0]}")
-        out += [QuantumMap(d, d, m) for m in _expm(a)]
+        out.extend(_expm(a))
     else:
-        phi = np.eye(d * d, dtype=np.complex128)
         for j in range(1, g.size):
-            phi = _integrate_interval(gen, phi, g[j - 1], g[j])
-            out.append(QuantumMap(d, d, phi))
+            out.append(_integrate_interval(gen, out[-1], g[j - 1], g[j]))
     integrator = "rk4" if split is None else "expm"
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("propagate: %s on %d grid points, dim %d", integrator, g.size, d)
-    _enforce_cptp(out, g, CPTP_BUDGET)
+    family = QuantumMap(d, d, np.stack(out))
+    _enforce_cptp(family, g, CPTP_BUDGET)
     prov = {"kind": "gksl", "dim": d, "constant": gen.constant, "integrator": integrator}
-    return DynamicalMap(grid=g, maps=out, provenance=prov)
+    return DynamicalMap(grid=g, maps=family, provenance=prov)
 
 
-def _enforce_cptp(family, grid, budget):
+def _enforce_cptp(family: QuantumMap, grid, budget):
     """``PropagationError`` at the first map of the family whose
     ``maps.cptp_residuals`` break ``budget``."""
     min_eig, tp_residual = maps.cptp_residuals(family)
@@ -511,31 +518,21 @@ def reduce(model: TotalSystemModel, grid) -> DynamicalMap:
     orbit = ut[:, None] @ joint @ ut.conj().swapaxes(1, 2)[:, None]
     out = linalg.trace_out(orbit, (dS, dE), 1)
     # Column i + j*dS of the superoperator is vec(out[:, i + j*dS]).
-    superops = out.transpose(0, 3, 2, 1).reshape(g.size, dS * dS, dS * dS)
-    family = [QuantumMap(dS, dS, s) for s in superops]
+    family = QuantumMap(dS, dS, out.transpose(0, 3, 2, 1).reshape(g.size, dS * dS, dS * dS))
     _enforce_cptp(family, g, REDUCE_BUDGET)
     prov = {"kind": "total", "dimS": dS, "dimE": dE}
     return DynamicalMap(grid=g, maps=family, provenance=prov)
 
 
-def _intermediates(dm: DynamicalMap, t_idx, s_idx) -> list:
-    """The maps V_i with map(t_idx[i]) = V_i o map(s_idx[i]), from one
-    stacked inverse (``maps.inverse_many``, which raises at the first map
-    that is not invertible) and one stacked product; each is bit for bit
-    ``maps.compose(dm.maps[t], maps.inverse(dm.maps[s]))``."""
-    inverses = maps.inverse_many([dm.maps[s] for s in s_idx])
-    ss = np.stack([dm.maps[t].superop for t in t_idx]) @ np.stack([v.superop for v in inverses])
-    return [QuantumMap(dm.dim, dm.dim, s) for s in ss]
-
-
 def intermediate(dm: DynamicalMap, t_idx: int, s_idx: int) -> QuantumMap:
-    """V with map(t) = V o map(s); requires the map at s to be invertible.
-    The one-map case of the step maps of ``divisibility_report``."""
+    """V with map(t) = V o map(s): ``maps.compose`` of the map at t with
+    the ``maps.inverse`` of the map at s, which must be invertible.  The
+    one-pair case of the step maps of ``divisibility_report``, bit for bit."""
     if not 0 <= s_idx <= t_idx < len(dm):
         raise ValueError(f"need 0 <= s_idx <= t_idx < {len(dm)}, got s_idx={s_idx}, t_idx={t_idx}")
     if t_idx == s_idx:
         return maps.identity_map(dm.dim)
-    return _intermediates(dm, [t_idx], [s_idx])[0]
+    return maps.compose(dm.maps[t_idx], maps.inverse(dm.maps[s_idx]))
 
 
 @dataclass(frozen=True)
@@ -571,18 +568,19 @@ def divisibility_report(
     asserted between grid points.
 
     The step maps V_j, with map(t_j+1) = V_j o map(t_j), are built first,
-    as one stack: one ``maps.inverse_many`` call inverts the maps at
-    t_0..t_n-1 (the first one that is not invertible raises
-    ``maps.NonInvertibleMapError`` with its singular values), one stacked
-    product composes them, and one ``maps.cptp_residuals`` call gives every
-    step's TP residual; each step map is bit for bit ``intermediate(dm,
-    j + 1, j)``.  A one-point grid has no steps and is k-divisible for
-    every k.  Then each k runs one stacked search over all steps
-    (``maps.k_positivity_many``), step j drawing its starts from
-    ``SeedSequence(entropy=seed, spawn_key=(j, k))``; at k = ``dm.dim``
-    the search is the exact eigenvalue path and no seed is built.  Logs at
-    DEBUG, per k, each step's restarts_converged and spread, after the call
-    plan that ``k_positivity_many`` logs on ``nonmarkov.maps``.
+    as one family: ``maps.compose(dm.maps[1:], maps.inverse(dm.maps[:-1]))``,
+    one stacked inverse of the maps at t_0..t_n-1 (the first one that is
+    not invertible raises ``maps.NonInvertibleMapError`` with its singular
+    values) and one stacked product.  One ``maps.cptp_residuals`` call
+    gives every step's TP residual; each step map is bit for bit
+    ``intermediate(dm, j + 1, j)``.  A one-point grid has no steps (an
+    empty family) and is k-divisible for every k.  Then each k runs one
+    stacked search over the family (``maps.k_positivity_many``), step j
+    drawing its starts from ``SeedSequence(entropy=seed, spawn_key=(j,
+    k))``; at k = ``dm.dim`` the search is the exact eigenvalue path and no
+    seed is built.  Logs at DEBUG, per k, each step's restarts_converged
+    and spread, after the call plan that ``k_positivity_many`` logs on
+    ``nonmarkov.maps``.
     """
     ks = sorted({linalg.check_positive_int(k, "k") for k in ks})
     if not ks:
@@ -591,15 +589,15 @@ def divisibility_report(
         raise ValueError(f"each k must lie in [1, {dm.dim}]")
     restarts = linalg.check_positive_int(restarts, "restarts")
     n = len(dm) - 1
-    vs = _intermediates(dm, range(1, n + 1), range(n)) if n else []
-    tp_residuals = maps.cptp_residuals(vs)[1].tolist() if n else []
+    vs = maps.compose(dm.maps[1:], maps.inverse(dm.maps[:-1]))
+    tp_residuals = maps.cptp_residuals(vs)[1].tolist()
     certs = {}
     for k in ks:
         # At k = dm.dim (= min(dimIn, dimOut) of every step map)
         # k_positivity_many takes the exact path, which reads no seed.
         seeds = ([np.random.SeedSequence(entropy=seed, spawn_key=(j, k)) for j in range(n)]
                  if k < dm.dim else [None] * n)
-        certs[k] = maps.k_positivity_many(vs, k, restarts, seeds) if n else []
+        certs[k] = maps.k_positivity_many(vs, k, restarts, seeds)
         if _log.isEnabledFor(logging.DEBUG):
             for j, c in enumerate(certs[k]):
                 _log.debug("k=%d step %d: restarts_converged=%d of %d, spread=%.3g",

@@ -10,6 +10,14 @@ puts the output factor first:
 
 so J acts on H_out (x) H_in and Tr over the *output* factor of a
 trace-preserving map gives the identity on H_in.
+
+A ``QuantumMap`` is one map or a family of N maps of one shape, held as one
+(N, dOut^2, dIn^2) superoperator stack and checked once; ``family[j]`` is
+its j-th map and ``family[a:b]`` a family again.  ``choi``, ``compose``,
+``inverse``, ``adjoint`` and ``cptp_residuals`` act on one map or on each
+map of a family along numpy's leading axis, bit for bit as on the map
+alone; ``k_positivity_many`` takes a family.  ``apply``, ``amplify``,
+``is_cptp``, ``k_positivity`` and the lists of ``mix`` take single maps.
 """
 
 from __future__ import annotations
@@ -60,11 +68,15 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumMap(linalg.JsonForm):
-    """Linear map B(H_in) -> B(H_out) stored as a superoperator matrix.
+    """Linear map B(H_in) -> B(H_out) stored as a superoperator matrix, or a
+    family of such maps stored as one (N, dimOut^2, dimIn^2) stack.
 
     ``hermitian_choi`` is the read-only Hermitian part (J + J†)/2 of the
-    Choi matrix, kept from the construction-time check; ``choi`` returns J
-    itself.  Its JSON (``linalg.JsonForm``) holds the other three fields.
+    Choi matrix (of each map of a family), kept from the construction-time
+    check, one stacked ``linalg.hermitize``; ``choi`` returns J itself.
+    Indexing a family gives its maps: an integer one map, a slice a family,
+    possibly empty.  Its JSON (``linalg.JsonForm``) holds the other three
+    fields.
     """
 
     dimIn: int
@@ -75,29 +87,43 @@ class QuantumMap(linalg.JsonForm):
     def __post_init__(self):
         for name in ("dimIn", "dimOut"):
             object.__setattr__(self, name, linalg.check_positive_int(getattr(self, name), name))
-        s = linalg.as_matrix(self.superop)
-        if s.shape != (self.dimOut**2, self.dimIn**2):
+        s = np.ascontiguousarray(self.superop, dtype=np.complex128)
+        if s.ndim not in (2, 3) or s.shape[-2:] != (self.dimOut**2, self.dimIn**2):
             raise ValueError(
                 f"superop shape {s.shape} does not match dims "
-                f"({self.dimOut**2}, {self.dimIn**2})"
+                f"({self.dimOut**2}, {self.dimIn**2}), nor a family of them"
             )
         object.__setattr__(self, "superop", s)
         s.setflags(write=False)
-        # A map preserves Hermiticity iff its Choi matrix is Hermitian.
+        # A map preserves Hermiticity iff its Choi matrix is Hermitian; the
+        # check also rejects NaN and Inf entries.
         j = linalg.hermitize(choi(self), HERM_PRESERVE_TOL)
         j.setflags(write=False)
         object.__setattr__(self, "hermitian_choi", j)
 
+    def __getitem__(self, idx) -> QuantumMap:
+        if self.superop.ndim != 3:
+            raise ValueError("only a family of maps can be indexed")
+        return QuantumMap(self.dimIn, self.dimOut, self.superop[idx])
+
     def apply(self, x) -> np.ndarray:
         a = linalg.as_matrix(x)
+        _one(self, "apply")
         if a.shape != (self.dimIn, self.dimIn):
             raise ValueError(f"input shape {a.shape} does not match dimIn {self.dimIn}")
         return unvec(self.superop @ vec(a), self.dimOut)
 
     def as_tensor(self) -> np.ndarray:
-        """T4[o1, o2, i1, i2] with Y[o1, o2] = sum T4[o1, o2, i1, i2] X[i1, i2]."""
-        t = self.superop.reshape(self.dimOut, self.dimOut, self.dimIn, self.dimIn)
-        return t.transpose(1, 0, 3, 2)
+        """T4[..., o1, o2, i1, i2] with Y[o1, o2] = sum T4[o1, o2, i1, i2] X[i1, i2]."""
+        t = self.superop.reshape(self.superop.shape[:-2] + (self.dimOut,) * 2 + (self.dimIn,) * 2)
+        return t.swapaxes(-4, -3).swapaxes(-2, -1)
+
+
+def _one(m: QuantumMap, caller: str) -> QuantumMap:
+    """``m`` if it is one map; ValueError for a family."""
+    if m.superop.ndim != 2:
+        raise ValueError(f"{caller} takes one map, not a family of {len(m.superop)}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -128,9 +154,10 @@ class PositivityCertificate:
 
 
 def _family_shape(ms, caller: str) -> tuple[int, int]:
-    """(dimIn, dimOut) of the maps ``ms``, the one rule for a family of maps:
-    ValueError unless there is at least one map, all of one shape."""
-    shapes = {(m.dimIn, m.dimOut) for m in ms}
+    """(dimIn, dimOut) of the maps ``ms``, the one rule for a user's list of
+    maps: ValueError unless there is at least one map, all single maps of
+    one shape."""
+    shapes = {(_one(m, caller).dimIn, m.dimOut) for m in ms}
     if len(shapes) != 1:
         raise ValueError(f"{caller} needs at least one map, all of one shape; "
                          f"got (dimIn, dimOut) {sorted(shapes)}")
@@ -163,11 +190,12 @@ def from_kraus(ops) -> QuantumMap:
 
 
 def choi(m: QuantumMap) -> np.ndarray:
-    """J(Phi) = sum_ij Phi(|i><j|) (x) |i><j|  (output factor first)."""
-    t4 = m.as_tensor()  # [o1, o2, i, j] = Phi(E_ij)[o1, o2]
-    j4 = t4.transpose(0, 2, 1, 3)  # [o1, i, o2, j]
+    """J(Phi) = sum_ij Phi(|i><j|) (x) |i><j|  (output factor first), of
+    one map or of each map of a family."""
+    t4 = m.as_tensor()  # [..., o1, o2, i, j] = Phi(E_ij)[o1, o2]
+    j4 = t4.swapaxes(-3, -2)  # [..., o1, i, o2, j]
     d = m.dimOut * m.dimIn
-    return np.ascontiguousarray(j4.reshape(d, d))
+    return np.ascontiguousarray(j4.reshape(t4.shape[:-4] + (d, d)))
 
 
 def from_choi(j, dimIn: int, dimOut: int) -> QuantumMap:
@@ -181,46 +209,41 @@ def from_choi(j, dimIn: int, dimOut: int) -> QuantumMap:
 
 
 def compose(f: QuantumMap, g: QuantumMap) -> QuantumMap:
-    """The map x -> f(g(x))."""
+    """The map x -> f(g(x)); of families, map by map (or one map with
+    each map of a family), by one stacked product."""
     if g.dimOut != f.dimIn:
         raise ValueError(f"cannot compose: g.dimOut {g.dimOut} != f.dimIn {f.dimIn}")
     return QuantumMap(g.dimIn, f.dimOut, f.superop @ g.superop)
 
 
 def inverse(m: QuantumMap) -> QuantumMap:
-    """The inverse map, as ``inverse_many([m])[0]``."""
-    return inverse_many([m])[0]
+    """The inverse map, of one map or of each map of a family, from one
+    (stacked) ``svd`` and one (stacked) ``inv``; each inverse is bit for
+    bit what the map alone gives.
 
-
-def inverse_many(ms) -> list[QuantumMap]:
-    """The inverse of each map of ``ms``, from one stacked ``svd`` and one
-    stacked ``inv``; each is bit for bit what the map alone gives.
-
-    The maps must be square and share their dimension.  A map counts as
-    invertible iff its smallest singular value exceeds ``INVERT_RTOL`` times
-    its largest; the first map that is not raises ``NonInvertibleMapError``
-    with its own singular values.
+    The map must be square.  A map counts as invertible iff its smallest
+    singular value exceeds ``INVERT_RTOL`` times its largest; the first map
+    of a family that is not raises ``NonInvertibleMapError`` with its own
+    singular values.
     """
-    ms = list(ms)
-    d, d_out = _family_shape(ms, "inverse_many")
-    if d_out != d:
+    if m.dimIn != m.dimOut:
         raise ValueError("only square maps can be inverted")
-    ss = np.stack([m.superop for m in ms])
-    sv = np.linalg.svd(ss, compute_uv=False)
+    sv = np.linalg.svd(m.superop, compute_uv=False).reshape(-1, m.dimIn**2)
     bad = np.flatnonzero(sv[:, -1] <= INVERT_RTOL * sv[:, 0])
     if bad.size:
         raise NonInvertibleMapError(float(sv[bad[0], -1]), float(sv[bad[0], 0]))
-    return [QuantumMap(d, d, s) for s in np.linalg.inv(ss)]
+    return QuantumMap(m.dimIn, m.dimIn, np.linalg.inv(m.superop))
 
 
 def adjoint(m: QuantumMap) -> QuantumMap:
     """Heisenberg-picture dual w.r.t. the Hilbert-Schmidt inner product."""
-    return QuantumMap(m.dimOut, m.dimIn, m.superop.conj().T)
+    return QuantumMap(m.dimOut, m.dimIn, m.superop.conj().swapaxes(-1, -2))
 
 
 def amplify(m: QuantumMap, k: int) -> QuantumMap:
     """id_k (x) m, the ancilla-extended map (ancilla is the first factor)."""
     k = linalg.check_positive_int(k, "ancilla dimension k")
+    _one(m, "amplify")
     if k == 1:
         return m
     t4 = m.as_tensor()
@@ -232,21 +255,20 @@ def amplify(m: QuantumMap, k: int) -> QuantumMap:
     return QuantumMap(dI, dO, np.ascontiguousarray(s))
 
 
-def cptp_residuals(ms) -> tuple[np.ndarray, np.ndarray]:
+def cptp_residuals(m: QuantumMap) -> tuple[np.ndarray, np.ndarray]:
     """The smallest Choi eigenvalue and the TP residual ||Tr_out J - I||_inf
-    of each map of ``ms`` as two arrays, from one stacked ``eigvalsh`` and one
-    stacked ``svd``; each entry is bit for bit what the map alone gives.
-    ValueError for an empty list or maps of differing dimensions."""
-    d_in, d_out = _family_shape(ms, "cptp_residuals")
-    min_eig = np.linalg.eigvalsh(np.stack([m.hermitian_choi for m in ms]))[:, 0]
-    tr_out = linalg.trace_out(np.stack([choi(m) for m in ms]), (d_out, d_in), 0) - np.eye(d_in)
+    of one map, or of each map of a family as two arrays, from one stacked
+    ``eigvalsh`` and one stacked ``svd``; each entry is bit for bit what the
+    map alone gives."""
+    min_eig = np.linalg.eigvalsh(m.hermitian_choi)[..., 0]
+    tr_out = linalg.trace_out(choi(m), (m.dimOut, m.dimIn), 0) - np.eye(m.dimIn)
     return min_eig, np.linalg.svd(tr_out, compute_uv=False).max(axis=-1)
 
 
 def is_cptp(m: QuantumMap) -> dict:
-    """Report {cp, tp, min_choi_eig, tp_residual} under the Choi criterion,
-    the residuals of ``cptp_residuals``."""
-    (min_choi_eig,), (tp_residual,) = cptp_residuals([m])
+    """Report {cp, tp, min_choi_eig, tp_residual} of one map under the Choi
+    criterion, the residuals of ``cptp_residuals``."""
+    min_choi_eig, tp_residual = cptp_residuals(_one(m, "is_cptp"))
     return {
         "cp": bool(min_choi_eig >= -CPTP_TOL),
         "tp": bool(tp_residual <= CPTP_TOL),
@@ -268,51 +290,53 @@ def k_positivity(m: QuantumMap, k: int, restarts: int = 64, seed: int = 0) -> Po
     psi = sum_i L[:, i] (x) U[:, i] runs; each half-step solves its factor's
     minimum-eigenvector problem exactly, so the objective is monotone.
     Deterministic for a fixed seed (all start points derive from it).
-    Runs as ``k_positivity_many([m], k, restarts, [seed])[0]``.
+    Runs as ``k_positivity_many`` of the family of ``m`` alone.
     """
-    return k_positivity_many([m], k, restarts, [seed])[0]
+    family = QuantumMap(m.dimIn, m.dimOut, _one(m, "k_positivity").superop[None])
+    return k_positivity_many(family, k, restarts, [seed])[0]
 
 
-def k_positivity_many(ms, k: int, restarts: int, seeds) -> list[PositivityCertificate]:
-    """``k_positivity`` of every map in ``ms``, with ``restarts`` start points
-    drawn from each map's own entry of ``seeds``.
+def k_positivity_many(ms: QuantumMap, k: int, restarts: int, seeds) -> list[PositivityCertificate]:
+    """``k_positivity`` of every map of the family ``ms``, with ``restarts``
+    start points drawn from each map's own entry of ``seeds``; an empty
+    family gives no certificates.
 
-    The maps must share dimensions.  On the exact-eigenvalue path one
-    stacked ``eigh`` takes every map's Choi matrix, each factored on its
-    own.  Otherwise the searches of all maps run as groups of one stacked
-    ``_accel.kpos_scan`` call, split into several calls only where a call
-    would hold more than ``_accel.KPOS_STACK_ENTRIES`` Hessian entries, and
-    each call's spreads take the medians of all its groups in one
-    ``np.median`` over the restart axis.  Every restart follows the
-    iterates it follows alone, so each certificate is bit for bit the one
-    ``k_positivity`` gives for that map and seed.  Logs this call plan
-    at DEBUG on the ``nonmarkov.maps`` logger: the exact path, or the number
-    of ``kpos_scan`` calls and the rows of each.
+    On the exact-eigenvalue path one stacked ``eigh`` takes every map's
+    Choi matrix, each factored on its own.  Otherwise the searches of all
+    maps run as groups of one stacked ``_accel.kpos_scan`` call, split into
+    several calls only where a call would hold more than
+    ``_accel.KPOS_STACK_ENTRIES`` Hessian entries, and each call's spreads
+    take the medians of all its groups in one ``np.median`` over the
+    restart axis.  Every restart follows the iterates it follows alone, so
+    each certificate is bit for bit the one ``k_positivity`` gives for that
+    map and seed.  Logs this call plan at DEBUG on the ``nonmarkov.maps``
+    logger: the exact path, or the number of ``kpos_scan`` calls and the
+    rows of each.
     """
-    ms, seeds = list(ms), list(seeds)
-    dB, dA = _family_shape(ms, "k_positivity_many")
-    if len(seeds) != len(ms):
-        raise ValueError(f"need one seed per map: {len(seeds)} seeds for {len(ms)} maps")
+    if ms.superop.ndim != 3:
+        raise ValueError("k_positivity_many takes a family of maps, not one map")
+    seeds, n, dB, dA = list(seeds), len(ms.superop), ms.dimIn, ms.dimOut
+    if len(seeds) != n:
+        raise ValueError(f"need one seed per map: {len(seeds)} seeds for {n} maps")
     k = linalg.check_positive_int(k, "k")
     restarts = linalg.check_positive_int(restarts, "restarts")
     if k > dB:
         raise ValueError(f"k must be in [1, {dB}], got {k}")
-    js = [m.hermitian_choi for m in ms]
+    js = ms.hermitian_choi
     if k >= min(dA, dB):
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("k=%d: exact minimum eigenvalues, no kpos_scan call", k)
-        vecs = np.linalg.eigh(np.stack(js)).eigenvectors[:, :, 0]
+        vecs = np.linalg.eigh(js).eigenvectors[:, :, 0]
         return [_certificate(k, j, psi, 0, 0, 0.0) for j, psi in zip(js, vecs)]
     starts_l, starts_u = [], []
+    shape_l, shape_u = (restarts, dA, k), (restarts, dB, k)
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        shape_l = (restarts, dA, k)
-        shape_u = (restarts, dB, k)
         starts_l.append(rng.standard_normal(shape_l) + 1j * rng.standard_normal(shape_l))
         starts_u.append(rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u))
-    j4 = np.stack([j.reshape(dA, dB, dA, dB) for j in js])
+    j4 = js.reshape(n, dA, dB, dA, dB)
     per_call = _kpos_maps_per_call(dA, dB, k, restarts)
-    calls = [(lo, min(lo + per_call, len(ms))) for lo in range(0, len(ms), per_call)]
+    calls = [(lo, min(lo + per_call, n)) for lo in range(0, n, per_call)]
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("k=%d: %d stacked kpos_scan call(s), rows per call %s",
                    k, len(calls), [restarts * (hi - lo) for lo, hi in calls])
@@ -384,9 +408,9 @@ def weighted_difference(a: QuantumMap, b: QuantumMap, wa: float, wb: float) -> Q
 
 
 def mix(ms, probs) -> QuantumMap:
-    """sum_i probs[i] ms[i]: one weight per map, all maps of one shape.
-    ValueError for an empty list, a weight count that differs from the
-    map count, or maps of differing dimensions."""
+    """sum_i probs[i] ms[i]: one weight per map, all single maps of one
+    shape.  ValueError for an empty list, a weight count that differs from
+    the map count, maps of differing dimensions or a family among them."""
     d_in, d_out = _family_shape(ms, "mix")
     if len(ms) != len(probs):
         raise ValueError(f"mix needs one weight per map: {len(probs)} weights for {len(ms)} maps")

@@ -16,6 +16,7 @@ from nonmarkov import discrimination as disc
 from nonmarkov import _accel, dynamics, entropy, linalg, maps, sdp, states
 from nonmarkov.maps import depolarizing, identity_map, replacer, transposition_map, unitary_map
 from nonmarkov.states import StateEnsemble, basis_state, pure_state, random_density
+from test_dynamics import family_of
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -558,7 +559,7 @@ QUBIT = maps.random_cptp(2, 2, 50)
 MULTISTART = {
     "k_positivity": lambda r: maps.k_positivity(transposition_map(2), 1, restarts=r),
     "k_positivity_many": lambda r: maps.k_positivity_many(
-        [transposition_map(2), QUBIT], 1, r, [0, 1]),
+        family_of([transposition_map(2), QUBIT]), 1, r, [0, 1]),
     "divisibility_report": lambda r: dynamics.divisibility_report(
         dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(1, 3)), [1],
         restarts=r),
@@ -586,7 +587,8 @@ def test_multistart_rejects_non_integer_restarts(name, restarts):
 
 TAKES_K = {
     "k_positivity": lambda k: maps.k_positivity(transposition_map(3), k, restarts=4),
-    "k_positivity_many": lambda k: maps.k_positivity_many([transposition_map(3)], k, 4, [0]),
+    "k_positivity_many": lambda k: maps.k_positivity_many(
+        family_of([transposition_map(3)]), k, 4, [0]),
     "channel_distance": lambda k: disc.channel_distance(QUBIT, QUBIT, 0.5, k, restarts=4),
     "p_guess_channels": lambda k: disc.p_guess_channels(
         [0.5, 0.5], [QUBIT, QUBIT], k, restarts=4),

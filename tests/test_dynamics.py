@@ -33,6 +33,11 @@ SX, SY, SZ = dynamics.SIGMA_X, dynamics.SIGMA_Y, dynamics.SIGMA_Z
 SIGMA_MINUS = dynamics.SIGMA_MINUS
 
 
+def family_of(ms) -> maps.QuantumMap:
+    """The family QuantumMap of the single maps ``ms``, all of one shape."""
+    return maps.QuantumMap(ms[0].dimIn, ms[0].dimOut, np.stack([m.superop for m in ms]))
+
+
 def rk4_family(gen: GkslGenerator, grid) -> DynamicalMap:
     """The family propagate's RK4/Richardson integrator gives, for any
     generator, looping the interval integrator as propagate does: the
@@ -40,12 +45,11 @@ def rk4_family(gen: GkslGenerator, grid) -> DynamicalMap:
     before commuting generators took it."""
     g = np.asarray(grid, dtype=np.float64)
     d = gen.dim
-    phi = np.eye(d * d, dtype=np.complex128)
-    out = [maps.identity_map(d)]
+    out = [np.eye(d * d, dtype=np.complex128)]
     for j in range(1, g.size):
-        phi = dynamics._integrate_interval(gen, phi, g[j - 1], g[j])
-        out.append(maps.QuantumMap(d, d, phi))
-    return DynamicalMap(grid=g, maps=out, provenance={"kind": "gksl", "integrator": "rk4"})
+        out.append(dynamics._integrate_interval(gen, out[-1], g[j - 1], g[j]))
+    return DynamicalMap(grid=g, maps=maps.QuantumMap(d, d, np.stack(out)),
+                        provenance={"kind": "gksl", "integrator": "rk4"})
 
 
 def counting_superop(monkeypatch) -> list:
@@ -345,7 +349,7 @@ class TestPropagate:
     def test_single_point_grid_gives_the_identity(self):
         dm = propagate(model("eternal"), [0.0])
         assert dm.provenance["integrator"] == "expm"
-        assert len(dm.maps) == 1
+        assert dm.maps.superop.shape == (1, 4, 4)
         assert np.array_equal(dm.maps[0].superop, np.eye(4))
 
     def test_overflowing_generator_integral_raises(self):
@@ -432,9 +436,10 @@ NEAR_BUDGET = (5e-10, 2e-9, 5e-8, 2e-7)
 
 
 def cptp_families():
-    """(name, family, grid) triples: every library model on time_grid(2, 7),
-    the negative-rate dephasing family, and the prefixes and the reversal of
-    a qubit family whose maps break CP or TP by each of ``NEAR_BUDGET``."""
+    """(name, family, grid) triples, each family one QuantumMap: every
+    library model on time_grid(2, 7), the negative-rate dephasing family,
+    and the prefixes and the reversal of a qubit family whose maps break CP
+    or TP by each of ``NEAR_BUDGET``."""
     grid = time_grid(2.0, 7)
     out = []
     for name in sorted(dynamics.MODELS):
@@ -442,8 +447,8 @@ def cptp_families():
         dm = propagate(m, grid) if isinstance(m, GkslGenerator) else reduce(m, grid)
         out.append((name, dm.maps, dm.grid))
     lneg = model("dephasing", {"gamma": -1.0}).superop(0.0)
-    out.append(("dephasing-negative", [maps.identity_map(2)] + [
-        maps.QuantumMap(2, 2, e) for e in dynamics._expm(grid[1:, None, None] * lneg)], grid))
+    out.append(("dephasing-negative", maps.QuantumMap(2, 2, np.concatenate(
+        [np.eye(4)[None], dynamics._expm(grid[1:, None, None] * lneg)])), grid))
     ident = maps.identity_map(2)
     transpose = maps.map_from_action(2, 2, lambda x: x.T)
     near = [ident]
@@ -452,14 +457,14 @@ def cptp_families():
         near.append(maps.mix([ident], [1.0 + eps]))  # TP residual eps
     times = np.arange(len(near)) / 4
     for k in range(1, len(near) + 1):
-        out.append((f"near-budget[:{k}]", near[:k], times[:k]))
-    out.append(("near-budget-reversed", near[::-1], times))
+        out.append((f"near-budget[:{k}]", family_of(near[:k]), times[:k]))
+    out.append(("near-budget-reversed", family_of(near[::-1]), times))
     return out
 
 
 def test_stacked_cptp_residuals_match_per_map():
     kraus = np.random.default_rng(5).standard_normal((3, 3, 2)) / 2
-    rect = [maps.from_kraus([k]) for k in kraus]  # 2 -> 3 maps, not TP
+    rect = family_of([maps.from_kraus([k]) for k in kraus])  # 2 -> 3 maps, not TP
     for name, family, _ in cptp_families() + [("rectangular", rect, None)]:
         min_eig, tp_residual = maps.cptp_residuals(family)
         for m, e, r in zip(family, min_eig, tp_residual):
@@ -731,6 +736,28 @@ class TestDivisibilityReport:
         # every certificate field, the witness in {re, im} form
         assert set(doc) == {f.name for f in dataclasses.fields(maps.PositivityCertificate)}
         assert np.array_equal(linalg.from_jsonable(doc["witness"]), cert.witness)
+
+    @pytest.mark.parametrize("name", ["eternal", "jaynes_cummings_toy"])
+    def test_builds_no_map_per_grid_point(self, name, monkeypatch):
+        # propagate or reduce and a report each build their families whole:
+        # the QuantumMaps constructed do not grow with the grid.
+        built = []
+        post_init = maps.QuantumMap.__post_init__
+
+        def counted(self):
+            built.append(self.superop.shape)
+            post_init(self)
+
+        monkeypatch.setattr(maps.QuantumMap, "__post_init__", counted)
+        counts = []
+        for steps in (3, 11):
+            built.clear()
+            m = model(name)
+            grid = time_grid(2.0, steps)
+            dm = propagate(m, grid) if isinstance(m, GkslGenerator) else reduce(m, grid)
+            divisibility_report(dm, ks=[1, 2], restarts=4)
+            counts.append(len(built))
+        assert counts[0] == counts[1], counts
 
     @pytest.mark.parametrize("ks", [[1.5], [2.9], [True], [1, 2.0]])
     def test_rejects_non_integer_k(self, ks):

@@ -30,6 +30,8 @@ EYE = np.eye(2, dtype=complex)
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 EMPTY = np.zeros((0, 0))
 TRACE_MAP_KRAUS = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
+# Two qubit identity maps as one family, where one map is needed.
+FAMILY = QuantumMap(2, 2, np.stack([np.eye(4)] * 2))
 
 
 def edited_doc(obj, **changes):
@@ -122,20 +124,27 @@ CHECKS = [
                  "cannot compose", id="maps.compose-dims"),
     pytest.param(lambda: maps.inverse(maps.from_kraus(TRACE_MAP_KRAUS)), ValueError,
                  "square", id="maps.inverse-square"),
-    pytest.param(lambda: maps.inverse_many([]), ValueError, "at least one map",
-                 id="maps.inverse_many-empty"),
-    pytest.param(lambda: maps.inverse_many([identity_map(2), identity_map(3)]), ValueError,
-                 "one shape", id="maps.inverse_many-dims"),
     pytest.param(lambda: maps.subtract(identity_map(2), identity_map(3)), ValueError,
                  "one shape", id="maps.subtract-dims"),
     pytest.param(lambda: maps.weighted_difference(identity_map(2), identity_map(3), 0.5, 0.5),
                  ValueError, "one shape", id="maps.weighted_difference-dims"),
-    pytest.param(lambda: maps.cptp_residuals([]), ValueError, "at least one map",
-                 id="maps.cptp_residuals-empty"),
-    # a 2 -> 1 and a 1 -> 2 map, whose Choi matrices are both 2 x 2
-    pytest.param(lambda: maps.cptp_residuals([maps.from_kraus(TRACE_MAP_KRAUS),
-                                              maps.from_kraus([np.array([[1.0], [0.0]])])]),
-                 ValueError, "one shape", id="maps.cptp_residuals-dims"),
+    pytest.param(lambda: QuantumMap(2, 2, np.zeros((2, 4, 3))), ValueError, "superop shape",
+                 id="maps.QuantumMap-family-shape"),
+    pytest.param(lambda: FAMILY[0][0], ValueError, "only a family",
+                 id="maps.QuantumMap-index-one-map"),
+    pytest.param(lambda: maps.k_positivity_many(identity_map(2), 1, 8, [0]), ValueError,
+                 "takes a family of maps", id="maps.k_positivity_many-one-map"),
+    # a family where one map is needed
+    pytest.param(lambda: FAMILY.apply(EYE), ValueError, "apply takes one map",
+                 id="maps.QuantumMap.apply-family"),
+    pytest.param(lambda: maps.amplify(FAMILY, 2), ValueError, "amplify takes one map",
+                 id="maps.amplify-family"),
+    pytest.param(lambda: maps.is_cptp(FAMILY), ValueError, "is_cptp takes one map",
+                 id="maps.is_cptp-family"),
+    pytest.param(lambda: maps.k_positivity(FAMILY, 1), ValueError,
+                 "k_positivity takes one map", id="maps.k_positivity-family"),
+    pytest.param(lambda: maps.mix([FAMILY, identity_map(2)], [0.5, 0.5]), ValueError,
+                 "mix takes one map", id="maps.mix-family"),
     # sdp
     pytest.param(lambda: SdpProblem(C=[EYE], A=EYE[None], b=[[1.0]]), ValueError, "vector",
                  id="sdp.SdpProblem-b"),
@@ -211,16 +220,25 @@ CHECKS = [
                  ValueError, "one rate function per jump", id="dynamics.GkslGenerator-rate-float"),
     pytest.param(lambda: dynamics.GkslGenerator(2, 0 * EYE, [dynamics.SIGMA_Z], [None]),
                  ValueError, "one rate function per jump", id="dynamics.GkslGenerator-rate-None"),
+    pytest.param(lambda: dynamics.GkslGenerator(2, 0 * EYE, [dynamics.SIGMA_Z], 0.5),
+                 ValueError, "one rate function per jump",
+                 id="dynamics.GkslGenerator-rates-not-a-list"),
     pytest.param(lambda: dynamics.TotalSystemModel(2, 2, np.eye(3), maximally_mixed(2)),
                  ValueError, "h_total dimension", id="dynamics.TotalSystemModel-h_total"),
     pytest.param(lambda: dynamics.TotalSystemModel(2, 2, np.eye(4), maximally_mixed(3)),
                  ValueError, "environment state", id="dynamics.TotalSystemModel-env"),
-    pytest.param(lambda: dynamics.DynamicalMap([0.0, 1.0], [identity_map(2)]), ValueError,
+    pytest.param(lambda: dynamics.DynamicalMap([0.0, 1.0], FAMILY[:1]), ValueError,
                  "one map per grid time", id="dynamics.DynamicalMap-count"),
-    pytest.param(lambda: dynamics.DynamicalMap([0.0], [maps.depolarizing(0.5)]), ValueError,
-                 "identity", id="dynamics.DynamicalMap-identity"),
+    pytest.param(lambda: dynamics.DynamicalMap([0.0], identity_map(2)), ValueError,
+                 "one map per grid time", id="dynamics.DynamicalMap-one-map"),
+    pytest.param(lambda: dynamics.DynamicalMap([0.0], QuantumMap(
+        2, 2, maps.depolarizing(0.5).superop[None])), ValueError, "identity",
+                 id="dynamics.DynamicalMap-identity"),
+    pytest.param(lambda: dynamics.DynamicalMap([0.0], QuantumMap(
+        2, 1, maps.from_kraus(TRACE_MAP_KRAUS).superop[None])), ValueError, "square maps",
+                 id="dynamics.DynamicalMap-square"),
     pytest.param(lambda: dynamics.divisibility_report(
-        dynamics.DynamicalMap([0.0, 1.0], [identity_map(2)] * 2), ks=[3]), ValueError,
+        dynamics.DynamicalMap([0.0, 1.0], FAMILY), ks=[3]), ValueError,
                  r"k must lie in \[1, 2\]", id="dynamics.divisibility_report-k"),
     # discrimination
     pytest.param(lambda: discrimination.helstrom_guess(1.5, EYE / 2, EYE / 2), ValueError,
@@ -234,6 +252,11 @@ CHECKS = [
     pytest.param(lambda: discrimination.channel_distance(
         identity_map(2), identity_map(2), 0.5, 3), ValueError, r"k must lie in \[1, 2\]",
                  id="discrimination.channel_distance-k"),
+    pytest.param(lambda: discrimination.channel_distance(FAMILY, FAMILY, 0.5, 1), ValueError,
+                 "mix takes one map", id="discrimination.channel_distance-family"),
+    # the SDP data check meets the family's stack of Choi matrices
+    pytest.param(lambda: discrimination.diamond_norm(FAMILY), ValueError,
+                 "stacks of square blocks", id="discrimination.diamond_norm-family"),
     # _accel
     pytest.param(lambda: _accel.kpos_scan(np.zeros((2, 2, 2, 2, 2)), 2, 2, 1,
                                           np.zeros((3, 2, 1)), np.zeros((3, 2, 1))),

@@ -24,7 +24,7 @@ from nonmarkov.maps import (
     transposition_map,
     unitary_map,
 )
-from test_dynamics import rk4_family
+from test_dynamics import family_of, rk4_family
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -134,18 +134,19 @@ class TestAlgebra:
             inverse(depolarizing(1.0, 2))
         assert exc.value.sigma_min < 1e-12
 
-    def test_inverse_many_matches_inv_per_map(self):
+    def test_family_inverse_matches_inv_per_map(self):
         ms = [maps.random_cptp(3, 2, seed) for seed in (11, 12, 13)]
-        for m, inv in zip(ms, maps.inverse_many(ms)):
-            assert inv.superop.tobytes() == np.linalg.inv(m.superop).tobytes()
-            assert inv.superop.tobytes() == inverse(m).superop.tobytes()
+        invs = inverse(family_of(ms))
+        for j, m in enumerate(ms):
+            assert invs[j].superop.tobytes() == np.linalg.inv(m.superop).tobytes()
+            assert invs[j].superop.tobytes() == inverse(m).superop.tobytes()
 
-    def test_inverse_many_raises_at_the_first_singular_map(self):
+    def test_family_inverse_raises_at_the_first_singular_map(self):
         # Two singular maps: the error carries the first one's singular values.
         first, second = depolarizing(1.0, 2), replacer(np.diag([0.25, 0.75]))
         ms = [maps.random_cptp(2, 2, 14), first, second]
         with pytest.raises(NonInvertibleMapError) as exc:
-            maps.inverse_many(ms)
+            inverse(family_of(ms))
         sv = np.linalg.svd(first.superop, compute_uv=False)
         assert (exc.value.sigma_min, exc.value.sigma_max) == (float(sv[-1]), float(sv[0]))
         assert sv[0] != np.linalg.svd(second.superop, compute_uv=False)[0]
@@ -158,6 +159,56 @@ class TestAlgebra:
         ):
             out = inv.apply(sigma)
             assert np.abs(out - sigma / lam).max() < 1e-12
+
+
+class TestFamily:
+    """A family QuantumMap acts as each of its maps does alone, bit for bit."""
+
+    MAPS = [maps.random_cptp(2, 2, 60), transposition_map(2), depolarizing(0.4)]
+
+    def test_indexing_gives_each_map(self):
+        fam = family_of(self.MAPS)
+        for j, m in enumerate(self.MAPS):
+            assert fam[j].superop.tobytes() == m.superop.tobytes()
+            assert fam[j].hermitian_choi.tobytes() == m.hermitian_choi.tobytes()
+        assert [g.superop.tobytes() for g in fam] == [m.superop.tobytes() for m in self.MAPS]
+        assert fam[1:].superop.tobytes() == family_of(self.MAPS[1:]).superop.tobytes()
+        assert fam[3:].superop.shape == (0, 4, 4)
+        with pytest.raises(IndexError):
+            fam[3]
+
+    def test_choi_and_tensor_per_map(self):
+        fam = family_of(self.MAPS)
+        for j, m in enumerate(self.MAPS):
+            assert choi(fam)[j].tobytes() == choi(m).tobytes()
+            assert np.array_equal(fam.as_tensor()[j], m.as_tensor())
+
+    def test_compose_and_adjoint_per_map(self):
+        fam = family_of(self.MAPS)
+        f = maps.random_cptp(2, 2, 61)
+        for j, m in enumerate(self.MAPS):
+            assert compose(fam, fam)[j].superop.tobytes() == compose(m, m).superop.tobytes()
+            assert compose(f, fam)[j].superop.tobytes() == compose(f, m).superop.tobytes()
+            assert adjoint(fam)[j].superop.tobytes() == adjoint(m).superop.tobytes()
+
+    def test_rectangular_family(self):
+        kraus = np.random.default_rng(62).standard_normal((3, 3, 2))
+        ms = [from_kraus([k]) for k in kraus]  # 2 -> 3 maps
+        fam = family_of(ms)
+        assert (fam.dimIn, fam.dimOut, fam.superop.shape) == (2, 3, (3, 9, 4))
+        assert choi(fam)[2].tobytes() == choi(ms[2]).tobytes()
+
+    def test_checks_every_map(self):
+        bad = np.array([[0, 1], [0, 0]], dtype=complex)
+        stack = np.stack([np.eye(4), np.kron(bad.conj(), np.eye(2))])
+        with pytest.raises(linalg.NotHermitianError):
+            QuantumMap(2, 2, stack)
+        stack = np.stack([np.eye(4), np.eye(4)])
+        stack[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            QuantumMap(2, 2, stack)
+        with pytest.raises(ValueError, match="superop shape"):
+            QuantumMap(2, 2, np.zeros((1, 1, 4, 4)))
 
 
 class TestAdjoint:
@@ -585,33 +636,31 @@ class TestKPositivityMany:
     @pytest.mark.parametrize("name", sorted(dynamics.MODELS))
     def test_matches_one_map_at_a_time(self, name):
         dm = library_family(name)
-        vs = [dynamics.intermediate(dm, j + 1, j) for j in range(len(dm) - 1)]
-        seeds = [np.random.SeedSequence(entropy=9, spawn_key=(j, 1)) for j in range(len(vs))]
+        vs = family_of([dynamics.intermediate(dm, j + 1, j) for j in range(len(dm) - 1)])
+        seeds = [np.random.SeedSequence(entropy=9, spawn_key=(j, 1)) for j in range(len(dm) - 1)]
         batch = k_positivity_many(vs, 1, 16, seeds)
         alone = [k_positivity(v, 1, 16, s) for v, s in zip(vs, seeds)]
         assert [certificate_bits(c) for c in batch] == [certificate_bits(c) for c in alone]
 
     def test_exact_path_per_map(self):
         ms = [maps.random_cptp(2, 2, 40), transposition_map(2)]
-        batch = k_positivity_many(ms, 2, 4, [0, 1])
+        batch = k_positivity_many(family_of(ms), 2, 4, [0, 1])
         assert [certificate_bits(c) for c in batch] == [
             certificate_bits(k_positivity(m, 2, 4, s)) for m, s in zip(ms, [0, 1])]
 
-    def test_empty_list(self):
-        with pytest.raises(ValueError, match="at least one map"):
-            k_positivity_many([], 1, 8, [])
-
-    def test_mixed_dimensions(self):
-        with pytest.raises(ValueError, match="one shape"):
-            k_positivity_many([identity_map(2), identity_map(3)], 1, 8, [0, 1])
+    def test_empty_family(self):
+        # The steps of a one-point grid: no map, no certificate, on the
+        # search path (k = 1) and on the exact path (k = 2).
+        empty = QuantumMap(2, 2, np.zeros((0, 4, 4)))
+        assert k_positivity_many(empty, 1, 8, []) == k_positivity_many(empty, 2, 8, []) == []
 
     def test_one_seed_per_map(self):
         with pytest.raises(ValueError, match="one seed per map"):
-            k_positivity_many([identity_map(2), identity_map(2)], 1, 8, [0])
+            k_positivity_many(family_of([identity_map(2)] * 2), 1, 8, [0])
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="k must be"):
-            k_positivity_many([identity_map(2)], 3, 8, [0])
+            k_positivity_many(family_of([identity_map(2)]), 3, 8, [0])
 
     def test_qubit_report_is_one_call_per_searched_k(self, monkeypatch):
         # k = 2 takes the exact path on qubits, so only k = 1 searches.
@@ -647,6 +696,13 @@ class TestJson:
         m = maps.random_cptp(2, 2, 30)
         back = QuantumMap.from_json(m.to_json())
         assert np.array_equal(back.superop, m.superop)
+
+    def test_family_round_trip(self):
+        fam = dynamics.reduce(dynamics.model("jaynes_cummings_toy"), dynamics.time_grid(2, 5)).maps
+        back = QuantumMap.from_json(fam.to_json())
+        assert back.superop.tobytes() == fam.superop.tobytes()
+        assert back.hermitian_choi.tobytes() == fam.hermitian_choi.tobytes()
+        assert back.to_json() == fam.to_json()
 
     @pytest.mark.parametrize("dims", [(2.5, 2.7), (2.0, 2), (2, "2"), (0, 2)])
     def test_rejects_non_integer_dimensions(self, dims):

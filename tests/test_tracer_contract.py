@@ -42,3 +42,5 @@ def test_traced_calls_report_their_attributes():
     assert out["accel.tracenorm_scan.restarts"] == 2
     assert out["accel.kpos_scan.restarts"] > 0
     assert out["sdp.solve.calls"] == 1
+    # The divisibility pass inverts its family through maps.inverse.
+    assert out["maps.inverse.calls"] >= 1
