@@ -23,8 +23,8 @@ cost at that size is almost all per-matrix overhead.  Both work row by row
 with elementwise operations, so the bit-for-bit guarantee above still holds.
 
 A ``kpos_scan`` call searches a stack of Choi matrices at once, one group
-of restarts each.  ``maps.k_positivity_many`` stacks every step of a
-divisibility report this way, so the rows of a call are steps x restarts
+of restarts each.  ``maps.k_positivity`` of a family stacks every step of
+a divisibility report this way, so the rows of a call are steps x restarts
 and a sweep pays its fixed cost once per report instead of once per step.
 A qubit report's searches at k = 1 are 2x2 problems, where a sweep's cost
 is almost all numpy dispatch, so the scan keeps bookkeeping out of the
@@ -50,7 +50,7 @@ by then.  The eigenpairs hold up to four such stacks: the Hessians in one
 buffer, their Hermitian parts in the other, LAPACK's working copy and the
 eigenvectors (the 2x2 closed form needs only the Hessians and the idle
 buffer).  So the buffers add no Hessian-sized stack to the four that the
-eigenpairs need in any case.  ``k_positivity_many`` puts
+eigenpairs need in any case.  ``maps.k_positivity`` puts
 whole steps into one call only while rows x (max(dA, dB)*k)^2 stays within
 ``KPOS_STACK_ENTRIES``, the size of one search of 64 restarts at d=16 and
 k=15: one stack is 64 x 240^2 complex128 = 59 MB, about 0.24 GB in all.

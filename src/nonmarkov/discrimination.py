@@ -123,10 +123,11 @@ def channel_distance(e1: QuantumMap, e2: QuantumMap, p: float, k: int,
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    d_in = maps._family_shape([e1, e2], "channel_distance")[0]
     k = linalg.check_positive_int(k, "k")
     restarts = linalg.check_positive_int(restarts, "restarts")
-    if k > e1.dimIn:
-        raise ValueError(f"ancilla dimension k must lie in [1, {e1.dimIn}]")
+    if k > d_in:
+        raise ValueError(f"ancilla dimension k must lie in [1, {d_in}]")
     return _tracenorm_ascent(maps.weighted_difference(e1, e2, 1.0 - p, p), k, restarts, seed)
 
 
@@ -175,7 +176,7 @@ def diamond_norm_program(m: QuantumMap) -> sdp.SdpProblem:
     side 2 d_out on the trace row.  So m = (d_out^2 - 1) d_in^2 + 1, and the
     optimal input is Tr_out(S+ + S-) / (2 d_out).
     """
-    j = m.hermitian_choi
+    j = maps._one(m, "diamond_norm").hermitian_choi
     d_out, d_in = m.dimOut, m.dimIn
     a = _output_identity_rows(d_out, d_in)
     b = np.zeros(len(a))

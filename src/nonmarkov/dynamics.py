@@ -477,9 +477,11 @@ def propagate(gen: GkslGenerator, grid) -> DynamicalMap:
 
 
 def _enforce_cptp(family: QuantumMap, grid, budget):
-    """``PropagationError`` at the first map of the family whose
-    ``maps.cptp_residuals`` break ``budget``."""
-    min_eig, tp_residual = maps.cptp_residuals(family)
+    """``PropagationError`` at the first map of the family whose smallest
+    Choi eigenvalue or TP residual, from one ``maps.is_cptp`` call on the
+    family, breaks ``budget``."""
+    rep = maps.is_cptp(family)
+    min_eig, tp_residual = rep["min_choi_eig"], rep["tp_residual"]
     bad = np.flatnonzero((min_eig < -budget) | (tp_residual > budget))
     if bad.size:
         k = bad[0]
@@ -571,15 +573,15 @@ def divisibility_report(
     as one family: ``maps.compose(dm.maps[1:], maps.inverse(dm.maps[:-1]))``,
     one stacked inverse of the maps at t_0..t_n-1 (the first one that is
     not invertible raises ``maps.NonInvertibleMapError`` with its singular
-    values) and one stacked product.  One ``maps.cptp_residuals`` call
-    gives every step's TP residual; each step map is bit for bit
+    values) and one stacked product.  One ``maps.is_cptp`` call on the
+    family gives every step's TP residual; each step map is bit for bit
     ``intermediate(dm, j + 1, j)``.  A one-point grid has no steps (an
     empty family) and is k-divisible for every k.  Then each k runs one
-    stacked search over the family (``maps.k_positivity_many``), step j
+    ``maps.k_positivity`` call on the family, one stacked search, step j
     drawing its starts from ``SeedSequence(entropy=seed, spawn_key=(j,
     k))``; at k = ``dm.dim`` the search is the exact eigenvalue path and no
     seed is built.  Logs at DEBUG, per k, each step's restarts_converged
-    and spread, after the call plan that ``k_positivity_many`` logs on
+    and spread, after the call plan that ``maps.k_positivity`` logs on
     ``nonmarkov.maps``.
     """
     ks = sorted({linalg.check_positive_int(k, "k") for k in ks})
@@ -590,14 +592,14 @@ def divisibility_report(
     restarts = linalg.check_positive_int(restarts, "restarts")
     n = len(dm) - 1
     vs = maps.compose(dm.maps[1:], maps.inverse(dm.maps[:-1]))
-    tp_residuals = maps.cptp_residuals(vs)[1].tolist()
+    tp_residuals = maps.is_cptp(vs)["tp_residual"].tolist()
     certs = {}
     for k in ks:
         # At k = dm.dim (= min(dimIn, dimOut) of every step map)
-        # k_positivity_many takes the exact path, which reads no seed.
+        # k_positivity takes the exact path, which reads no seed.
         seeds = ([np.random.SeedSequence(entropy=seed, spawn_key=(j, k)) for j in range(n)]
                  if k < dm.dim else [None] * n)
-        certs[k] = maps.k_positivity_many(vs, k, restarts, seeds)
+        certs[k] = maps.k_positivity(vs, k, restarts, seeds)
         if _log.isEnabledFor(logging.DEBUG):
             for j, c in enumerate(certs[k]):
                 _log.debug("k=%d step %d: restarts_converged=%d of %d, spread=%.3g",

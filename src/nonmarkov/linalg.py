@@ -87,7 +87,12 @@ def hermitize(m, tol: float = HERM_TOL) -> np.ndarray:
         if asym > tol * max(1.0, scale):
             raise NotHermitianError(f"matrix is not Hermitian: asymmetry {asym:.3e} "
                                     f"exceeds {tol:g} x max(1, {scale:.3e})")
-    return (a + ah) / 2
+    # Halving the real and imaginary parts is exact for every finite entry
+    # and, unlike division by the complex 2 + 0j, keeps the sign of a zero.
+    out = a + ah
+    out.real *= 0.5
+    out.imag *= 0.5
+    return out
 
 
 def check_psd(h: np.ndarray) -> np.ndarray:

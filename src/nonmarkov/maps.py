@@ -14,10 +14,9 @@ trace-preserving map gives the identity on H_in.
 A ``QuantumMap`` is one map or a family of N maps of one shape, held as one
 (N, dOut^2, dIn^2) superoperator stack and checked once; ``family[j]`` is
 its j-th map and ``family[a:b]`` a family again.  ``choi``, ``compose``,
-``inverse``, ``adjoint`` and ``cptp_residuals`` act on one map or on each
-map of a family along numpy's leading axis, bit for bit as on the map
-alone; ``k_positivity_many`` takes a family.  ``apply``, ``amplify``,
-``is_cptp``, ``k_positivity`` and the lists of ``mix`` take single maps.
+``inverse``, ``adjoint``, ``is_cptp`` and ``k_positivity`` act on one map
+or on each map of a family along numpy's leading axis, bit for bit as on
+the map alone.  ``apply``, ``amplify`` and the lists of ``mix`` take single maps.
 """
 
 from __future__ import annotations
@@ -255,33 +254,25 @@ def amplify(m: QuantumMap, k: int) -> QuantumMap:
     return QuantumMap(dI, dO, np.ascontiguousarray(s))
 
 
-def cptp_residuals(m: QuantumMap) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest Choi eigenvalue and the TP residual ||Tr_out J - I||_inf
-    of one map, or of each map of a family as two arrays, from one stacked
-    ``eigvalsh`` and one stacked ``svd``; each entry is bit for bit what the
-    map alone gives."""
+def is_cptp(m: QuantumMap) -> dict:
+    """Report {cp, tp, min_choi_eig, tp_residual} under the Choi criterion:
+    the smallest Choi eigenvalue, the TP residual ||Tr_out J - I||_inf, and
+    whether each lies within ``CPTP_TOL``.  Python scalars for one map; for
+    a family, one array per key from one stacked ``eigvalsh`` and one
+    stacked ``svd``, each entry bit for bit what the map alone gives."""
     min_eig = np.linalg.eigvalsh(m.hermitian_choi)[..., 0]
     tr_out = linalg.trace_out(choi(m), (m.dimOut, m.dimIn), 0) - np.eye(m.dimIn)
-    return min_eig, np.linalg.svd(tr_out, compute_uv=False).max(axis=-1)
-
-
-def is_cptp(m: QuantumMap) -> dict:
-    """Report {cp, tp, min_choi_eig, tp_residual} of one map under the Choi
-    criterion, the residuals of ``cptp_residuals``."""
-    min_choi_eig, tp_residual = cptp_residuals(_one(m, "is_cptp"))
-    return {
-        "cp": bool(min_choi_eig >= -CPTP_TOL),
-        "tp": bool(tp_residual <= CPTP_TOL),
-        "min_choi_eig": float(min_choi_eig),
-        "tp_residual": float(tp_residual),
-    }
+    tp_residual = np.linalg.svd(tr_out, compute_uv=False).max(axis=-1)
+    out = {"cp": min_eig >= -CPTP_TOL, "tp": tp_residual <= CPTP_TOL,
+           "min_choi_eig": min_eig, "tp_residual": tp_residual}
+    return out if m.superop.ndim == 3 else {key: v.item() for key, v in out.items()}
 
 
 def choi_quadratic_form(j: np.ndarray, psi: np.ndarray) -> float:
     return float((psi.conj() @ j @ psi).real / (psi.conj() @ psi).real)
 
 
-def k_positivity(m: QuantumMap, k: int, restarts: int = 64, seed: int = 0) -> PositivityCertificate:
+def k_positivity(m: QuantumMap, k: int, restarts: int = 64, seed=0):
     """Search min <psi|J(m)|psi> over unit vectors of Schmidt rank <= k.
 
     For k >= min(dimOut, dimIn) the Schmidt constraint is vacuous and the
@@ -290,17 +281,10 @@ def k_positivity(m: QuantumMap, k: int, restarts: int = 64, seed: int = 0) -> Po
     psi = sum_i L[:, i] (x) U[:, i] runs; each half-step solves its factor's
     minimum-eigenvector problem exactly, so the objective is monotone.
     Deterministic for a fixed seed (all start points derive from it).
-    Runs as ``k_positivity_many`` of the family of ``m`` alone.
-    """
-    family = QuantumMap(m.dimIn, m.dimOut, _one(m, "k_positivity").superop[None])
-    return k_positivity_many(family, k, restarts, [seed])[0]
 
-
-def k_positivity_many(ms: QuantumMap, k: int, restarts: int, seeds) -> list[PositivityCertificate]:
-    """``k_positivity`` of every map of the family ``ms``, with ``restarts``
-    start points drawn from each map's own entry of ``seeds``; an empty
-    family gives no certificates.
-
+    One map gives one ``PositivityCertificate``.  A family gives one per
+    map, with ``seed`` a sequence of one seed per map, each map drawing its
+    ``restarts`` start points from its own seed; an empty family gives none.
     On the exact-eigenvalue path one stacked ``eigh`` takes every map's
     Choi matrix, each factored on its own.  Otherwise the searches of all
     maps run as groups of one stacked ``_accel.kpos_scan`` call, split into
@@ -308,30 +292,32 @@ def k_positivity_many(ms: QuantumMap, k: int, restarts: int, seeds) -> list[Posi
     ``_accel.KPOS_STACK_ENTRIES`` Hessian entries, and each call's spreads
     take the medians of all its groups in one ``np.median`` over the
     restart axis.  Every restart follows the iterates it follows alone, so
-    each certificate is bit for bit the one ``k_positivity`` gives for that
-    map and seed.  Logs this call plan at DEBUG on the ``nonmarkov.maps``
+    each certificate of a family is bit for bit the one its map alone gives
+    with its seed.  Logs this call plan at DEBUG on the ``nonmarkov.maps``
     logger: the exact path, or the number of ``kpos_scan`` calls and the
     rows of each.
     """
-    if ms.superop.ndim != 3:
-        raise ValueError("k_positivity_many takes a family of maps, not one map")
-    seeds, n, dB, dA = list(seeds), len(ms.superop), ms.dimIn, ms.dimOut
-    if len(seeds) != n:
-        raise ValueError(f"need one seed per map: {len(seeds)} seeds for {n} maps")
+    one, dB, dA = m.superop.ndim == 2, m.dimIn, m.dimOut
+    js = m.hermitian_choi[None] if one else m.hermitian_choi
+    n = len(js)
+    seeds = [seed] if one else list(seed) if np.iterable(seed) else None
+    if seeds is None or len(seeds) != n:
+        raise ValueError(f"a family of {n} maps needs a sequence of one seed per map, "
+                         f"got {seed!r}")
     k = linalg.check_positive_int(k, "k")
     restarts = linalg.check_positive_int(restarts, "restarts")
     if k > dB:
         raise ValueError(f"k must be in [1, {dB}], got {k}")
-    js = ms.hermitian_choi
     if k >= min(dA, dB):
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("k=%d: exact minimum eigenvalues, no kpos_scan call", k)
         vecs = np.linalg.eigh(js).eigenvectors[:, :, 0]
-        return [_certificate(k, j, psi, 0, 0, 0.0) for j, psi in zip(js, vecs)]
+        certs = [_certificate(k, j, psi, 0, 0, 0.0) for j, psi in zip(js, vecs)]
+        return certs[0] if one else certs
     starts_l, starts_u = [], []
     shape_l, shape_u = (restarts, dA, k), (restarts, dB, k)
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+    for s in seeds:
+        rng = np.random.default_rng(s)
         starts_l.append(rng.standard_normal(shape_l) + 1j * rng.standard_normal(shape_l))
         starts_u.append(rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u))
     j4 = js.reshape(n, dA, dB, dA, dB)
@@ -351,7 +337,7 @@ def k_positivity_many(ms: QuantumMap, k: int, restarts: int, seeds) -> list[Posi
             psi = psi / np.linalg.norm(psi)
             certs.append(_certificate(k, js[lo + g], psi, restarts,
                                       int(converged[g].sum()), spreads[g]))
-    return certs
+    return certs[0] if one else certs
 
 
 def _kpos_maps_per_call(dA: int, dB: int, k: int, restarts: int) -> int:

@@ -558,7 +558,8 @@ def test_channel_distance_logs_restart_statistics(caplog):
 QUBIT = maps.random_cptp(2, 2, 50)
 MULTISTART = {
     "k_positivity": lambda r: maps.k_positivity(transposition_map(2), 1, restarts=r),
-    "k_positivity_many": lambda r: maps.k_positivity_many(
+    # k_positivity of many maps: a family with one seed per map.
+    "k_positivity_many": lambda r: maps.k_positivity(
         family_of([transposition_map(2), QUBIT]), 1, r, [0, 1]),
     "divisibility_report": lambda r: dynamics.divisibility_report(
         dynamics.propagate(dynamics.model("eternal"), dynamics.time_grid(1, 3)), [1],
@@ -587,7 +588,7 @@ def test_multistart_rejects_non_integer_restarts(name, restarts):
 
 TAKES_K = {
     "k_positivity": lambda k: maps.k_positivity(transposition_map(3), k, restarts=4),
-    "k_positivity_many": lambda k: maps.k_positivity_many(
+    "k_positivity_many": lambda k: maps.k_positivity(
         family_of([transposition_map(3)]), k, 4, [0]),
     "channel_distance": lambda k: disc.channel_distance(QUBIT, QUBIT, 0.5, k, restarts=4),
     "p_guess_channels": lambda k: disc.p_guess_channels(

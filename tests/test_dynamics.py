@@ -404,7 +404,7 @@ class TestPropagate:
 
 
 def cptp_residuals_per_map(m):
-    """The reference for maps.cptp_residuals: one map's smallest Choi
+    """The reference for maps.is_cptp of a family: one map's smallest Choi
     eigenvalue and TP residual, from its own eigvalsh and svd."""
     j = maps.choi(m)
     tr_out = linalg.trace_out(j, (m.dimOut, m.dimIn), 0)
@@ -466,7 +466,8 @@ def test_stacked_cptp_residuals_match_per_map():
     kraus = np.random.default_rng(5).standard_normal((3, 3, 2)) / 2
     rect = family_of([maps.from_kraus([k]) for k in kraus])  # 2 -> 3 maps, not TP
     for name, family, _ in cptp_families() + [("rectangular", rect, None)]:
-        min_eig, tp_residual = maps.cptp_residuals(family)
+        stacked = maps.is_cptp(family)
+        min_eig, tp_residual = stacked["min_choi_eig"], stacked["tp_residual"]
         for m, e, r in zip(family, min_eig, tp_residual):
             assert (e, r) == cptp_residuals_per_map(m), name
             rep = maps.is_cptp(m)

@@ -132,19 +132,20 @@ CHECKS = [
                  id="maps.QuantumMap-family-shape"),
     pytest.param(lambda: FAMILY[0][0], ValueError, "only a family",
                  id="maps.QuantumMap-index-one-map"),
-    pytest.param(lambda: maps.k_positivity_many(identity_map(2), 1, 8, [0]), ValueError,
-                 "takes a family of maps", id="maps.k_positivity_many-one-map"),
     # a family where one map is needed
     pytest.param(lambda: FAMILY.apply(EYE), ValueError, "apply takes one map",
                  id="maps.QuantumMap.apply-family"),
     pytest.param(lambda: maps.amplify(FAMILY, 2), ValueError, "amplify takes one map",
                  id="maps.amplify-family"),
-    pytest.param(lambda: maps.is_cptp(FAMILY), ValueError, "is_cptp takes one map",
-                 id="maps.is_cptp-family"),
-    pytest.param(lambda: maps.k_positivity(FAMILY, 1), ValueError,
-                 "k_positivity takes one map", id="maps.k_positivity-family"),
     pytest.param(lambda: maps.mix([FAMILY, identity_map(2)], [0.5, 0.5]), ValueError,
                  "mix takes one map", id="maps.mix-family"),
+    # a family needs a sequence of one seed per map
+    pytest.param(lambda: maps.k_positivity(FAMILY, 1, 8, 0), ValueError,
+                 "a family of 2 maps needs a sequence of one seed per map",
+                 id="maps.k_positivity-family-int-seed"),
+    pytest.param(lambda: maps.k_positivity(FAMILY, 1, 8, [0, 1, 2]), ValueError,
+                 "a family of 2 maps needs a sequence of one seed per map",
+                 id="maps.k_positivity-family-seed-count"),
     # sdp
     pytest.param(lambda: SdpProblem(C=[EYE], A=EYE[None], b=[[1.0]]), ValueError, "vector",
                  id="sdp.SdpProblem-b"),
@@ -253,10 +254,9 @@ CHECKS = [
         identity_map(2), identity_map(2), 0.5, 3), ValueError, r"k must lie in \[1, 2\]",
                  id="discrimination.channel_distance-k"),
     pytest.param(lambda: discrimination.channel_distance(FAMILY, FAMILY, 0.5, 1), ValueError,
-                 "mix takes one map", id="discrimination.channel_distance-family"),
-    # the SDP data check meets the family's stack of Choi matrices
+                 "channel_distance takes one map", id="discrimination.channel_distance-family"),
     pytest.param(lambda: discrimination.diamond_norm(FAMILY), ValueError,
-                 "stacks of square blocks", id="discrimination.diamond_norm-family"),
+                 "diamond_norm takes one map", id="discrimination.diamond_norm-family"),
     # _accel
     pytest.param(lambda: _accel.kpos_scan(np.zeros((2, 2, 2, 2, 2)), 2, 2, 1,
                                           np.zeros((3, 2, 1)), np.zeros((3, 2, 1))),

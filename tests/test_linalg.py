@@ -210,6 +210,30 @@ class TestTraceOut:
         assert np.abs(linalg.trace_out(abc, (2, 3, 2), 2) - np.kron(a, b)).max() < 1e-15
 
 
+# Off-diagonal zeros of both signs, which halving by a complex division
+# would turn into +0.0.
+SIGNED_ZERO_STATE = [[0.5, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.5]]
+
+
+class TestHermitize:
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_idempotent_bit_for_bit(self, rng, layout):
+        a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        a = layout(a + a.conj().swapaxes(-1, -2))
+        a[0, 0, 1], a[0, 1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+        h = linalg.hermitize(a)
+        assert np.array_equal(h, (a + a.conj().swapaxes(-1, -2)) / 2)
+        assert linalg.hermitize(h).tobytes() == h.tobytes()
+        signed = linalg.hermitize(SIGNED_ZERO_STATE)
+        assert linalg.hermitize(signed).tobytes() == signed.tobytes()
+
+    def test_state_with_signed_zeros_round_trips(self):
+        rho = states.DensityOperator(SIGNED_ZERO_STATE)
+        back = states.DensityOperator.from_json(rho.to_json())
+        assert back.matrix.tobytes() == rho.matrix.tobytes()
+        assert back.to_json() == rho.to_json()
+
+
 class TestJsonForm:
     @pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 4), (2, 3, 3)])
     def test_round_trip_exact(self, rng, shape):

@@ -19,7 +19,6 @@ from nonmarkov.maps import (
     inverse,
     is_cptp,
     k_positivity,
-    k_positivity_many,
     replacer,
     transposition_map,
     unitary_map,
@@ -277,6 +276,17 @@ class TestIsCptp:
         m = maps.mix([maps.random_cptp(2, 2, s) for s in (22, 23)], [0.5, 0.5])
         rep = is_cptp(m)
         assert rep["cp"] and rep["tp"]
+
+    def test_family_reports_one_array_per_key(self):
+        ms = [unitary_map(states.random_unitary(2, 21)), transposition_map(2),
+              maps.mix([identity_map(2)], [1.5])]
+        rep = is_cptp(family_of(ms))
+        assert all(isinstance(v, np.ndarray) and v.shape == (3,) for v in rep.values())
+        alone = [is_cptp(m) for m in ms]
+        assert all(type(v) in (bool, float) for v in alone[0].values())
+        assert [{key: v[j].item() for key, v in rep.items()} for j in range(3)] == alone
+        assert rep["cp"].tolist() == [True, False, True]
+        assert rep["tp"].tolist() == [True, True, False]
 
     def test_mix_rejects_mismatched_inputs(self):
         a, b = maps.random_cptp(2, 2, 22), maps.random_cptp(2, 2, 23)
@@ -631,20 +641,21 @@ def counting_kpos_scan(monkeypatch):
 
 
 class TestKPositivityMany:
-    """One stacked search over several maps against one search per map."""
+    """``k_positivity`` of a family, one stacked search over its maps,
+    against one search per map."""
 
     @pytest.mark.parametrize("name", sorted(dynamics.MODELS))
     def test_matches_one_map_at_a_time(self, name):
         dm = library_family(name)
         vs = family_of([dynamics.intermediate(dm, j + 1, j) for j in range(len(dm) - 1)])
         seeds = [np.random.SeedSequence(entropy=9, spawn_key=(j, 1)) for j in range(len(dm) - 1)]
-        batch = k_positivity_many(vs, 1, 16, seeds)
+        batch = k_positivity(vs, 1, 16, seeds)
         alone = [k_positivity(v, 1, 16, s) for v, s in zip(vs, seeds)]
         assert [certificate_bits(c) for c in batch] == [certificate_bits(c) for c in alone]
 
     def test_exact_path_per_map(self):
         ms = [maps.random_cptp(2, 2, 40), transposition_map(2)]
-        batch = k_positivity_many(family_of(ms), 2, 4, [0, 1])
+        batch = k_positivity(family_of(ms), 2, 4, [0, 1])
         assert [certificate_bits(c) for c in batch] == [
             certificate_bits(k_positivity(m, 2, 4, s)) for m, s in zip(ms, [0, 1])]
 
@@ -652,15 +663,15 @@ class TestKPositivityMany:
         # The steps of a one-point grid: no map, no certificate, on the
         # search path (k = 1) and on the exact path (k = 2).
         empty = QuantumMap(2, 2, np.zeros((0, 4, 4)))
-        assert k_positivity_many(empty, 1, 8, []) == k_positivity_many(empty, 2, 8, []) == []
+        assert k_positivity(empty, 1, 8, []) == k_positivity(empty, 2, 8, []) == []
 
     def test_one_seed_per_map(self):
         with pytest.raises(ValueError, match="one seed per map"):
-            k_positivity_many(family_of([identity_map(2)] * 2), 1, 8, [0])
+            k_positivity(family_of([identity_map(2)] * 2), 1, 8, [0])
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="k must be"):
-            k_positivity_many(family_of([identity_map(2)]), 3, 8, [0])
+            k_positivity(family_of([identity_map(2)]), 3, 8, [0])
 
     def test_qubit_report_is_one_call_per_searched_k(self, monkeypatch):
         # k = 2 takes the exact path on qubits, so only k = 1 searches.

@@ -170,7 +170,7 @@ def test_k_positivity_many_matches_one_map_at_a_time(k, seeds, rank):
         return (float(c.min_value).hex(), c.witness.tobytes(), c.restarts_converged,
                 float(c.spread).hex(), c.verdict)
 
-    batch = maps.k_positivity_many(
+    batch = maps.k_positivity(
         maps.QuantumMap(3, 3, np.stack([m.superop for m in ms])), k, 8, seeds)
     assert [bits(c) for c in batch] == [bits(maps.k_positivity(m, k, 8, s))
                                         for m, s in zip(ms, seeds)]

@@ -42,5 +42,9 @@ def test_traced_calls_report_their_attributes():
     assert out["accel.tracenorm_scan.restarts"] == 2
     assert out["accel.kpos_scan.restarts"] > 0
     assert out["sdp.solve.calls"] == 1
-    # The divisibility pass inverts its family through maps.inverse.
+    # The divisibility pass inverts its family through maps.inverse, and
+    # propagate and the pass check and search their families through
+    # maps.is_cptp and maps.k_positivity.
     assert out["maps.inverse.calls"] >= 1
+    assert out["maps.is_cptp.calls"] >= 1
+    assert out["maps.k_positivity.calls"] >= 1
