@@ -15,12 +15,16 @@ BLAS product per row (a single GEMM over all rows would round a row
 differently by the number of rows).  So every restart follows bit for bit
 the iterates it would follow alone.
 
-Two pieces of a ``kpos_scan`` sweep skip LAPACK where a closed form exists.
-At k = 1 a factor has one column, and its orthonormal basis is the column
-divided by its norm.  A 2x2 Hessian (a qubit factor at k = 1) takes its
+At k = 1 a ``kpos_scan`` sweep takes no orthonormal basis at all.  A
+factor then has one column, and every factor a half-step reads is already
+a unit vector: the U starts are divided by their norms once, before the
+first sweep, and every later factor is the eigenvector ``_lowest_eigpair``
+returned, which has unit norm.  (At k > 1 both factors take the Q of
+``qr`` on every sweep.)  A 2x2 Hessian (a qubit factor at k = 1) takes its
 lowest eigenpair from the 2x2 formula instead of a stacked ``eigh``, whose
-cost at that size is almost all per-matrix overhead.  Both work row by row
-with elementwise operations, so the bit-for-bit guarantee above still holds.
+cost at that size is almost all per-matrix overhead.  The start
+normalization and the formula work row by row with elementwise
+operations, so the bit-for-bit guarantee above still holds.
 
 A ``kpos_scan`` call searches a stack of Choi matrices at once, one group
 of restarts each.  ``maps.k_positivity`` of a family stacks every step of
@@ -146,7 +150,10 @@ def _orthonormalize(x):
     """Orthonormal basis of the column span of each (n, k) matrix in a stack.
 
     One column is divided by its norm; the phase QR would give it changes
-    no quadratic form.  Wider factors take the Q of ``np.linalg.qr``.
+    no quadratic form.  ``kpos_scan`` does this once per call, to its U
+    starts at k = 1, and then reads only unit eigenvectors.  Wider factors
+    take the Q of ``np.linalg.qr``, which ``kpos_scan`` runs on both
+    factors on every sweep.
     """
     if x.shape[-1] > 1:
         return np.linalg.qr(x)[0]
@@ -257,18 +264,25 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U):
     rank <= k, parameterized psi = sum_i L[:, i] (x) U[:, i].
 
     Alternates exact minimum-eigenvector solves in the L and U factors
-    (monotone per iteration) from every start pair at once.  Each half-step
-    orthonormalizes a factor (a division by its norm at k = 1, else the Q
-    of ``qr``) and takes the lowest eigenpair of a (d*k)^2 Hessian (the
-    closed form at size 2, else ``eigh``); see ``_orthonormalize`` and
-    ``_lowest_eigpair``.  Returns
+    (monotone per iteration) from every start at once.  The search starts
+    from the U starts: the first L-step overwrites every L, so the values
+    of ``starts_L`` are never read, though it must have as many rows as
+    ``starts_U``.  Each half-step takes the lowest eigenpair of a (d*k)^2
+    Hessian built on the other factor (the closed form at size 2, else
+    ``eigh``; see ``_lowest_eigpair``).  At k > 1 that factor is first
+    replaced by the Q of its ``qr``.  At k = 1 it is the unit eigenvector
+    of the previous half-step, used as it comes, and only the U starts are
+    divided by their norms, once before the first sweep (see
+    ``_orthonormalize``).  Returns
     ``(value, L, U, values, converged)``: per group, the best restart (the
     first one reaching the minimum), then every restart's final value and
     whether its tolerance test passed within ``KPOS_ITERS`` sweeps.
 
     ``J4`` is a ``(g, dA, dB, dA, dB)`` stack of Choi tensors.  The rows of
     ``starts_L``/``starts_U`` split evenly into g groups, in order, and group
-    i searches ``J4[i]``.  Before the first sweep each group's J4 is
+    i searches ``J4[i]``.  An empty stack, no start rows, start stacks of
+    different heights and rows that do not split evenly raise
+    ``ValueError``.  Before the first sweep each group's J4 is
     reshaped once into the matrix of each half-step.  The sweeps run on
     compact arrays of the active rows' factors and last values, in row
     order; a row's L, U, value and stop flag are written back on the sweep
@@ -278,16 +292,22 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U):
     (see ``_half_step``), views of two buffers allocated once per call.  A
     sweep forms the fixed factor's outer products for all active rows,
     makes one per-row ``matmul`` per group over its span of them (see
-    ``_quadratic_forms``), and runs the orthonormalizations and eigenpairs
-    once over all rows.  All of these work per row, so a batched call is
-    bit-identical to each group run alone.  The best value, L and U have
-    a leading group axis, and ``values`` and ``converged`` have shape
-    (g, restarts per group).
+    ``_quadratic_forms``), and runs the eigenpairs (and at k > 1 the
+    ``qr``s) once over all rows.  All of these work per row, so a batched
+    call is bit-identical to each group run alone.  The best value, L and
+    U have a leading group axis, and ``values`` and ``converged`` have
+    shape (g, restarts per group).
     """
     J4 = np.ascontiguousarray(J4)
     L = np.array(starts_L, dtype=np.complex128)
     U = np.array(starts_U, dtype=np.complex128)
     n_groups, n_starts = J4.shape[0], L.shape[0]
+    if n_groups == 0:
+        raise ValueError("kpos_scan needs at least one Choi tensor, got an empty stack")
+    if n_starts == 0:
+        raise ValueError("kpos_scan needs at least one start row, got none")
+    if U.shape[0] != n_starts:
+        raise ValueError(f"{n_starts} L start rows but {U.shape[0]} U start rows")
     if n_starts % n_groups:
         raise ValueError(f"{n_starts} start rows do not split into {n_groups} groups")
     bounds = np.arange(n_groups + 1) * (n_starts // n_groups)
@@ -300,6 +320,10 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U):
     converged = np.zeros(n_starts, dtype=bool)
     # The active rows, and their factors and last values.
     active, l, u, last = np.arange(n_starts), L, U, val
+    # At k = 1 each half-step's eigenvector is already a unit factor, so
+    # only the U starts are normalized, once; the L starts are never read.
+    if k == 1:
+        u = _orthonormalize(u)
     steps = None
     for _ in range(KPOS_ITERS):
         if steps is None:
@@ -308,10 +332,13 @@ def kpos_scan(J4, dA, dB, k, starts_L, starts_U):
         # Re-parameterize: an orthonormal basis preserves the factor's span,
         # so each exact eigen-solve below searches a superset of the
         # previous state.
-        u = _orthonormalize(u)
+        if k > 1:
+            u = _orthonormalize(u)
         # L-step: quadratic form matrix over vec(L), U orthonormal
         _, v = _lowest_eigpair(*_quadratic_forms(u, steps[0]))
-        l = _orthonormalize(v.reshape(-1, dA, k))
+        l = v.reshape(-1, dA, k)
+        if k > 1:
+            l = _orthonormalize(l)
         # U-step: quadratic form over vec(U), L orthonormal; afterwards
         # the pair (L, U) is exactly the state achieving new_val.
         new_val, v = _lowest_eigpair(*_quadratic_forms(l, steps[1]))
@@ -356,8 +383,9 @@ def tracenorm_scan(T4, starts):
     psi on C^k (x) C^d_in for a Hermiticity-preserving superoperator W given
     as its un-amplified T4 of shape (d_out, d_out, d_in, d_in).
 
-    k is read from the starts, ``starts.shape[1] // d_in``; a width that is
-    not a multiple of d_in raises ``ValueError``.  Fixed-point iteration
+    k is read from the starts, ``starts.shape[1] // d_in``; no start rows,
+    or a width that is not a multiple of d_in, raise ``ValueError``.
+    Fixed-point iteration
     psi <- top eigenvector of (id_k (x) W)^#(sign((id_k (x) W)(psi psi^dag)))
     (monotone ascent) from every start at once.  id_k (x) W acts block by
     block: the ancilla indices pass through both contractions, so T4 is never
@@ -374,6 +402,8 @@ def tracenorm_scan(T4, starts):
     T4 = np.ascontiguousarray(T4)
     d_out, d_in = T4.shape[0], T4.shape[2]
     psi = np.array(starts, dtype=np.complex128)
+    if psi.shape[0] == 0:
+        raise ValueError("tracenorm_scan needs at least one start row, got none")
     if psi.shape[1] % d_in:
         raise ValueError(f"start width {psi.shape[1]} is not a multiple of d_in = {d_in}")
     k = psi.shape[1] // d_in

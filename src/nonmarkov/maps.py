@@ -280,7 +280,10 @@ def k_positivity(m: QuantumMap, k: int, restarts: int = 64, seed=0):
     block-coordinate descent on the factor parameterization
     psi = sum_i L[:, i] (x) U[:, i] runs; each half-step solves its factor's
     minimum-eigenvector problem exactly, so the objective is monotone.
-    Deterministic for a fixed seed (all start points derive from it).
+    Deterministic for a fixed seed (all start points derive from it).  Each
+    restart draws an L and then a U start point, and the search starts from
+    the U point: the first half-step overwrites L (see ``_accel.kpos_scan``),
+    and the L draws only keep every U point where the seed puts it.
 
     One map gives one ``PositivityCertificate``.  A family gives one per
     map, with ``seed`` a sequence of one seed per map, each map drawing its
@@ -316,6 +319,7 @@ def k_positivity(m: QuantumMap, k: int, restarts: int = 64, seed=0):
         return certs[0] if one else certs
     starts_l, starts_u = [], []
     shape_l, shape_u = (restarts, dA, k), (restarts, dB, k)
+    # kpos_scan never reads the L starts; drawing them fixes the U starts.
     for s in seeds:
         rng = np.random.default_rng(s)
         starts_l.append(rng.standard_normal(shape_l) + 1j * rng.standard_normal(shape_l))

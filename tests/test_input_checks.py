@@ -262,6 +262,21 @@ CHECKS = [
                                           np.zeros((3, 2, 1)), np.zeros((3, 2, 1))),
                  ValueError, "3 start rows do not split into 2 groups",
                  id="_accel.kpos_scan-groups"),
+    pytest.param(lambda: _accel.kpos_scan(np.zeros((0, 2, 2, 2, 2)), 2, 2, 1,
+                                          np.zeros((3, 2, 1)), np.zeros((3, 2, 1))),
+                 ValueError, "at least one Choi tensor, got an empty stack",
+                 id="_accel.kpos_scan-no-groups"),
+    pytest.param(lambda: _accel.kpos_scan(np.zeros((1, 2, 2, 2, 2)), 2, 2, 1,
+                                          np.zeros((0, 2, 1)), np.zeros((0, 2, 1))),
+                 ValueError, "kpos_scan needs at least one start row",
+                 id="_accel.kpos_scan-no-starts"),
+    pytest.param(lambda: _accel.kpos_scan(np.zeros((1, 2, 2, 2, 2)), 2, 2, 1,
+                                          np.zeros((2, 2, 1)), np.zeros((3, 2, 1))),
+                 ValueError, "2 L start rows but 3 U start rows",
+                 id="_accel.kpos_scan-start-rows"),
+    pytest.param(lambda: _accel.tracenorm_scan(np.zeros((2, 2, 2, 2)), np.zeros((0, 2))),
+                 ValueError, "tracenorm_scan needs at least one start row",
+                 id="_accel.tracenorm_scan-no-starts"),
     # entropy
     pytest.param(lambda: entropy.relative_entropy(np.diag([1.0, -0.5]), EYE), ValueError,
                  "positive semidefinite", id="entropy._as_psd"),

@@ -371,11 +371,13 @@ class TestKPositivity:
 
     def test_seeded_divisibility_report_pinned(self):
         # Pinned on the RK4 family; propagate's exact path differs in the last bits.
+        # The k = 1 values are those of sweeps that take each unit eigenvector
+        # as it comes, with no renormalization.
         dm = rk4_family(dynamics.model("eternal"), dynamics.time_grid(2, 7))
         rep = dynamics.divisibility_report(dm, ks=[1, 2], restarts=40, seed=0)
         pinned = {
-            1: ["0x1.f242c862329e5p-4", "0x1.52104b9cd2b36p-4", "0x1.9fc40fc06fec6p-5",
-                "0x1.db2738fa7a97ap-6", "0x1.02f906a9cbd54p-6", "0x1.129a64259c151p-7"],
+            1: ["0x1.f242c862329e7p-4", "0x1.52104b9cd2b37p-4", "0x1.9fc40fc06fec5p-5",
+                "0x1.db2738fa7a97ep-6", "0x1.02f906a9cbd50p-6", "0x1.129a64259c151p-7"],
             2: ["-0x1.6abf75ad93db6p-43", "-0x1.4064f98ac1863p-4", "-0x1.2260c081fb4c7p-3",
                 "-0x1.7b78fa2394880p-3", "-0x1.b18486b7ebc1dp-3", "-0x1.cfef7bddab2dap-3"],
         }
@@ -450,6 +452,71 @@ class TestKposScan:
         starts_l = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         starts_u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return j4, starts_l, starts_u
+
+    @staticmethod
+    def random_stack(dA, dB, k, groups, per_group, seed):
+        """``groups`` random Hermitian Choi tensors on C^dA (x) C^dB, as their
+        matrices and as the J4 stack, and two draws of L starts and one of U
+        starts, ``per_group`` rows per group."""
+        rng = np.random.default_rng(seed)
+        n = dA * dB
+        g = rng.standard_normal((groups, n, n)) + 1j * rng.standard_normal((groups, n, n))
+        herm = (g + g.conj().swapaxes(1, 2)) / 2
+        shape_l, shape_u = (groups * per_group, dA, k), (groups * per_group, dB, k)
+        starts = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                  for shape in (shape_l, shape_l, shape_u)]
+        return herm, herm.reshape(groups, dA, dB, dA, dB), *starts
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_k1_normalizes_once_and_k2_takes_qr_every_sweep(self, monkeypatch, k):
+        # A sweep takes two eigenpairs.  At k = 1 each is a unit eigenvector,
+        # the next half-step's factor as it comes, so a call normalizes only
+        # its U starts; at k = 2 both factors take a QR on every sweep.
+        j4, starts_l, starts_u = self.staggered_qubit_stack()
+        if k == 2:
+            _, _, starts_l, _, starts_u = self.random_stack(2, 2, 2, 3, 12, seed=5)
+        calls = {"normalize": 0, "qr": 0, "eigpair": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(_accel, "KPOS_ITERS", 12)
+        monkeypatch.setattr(_accel, "_orthonormalize", counted("normalize", _accel._orthonormalize))
+        monkeypatch.setattr(_accel, "_lowest_eigpair", counted("eigpair", _accel._lowest_eigpair))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        _accel.kpos_scan(j4, 2, 2, k, starts_l, starts_u)
+        if k == 1:
+            # Two rows never stop, so all 12 sweeps run.
+            assert calls == {"normalize": 1, "qr": 0, "eigpair": 24}
+        else:
+            assert calls["eigpair"] >= 4
+            assert calls["qr"] == calls["normalize"] == calls["eigpair"]
+
+    @pytest.mark.parametrize("dA, dB", [(2, 2), (2, 3), (3, 2)])
+    def test_k1_best_factors_are_unit_and_give_their_value(self, dA, dB):
+        # The k = 1 sweeps use each eigenvector as it comes: the closed form
+        # on 2 (x) 2, eigh on the others.  The factors they return are unit
+        # vectors whose product state gives the group's best value.
+        herm, j4, _, starts_l, starts_u = self.random_stack(dA, dB, 1, 3, 8, seed=17)
+        val, best_l, best_u, _, _ = _accel.kpos_scan(j4, dA, dB, 1, starts_l, 5 * starts_u)
+        for best in (best_l, best_u):
+            assert np.abs(np.linalg.norm(best[:, :, 0], axis=1) - 1).max() <= 1e-14
+        for grp in range(3):
+            psi = np.kron(best_l[grp, :, 0], best_u[grp, :, 0])
+            assert choi_quadratic_form(herm[grp], psi) == pytest.approx(val[grp], rel=1e-12)
+
+    @pytest.mark.parametrize("dA, dB, k", [(2, 2, 1), (2, 3, 1), (3, 3, 2)])
+    def test_l_starts_are_never_read(self, dA, dB, k):
+        # The first L-step overwrites every L, so the search starts from the
+        # U starts alone.
+        _, j4, starts_l, other_l, starts_u = self.random_stack(dA, dB, k, 2, 6, seed=23)
+        first = _accel.kpos_scan(j4, dA, dB, k, starts_l, starts_u)
+        second = _accel.kpos_scan(j4, dA, dB, k, other_l, starts_u)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("d, k", [(4, 1), (4, 2)])
     def test_best_of_single_restart_runs(self, d, k):
